@@ -25,8 +25,8 @@ from .approx import (RoundingOutcome, derandomized_sweep, krivelevich,
                      standard_three_approx)
 from .pivot import (PivotTrace, TripletConfig, cover_pivot,
                     exhaustive_expected_disagreements, inclusion_probability,
-                    match_flip_pivot, standard_pivot, triplet_sums,
-                    verify_charging_tables)
+                    join_probabilities, match_flip_pivot, run_pivot,
+                    standard_pivot, triplet_sums, verify_charging_tables)
 from .exact import (ExactResult, exact_btt, exact_btt_positive_only,
                     exact_cc, ratio_survey, sandwich_report)
 from .generators import (GadgetMap, TwoCnfFormula, consistent_cover,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp as lp_mod
-from .errors import InputError
+from .errors import InputError, VerificationError
 from .graphs import (EdgeCover, POSITIVE, SignedGraph, is_feasible_cover)
 from .lp import (FLOAT_POSITIVITY_TAU, FractionalCover,
                  check_fractional_feasibility, greedy_maximal_packing)
@@ -272,19 +272,21 @@ def derandomized_sweep(g: SignedGraph, x: FractionalCover,
     values = x.values
     tau = FLOAT_POSITIVITY_TAU if _is_float_mode(x) else 0
     # Cost at r = 0: every positive edge, plus (float mode) negative edges
-    # already inside the tau inclusion slack.
-    running = sum(e.weight for i, e in enumerate(g.edges)
+    # already inside the tau inclusion slack.  Costs are summed as
+    # Fractions, exact for float weights too, so the running cost equals
+    # the cost of the cover rebuilt at the chosen threshold.
+    running = sum(Fraction(e.weight) for i, e in enumerate(g.edges)
                   if e.sign == POSITIVE or values[i] > 1 - tau)
-    events: dict[object, object] = {}
+    events: dict[object, Fraction] = {}
     for i, e in enumerate(g.edges):
         if e.sign == POSITIVE:
             v = 2 * values[i] + 2 * tau  # drops out once r exceeds this
             if v < 1:
-                events[v] = events.get(v, 0) - e.weight
+                events[v] = events.get(v, 0) - Fraction(e.weight)
         else:
             v = 1 - values[i] - tau  # enters once r exceeds this
             if 0 <= v < 1:
-                events[v] = events.get(v, 0) + e.weight
+                events[v] = events.get(v, 0) + Fraction(e.weight)
     best_cost, best_r, best_side = running, 0, "at"
     for v in sorted(events):
         if v > 0 and running < best_cost:
@@ -295,12 +297,11 @@ def derandomized_sweep(g: SignedGraph, x: FractionalCover,
     # r = 1 candidate equals the last "above" (or the r=0 baseline when
     # there are no events), so it is already covered by the walk.
     ids = _threshold_cover_ids(g, values, best_r, best_side)
-    outcome = RoundingOutcome.create(
+    if sum(Fraction(g.edges[i].weight) for i in ids) != best_cost:
+        raise VerificationError("sweep bookkeeping drifted from the rebuilt cover")
+    return RoundingOutcome.create(
         g, ids, ALG_SWEEP, threshold=best_r, threshold_side=best_side,
         lower_bound=lower_bound)
-    if outcome.cover.cost != best_cost:
-        raise AssertionError("sweep bookkeeping drifted from the rebuilt cover")
-    return outcome
 
 
 def randomized_rounding_trials(g: SignedGraph, x: FractionalCover,

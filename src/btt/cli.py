@@ -40,8 +40,7 @@ from .graphs import (EdgeCover, SignedGraph, clustering_to_json,
                      parse_edge_list)
 from .lp import lp_solution_to_json, solve_exact, solve_mwu
 from .pivot import (ALG_COVER_PIVOT, ALG_FLIP_PIVOT, ALG_STANDARD_PIVOT,
-                    cover_pivot, match_flip_pivot, pivot_trials,
-                    standard_pivot, verify_charging_tables)
+                    pivot_trials, run_pivot, verify_charging_tables)
 
 SOLVE_ALGS = (ALG_THREE_APPROX, ALG_KRIVELEVICH, ALG_DETERMINISTIC,
               ALG_RANDOMIZED, ALG_SWEEP, "exact", "lp-exact", "lp-mwu")
@@ -307,15 +306,8 @@ def cmd_cluster(cfg: RunConfig, timing: bool, csv_out: str | None = None) -> dic
         cover = _load_cover(g, cfg.cover)
     body: dict = {"kind": "cluster", "n": g.n, "m": g.m,
                   "cover_size": None if cover is None else cover.size}
-    if cfg.trials <= 1:
-        runners = {
-            ALG_STANDARD_PIVOT: lambda: standard_pivot(g, cfg.seed),
-            ALG_COVER_PIVOT: lambda: cover_pivot(g, cover, cfg.seed),
-            ALG_FLIP_PIVOT: lambda: match_flip_pivot(g, cover, cfg.seed),
-        }
-        if cfg.alg not in runners:
-            raise InputError(f"unknown cluster algorithm {cfg.alg!r}")
-        trace = runners[cfg.alg]()
+    if cfg.trials == 1:
+        trace = run_pivot(g, cfg.alg, cfg.seed, cover)
         body["clustering"] = clustering_to_json(trace.clustering)
         body["disagreements"] = _json_default_safe(trace.disagreements)
         body["pivot_order"] = list(trace.pivot_order)

@@ -227,6 +227,15 @@ def exact_btt_positive_only(g: SignedGraph, *,
                        optima_truncated=truncated)
 
 
+def _check_cc_node_cap(g: SignedGraph, max_nodes: int = DEFAULT_CC_NODE_CAP) -> None:
+    """Raise CapacityError when ``exact_cc`` would refuse ``g``; callers
+    that pair it with costlier searches check before starting them."""
+    if g.n > max_nodes:
+        raise CapacityError(
+            f"exact clustering search capped at {max_nodes} nodes (n={g.n}); "
+            "raise max_nodes explicitly if you accept the cost")
+
+
 def exact_cc(g: SignedGraph, *,
              max_nodes: int = DEFAULT_CC_NODE_CAP,
              node_budget: int = DEFAULT_CC_NODE_BUDGET,
@@ -239,10 +248,7 @@ def exact_cc(g: SignedGraph, *,
     exit once matched.  Guarded by ``max_nodes``; larger instances need a
     different oracle.
     """
-    if g.n > max_nodes:
-        raise CapacityError(
-            f"exact clustering search capped at {max_nodes} nodes (n={g.n}); "
-            "raise max_nodes explicitly if you accept the cost")
+    _check_cc_node_cap(g, max_nodes)
     if g.n == 0:
         return ExactResult(0, Clustering((), 0), 0, 0, ((0, 0),))
     # Adjacency of finalised pairs: for node i, its weighted signed edges
@@ -321,8 +327,10 @@ def sandwich_report(g: SignedGraph, **budgets) -> dict:
     The count-based inequalities (packing <= LP, cover <= 3 x packing) are
     checked on unit-weight graphs; the 1.5 clustering bound additionally
     needs completeness.  LP <= cover <= clustering holds for any signed
-    graph and is always checked.
+    graph and is always checked.  Instances beyond ``exact_cc``'s node cap
+    are rejected before any search starts.
     """
+    _check_cc_node_cap(g)
     packing = len(greedy_maximal_packing(g))
     lp_value = lp_mod.solve_exact(g).value
     btt = exact_btt(g, **budgets)
@@ -356,6 +364,7 @@ def _survey_one(index: int, seed: int, g: SignedGraph, budgets: dict) -> dict:
     start = time.perf_counter()
     row: dict = {"instance": index, "seed": seed, "n": g.n}
     try:
+        _check_cc_node_cap(g)
         btt = exact_btt(g, **{k: v for k, v in budgets.items()
                               if k in ("triangle_budget", "node_budget")})
         cc = exact_cc(g, lower_bound=btt.value)

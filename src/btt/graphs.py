@@ -16,7 +16,6 @@ oracles), ``float`` weights trade exactness for speed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -504,16 +503,6 @@ def format_edge_list(g: SignedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_edge_list(path) -> SignedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
-
-
-def write_edge_list(g: SignedGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g))
-
-
 # -- JSON export / import ------------------------------------------------
 
 
@@ -573,14 +562,3 @@ def clustering_from_json(obj: dict) -> Clustering:
         raise InputError(
             f"expected schema {CLUSTERING_SCHEMA!r}, got {obj.get('schema')!r}")
     return Clustering.from_labels(obj["labels"])
-
-
-def dump_json(obj: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -1,20 +1,28 @@
 """Cover-to-clustering pivot transformations and their charging certificate.
 
-``cover_pivot`` turns a feasible bad-triangle cover into a clustering by
-repeatedly picking a uniformly random unclustered pivot and joining each
-unclustered neighbour independently: probability 1 for positive edges and
-0 for negative edges, softened to 1/4 and 3/4 respectively on cover
-edges.  The expected number of disagreements is at most 3/2 times the
-cover size.
+All three pivots run through one kernel.  A run repeatedly picks a
+uniformly random unclustered pivot and lets each unclustered neighbour
+join the pivot's cluster independently, with a per-edge join probability
+that ``join_probabilities`` defines for every algorithm:
+
+* ``cover-pivot`` (the 3/2 transformation): 1 over positive edges and 0
+  over negative edges, softened to 1/4 and 3/4 on cover edges.  On
+  complete graphs the expected number of disagreements is at most 3/2
+  times the cover size.
+* ``flip-pivot``: 1 over the edges that are positive once the cover's
+  signs are flipped, else 0; the standard pivot on the flipped graph,
+  within twice the cover size.
+* ``pivot``: 1 over positive edges, 0 over negative ones; no cover.
+
+The probabilities are computed, and the cover checked, once per batch:
+``pivot_trials`` samples all its trials from the same per-node neighbour
+lists, and ``run_pivot`` is a batch of one.  Disagreements are always
+counted on the input graph.
 
 The guarantee rests on a finite case analysis over the 4 triangle sign
 classes times the 8 cover-membership patterns; ``verify_charging_tables``
 recomputes the full disagreement/budget/ratio tables in exact rationals
 and checks them cell by cell against frozen reference values.
-
-``standard_pivot`` (no cover, hard 1/0 probabilities) and
-``match_flip_pivot`` (standard pivot on the sign-flipped graph, scored on
-the original) are provided as baselines.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from itertools import combinations
 
 from .errors import CapacityError, InputError, VerificationError
 from .graphs import (Clustering, EdgeCover, POSITIVE, SignedGraph, cc_cost,
-                     flip_edges, is_feasible_cover)
+                     is_feasible_cover)
+from .graphs import flip_edges  # noqa: F401  perfbench/tracing.py wraps this name
 from .rng import make_rng, spawn_seeds
 
 ALG_STANDARD_PIVOT = "pivot"
@@ -255,48 +264,88 @@ class PivotTrace:
     removed_per_round: tuple[int, ...]
 
 
-def _run_pivot(g: SignedGraph, join_prob, cover_ids: frozenset[int],
-               rng, algorithm: str, seed: int | None,
-               score_graph: SignedGraph | None = None) -> PivotTrace:
-    """Shared pivot skeleton.
+def join_probabilities(g: SignedGraph, algorithm: str,
+                       cover: EdgeCover | None = None) -> list[Fraction]:
+    """Exact probability, per edge id, that a neighbour joins the pivot,
+    by the rules in the module docstring.
 
-    ``join_prob(edge_id)`` gives the probability an unclustered neighbour
-    joins; absent pairs never join.  Coins are drawn in node-id order,
-    only where the probability is fractional.  Disagreements are evaluated
-    on ``score_graph`` (default: the graph itself).
+    The only place that validates the algorithm name and, for the two
+    cover-based pivots, that a feasible cover was given.
     """
-    unclustered = list(range(g.n))
-    clusters: list[list[int]] = []
-    pivots: list[int] = []
-    removed: list[int] = []
-    while unclustered:
-        pivot = unclustered[int(rng.integers(len(unclustered)))]
-        members = [pivot]
-        for v in unclustered:
-            if v == pivot:
-                continue
-            eid = g.edge_id(pivot, v)
-            if eid is None:
-                continue
-            p = join_prob(eid)
-            if p == 1 or (0 < p < 1 and rng.random() < p):
-                members.append(v)
-        member_set = set(members)
-        if cover_ids:
-            alive = set(unclustered)
-            removed.append(sum(
-                1 for eid in cover_ids
-                if g.edges[eid].u in alive and g.edges[eid].v in alive
-                and (g.edges[eid].u in member_set or g.edges[eid].v in member_set)))
-        else:
-            removed.append(0)
-        pivots.append(pivot)
-        clusters.append(sorted(member_set))
-        unclustered = [v for v in unclustered if v not in member_set]
-    clustering = Clustering.from_clusters(g.n, clusters)
-    disagreements = cc_cost(score_graph if score_graph is not None else g, clustering)
-    return PivotTrace(algorithm, seed, tuple(pivots), clustering,
-                      disagreements, tuple(removed))
+    if algorithm not in (ALG_STANDARD_PIVOT, ALG_COVER_PIVOT, ALG_FLIP_PIVOT):
+        raise InputError(f"unknown pivot algorithm {algorithm!r}")
+    ids: frozenset[int] = frozenset()
+    if algorithm != ALG_STANDARD_PIVOT:
+        if cover is None:
+            raise InputError(f"{algorithm} needs a cover")
+        if not is_feasible_cover(g, cover):
+            raise InputError(
+                f"cover is infeasible; {algorithm} requires a feasible cover")
+        ids = cover.edge_ids
+    if algorithm == ALG_COVER_PIVOT:
+        return [inclusion_probability(e.sign, i in ids)
+                for i, e in enumerate(g.edges)]
+    return [Fraction(int((e.sign == POSITIVE) != (i in ids)))
+            for i, e in enumerate(g.edges)]
+
+
+class _PivotSampler:
+    """Pivot state built once per batch and sampled once per seed.
+
+    Each node keeps its neighbours of nonzero join probability, as floats,
+    sorted by neighbour id.  The probabilities are 0, 1/4, 3/4 or 1, all
+    exact in binary, so comparing a uniform draw with the float gives the
+    same outcome as comparing it with the Fraction.
+    """
+
+    def __init__(self, g: SignedGraph, algorithm: str, cover: EdgeCover | None):
+        joins: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+        for e, p in zip(g.edges, join_probabilities(g, algorithm, cover)):
+            if p:
+                joins[e.u].append((e.v, float(p)))
+                joins[e.v].append((e.u, float(p)))
+        for neighbours in joins:
+            neighbours.sort()
+        self.g = g
+        self.algorithm = algorithm
+        self.joins = joins
+        self.cover_ids = frozenset() if cover is None else cover.edge_ids
+
+    def run(self, seed: int) -> PivotTrace:
+        """Pick a uniformly random unclustered pivot, then walk its
+        neighbours in id order; a coin is drawn only for an unclustered
+        neighbour with a fractional probability."""
+        g = self.g
+        rng = make_rng(seed)
+        rounds = [-1] * g.n  # round in which each node was clustered
+        unclustered = list(range(g.n))
+        pivots: list[int] = []
+        while unclustered:
+            pivot = unclustered[int(rng.integers(len(unclustered)))]
+            k = len(pivots)
+            pivots.append(pivot)
+            rounds[pivot] = k
+            for v, p in self.joins[pivot]:
+                if rounds[v] < 0 and (p == 1.0 or rng.random() < p):
+                    rounds[v] = k
+            unclustered = [v for v in unclustered if rounds[v] < 0]
+        # a cover edge is removed in the first round that clusters one of
+        # its endpoints
+        removed = [0] * len(pivots)
+        for eid in self.cover_ids:
+            e = g.edges[eid]
+            removed[min(rounds[e.u], rounds[e.v])] += 1
+        clustering = Clustering.from_labels(rounds)
+        return PivotTrace(self.algorithm, seed, tuple(pivots), clustering,
+                          cc_cost(g, clustering), tuple(removed))
+
+
+def run_pivot(g: SignedGraph, algorithm: str, seed: int,
+              cover: EdgeCover | None = None) -> PivotTrace:
+    """One seeded pivot run of ``algorithm`` (pivot, cover-pivot or
+    flip-pivot); disagreements are always counted on ``g``, and
+    ``removed_per_round`` counts the edges of ``cover`` when one is given."""
+    return _PivotSampler(g, algorithm, cover).run(seed)
 
 
 def cover_pivot(g: SignedGraph, cover: EdgeCover, seed: int) -> PivotTrace:
@@ -305,43 +354,20 @@ def cover_pivot(g: SignedGraph, cover: EdgeCover, seed: int) -> PivotTrace:
     Requires a feasible cover; expected disagreements are then at most
     1.5 times the cover size on complete signed graphs.
     """
-    if not is_feasible_cover(g, cover):
-        raise InputError("cover is infeasible; cover_pivot requires a feasible cover")
-    ids = cover.edge_ids
-
-    def prob(eid: int) -> Fraction:
-        return inclusion_probability(g.edges[eid].sign, eid in ids)
-
-    return _run_pivot(g, prob, frozenset(ids), make_rng(seed),
-                      ALG_COVER_PIVOT, seed)
+    return run_pivot(g, ALG_COVER_PIVOT, seed, cover)
 
 
 def standard_pivot(g: SignedGraph, seed: int) -> PivotTrace:
     """Plain pivot: join over positive edges, never over negative ones."""
-
-    def prob(eid: int) -> Fraction:
-        return Fraction(1) if g.edges[eid].sign == POSITIVE else Fraction(0)
-
-    return _run_pivot(g, prob, frozenset(), make_rng(seed),
-                      ALG_STANDARD_PIVOT, seed)
+    return run_pivot(g, ALG_STANDARD_PIVOT, seed)
 
 
 def match_flip_pivot(g: SignedGraph, cover: EdgeCover, seed: int) -> PivotTrace:
-    """Standard pivot on the cover-flipped auxiliary graph.
+    """Standard pivot on the cover-flipped graph, scored on the original.
 
-    Disagreements are always evaluated on the original graph; the flipped
-    graph is internal.  Expected disagreements are at most twice the cover
-    size.
+    Expected disagreements are at most twice the cover size.
     """
-    if not is_feasible_cover(g, cover):
-        raise InputError("cover is infeasible; match_flip_pivot requires a feasible cover")
-    flipped = flip_edges(g, cover.edge_ids)
-
-    def prob(eid: int) -> Fraction:
-        return Fraction(1) if flipped.edges[eid].sign == POSITIVE else Fraction(0)
-
-    return _run_pivot(flipped, prob, frozenset(cover.edge_ids), make_rng(seed),
-                      ALG_FLIP_PIVOT, seed, score_graph=g)
+    return run_pivot(g, ALG_FLIP_PIVOT, seed, cover)
 
 
 def pivot_trials(g: SignedGraph, algorithm: str, trials: int, seed: int,
@@ -349,19 +375,13 @@ def pivot_trials(g: SignedGraph, algorithm: str, trials: int, seed: int,
     """Seeded batch of pivot runs with summary statistics.
 
     Trial seeds derive from the root seed by a splittable scheme, so the
-    batch is reproducible and order-independent.
+    batch is reproducible and trial k equals ``run_pivot`` with the k-th
+    spawned seed.  The cover is validated once per batch.
     """
-    runners = {
-        ALG_STANDARD_PIVOT: lambda s: standard_pivot(g, s),
-        ALG_COVER_PIVOT: lambda s: cover_pivot(g, cover, s),
-        ALG_FLIP_PIVOT: lambda s: match_flip_pivot(g, cover, s),
-    }
-    if algorithm not in runners:
-        raise InputError(f"unknown pivot algorithm {algorithm!r}")
-    if algorithm != ALG_STANDARD_PIVOT and cover is None:
-        raise InputError(f"{algorithm} needs a cover")
-    seeds = spawn_seeds(seed, trials)
-    costs = [float(runners[algorithm](s).disagreements) for s in seeds]
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
+    sampler = _PivotSampler(g, algorithm, cover)
+    costs = [float(sampler.run(s).disagreements) for s in spawn_seeds(seed, trials)]
     mean = sum(costs) / trials
     variance = sum((c - mean) ** 2 for c in costs) / max(trials - 1, 1)
     stderr = (variance / trials) ** 0.5
@@ -392,42 +412,19 @@ def exhaustive_expected_disagreements(g: SignedGraph,
     if g.n > max_nodes:
         raise CapacityError(
             f"exhaustive expectation oracle capped at {max_nodes} nodes (n={g.n})")
-    if algorithm == ALG_COVER_PIVOT:
-        if cover is None:
-            raise InputError("cover-pivot oracle needs a cover")
-        if not is_feasible_cover(g, cover):
-            raise InputError("cover is infeasible")
-        ids = cover.edge_ids
-        score = g
-        probs = {eid: inclusion_probability(g.edges[eid].sign, eid in ids)
-                 for eid in range(g.m)}
-    elif algorithm == ALG_STANDARD_PIVOT:
-        score = g
-        probs = {eid: Fraction(1) if g.edges[eid].sign == POSITIVE else Fraction(0)
-                 for eid in range(g.m)}
-    elif algorithm == ALG_FLIP_PIVOT:
-        if cover is None:
-            raise InputError("flip-pivot oracle needs a cover")
-        if not is_feasible_cover(g, cover):
-            raise InputError("cover is infeasible")
-        flipped = flip_edges(g, cover.edge_ids)
-        score = g
-        probs = {eid: Fraction(1) if flipped.edges[eid].sign == POSITIVE
-                 else Fraction(0) for eid in range(g.m)}
-    else:
-        raise InputError(f"unknown pivot algorithm {algorithm!r}")
+    probs = join_probabilities(g, algorithm, cover)
 
     def round_cost(members: tuple[int, ...], outside: tuple[int, ...]) -> Fraction:
         cost = Fraction(0)
         for a, b in combinations(members, 2):
-            eid = score.edge_id(a, b)
-            if eid is not None and score.edges[eid].sign != POSITIVE:
-                cost += Fraction(score.edges[eid].weight)
+            eid = g.edge_id(a, b)
+            if eid is not None and g.edges[eid].sign != POSITIVE:
+                cost += Fraction(g.edges[eid].weight)
         for a in members:
             for b in outside:
-                eid = score.edge_id(a, b)
-                if eid is not None and score.edges[eid].sign == POSITIVE:
-                    cost += Fraction(score.edges[eid].weight)
+                eid = g.edge_id(a, b)
+                if eid is not None and g.edges[eid].sign == POSITIVE:
+                    cost += Fraction(g.edges[eid].weight)
         return cost
 
     @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ from btt import (InputError, SignedGraph, derandomized_sweep, gen_figure2,
                  gen_integrality_gap, gen_random, is_feasible_cover,
                  krivelevich, local_search_max_cut, round_deterministic,
                  round_fixed_threshold, round_randomized, solve_exact,
-                 standard_three_approx)
+                 solve_mwu, standard_three_approx)
 from btt.approx import (RoundingOutcome, expected_rounding_cost,
                         outcome_to_json, randomized_rounding_trials)
 from btt.graphs import EdgeCover, POSITIVE, complete_graph
@@ -272,3 +272,17 @@ class TestFloatMode:
                     derandomized_sweep(g, floats),
                     round_fixed_threshold(g, floats, 0.37)):
             assert is_feasible_cover(g, out.cover)
+
+    def test_sweep_on_float_mwu_covers(self):
+        # float weights and values: the sweep's running cost and the cost
+        # of the cover it rebuilds must agree exactly
+        for seed in range(4):
+            g = gen_random(30, positive_prob=0.5, complete=False, density=0.3,
+                           weights=("uniform", 0.5, 2.0), seed=seed)
+            x = solve_mwu(g, 0.2).primal
+            sweep = derandomized_sweep(g, x)
+            assert is_feasible_cover(g, sweep.cover)
+            cost = sum(Fraction(g.edges[i].weight) for i in sweep.cover.edge_ids)
+            for r in (0.0, 0.25, 0.5, 0.75, 1.0):
+                fixed = round_fixed_threshold(g, x, r).cover
+                assert cost <= sum(Fraction(g.edges[i].weight) for i in fixed.edge_ids)

@@ -1,0 +1,78 @@
+import json
+
+import pytest
+
+from btt import EdgeCover, gen_figure2, gen_random
+from btt.cli import main
+from btt.pivot import pivot_trials, run_pivot
+
+FIG2_SEED = 3
+
+
+def run_cli(argv, out_path):
+    code = main(argv + ["--out", str(out_path)])
+    assert code == 0
+    return json.loads(out_path.read_text())
+
+
+@pytest.fixture
+def fig2_cover_file(tmp_path):
+    """A det2 solve result on the six-node instance, usable as --cover."""
+    path = tmp_path / "solve.json"
+    result = run_cli(["solve", "--gen", "fig2", "--alg", "det2"], path)
+    g = gen_figure2()
+    return path, EdgeCover.from_ids(g, result["outcome"]["cover_edge_ids"])
+
+
+class TestCluster:
+    @pytest.mark.parametrize("alg", ["pivot", "cover-pivot", "flip-pivot"])
+    def test_single_run_matches_library(self, alg, fig2_cover_file, tmp_path):
+        cover_path, cover = fig2_cover_file
+        argv = ["cluster", "--gen", "fig2", "--alg", alg, "--seed", str(FIG2_SEED)]
+        if alg != "pivot":
+            argv += ["--cover", str(cover_path)]
+        body = run_cli(argv, tmp_path / "cluster.json")
+        trace = run_pivot(gen_figure2(), alg, FIG2_SEED,
+                          cover=None if alg == "pivot" else cover)
+        assert body["clustering"]["labels"] == list(trace.clustering.labels)
+        assert body["pivot_order"] == list(trace.pivot_order)
+        assert body["disagreements"] == trace.disagreements
+        assert body["cover_edges_removed_per_round"] == list(trace.removed_per_round)
+        assert body["cover_size"] == (None if alg == "pivot" else cover.size)
+
+    @pytest.mark.parametrize("alg", ["pivot", "cover-pivot", "flip-pivot"])
+    def test_three_trials_match_library(self, alg, fig2_cover_file, tmp_path):
+        cover_path, cover = fig2_cover_file
+        csv_path = tmp_path / "trials.csv"
+        argv = ["cluster", "--gen", "fig2", "--alg", alg, "--seed", "5",
+                "--trials", "3", "--csv", str(csv_path)]
+        if alg != "pivot":
+            argv += ["--cover", str(cover_path)]
+        body = run_cli(argv, tmp_path / "cluster.json")
+        report = pivot_trials(gen_figure2(), alg, 3, 5,
+                              cover=None if alg == "pivot" else cover)
+        assert body["trials"]["count"] == 3
+        assert body["trials"]["disagreements"] == report["disagreements"]
+        assert body["trials"]["mean"] == report["mean"]
+        assert len(csv_path.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_empty_batch_is_input_error(self, trials, capsys):
+        argv = ["cluster", "--gen", "fig2", "--alg", "pivot", "--trials", trials]
+        assert main(argv) == 2
+        assert "trials must be at least 1" in capsys.readouterr().err
+
+    def test_cover_pivot_without_cover_is_input_error(self, capsys):
+        assert main(["cluster", "--gen", "fig2", "--alg", "cover-pivot"]) == 2
+        assert "needs --cover" in capsys.readouterr().err
+
+
+class TestSolve:
+    def test_sweep_on_float_graph(self, tmp_path):
+        spec = "random:n=30,complete=0,density=0.3,weights=uniform:0.5:2,seed=1"
+        body = run_cli(["solve", "--gen", spec, "--alg", "sweep2",
+                        "--mode", "float", "--eps", "0.2"], tmp_path / "solve.json")
+        g = gen_random(30, complete=False, density=0.3,
+                       weights=("uniform", 0.5, 2.0), seed=1)
+        assert body["outcome"]["algorithm"] == "sweep2"
+        assert body["n"] == g.n and body["m"] == g.m

@@ -204,6 +204,22 @@ class TestRatioSurvey:
         assert len(errors) == 1
         assert sum(1 for row in report["rows"] if row["error"] is None) == 3
 
+    def test_oversized_instance_rejected_before_any_search(self, monkeypatch):
+        import btt.exact as exact_mod
+        import btt.lp as lp_mod
+
+        def refuse(g, **kwargs):
+            raise AssertionError(f"search started on n={g.n}")
+
+        big = complete_graph(14, lambda u, v: 1 if (u + v) % 2 else -1)
+        monkeypatch.setattr(exact_mod, "exact_btt", refuse)
+        monkeypatch.setattr(lp_mod, "solve_exact", refuse)
+        report = ratio_survey(lambda seed: big, 1, seed=0)
+        (row,) = report["rows"]
+        assert "capped at 12 nodes" in row["error"]
+        with pytest.raises(CapacityError, match="capped at 12 nodes"):
+            sandwich_report(big)
+
     def test_out_of_band_ratio_flagged_and_serialised(self, tmp_path):
         # a bad triangle plus a disjoint bad four-cycle: minimum cover 1,
         # minimum clustering 2, ratio 2 (outside [1, 3/2]; such graphs are

@@ -7,10 +7,11 @@ from btt import (CapacityError, EdgeCover, InputError, SignedGraph,
                  gen_figure2, gen_random, inclusion_probability,
                  match_flip_pivot, solve_exact, standard_pivot, triplet_sums,
                  verify_charging_tables)
-from btt.approx import round_deterministic
-from btt.graphs import cc_cost, complete_graph, is_feasible_cover
-from btt.pivot import (ALG_FLIP_PIVOT, ALG_STANDARD_PIVOT, MEMBER_COLUMNS,
-                       SIGN_ROWS, TripletConfig, pivot_trials)
+from btt.approx import round_deterministic, standard_three_approx
+from btt.graphs import cc_cost, complete_graph, flip_edges, is_feasible_cover
+from btt.pivot import (ALG_COVER_PIVOT, ALG_FLIP_PIVOT, ALG_STANDARD_PIVOT,
+                       MEMBER_COLUMNS, SIGN_ROWS, TripletConfig, pivot_trials,
+                       run_pivot)
 from btt.rng import spawn_seeds
 
 FIG2_COVER_PAIRS = [(0, 2), (0, 4), (1, 5), (3, 5)]
@@ -247,6 +248,105 @@ class TestPivotTrials:
         g = gen_figure2()
         with pytest.raises(InputError, match="needs a cover"):
             pivot_trials(g, "cover-pivot", 5, seed=0)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_empty_batch_rejected(self, trials):
+        g = gen_figure2()
+        with pytest.raises(InputError, match="trials"):
+            pivot_trials(g, "pivot", trials, seed=0)
+
+
+ALGORITHMS = (ALG_STANDARD_PIVOT, ALG_COVER_PIVOT, ALG_FLIP_PIVOT)
+
+# (pivot_order, removed_per_round) for seeds 0..4, frozen so that any
+# change in the order of pivot choices or coin draws shows up.
+FIG2_FROZEN = {
+    ALG_COVER_PIVOT: [((0, 2), (4, 0)), ((2, 1), (4, 0)), ((4, 3), (4, 0)),
+                      ((3, 2), (4, 0)), ((5, 1), (4, 0))],
+    ALG_FLIP_PIVOT: [((0, 2), (4, 0)), ((2, 0), (4, 0)), ((4, 3), (4, 0)),
+                     ((3, 2), (4, 0)), ((5, 1), (4, 0))],
+}
+# The same on a complete n=12 graph with its 3-approximate cover, where
+# removals spread over several rounds.
+RANDOM12_FROZEN = {
+    ALG_COVER_PIVOT: [((1, 0, 5, 11), (25, 9, 1, 1)),
+                      ((5, 2, 6, 9, 8), (30, 0, 5, 1, 0)),
+                      ((9, 7, 6, 10, 0), (4, 19, 12, 1, 0)),
+                      ((7, 2, 8, 11, 9, 6), (22, 1, 5, 5, 3, 0)),
+                      ((11, 5, 2, 4, 0, 8), (11, 10, 7, 8, 0, 0))],
+    ALG_FLIP_PIVOT: [((1, 0, 11, 5, 8, 9), (15, 9, 8, 4, 0, 0)),
+                     ((5, 0, 1, 8, 9, 11), (26, 7, 2, 0, 1, 0)),
+                     ((9, 7, 10, 11, 6), (13, 15, 4, 3, 1)),
+                     ((7, 0, 4, 8, 11), (19, 8, 9, 0, 0)),
+                     ((11, 5, 9, 6, 8, 2), (11, 16, 2, 5, 1, 1))],
+}
+
+
+def random12_with_cover():
+    g = gen_random(12, positive_prob=0.5, complete=True, seed=7)
+    return g, standard_three_approx(g).cover
+
+
+def sparse_float_with_cover():
+    g = gen_random(40, positive_prob=0.4, complete=False, density=0.3,
+                   weights=("uniform", 0.5, 2.0), seed=12)
+    return g, standard_three_approx(g).cover
+
+
+class TestPivotKernel:
+    @pytest.mark.parametrize("make", [fig2_with_cover, random12_with_cover,
+                                      sparse_float_with_cover])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_trial_equals_its_single_run(self, make, algorithm):
+        g, f = make()
+        trials, seed = 6, 31
+        report = pivot_trials(g, algorithm, trials, seed, cover=f)
+        for k, s in enumerate(spawn_seeds(seed, trials)):
+            single = run_pivot(g, algorithm, s, cover=f)
+            assert report["disagreements"][k] == float(single.disagreements)
+
+    @pytest.mark.parametrize("make", [fig2_with_cover, random12_with_cover,
+                                      sparse_float_with_cover])
+    def test_flip_pivot_is_standard_pivot_on_flipped_graph(self, make):
+        g, f = make()
+        flipped = flip_edges(g, f.edge_ids)
+        for seed in range(8):
+            trace = match_flip_pivot(g, f, seed)
+            reference = standard_pivot(flipped, seed)
+            assert trace.clustering == reference.clustering
+            assert trace.pivot_order == reference.pivot_order
+            assert trace.disagreements == cc_cost(g, reference.clustering)
+
+    @pytest.mark.parametrize("make,frozen", [(fig2_with_cover, FIG2_FROZEN),
+                                             (random12_with_cover, RANDOM12_FROZEN)],
+                             ids=["fig2", "random12"])
+    def test_rounds_match_frozen_values(self, make, frozen):
+        g, f = make()
+        for algorithm, expected in frozen.items():
+            for seed, (order, removed) in enumerate(expected):
+                trace = run_pivot(g, algorithm, seed, cover=f)
+                assert trace.pivot_order == order
+                assert trace.removed_per_round == removed
+                assert sum(trace.removed_per_round) == f.size
+
+    def test_standard_pivot_removes_no_cover_edges(self):
+        trace = standard_pivot(gen_figure2(), seed=2)
+        assert trace.removed_per_round == (0,) * len(trace.pivot_order)
+
+    def test_cover_checked_once_per_batch(self, monkeypatch):
+        import btt.pivot as pivot_mod
+        calls = []
+
+        def counting(g, cover):
+            calls.append(1)
+            return is_feasible_cover(g, cover)
+
+        monkeypatch.setattr(pivot_mod, "is_feasible_cover", counting)
+        g, f = fig2_with_cover()
+        for algorithm in (ALG_COVER_PIVOT, ALG_FLIP_PIVOT):
+            calls.clear()
+            pivot_trials(g, algorithm, 20, seed=1, cover=f)
+            assert len(calls) == 1
 
 
 class TestExhaustiveOracle:
