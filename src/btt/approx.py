@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from . import lp as lp_mod
 from .errors import InputError, VerificationError
-from .graphs import (EdgeCover, POSITIVE, SignedGraph, is_feasible_cover)
+from .graphs import (EdgeCover, POSITIVE, SignedGraph, is_feasible_cover,
+                     json_value)
 from .lp import (FLOAT_POSITIVITY_TAU, FractionalCover,
                  check_fractional_feasibility, greedy_maximal_packing)
 from .rng import make_rng
@@ -60,7 +61,7 @@ class RoundingOutcome:
                lower_bound=None, ratio_numerator=None) -> "RoundingOutcome":
         cover = EdgeCover.from_ids(g, edge_ids)
         if not is_feasible_cover(g, cover):
-            raise AssertionError(
+            raise VerificationError(
                 f"{algorithm} produced an infeasible cover; this is a bug")
         ratio = None
         if lower_bound is not None:
@@ -348,19 +349,16 @@ OUTCOME_SCHEMA = "btt.rounding-outcome/1"
 
 
 def outcome_to_json(g: SignedGraph, outcome: RoundingOutcome) -> dict:
-    def enc(v):
-        return str(v) if isinstance(v, Fraction) else v
-
     return {
         "schema": OUTCOME_SCHEMA,
         "algorithm": outcome.algorithm,
         "seed": outcome.seed,
-        "threshold": enc(outcome.threshold),
+        "threshold": json_value(outcome.threshold),
         "threshold_side": outcome.threshold_side,
         "cover_edge_ids": sorted(outcome.cover.edge_ids),
         "cover_pairs": [list(p) for p in outcome.cover.pairs(g)],
-        "cost": enc(outcome.cover.cost),
+        "cost": json_value(outcome.cover.cost),
         "size": outcome.cover.size,
-        "lp_lower_bound": enc(outcome.lower_bound),
-        "certified_ratio": enc(outcome.certified_ratio),
+        "lp_lower_bound": json_value(outcome.lower_bound),
+        "certified_ratio": json_value(outcome.certified_ratio),
     }

@@ -21,7 +21,6 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 from . import __version__
 from .approx import (ALG_DETERMINISTIC, ALG_KRIVELEVICH, ALG_RANDOMIZED,
@@ -37,7 +36,7 @@ from .generators import (gen_figure2, gen_hardness_reduction, gen_hexagram,
                          parse_2cnf)
 from .graphs import (EdgeCover, SignedGraph, clustering_to_json,
                      cover_from_json, format_edge_list, graph_to_json,
-                     parse_edge_list)
+                     json_value, parse_edge_list)
 from .lp import lp_solution_to_json, solve_exact, solve_mwu
 from .pivot import (ALG_COVER_PIVOT, ALG_FLIP_PIVOT, ALG_STANDARD_PIVOT,
                     pivot_trials, run_pivot, verify_charging_tables)
@@ -207,9 +206,10 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _json_default(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    raise TypeError(f"not JSON serialisable: {value!r}")
+    encoded = json_value(value)
+    if encoded is value:
+        raise TypeError(f"not JSON serialisable: {value!r}")
+    return encoded
 
 
 def _result(cfg: RunConfig, body: dict, started: float | None) -> dict:
@@ -246,12 +246,12 @@ def cmd_solve(cfg: RunConfig, timing: bool) -> dict:
             budgets["node_budget"] = cfg.node_budget
         res = exact_btt(g, **budgets)
         body["exact"] = {
-            "value": _json_default_safe(res.value),
+            "value": json_value(res.value),
             "cover_edge_ids": sorted(res.witness.edge_ids),
             "cover_pairs": [list(p) for p in res.witness.pairs(g)],
             "nodes_explored": res.nodes_explored,
-            "root_lower_bound": _json_default_safe(res.root_lower_bound),
-            "incumbent_trail": [[n, _json_default_safe(v)] for n, v in res.trail],
+            "root_lower_bound": json_value(res.root_lower_bound),
+            "incumbent_trail": [[n, json_value(v)] for n, v in res.trail],
         }
     elif cfg.alg == ALG_THREE_APPROX:
         body["outcome"] = outcome_to_json(g, standard_three_approx(g))
@@ -271,10 +271,6 @@ def cmd_solve(cfg: RunConfig, timing: bool) -> dict:
     else:
         raise InputError(f"unknown solve algorithm {cfg.alg!r}")
     return _result(cfg, body, started)
-
-
-def _json_default_safe(value):
-    return str(value) if isinstance(value, Fraction) else value
 
 
 # -- cluster -----------------------------------------------------------------
@@ -309,7 +305,7 @@ def cmd_cluster(cfg: RunConfig, timing: bool, csv_out: str | None = None) -> dic
     if cfg.trials == 1:
         trace = run_pivot(g, cfg.alg, cfg.seed, cover)
         body["clustering"] = clustering_to_json(trace.clustering)
-        body["disagreements"] = _json_default_safe(trace.disagreements)
+        body["disagreements"] = json_value(trace.disagreements)
         body["pivot_order"] = list(trace.pivot_order)
         body["cover_edges_removed_per_round"] = list(trace.removed_per_round)
     else:
@@ -354,7 +350,7 @@ def _verify_hexagram() -> dict:
     passed = (res.value == 9 and res.optima is not None
               and not res.optima_truncated and set(res.optima) == expected)
     return {"check": "hexagram", "passed": passed,
-            "optimum": _json_default_safe(res.value),
+            "optimum": json_value(res.value),
             "optima_count": None if res.optima is None else len(res.optima)}
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp as lp_mod
-from .errors import BudgetExceededError, CapacityError, InputError
+from .errors import (BudgetExceededError, CapacityError, InputError,
+                     VerificationError)
 from .graphs import (Clustering, EdgeCover, POSITIVE, SignedGraph, cc_cost,
                      format_edge_list, is_feasible_cover)
 from .lp import greedy_maximal_packing
@@ -188,7 +189,7 @@ def exact_btt(g: SignedGraph, *,
         node_budget=node_budget)
     cover = EdgeCover.from_ids(g, state["best_cover"])
     if not is_feasible_cover(g, cover) or cover.cost != state["best"]:
-        raise AssertionError("cover search returned an invalid witness")
+        raise VerificationError("cover search returned an invalid witness")
     return ExactResult(state["best"], cover, state["nodes"], root_bound,
                        tuple(state["trail"]))
 
@@ -213,7 +214,7 @@ def exact_btt_positive_only(g: SignedGraph, *,
         g, allowed, triangle_budget=triangle_budget, node_budget=node_budget)
     cover = EdgeCover.from_ids(g, state["best_cover"])
     if not is_feasible_cover(g, cover):
-        raise AssertionError("positive-only search returned an invalid witness")
+        raise VerificationError("positive-only search returned an invalid witness")
     optima = None
     truncated = False
     if enumerate_optima is not None:
@@ -307,7 +308,7 @@ def exact_cc(g: SignedGraph, *,
     assign(1, 1, 0)
     witness = state["witness"]
     if cc_cost(g, witness) != state["best"]:
-        raise AssertionError("clustering search returned an invalid witness")
+        raise VerificationError("clustering search returned an invalid witness")
     return ExactResult(state["best"], witness, state["nodes"],
                        lower_bound if lower_bound is not None else 0,
                        tuple(trail))

@@ -506,10 +506,10 @@ def format_edge_list(g: SignedGraph) -> str:
 # -- JSON export / import ------------------------------------------------
 
 
-def _weight_to_json(w: Weight):
-    if isinstance(w, Fraction):
-        return str(w)
-    return w
+def json_value(v):
+    """The package's one JSON rule for numbers: a Fraction becomes its
+    string, anything else passes through unchanged."""
+    return str(v) if isinstance(v, Fraction) else v
 
 
 def _weight_from_json(w) -> Weight:
@@ -523,7 +523,7 @@ def graph_to_json(g: SignedGraph) -> dict:
         "schema": GRAPH_SCHEMA,
         "n": g.n,
         "complete": g.complete,
-        "edges": [[e.u, e.v, e.sign, _weight_to_json(e.weight)] for e in g.edges],
+        "edges": [[e.u, e.v, e.sign, json_value(e.weight)] for e in g.edges],
     }
 
 
@@ -539,7 +539,7 @@ def cover_to_json(g: SignedGraph, cover: EdgeCover) -> dict:
         "schema": COVER_SCHEMA,
         "edge_ids": sorted(cover.edge_ids),
         "pairs": [list(p) for p in cover.pairs(g)],
-        "cost": _weight_to_json(cover.cost),
+        "cost": json_value(cover.cost),
     }
 
 

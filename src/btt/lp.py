@@ -6,10 +6,13 @@ bad-triangle masses y_t subject to a per-edge capacity of w_e.
 
 Two solvers are provided:
 
-* :func:`solve_exact` - dense exact-rational simplex run on the packing
-  dual with Bland's rule.  Returns primal and dual optima together with a
-  strong-duality certificate, enabling exact complementary-slackness
-  checks downstream.
+* :func:`solve_exact` - exact optimum of both LPs.  A float tableau
+  simplex on the packing dual (Bland's rule) proposes a primal/dual pair,
+  which is rebuilt as small-denominator Fractions and certified in exact
+  arithmetic: primal feasible, dual feasible, equal objectives.  When the
+  certificate fails, a dense exact-rational simplex with the same rule
+  runs instead.  Either way the result carries a strong-duality
+  certificate, enabling exact complementary-slackness checks downstream.
 * :func:`solve_mwu` - a multiplicative-weights scheme for covering LPs.
   Returns a feasible primal within a caller-chosen factor (1+eps) of
   optimal, certified by a simultaneously maintained feasible dual.  No
@@ -25,12 +28,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError, InputError
-from .graphs import BadTriangle, SignedGraph
+from .errors import CapacityError, ConvergenceError, InputError, VerificationError
+from .graphs import BadTriangle, SignedGraph, json_value
 
 #: Threshold separating "zero" from "positive" LP values in floating mode.
 #: In rational mode the trichotomy is exact and the threshold is 0.
 FLOAT_POSITIVITY_TAU = 1e-7
+
+#: Float simplex zero: reduced costs and pivot-column entries above it count
+#: as positive, and ratios within it of the minimum tie.
+_FLOAT_PIVOT_TOL = 1e-9
+
+#: The float simplex gives up after this many pivots per tableau column.
+_FLOAT_PIVOT_CAP_PER_COLUMN = 50
+
+#: Largest denominator tried when rebuilding float LP values as Fractions.
+_CERTIFIED_DENOMINATOR_BOUND = 10**6
 
 #: Default cap on the number of LP constraints (bad triangles) accepted by
 #: the exact solver.
@@ -53,8 +66,12 @@ class FractionalCover:
         if len(values) != g.m:
             raise InputError(f"expected {g.m} edge values, got {len(values)}")
         vals = tuple(values)
-        obj = sum(e.weight * x for e, x in zip(g.edges, vals))
-        return cls(vals, obj)
+        # Exact values keep an exact objective even when weights are floats.
+        if any(isinstance(v, float) for v in vals):
+            weights = [e.weight for e in g.edges]
+        else:
+            weights = [Fraction(e.weight) for e in g.edges]
+        return cls(vals, sum(w * x for w, x in zip(weights, vals)))
 
     def clamped(self, g: SignedGraph) -> "FractionalCover":
         """Values clamped into [0, 1]; never increases cost or breaks feasibility."""
@@ -211,18 +228,93 @@ def _packing_simplex(triangles: list[tuple[int, int, int]], weights: list[Fracti
     return x, y, value
 
 
+def _float_packing_simplex(triangles: list[tuple[int, int, int]], weights: list[float]):
+    """Float mirror of :func:`_packing_simplex`: the same tableau, Bland's
+    entering rule and lowest-basic-index choice among tied rows, with
+    ``_FLOAT_PIVOT_TOL`` standing in for exact zero in comparisons.  Small
+    entries are left in the tableau: zeroing them made it drift from the
+    exact one over long degenerate runs.
+
+    Returns float lists (x, y) read off the final tableau as the exact
+    solver reads them, or None when the pivot column has no positive
+    entry or the pivot cap is reached; the caller then falls back.
+    """
+    m = len(weights)
+    nt = len(triangles)
+    tol = _FLOAT_PIVOT_TOL
+    rows = np.zeros((m, nt + m))
+    rows[np.asarray(triangles).ravel(), np.repeat(np.arange(nt), 3)] = 1.0
+    rows[:, nt:] = np.eye(m)
+    rhs = np.array(weights, dtype=float)
+    basis = np.arange(nt, nt + m)
+    obj = np.concatenate([np.ones(nt), np.zeros(m)])
+
+    for _ in range(_FLOAT_PIVOT_CAP_PER_COLUMN * (nt + m)):
+        positive = np.flatnonzero(obj > tol)
+        if positive.size == 0:
+            y = np.zeros(nt)
+            in_basis = basis < nt
+            y[basis[in_basis]] = rhs[in_basis]
+            return (-obj[nt:]).tolist(), y.tolist()
+        enter = positive[0]
+        col = rows[:, enter].copy()
+        candidates = np.flatnonzero(col > tol)
+        if candidates.size == 0:
+            return None
+        ratios = rhs[candidates] / col[candidates]
+        tied = candidates[ratios <= ratios.min() + tol]
+        leave = tied[np.argmin(basis[tied])]
+        piv_row = rows[leave] / col[leave]
+        piv_rhs = rhs[leave] / col[leave]
+        rows -= np.outer(col, piv_row)
+        rhs -= col * piv_rhs
+        rows[leave] = piv_row
+        rhs[leave] = piv_rhs
+        obj -= obj[enter] * piv_row
+        basis[leave] = enter
+    return None
+
+
+def _certified_float_optimum(g: SignedGraph, triangles, weights):
+    """Primal/dual pair from the float simplex, or None unless it certifies.
+
+    Values are rebuilt as Fractions with denominators at most
+    ``_CERTIFIED_DENOMINATOR_BOUND`` and accepted only when x covers every
+    bad triangle, y packs within every weight, and both objectives agree,
+    all in exact arithmetic: such a pair is optimal on both sides.
+    """
+    found = _float_packing_simplex(triangles, [float(w) for w in weights])
+    if found is None:
+        return None
+    x, y = ([Fraction(v).limit_denominator(_CERTIFIED_DENOMINATOR_BOUND) for v in vals]
+            for vals in found)
+    primal = FractionalCover.from_values(g, x).clamped(g)
+    dual = FractionalPacking.from_values(g, y)
+    if (primal.objective == dual.objective
+            and check_fractional_feasibility(g, primal)
+            and check_packing_feasibility(g, dual)):
+        return primal, dual
+    return None
+
+
 def solve_exact(g: SignedGraph,
                 max_triangles: int = DEFAULT_EXACT_TRIANGLE_BOUND) -> LpSolution:
     """Exact-rational optimum of the cover LP with a dual certificate.
 
-    Solves the packing dual by dense tableau simplex under Bland's rule;
-    the cover optimum is recovered from the slack reduced costs, so primal
-    and dual objectives agree identically (strong duality) and
-    complementary slackness holds exactly.  Weights are converted to
-    Fractions; float weights must be finite.
+    The packing dual is first solved by a float tableau simplex under
+    Bland's rule; its primal (slack reduced costs) and dual (basic values)
+    are rebuilt as small-denominator Fractions and kept only if they pass
+    an exact check: x feasible, y feasible, and equal objectives.  When
+    that check fails (float weights, numerically hard instances) the
+    exact-rational tableau simplex :func:`_packing_simplex` runs instead,
+    and strong duality is verified on its output.  Either way primal and
+    dual objectives agree identically, so complementary slackness holds
+    exactly.  Weights are converted to Fractions; float weights must be
+    finite.
 
     Raises CapacityError when the bad-triangle count exceeds
-    ``max_triangles``; use :func:`solve_mwu` there.
+    ``max_triangles``; use :func:`solve_mwu` there.  Raises
+    VerificationError if the exact simplex loses strong duality.
     """
     tris = g.bad_triangles()
     if len(tris) > max_triangles:
@@ -233,12 +325,18 @@ def solve_exact(g: SignedGraph,
         primal = FractionalCover.from_values(g, [Fraction(0)] * g.m)
         dual = FractionalPacking.from_values(g, [])
         return LpSolution(primal, dual, STATUS_EXACT, (Fraction(0), Fraction(0)))
+    triangles = [t.edge_ids for t in tris]
     weights = [Fraction(e.weight) for e in g.edges]
-    x, y, value = _packing_simplex([t.edge_ids for t in tris], weights)
-    primal = FractionalCover.from_values(g, x).clamped(g)
-    dual = FractionalPacking.from_values(g, y)
-    if primal.objective != value or dual.objective != value:
-        raise AssertionError("simplex lost strong duality; this is a bug")
+    certified = _certified_float_optimum(g, triangles, weights)
+    if certified is not None:
+        primal, dual = certified
+    else:
+        x, y, value = _packing_simplex(triangles, weights)
+        primal = FractionalCover.from_values(g, x).clamped(g)
+        dual = FractionalPacking.from_values(g, y)
+        if primal.objective != value or dual.objective != value:
+            raise VerificationError("simplex lost strong duality; this is a bug")
+    value = dual.objective
     return LpSolution(primal, dual, STATUS_EXACT, (value, value))
 
 
@@ -353,7 +451,7 @@ def x_raw_to_feasible(x: np.ndarray, tri_edges: np.ndarray) -> np.ndarray:
         if min_cov >= 1.0:
             return scaled
         scaled /= min_cov
-    raise AssertionError("rescaling failed to reach feasibility")
+    raise VerificationError("rescaling failed to reach feasibility")
 
 
 # -- JSON ------------------------------------------------------------------
@@ -361,24 +459,16 @@ def x_raw_to_feasible(x: np.ndarray, tri_edges: np.ndarray) -> np.ndarray:
 LP_SCHEMA = "btt.lp-solution/1"
 
 
-def _value_to_json(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, float):
-        return v
-    return str(v) if isinstance(v, int) and abs(v) > 2**52 else v
-
-
 def lp_solution_to_json(g: SignedGraph, sol: LpSolution) -> dict:
     obj = {
         "schema": LP_SCHEMA,
         "status": sol.status,
         "eps": sol.eps,
-        "bounds": [_value_to_json(sol.bounds[0]), _value_to_json(sol.bounds[1])],
-        "objective": _value_to_json(sol.primal.objective),
-        "edge_values": [_value_to_json(v) for v in sol.primal.values],
+        "bounds": [json_value(sol.bounds[0]), json_value(sol.bounds[1])],
+        "objective": json_value(sol.primal.objective),
+        "edge_values": [json_value(v) for v in sol.primal.values],
     }
     if sol.dual is not None:
-        obj["dual_objective"] = _value_to_json(sol.dual.objective)
-        obj["triangle_values"] = [_value_to_json(v) for v in sol.dual.values]
+        obj["dual_objective"] = json_value(sol.dual.objective)
+        obj["triangle_values"] = [json_value(v) for v in sol.dual.values]
     return obj

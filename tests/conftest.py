@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from btt import Clustering, SignedGraph, cc_cost, gen_random
+from btt import Clustering, SignedGraph, cc_cost, gen_random, lp
 from btt.graphs import POSITIVE
 from btt.rng import spawn_seeds
 
@@ -138,3 +138,19 @@ def mixed_instance(index: int, seed: int) -> SignedGraph:
 
 def instance_suite(count: int, seed: int) -> list[SignedGraph]:
     return [mixed_instance(i, s) for i, s in enumerate(spawn_seeds(seed, count))]
+
+
+def patch_fraction_simplex(monkeypatch, *, offset=0):
+    """Wrap the Fraction simplex behind ``solve_exact`` so that each run is
+    recorded and ``offset`` is added to the value it reports; returns the
+    list of runs."""
+    exact_simplex = lp._packing_simplex
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        x, y, value = exact_simplex(*args)
+        return x, y, value + offset
+
+    monkeypatch.setattr(lp, "_packing_simplex", counted)
+    return runs

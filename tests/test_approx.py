@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from btt import (InputError, SignedGraph, derandomized_sweep, gen_figure2,
-                 gen_integrality_gap, gen_random, is_feasible_cover,
-                 krivelevich, local_search_max_cut, round_deterministic,
+from btt import approx
+from btt import (InputError, SignedGraph, VerificationError,
+                 derandomized_sweep, gen_figure2, gen_integrality_gap,
+                 gen_random, is_feasible_cover, krivelevich,
+                 local_search_max_cut, round_deterministic,
                  round_fixed_threshold, round_randomized, solve_exact,
                  solve_mwu, standard_three_approx)
 from btt.approx import (RoundingOutcome, expected_rounding_cost,
@@ -244,8 +246,13 @@ class TestDerandomizedSweep:
 class TestRoundingOutcome:
     def test_infeasible_cover_is_a_bug(self):
         g = gen_figure2()
-        with pytest.raises(AssertionError):
+        with pytest.raises(VerificationError):
             RoundingOutcome.create(g, [], "det2")
+
+    def test_failed_feasibility_recheck_is_verification_error(self, monkeypatch):
+        monkeypatch.setattr(approx, "is_feasible_cover", lambda g, cover: False)
+        with pytest.raises(VerificationError, match="3approx"):
+            standard_three_approx(gen_figure2())
 
     def test_ratio_at_least_one_with_valid_bound(self):
         for g in instance_suite(10, seed=71):

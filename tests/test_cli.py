@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from btt import EdgeCover, gen_figure2, gen_random
-from btt.cli import main
+from btt import EdgeCover, gen_figure2, gen_random, lp, solve_exact
+from btt.cli import _json_default, main
 from btt.pivot import pivot_trials, run_pivot
+from conftest import patch_fraction_simplex
 
 FIG2_SEED = 3
 
@@ -76,3 +78,29 @@ class TestSolve:
                        weights=("uniform", 0.5, 2.0), seed=1)
         assert body["outcome"]["algorithm"] == "sweep2"
         assert body["n"] == g.n and body["m"] == g.m
+
+    @pytest.mark.parametrize("alg", ["lp-exact", "kriv"])
+    def test_exact_lp_on_float_weights(self, alg, tmp_path):
+        spec = "random:n=8,weights=uniform:0.5:2,seed=3"
+        body = run_cli(["solve", "--gen", spec, "--alg", alg], tmp_path / "solve.json")
+        sol = solve_exact(gen_random(8, weights=("uniform", 0.5, 2.0), seed=3))
+        if alg == "lp-exact":
+            assert body["lp"]["objective"] == body["lp"]["dual_objective"]
+            assert Fraction(body["lp"]["objective"]) == sol.value
+        else:
+            assert Fraction(body["outcome"]["lp_lower_bound"]) == sol.value
+
+    def test_verification_failure_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(lp, "_float_packing_simplex", lambda *args: None)
+        patch_fraction_simplex(monkeypatch, offset=1)
+        assert main(["solve", "--gen", "fig2", "--alg", "lp-exact"]) == 4
+        assert "strong duality" in capsys.readouterr().err
+
+
+class TestJsonEncoding:
+    def test_fractions_become_strings(self):
+        assert _json_default(Fraction(3, 4)) == "3/4"
+
+    def test_unknown_types_are_refused(self):
+        with pytest.raises(TypeError, match="not JSON serialisable"):
+            _json_default(object())

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from btt import (CapacityError, EdgeCover, SignedGraph, cc_cost, exact_btt,
-                 exact_btt_positive_only, exact_cc, gen_figure2, gen_hexagram,
-                 gen_integrality_gap, gen_random, gen_vc_reduction,
-                 is_feasible_cover, ratio_survey, sandwich_report, solve_exact)
+from btt import exact
+from btt import (CapacityError, EdgeCover, SignedGraph, VerificationError,
+                 cc_cost, exact_btt, exact_btt_positive_only, exact_cc,
+                 gen_figure2, gen_hexagram, gen_integrality_gap, gen_random,
+                 gen_vc_reduction, is_feasible_cover, ratio_survey,
+                 sandwich_report, solve_exact)
 from btt.errors import BudgetExceededError
 from btt.exact import survey_rows_to_csv
 from btt.graphs import complete_graph
@@ -273,3 +275,25 @@ class TestWitnessIntegrity:
             lp = solve_exact(g).value
             assert exact_btt(g).value >= lp
             assert len(greedy_maximal_packing(g)) <= 3 * max(1, exact_btt(g).value)
+
+
+class TestWitnessRevalidationFailures:
+    def test_invalid_cover_witnesses_raise_verification_error(self, monkeypatch):
+        monkeypatch.setattr(exact, "is_feasible_cover", lambda g, cover: False)
+        g = gen_figure2()
+        with pytest.raises(VerificationError, match="invalid witness"):
+            exact_btt(g)
+        with pytest.raises(VerificationError, match="invalid witness"):
+            exact_btt_positive_only(g)
+
+    def test_invalid_clustering_witness_raises_verification_error(self, monkeypatch):
+        calls = []
+
+        def off_after_seeding(g, clustering):
+            # the two seed clusterings are priced first; the re-check is third
+            calls.append(clustering)
+            return cc_cost(g, clustering) + (1 if len(calls) > 2 else 0)
+
+        monkeypatch.setattr(exact, "cc_cost", off_after_seeding)
+        with pytest.raises(VerificationError, match="invalid witness"):
+            exact_cc(gen_figure2())

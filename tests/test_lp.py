@@ -1,23 +1,51 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from btt import (CapacityError, ConvergenceError, InputError, SignedGraph,
-                 check_fractional_feasibility, check_packing_feasibility,
-                 gen_figure2, gen_integrality_gap, gen_random,
-                 greedy_maximal_packing, solve_exact, solve_mwu)
+                 VerificationError, check_fractional_feasibility,
+                 check_packing_feasibility, gen_figure2, gen_hexagram,
+                 gen_integrality_gap, gen_random, greedy_maximal_packing,
+                 solve_exact, solve_mwu)
+from btt import lp
 from btt.graphs import POSITIVE, complete_graph
 from btt.lp import (FractionalCover, STATUS_EPS, STATUS_EXACT,
-                    lp_solution_to_json)
+                    lp_solution_to_json, x_raw_to_feasible)
 from btt.rng import spawn_seeds
 from conftest import (brute_force_max_packing, instance_suite,
-                      scipy_cover_lp_value)
+                      patch_fraction_simplex, scipy_cover_lp_value)
 
 
 def half_on_positives(g):
     vals = [Fraction(1, 2) if e.sign == POSITIVE else Fraction(0)
             for e in g.edges]
     return FractionalCover.from_values(g, vals)
+
+
+def certified_graphs():
+    """Rational instances whose float solve certifies: the mixed suite,
+    gap instances, fig2, hexagram and complete graphs up to n = 12."""
+    graphs = instance_suite(12, seed=41)
+    graphs += [gen_integrality_gap(n) for n in range(3, 11)]
+    graphs += [gen_figure2(), gen_hexagram()[0]]
+    for n, seed in zip(range(4, 13), spawn_seeds(43, 9)):
+        graphs.append(gen_random(n, complete=True, seed=seed))
+        graphs.append(gen_random(n, complete=True, weights=("rational", 4, 3),
+                                 seed=seed))
+    return graphs
+
+
+def fraction_simplex_pair(g):
+    """(x, y) as the exact-rational simplex alone returns them."""
+    tris = g.bad_triangles()
+    x, y, _ = lp._packing_simplex([t.edge_ids for t in tris],
+                                  [Fraction(e.weight) for e in g.edges])
+    return FractionalCover.from_values(g, x).clamped(g).values, tuple(y)
+
+
+def float_weighted(n, seed):
+    return gen_random(n, weights=("uniform", 0.5, 2), seed=seed)
 
 
 class TestFeasibilityCheck:
@@ -207,3 +235,79 @@ class TestFractionalCover:
         obj = lp_solution_to_json(g, solve_exact(g))
         assert obj["objective"] == "2"
         assert all(isinstance(v, (str, int)) for v in obj["edge_values"])
+
+
+class TestCertifiedFloatSolve:
+    def test_matches_fraction_simplex(self):
+        for g in certified_graphs():
+            if not g.bad_triangles():
+                continue
+            sol = solve_exact(g)
+            assert (sol.primal.values, sol.dual.values) == fraction_simplex_pair(g)
+
+    def test_fallback_never_runs_on_rational_instances(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("fallback ran")
+
+        monkeypatch.setattr(lp, "_packing_simplex", refuse)
+        for g in certified_graphs():
+            sol = solve_exact(g)
+            assert check_fractional_feasibility(g, sol.primal)
+            assert check_packing_feasibility(g, sol.dual)
+            assert sol.primal.objective == sol.dual.objective == sol.value
+
+    @pytest.mark.parametrize("corrupt", ["x", "y", "stall"])
+    def test_corrupted_candidate_falls_back_to_exact_optimum(self, corrupt,
+                                                             monkeypatch):
+        g = gen_figure2()
+        float_simplex = lp._float_packing_simplex
+
+        def corrupted(triangles, weights):
+            if corrupt == "stall":
+                return None
+            x, y = float_simplex(triangles, weights)
+            if corrupt == "x":
+                x[x.index(max(x))] -= 0.25
+            else:
+                y[y.index(max(y))] += 0.25
+            return x, y
+
+        monkeypatch.setattr(lp, "_float_packing_simplex", corrupted)
+        fallbacks = patch_fraction_simplex(monkeypatch)
+        sol = solve_exact(g)
+        assert len(fallbacks) == 1
+        monkeypatch.undo()
+        assert (sol.primal.values, sol.dual.values) == fraction_simplex_pair(g)
+        assert sol.value == solve_exact(g).value == 4
+
+
+class TestFloatWeightedExactSolve:
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_strong_duality_holds_in_fractions(self, n):
+        g = float_weighted(n, seed=3)
+        sol = solve_exact(g)
+        assert isinstance(sol.value, Fraction)
+        assert isinstance(sol.dual.objective, Fraction)
+        assert sol.value == sol.dual.objective
+        assert check_fractional_feasibility(g, sol.primal)
+        assert check_packing_feasibility(g, sol.dual)
+        assert abs(float(sol.value) - scipy_cover_lp_value(g)) < 1e-7
+
+    def test_takes_the_fallback_path(self, monkeypatch):
+        fallbacks = patch_fraction_simplex(monkeypatch)
+        solve_exact(float_weighted(8, seed=3))
+        assert len(fallbacks) == 1
+
+
+class TestVerificationErrors:
+    def test_lost_strong_duality(self, monkeypatch):
+        monkeypatch.setattr(lp, "_float_packing_simplex", lambda *args: None)
+        patch_fraction_simplex(monkeypatch, offset=1)
+        with pytest.raises(VerificationError, match="strong duality"):
+            solve_exact(gen_figure2())
+
+    def test_rescaling_that_never_reaches_feasibility(self):
+        tri_edges = np.array([[0, 1, 2]])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(VerificationError, match="rescaling"):
+                x_raw_to_feasible(np.zeros(3), tri_edges)
