@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lp as lp_mod
 from .errors import InputError, VerificationError
 from .graphs import (EdgeCover, POSITIVE, SignedGraph, is_feasible_cover,
                      json_value)
 from .lp import (FLOAT_POSITIVITY_TAU, FractionalCover,
-                 check_fractional_feasibility, greedy_maximal_packing)
+                 check_fractional_feasibility, greedy_maximal_packing,
+                 solve_exact)
 from .rng import make_rng
 
 ALG_THREE_APPROX = "3approx"
@@ -44,7 +44,8 @@ class RoundingOutcome:
     the exact LP value where one was computed, the packing size for the
     packing-based 3-approximation, or None when the caller supplied no
     bound.  ``certified_ratio`` is cover cost over that bound (cover size
-    for the 3-approximation, whose certificate is cardinality-based).
+    for the 3-approximation, whose certificate is cardinality-based); it
+    is an exact Fraction whenever the bound is exact, float weights too.
     """
 
     cover: EdgeCover
@@ -68,7 +69,9 @@ class RoundingOutcome:
             num = cover.cost if ratio_numerator is None else ratio_numerator
             if lower_bound == 0:
                 ratio = 1
-            elif isinstance(num, (int, Fraction)) and isinstance(lower_bound, (int, Fraction)):
+            elif isinstance(lower_bound, (int, Fraction)):
+                if isinstance(num, float):  # float weights: sum them exactly
+                    num = sum(Fraction(g.edges[i].weight) for i in cover.edge_ids)
                 ratio = Fraction(num) / Fraction(lower_bound)
             else:
                 ratio = num / lower_bound
@@ -126,7 +129,7 @@ def local_search_max_cut(g: SignedGraph, edge_ids=None) -> tuple[set[int], set[i
     return part1, set(range(g.n)) - part1
 
 
-def krivelevich(g: SignedGraph, solver=lp_mod.solve_exact) -> RoundingOutcome:
+def krivelevich(g: SignedGraph) -> RoundingOutcome:
     """Iterative LP rounding: harvest high-value edges, drop zero-value
     edges, re-solve, and finish the residual graph with a max-cut step.
 
@@ -141,22 +144,17 @@ def krivelevich(g: SignedGraph, solver=lp_mod.solve_exact) -> RoundingOutcome:
     The certificate (cost <= 2 x the first LP value) is recorded against
     the original graph's exact LP optimum.
     """
-    first = solver(g)
+    first = solve_exact(g)
     lp_value = first.primal.objective
     cover: set[int] = set()
     alive = list(range(g.m))
     values = list(first.primal.values)
-    float_mode = _is_float_mode(first.primal)
-    tau = FLOAT_POSITIVITY_TAU if float_mode else 0
-    half = (1 - tau) / 2 if float_mode else Fraction(1, 2)
+    half = Fraction(1, 2)
 
-    while any(v <= tau for v in values):
+    while any(v <= 0 for v in values):
         cover.update(eid for eid, v in zip(alive, values) if v >= half)
-        survivors = [eid for eid, v in zip(alive, values) if tau < v < half]
-        alive = survivors
-        sub = _restriction(g, alive)
-        sol = solver(sub)
-        values = list(sol.primal.values)
+        alive = [eid for eid, v in zip(alive, values) if 0 < v < half]
+        values = list(solve_exact(_restriction(g, alive)).primal.values)
     sub = _restriction(g, alive)
     part1, part2 = local_search_max_cut(sub)
     for sub_eid, e in enumerate(sub.edges):
@@ -310,7 +308,7 @@ def randomized_rounding_trials(g: SignedGraph, x: FractionalCover,
     """Vectorised Monte Carlo batch of randomized rounding.
 
     Returns per-trial costs, per-edge inclusion counts and the drawn
-    thresholds; used by the expectation tests and the CLI trial reports.
+    thresholds; used by the expectation tests.
     Covers are not individually re-verified here (feasibility holds for
     every r by construction); use round_randomized for audited single runs.
     """
@@ -336,14 +334,6 @@ def randomized_rounding_trials(g: SignedGraph, x: FractionalCover,
         "seed": seed,
     }
 
-
-ALGORITHMS = {
-    ALG_THREE_APPROX: standard_three_approx,
-    ALG_KRIVELEVICH: krivelevich,
-    ALG_DETERMINISTIC: round_deterministic,
-    ALG_RANDOMIZED: round_randomized,
-    ALG_SWEEP: derandomized_sweep,
-}
 
 OUTCOME_SCHEMA = "btt.rounding-outcome/1"
 

@@ -73,8 +73,28 @@ class RunConfig:
         return {"version": __version__, **asdict(self)}
 
 
+GEN_SPEC_HELP = (
+    "generator spec NAME[:KEY=VALUE,...]; NAME and its keys: fig2, hexagram, "
+    "gap (n), random (n, p or count, complete, density, seed, "
+    "weights=unit|uniform:LO:HI|rational:NUM:DEN), vc (kind=cycle|path|star|"
+    "complete and n, or file), hardness (file, mode=theorem|relaxed)")
+
+
 def _parse_gen_spec(spec: str):
-    """Generator specs: name or name:key=value,...  (see README)."""
+    """Split ``name[:key=value,...]`` into the name and its options.
+
+    The specs ``build_instance`` knows:
+
+    * ``fig2``, the six-node bad-cycle example, and ``hexagram``;
+    * ``gap:n=K``, the all-negative K-clique plus a positive apex;
+    * ``random:n=K`` with optional ``p=P`` or ``count=C`` (positive
+      edges), ``complete=0`` with ``density=D``, ``seed=S``, and
+      ``weights=unit``, ``uniform:LO:HI`` (floats) or ``rational:NUM:DEN``;
+    * ``vc:kind=cycle|path|star|complete,n=K`` or ``vc:file=PATH`` (an
+      ``n <count>`` line, then ``u v`` lines), the vertex-cover reduction;
+    * ``hardness:file=PATH[,mode=theorem|relaxed]``, the 2CNF-deletion
+      reduction of a DIMACS-style 2CNF file.
+    """
     name, _, rest = spec.partition(":")
     kwargs: dict[str, str] = {}
     if rest:
@@ -415,7 +435,7 @@ def cmd_generate(args) -> None:
 
 def _add_common(sub, with_alg: tuple | None):
     sub.add_argument("--input", help="edge-list file")
-    sub.add_argument("--gen", help="generator spec, e.g. gap:n=4 or fig2")
+    sub.add_argument("--gen", help=GEN_SPEC_HELP)
     if with_alg:
         sub.add_argument("--alg", required=True, choices=with_alg)
     sub.add_argument("--seed", type=int, default=0)
@@ -459,7 +479,7 @@ def make_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", help="report file (default stdout)")
 
     gen = subs.add_parser("generate", help="emit an instance as an edge list")
-    gen.add_argument("--gen", required=True)
+    gen.add_argument("--gen", required=True, help=GEN_SPEC_HELP)
     gen.add_argument("--out", help="edge-list file (default stdout)")
     gen.add_argument("--map", help="gadget-map sidecar path")
     gen.add_argument("--json-graph", action="store_true",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import lp as lp_mod
@@ -110,8 +110,10 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
         # The packing union may use forbidden edges; fall back to all
         # allowed edges (always feasible here).
         if not is_feasible_cover(g, seed_ids):
-            seed_ids = sorted(allowed_set)
-        state["best"] = sum(weights[i] for i in seed_ids)
+            seed_ids = allowed_set
+        # Incumbent costs are summed in sorted-id order, as EdgeCover sums
+        # them, so float weights give the witness's cost to the last bit.
+        state["best"] = sum(weights[i] for i in sorted(seed_ids))
         state["best_cover"] = frozenset(seed_ids)
         state["trail"] = [(0, state["best"])]
     optima: list[frozenset] = []
@@ -150,9 +152,9 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
             return
         if covered == full:
             if enumerate_cap is None:
-                state["best"] = cost
+                state["best"] = sum(weights[i] for i in sorted(included))
                 state["best_cover"] = frozenset(included)
-                state["trail"].append((state["nodes"], cost))
+                state["trail"].append((state["nodes"], state["best"]))
             else:
                 if len(optima) < max_optima:
                     optima.append(frozenset(included))
@@ -173,6 +175,20 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     return state, optima, truncated[0], root_bound
 
 
+def _min_cover(g: SignedGraph, allowed: list[int], search: str, *,
+               triangle_budget: int, node_budget: int) -> ExactResult:
+    """Minimum cover drawn from ``allowed``, its witness re-validated."""
+    if not g.bad_triangles():
+        return ExactResult(0, EdgeCover(frozenset(), 0), 0, 0, ((0, 0),))
+    state, _, _, root_bound = _btt_search(
+        g, allowed, triangle_budget=triangle_budget, node_budget=node_budget)
+    cover = EdgeCover.from_ids(g, state["best_cover"])
+    if not is_feasible_cover(g, cover) or cover.cost != state["best"]:
+        raise VerificationError(f"{search} returned an invalid witness")
+    return ExactResult(state["best"], cover, state["nodes"], root_bound,
+                       tuple(state["trail"]))
+
+
 def exact_btt(g: SignedGraph, *,
               triangle_budget: int = DEFAULT_BTT_TRIANGLE_BUDGET,
               node_budget: int = DEFAULT_BTT_NODE_BUDGET) -> ExactResult:
@@ -181,17 +197,8 @@ def exact_btt(g: SignedGraph, *,
     Raises CapacityError when the triangle count exceeds the budget and
     BudgetExceededError (with best bounds) when the node budget runs out.
     """
-    tris = g.bad_triangles()
-    if not tris:
-        return ExactResult(0, EdgeCover(frozenset(), 0), 0, 0, ((0, 0),))
-    state, _, _, root_bound = _btt_search(
-        g, list(range(g.m)), triangle_budget=triangle_budget,
-        node_budget=node_budget)
-    cover = EdgeCover.from_ids(g, state["best_cover"])
-    if not is_feasible_cover(g, cover) or cover.cost != state["best"]:
-        raise VerificationError("cover search returned an invalid witness")
-    return ExactResult(state["best"], cover, state["nodes"], root_bound,
-                       tuple(state["trail"]))
+    return _min_cover(g, list(range(g.m)), "cover search",
+                      triangle_budget=triangle_budget, node_budget=node_budget)
 
 
 def exact_btt_positive_only(g: SignedGraph, *,
@@ -205,27 +212,16 @@ def exact_btt_positive_only(g: SignedGraph, *,
     to that count cap (exact search, so the list is complete unless the
     ``optima_truncated`` flag is set).
     """
-    tris = g.bad_triangles()
     allowed = g.positive_edge_ids()
-    if not tris:
-        return ExactResult(0, EdgeCover(frozenset(), 0), 0, 0, ((0, 0),),
-                           optima=(frozenset(),) if enumerate_optima else None)
-    state, _, _, root_bound = _btt_search(
-        g, allowed, triangle_budget=triangle_budget, node_budget=node_budget)
-    cover = EdgeCover.from_ids(g, state["best_cover"])
-    if not is_feasible_cover(g, cover):
-        raise VerificationError("positive-only search returned an invalid witness")
-    optima = None
-    truncated = False
-    if enumerate_optima is not None:
-        _, found, truncated, _ = _btt_search(
-            g, allowed, triangle_budget=triangle_budget,
-            node_budget=node_budget, enumerate_cap=state["best"],
-            max_optima=enumerate_optima)
-        optima = tuple(sorted(found, key=sorted))
-    return ExactResult(state["best"], cover, state["nodes"], root_bound,
-                       tuple(state["trail"]), optima=optima,
-                       optima_truncated=truncated)
+    res = _min_cover(g, allowed, "positive-only search",
+                     triangle_budget=triangle_budget, node_budget=node_budget)
+    if enumerate_optima is None:
+        return res
+    _, found, truncated, _ = _btt_search(
+        g, allowed, triangle_budget=triangle_budget, node_budget=node_budget,
+        enumerate_cap=res.value, max_optima=enumerate_optima)
+    return replace(res, optima=tuple(sorted(found, key=sorted)),
+                   optima_truncated=truncated)
 
 
 def _check_cc_node_cap(g: SignedGraph, max_nodes: int = DEFAULT_CC_NODE_CAP) -> None:

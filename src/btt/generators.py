@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, VerificationError
 from .graphs import (EdgeCover, NEGATIVE, POSITIVE, SignedGraph,
                      complete_graph)
 from .rng import make_rng
@@ -109,10 +109,6 @@ class HexagramMap:
 
     def positive_pairs(self) -> list[tuple[int, int]]:
         return sorted({p for k in range(1, 7) for p in self.tooth_pairs(k)})
-
-    def crown_parity(self, node: int) -> str:
-        k = self.crowns.index(node) + 1
-        return "even" if k % 2 == 0 else "odd"
 
 
 @dataclass(frozen=True)
@@ -288,14 +284,6 @@ def parse_2cnf(text: str) -> TwoCnfFormula:
     return TwoCnfFormula(num_vars, tuple(clauses))
 
 
-def format_2cnf(f: TwoCnfFormula) -> str:
-    lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
-    for clause in f.clauses:
-        lits = " ".join(str(-(var + 1) if neg else var + 1) for var, neg in clause)
-        lines.append(f"{lits} 0")
-    return "\n".join(lines) + "\n"
-
-
 def gen_hardness_reduction(f: TwoCnfFormula,
                            mode: str = "theorem") -> tuple[SignedGraph, GadgetMap]:
     """Complete signed graph encoding 2CNF deletion as bad-triangle covering.
@@ -329,7 +317,7 @@ def gen_hardness_reduction(f: TwoCnfFormula,
             pool = free_crowns[var][parity]
             if not pool:
                 # validate_relaxed_mode made this unreachable
-                raise AssertionError(
+                raise VerificationError(
                     f"crown pool exhausted for variable {var} ({parity})")
             crown_index = pool.pop(0)
             crown_node = hexagrams[var].crowns[crown_index - 1]

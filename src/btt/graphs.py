@@ -26,9 +26,8 @@ from .errors import CapacityError, InputError
 POSITIVE = 1
 NEGATIVE = -1
 
-#: Largest node count for which complete graphs are materialised explicitly.
-#: Beyond it, use :class:`ImplicitCompleteGraph`.
-DEFAULT_COMPLETE_NODE_BOUND = 2000
+#: Largest node count for which complete graphs are materialised.
+COMPLETE_NODE_BOUND = 2000
 
 GRAPH_SCHEMA = "btt.graph/1"
 COVER_SCHEMA = "btt.cover/1"
@@ -77,8 +76,7 @@ class SignedGraph:
     iteration and tie-breaking in every downstream algorithm.
     """
 
-    __slots__ = ("n", "edges", "complete", "_pair_to_id", "_adjacency",
-                 "_bad_triangles")
+    __slots__ = ("n", "edges", "complete", "_pair_to_id", "_bad_triangles")
 
     def __init__(self, n: int, edges: Iterable[tuple], complete: bool = False):
         """Build a graph from ``(u, v, sign[, weight])`` tuples.
@@ -120,11 +118,6 @@ class SignedGraph:
         self.edges: tuple[Edge, ...] = tuple(canonical)
         self.complete = complete
         self._pair_to_id = pair_to_id
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for eid, e in enumerate(self.edges):
-            adjacency[e.u].append(eid)
-            adjacency[e.v].append(eid)
-        self._adjacency = tuple(tuple(ids) for ids in adjacency)
         self._bad_triangles: tuple[BadTriangle, ...] | None = None
 
     # -- basic accessors ------------------------------------------------
@@ -132,10 +125,6 @@ class SignedGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def adjacency(self, node: int) -> tuple[int, ...]:
-        """Ids of edges incident to ``node``."""
-        return self._adjacency[node]
 
     def edge_id(self, u: int, v: int) -> int | None:
         """Dense id of edge {u, v}, or None when the pair is absent."""
@@ -309,113 +298,16 @@ def flip_edges(g: SignedGraph, edge_ids: Iterable[int]) -> SignedGraph:
     return SignedGraph(g.n, tuples, complete=g.complete)
 
 
-def complete_graph(n: int, sign_of_pair, weight_of_pair=None,
-                   node_bound: int = DEFAULT_COMPLETE_NODE_BOUND) -> SignedGraph:
-    """Materialise a complete signed graph from sign/weight callbacks.
+def complete_graph(n: int, sign_of_pair) -> SignedGraph:
+    """Materialise a unit-weight complete signed graph from a sign callback.
 
-    Refuses n beyond ``node_bound``; use ImplicitCompleteGraph there.
+    Refuses n beyond COMPLETE_NODE_BOUND.
     """
-    if n > node_bound:
+    if n > COMPLETE_NODE_BOUND:
         raise CapacityError(
-            f"explicit complete graph capped at {node_bound} nodes (asked {n}); "
-            "use ImplicitCompleteGraph for larger instances")
-    tuples = []
-    for u, v in combinations(range(n), 2):
-        w = 1 if weight_of_pair is None else weight_of_pair(u, v)
-        tuples.append((u, v, sign_of_pair(u, v), w))
+            f"complete graphs are capped at {COMPLETE_NODE_BOUND} nodes (asked {n})")
+    tuples = [(u, v, sign_of_pair(u, v)) for u, v in combinations(range(n), 2)]
     return SignedGraph(n, tuples, complete=True)
-
-
-class ImplicitCompleteGraph:
-    """Complete signed graph storing only positive pairs; missing pair = negative.
-
-    Intended for large complete instances where materialising the
-    quadratic negative edge set is wasteful.  Supports what the
-    complete-graph algorithms actually touch: positive adjacency,
-    bad-triangle enumeration, cover feasibility and clustering cost (all
-    pair-based; implicit negative edges have weight ``negative_weight``).
-    The LP and exact-search machinery requires :meth:`materialize`.
-    """
-
-    __slots__ = ("n", "positive", "_pos_weight", "negative_weight", "_pos_adj")
-
-    def __init__(self, n: int, positive_pairs: Iterable[tuple], negative_weight: Weight = 1):
-        self.n = n
-        self._pos_weight: dict[tuple[int, int], Weight] = {}
-        self.negative_weight = negative_weight
-        for item in positive_pairs:
-            u, v = item[0], item[1]
-            w = item[2] if len(item) > 2 else 1
-            if u == v:
-                raise InputError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"pair ({u},{v}) out of range for n={n}")
-            pair = _canon(u, v)
-            if pair in self._pos_weight:
-                raise InputError(f"duplicate positive pair {pair}")
-            self._pos_weight[pair] = w
-        self.positive = tuple(sorted(self._pos_weight))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.positive:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._pos_adj = tuple(tuple(sorted(a)) for a in adj)
-
-    def is_positive(self, u: int, v: int) -> bool:
-        return _canon(u, v) in self._pos_weight
-
-    def sign_of(self, u: int, v: int) -> int:
-        return POSITIVE if self.is_positive(u, v) else NEGATIVE
-
-    def weight_of(self, u: int, v: int) -> Weight:
-        return self._pos_weight.get(_canon(u, v), self.negative_weight)
-
-    def positive_neighbors(self, node: int) -> tuple[int, ...]:
-        return self._pos_adj[node]
-
-    def bad_triangle_pairs(self):
-        """Yield bad triangles as (nodes, negative_pair), wedge-driven.
-
-        Lexicographic in the node triple, matching the explicit enumerator.
-        """
-        found = []
-        for center in range(self.n):
-            for a, b in combinations(self._pos_adj[center], 2):
-                if not self.is_positive(a, b):
-                    found.append((tuple(sorted((center, a, b))), _canon(a, b)))
-        found.sort()
-        return found
-
-    def is_feasible_cover_pairs(self, pairs: Iterable[tuple[int, int]]) -> bool:
-        chosen = {_canon(u, v) for u, v in pairs}
-        for nodes, _neg in self.bad_triangle_pairs():
-            u, v, w = nodes
-            if not ({(u, v), (u, w), (v, w)} & chosen):
-                return False
-        return True
-
-    def cc_cost(self, clustering: Clustering) -> Weight:
-        if len(clustering.labels) != self.n:
-            raise InputError("clustering size mismatch")
-        labels = clustering.labels
-        total: Weight = 0
-        # positive disagreements: cut positive pairs
-        for u, v in self.positive:
-            if labels[u] != labels[v]:
-                total += self._pos_weight[(u, v)]
-        # negative disagreements: intra-cluster pairs that are not positive
-        for cluster in clustering.clusters():
-            for u, v in combinations(sorted(cluster), 2):
-                if not self.is_positive(u, v):
-                    total += self.negative_weight
-        return total
-
-    def materialize(self, node_bound: int = DEFAULT_COMPLETE_NODE_BOUND) -> SignedGraph:
-        return complete_graph(
-            self.n,
-            sign_of_pair=self.sign_of,
-            weight_of_pair=self.weight_of,
-            node_bound=node_bound)
 
 
 # -- text edge-list format ---------------------------------------------------

@@ -51,7 +51,6 @@ DEFAULT_EXACT_TRIANGLE_BOUND = 50_000
 
 STATUS_EXACT = "exact-optimal"
 STATUS_EPS = "eps-approximate"
-STATUS_FEASIBLE = "feasible-only"
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,14 @@ class TestSolve:
             assert Fraction(body["lp"]["objective"]) == sol.value
         else:
             assert Fraction(body["outcome"]["lp_lower_bound"]) == sol.value
+            assert Fraction(body["outcome"]["certified_ratio"]) <= 2
+
+    def test_exact_on_float_weights(self, tmp_path):
+        spec = "random:n=8,weights=uniform:0.5:2,seed=1"
+        body = run_cli(["solve", "--gen", spec, "--alg", "exact"], tmp_path / "solve.json")
+        g = gen_random(8, weights=("uniform", 0.5, 2.0), seed=1)
+        witness = EdgeCover.from_ids(g, body["exact"]["cover_edge_ids"])
+        assert body["exact"]["value"] == witness.cost
 
     def test_verification_failure_exits_4(self, monkeypatch, capsys):
         monkeypatch.setattr(lp, "_float_packing_simplex", lambda *args: None)

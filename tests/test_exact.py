@@ -260,6 +260,19 @@ class TestRatioSurvey:
         assert len(lines) == 4
 
 
+class TestFloatWeights:
+    def test_value_equals_witness_cost(self):
+        # incumbents are summed in the witness's sorted-id order, so float
+        # weights give the same cost to the last bit
+        for n in (7, 8, 9):
+            for seed in range(10):
+                g = gen_random(n, weights=("uniform", 0.5, 2.0), seed=seed)
+                for solver in (exact_btt, exact_btt_positive_only):
+                    res = solver(g)
+                    assert res.value == res.witness.cost
+                    assert res.trail[-1][1] == res.value
+
+
 class TestWitnessIntegrity:
     def test_witnesses_revalidated_through_graph_evaluators(self):
         for g in instance_suite(8, seed=777):
@@ -285,6 +298,19 @@ class TestWitnessRevalidationFailures:
             exact_btt(g)
         with pytest.raises(VerificationError, match="invalid witness"):
             exact_btt_positive_only(g)
+
+    def test_witness_cost_mismatch_raises_verification_error(self, monkeypatch):
+        search = exact._btt_search
+
+        def off_by_one(*args, **kwargs):
+            state, *rest = search(*args, **kwargs)
+            state["best"] += 1
+            return (state, *rest)
+
+        monkeypatch.setattr(exact, "_btt_search", off_by_one)
+        for solver in (exact_btt, exact_btt_positive_only):
+            with pytest.raises(VerificationError, match="invalid witness"):
+                solver(gen_figure2())
 
     def test_invalid_clustering_witness_raises_verification_error(self, monkeypatch):
         calls = []

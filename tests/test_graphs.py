@@ -8,7 +8,7 @@ from btt import (Clustering, EdgeCover, InputError, SignedGraph, cc_cost,
                  enumerate_bad_triangles, flip_edges, gen_figure2,
                  gen_integrality_gap, is_feasible_cover)
 from btt.errors import CapacityError
-from btt.graphs import (ImplicitCompleteGraph, clustering_from_json,
+from btt.graphs import (COMPLETE_NODE_BOUND, clustering_from_json,
                         clustering_to_json, complete_graph, cover_from_json,
                         cover_to_json, format_edge_list, graph_from_json,
                         graph_to_json, parse_edge_list)
@@ -62,8 +62,16 @@ class TestConstruction:
         assert g.edge_id(0, 1) is None
 
     def test_complete_graph_node_bound(self):
-        with pytest.raises(CapacityError, match="ImplicitCompleteGraph"):
-            complete_graph(5, lambda u, v: 1, node_bound=4)
+        calls = []
+
+        def sign(u, v):
+            calls.append((u, v))
+            return 1
+
+        with pytest.raises(CapacityError, match=f"capped at {COMPLETE_NODE_BOUND}"):
+            complete_graph(COMPLETE_NODE_BOUND + 1, sign)
+        assert calls == []  # refused before any pair is built
+        assert complete_graph(3, sign).m == 3
 
 
 class TestBadTriangles:
@@ -270,47 +278,3 @@ class TestJson:
     def test_schema_guard(self):
         with pytest.raises(InputError, match="schema"):
             graph_from_json({"schema": "nope", "n": 0, "edges": []})
-
-
-class TestImplicitCompleteGraph:
-    def make_pair(self, n=7, seed=11):
-        from btt import gen_random
-        g = gen_random(n, positive_prob=0.5, complete=True, seed=seed)
-        pos = [(e.u, e.v) for e in g.edges if e.sign == 1]
-        return g, ImplicitCompleteGraph(n, pos)
-
-    def test_bad_triangles_match_explicit(self):
-        g, imp = self.make_pair()
-        assert [nodes for nodes, _ in imp.bad_triangle_pairs()] == \
-            [t.nodes for t in g.bad_triangles()]
-
-    def test_negative_pairs_identified(self):
-        g, imp = self.make_pair()
-        for nodes, neg in imp.bad_triangle_pairs():
-            assert imp.sign_of(*neg) == -1
-            assert g.sign_of(*neg) == -1
-
-    def test_cover_feasibility_matches(self):
-        g, imp = self.make_pair()
-        pairs = [(e.u, e.v) for e in g.edges if e.sign == -1]
-        assert imp.is_feasible_cover_pairs(pairs) == \
-            is_feasible_cover(g, EdgeCover.from_pairs(g, pairs))
-        assert imp.is_feasible_cover_pairs([]) == \
-            is_feasible_cover(g, EdgeCover(frozenset(), 0))
-
-    def test_cc_cost_matches(self):
-        g, imp = self.make_pair()
-        labels = [i % 3 for i in range(g.n)]
-        c = Clustering.from_labels(labels)
-        assert imp.cc_cost(c) == cc_cost(g, c)
-
-    def test_materialize(self):
-        g, imp = self.make_pair()
-        mat = imp.materialize()
-        assert mat.complete and [e for e in mat.edges] == [e for e in g.edges]
-
-    def test_rejects_bad_pairs(self):
-        with pytest.raises(InputError):
-            ImplicitCompleteGraph(3, [(0, 0)])
-        with pytest.raises(InputError):
-            ImplicitCompleteGraph(3, [(0, 1), (1, 0)])

@@ -256,7 +256,7 @@ class TestPivotTrials:
             pivot_trials(g, "pivot", trials, seed=0)
 
 
-ALGORITHMS = (ALG_STANDARD_PIVOT, ALG_COVER_PIVOT, ALG_FLIP_PIVOT)
+PIVOT_ALGS = (ALG_STANDARD_PIVOT, ALG_COVER_PIVOT, ALG_FLIP_PIVOT)
 
 # (pivot_order, removed_per_round) for seeds 0..4, frozen so that any
 # change in the order of pivot choices or coin draws shows up.
@@ -296,7 +296,7 @@ def sparse_float_with_cover():
 class TestPivotKernel:
     @pytest.mark.parametrize("make", [fig2_with_cover, random12_with_cover,
                                       sparse_float_with_cover])
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", PIVOT_ALGS)
     def test_every_trial_equals_its_single_run(self, make, algorithm):
         g, f = make()
         trials, seed = 6, 31
