@@ -57,7 +57,9 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     In optimisation mode (enumerate_cap None) returns the best cover.  In
     enumeration mode collects every feasible cover of cost exactly
     ``enumerate_cap`` (which must be the optimum for that to be the set of
-    optima).
+    optima).  Enumeration sums weights as Fractions, so the prune against
+    the cap does not depend on the order edges are added in; pass the cap
+    as the exact sum of an optimal witness's weights.
     """
     tris = g.bad_triangles()
     if len(tris) > triangle_budget:
@@ -71,6 +73,8 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     nt = len(tris)
     full = (1 << nt) - 1
     weights = [g.edges[i].weight for i in range(g.m)]
+    if enumerate_cap is not None:
+        weights = [Fraction(w) for w in weights]
     tri_edges = [tuple(eid for eid in t.edge_ids if eid in allowed_set)
                  for t in tris]
     edge_tri_mask = [0] * g.m
@@ -219,7 +223,8 @@ def exact_btt_positive_only(g: SignedGraph, *,
         return res
     _, found, truncated, _ = _btt_search(
         g, allowed, triangle_budget=triangle_budget, node_budget=node_budget,
-        enumerate_cap=res.value, max_optima=enumerate_optima)
+        enumerate_cap=sum(Fraction(g.edges[i].weight) for i in res.witness.edge_ids),
+        max_optima=enumerate_optima)
     return replace(res, optima=tuple(sorted(found, key=sorted)),
                    optima_truncated=truncated)
 

@@ -98,6 +98,13 @@ class TestSolve:
         witness = EdgeCover.from_ids(g, body["exact"]["cover_edge_ids"])
         assert body["exact"]["value"] == witness.cost
 
+    def test_det2_on_mwu_path_certifies(self, tmp_path):
+        # n > 50 sends det2 to solve_mwu; the one-edge step exited 3 here
+        spec = "random:n=60,density=0.2,seed=1"
+        body = run_cli(["solve", "--gen", spec, "--alg", "det2"], tmp_path / "solve.json")
+        assert body["lp_status"] == "eps-approximate"
+        assert body["outcome"]["algorithm"] == "det2"
+
     def test_verification_failure_exits_4(self, monkeypatch, capsys):
         monkeypatch.setattr(lp, "_float_packing_simplex", lambda *args: None)
         patch_fraction_simplex(monkeypatch, offset=1)

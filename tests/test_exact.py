@@ -272,6 +272,15 @@ class TestFloatWeights:
                     assert res.value == res.witness.cost
                     assert res.trail[-1][1] == res.value
 
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_enumeration_lists_the_witness(self, n):
+        # the enumeration prune compares exact sums, so an optimum whose
+        # float sum in search order exceeds the cap by an ulp is kept
+        for seed in range(60):
+            g = gen_random(n, weights=("uniform", 0.5, 2.0), seed=seed)
+            res = exact_btt_positive_only(g, enumerate_optima=50)
+            assert res.witness.edge_ids in res.optima
+
 
 class TestWitnessIntegrity:
     def test_witnesses_revalidated_through_graph_evaluators(self):

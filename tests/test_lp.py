@@ -206,7 +206,7 @@ class TestMwuSolver:
                 solve_mwu(g, eps)
 
     def test_iteration_cap_raises_with_bounds(self):
-        g = gen_integrality_gap(8)
+        g = gen_random(12, positive_prob=0.5, complete=True, seed=3)
         with pytest.raises(ConvergenceError) as err:
             solve_mwu(g, 0.01, max_iterations=2)
         lower, upper = err.value.bounds
@@ -217,6 +217,44 @@ class TestMwuSolver:
         sol = solve_mwu(g, 0.1)
         assert sol.value == 0
         assert check_fractional_feasibility(g, sol.primal, tol=1e-9)
+
+
+def baseline_failures():
+    """Float graphs of the shapes on which the one-edge MWU step hit its
+    iteration cap at eps = 0.1."""
+    weights = ("uniform", 0.5, 2.0)
+    graphs = [gen_random(n, positive_prob=0.5, complete=True, weights=weights,
+                         seed=1) for n in (20, 25, 30)]
+    graphs += [gen_random(n, positive_prob=0.5, complete=False, density=0.2,
+                          weights=weights, seed=1) for n in (60, 120)]
+    return graphs
+
+
+on_baseline_failures = pytest.mark.parametrize(
+    "g", baseline_failures(), ids=lambda g: f"n{g.n}-m{g.m}")
+
+
+class TestPhasedMwu:
+    @on_baseline_failures
+    def test_certifies_and_brackets_the_optimum(self, g):
+        sol = solve_mwu(g, 0.1)
+        lower, upper = sol.bounds
+        optimum = scipy_cover_lp_value(g)
+        assert lower <= optimum * (1 + 1e-9)
+        assert optimum <= upper * (1 + 1e-9)
+        assert upper <= 1.1 * lower
+        assert upper == float(sol.primal.objective)
+        assert check_fractional_feasibility(g, sol.primal)
+        assert check_packing_feasibility(g, sol.dual)
+
+    @on_baseline_failures
+    def test_primal_is_minimal(self, g):
+        x = solve_mwu(g, 0.1).primal.values
+        tight = set()
+        for t in g.bad_triangles():
+            if abs(sum(x[e] for e in t.edge_ids) - 1) <= 1e-9:
+                tight.update(t.edge_ids)
+        assert all(e in tight for e in range(g.m) if x[e] > 0)
 
 
 class TestFractionalCover:
