@@ -12,6 +12,8 @@ Four families:
   which also handle weighted instances and merely-feasible fractional
   covers.
 
+The roundings check, clamp and set the float slack tau of their input x
+in one place, ``_rounding_input``, once per call.
 Every algorithm returns a :class:`RoundingOutcome` whose cover is
 re-checked for feasibility at construction.
 """
@@ -79,14 +81,17 @@ class RoundingOutcome:
                    lower_bound, ratio)
 
 
-def _is_float_mode(x: FractionalCover) -> bool:
-    return any(isinstance(v, float) for v in x.values)
+def _rounding_input(g: SignedGraph, x: FractionalCover) -> tuple:
+    """Check a fractional cover given to a rounding; return (values, tau).
 
-
-def _require_feasible(g: SignedGraph, x: FractionalCover) -> None:
-    tol = 1e-9 if _is_float_mode(x) else 0
-    if not check_fractional_feasibility(g, x, tol=tol):
+    Float values are checked within 1e-9 and round with the inclusion
+    slack tau = FLOAT_POSITIVITY_TAU; exact values are checked exactly
+    and round with tau = 0.  ``values`` are x's values clamped into [0, 1].
+    """
+    float_mode = any(isinstance(v, float) for v in x.values)
+    if not check_fractional_feasibility(g, x, tol=1e-9 if float_mode else 0):
         raise InputError("fractional cover is infeasible for this graph")
+    return x.clamped(g).values, FLOAT_POSITIVITY_TAU if float_mode else 0
 
 
 def standard_three_approx(g: SignedGraph) -> RoundingOutcome:
@@ -181,28 +186,25 @@ def round_deterministic(g: SignedGraph, x: FractionalCover,
     "positive" means above FLOAT_POSITIVITY_TAU and the positive-edge
     threshold relaxes to (1 - tau)/2.
     """
-    _require_feasible(g, x)
-    x = x.clamped(g)
-    float_mode = _is_float_mode(x)
-    tau = FLOAT_POSITIVITY_TAU if float_mode else 0
+    values, tau = _rounding_input(g, x)
     # positive threshold drops by tau so that excluding a negative edge at
     # <= tau still leaves an includable positive edge for tol-feasible x
-    half = (1 - 2 * tau) / 2 if float_mode else Fraction(1, 2)
+    half = (1 - 2 * tau) / 2 if tau else Fraction(1, 2)
     ids = [i for i, e in enumerate(g.edges)
-           if (e.sign != POSITIVE and x.values[i] > tau)
-           or (e.sign == POSITIVE and x.values[i] >= half)]
+           if (e.sign != POSITIVE and values[i] > tau)
+           or (e.sign == POSITIVE and values[i] >= half)]
     return RoundingOutcome.create(g, ids, ALG_DETERMINISTIC, lower_bound=lower_bound)
 
 
-def _threshold_cover_ids(g: SignedGraph, values, r, side: str) -> list[int]:
+def _threshold_cover_ids(g: SignedGraph, values, tau, r, side: str) -> list[int]:
     """Edges selected at threshold r; ``side`` 'above' takes the right limit.
 
-    In floating mode both rules gain an inclusion slack of tau, so any x
+    ``values`` and ``tau`` come from ``_rounding_input``.  With tau > 0
+    (float values) both rules gain an inclusion slack of tau, so any x
     whose triangle sums are within 3*tau of feasible still rounds to a
     feasible cover at every threshold (an uncovered triangle would force
     a sum below 1 - 3*tau).
     """
-    tau = FLOAT_POSITIVITY_TAU if any(isinstance(v, float) for v in values) else 0
     ids = []
     for i, e in enumerate(g.edges):
         v = values[i]
@@ -224,11 +226,10 @@ def round_fixed_threshold(g: SignedGraph, x: FractionalCover, r, *,
     Always feasible for feasible x: an uncovered bad triangle would make
     its constraint sum strictly below (1-r) + r/2 + r/2 = 1.
     """
-    _require_feasible(g, x)
+    values, tau = _rounding_input(g, x)
     if not (0 <= r <= 1):
         raise InputError(f"threshold must lie in [0,1], got {r}")
-    x = x.clamped(g)
-    ids = _threshold_cover_ids(g, x.values, r, side="at")
+    ids = _threshold_cover_ids(g, values, tau, r, side="at")
     return RoundingOutcome.create(g, ids, algorithm, threshold=r,
                                   threshold_side="at", seed=seed,
                                   lower_bound=lower_bound)
@@ -266,10 +267,7 @@ def derandomized_sweep(g: SignedGraph, x: FractionalCover,
     more than any fixed-threshold rounding, hence no more than the
     randomized expectation.
     """
-    _require_feasible(g, x)
-    x = x.clamped(g)
-    values = x.values
-    tau = FLOAT_POSITIVITY_TAU if _is_float_mode(x) else 0
+    values, tau = _rounding_input(g, x)
     # Cost at r = 0: every positive edge, plus (float mode) negative edges
     # already inside the tau inclusion slack.  Costs are summed as
     # Fractions, exact for float weights too, so the running cost equals
@@ -295,44 +293,12 @@ def derandomized_sweep(g: SignedGraph, x: FractionalCover,
             best_cost, best_r, best_side = running, v, "above"
     # r = 1 candidate equals the last "above" (or the r=0 baseline when
     # there are no events), so it is already covered by the walk.
-    ids = _threshold_cover_ids(g, values, best_r, best_side)
+    ids = _threshold_cover_ids(g, values, tau, best_r, best_side)
     if sum(Fraction(g.edges[i].weight) for i in ids) != best_cost:
         raise VerificationError("sweep bookkeeping drifted from the rebuilt cover")
     return RoundingOutcome.create(
         g, ids, ALG_SWEEP, threshold=best_r, threshold_side=best_side,
         lower_bound=lower_bound)
-
-
-def randomized_rounding_trials(g: SignedGraph, x: FractionalCover,
-                               trials: int, seed: int) -> dict:
-    """Vectorised Monte Carlo batch of randomized rounding.
-
-    Returns per-trial costs, per-edge inclusion counts and the drawn
-    thresholds; used by the expectation tests.
-    Covers are not individually re-verified here (feasibility holds for
-    every r by construction); use round_randomized for audited single runs.
-    """
-    import numpy as np
-
-    _require_feasible(g, x)
-    x = x.clamped(g)
-    rng = make_rng(seed)
-    r = rng.random(trials)
-    vals = np.array([float(v) for v in x.values])
-    w = np.array([float(e.weight) for e in g.edges])
-    pos = np.array([e.sign == POSITIVE for e in g.edges])
-    tau = FLOAT_POSITIVITY_TAU if _is_float_mode(x) else 0.0
-    included = np.where(pos[None, :],
-                        vals[None, :] >= r[:, None] / 2 - tau,
-                        vals[None, :] > 1 - r[:, None] - tau)
-    costs = included @ w
-    return {
-        "costs": costs,
-        "inclusion_counts": included.sum(axis=0),
-        "thresholds": r,
-        "trials": trials,
-        "seed": seed,
-    }
 
 
 OUTCOME_SCHEMA = "btt.rounding-outcome/1"

@@ -75,9 +75,10 @@ class RunConfig:
 
 GEN_SPEC_HELP = (
     "generator spec NAME[:KEY=VALUE,...]; NAME and its keys: fig2, hexagram, "
-    "gap (n), random (n, p or count, complete, density, seed, "
-    "weights=unit|uniform:LO:HI|rational:NUM:DEN), vc (kind=cycle|path|star|"
-    "complete and n, or file), hardness (file, mode=theorem|relaxed)")
+    "gap (n), random (n, p or count, complete=0|1 or density for a sparse "
+    "graph, seed, weights=unit|uniform:LO:HI|rational:NUM:DEN), vc "
+    "(kind=cycle|path|star|complete and n, or file), hardness (file, "
+    "mode=theorem|relaxed)")
 
 
 def _parse_gen_spec(spec: str):
@@ -88,8 +89,10 @@ def _parse_gen_spec(spec: str):
     * ``fig2``, the six-node bad-cycle example, and ``hexagram``;
     * ``gap:n=K``, the all-negative K-clique plus a positive apex;
     * ``random:n=K`` with optional ``p=P`` or ``count=C`` (positive
-      edges), ``complete=0`` with ``density=D``, ``seed=S``, and
-      ``weights=unit``, ``uniform:LO:HI`` (floats) or ``rational:NUM:DEN``;
+      edges), ``density=D`` (a sparse graph keeping each pair with
+      probability D; ``complete=0`` alone means D = 0.5, and ``complete=1``
+      with ``density`` is an error), ``seed=S``, and ``weights=unit``,
+      ``uniform:LO:HI`` (floats) or ``rational:NUM:DEN``;
     * ``vc:kind=cycle|path|star|complete,n=K`` or ``vc:file=PATH`` (an
       ``n <count>`` line, then ``u v`` lines), the vertex-cover reduction;
     * ``hardness:file=PATH[,mode=theorem|relaxed]``, the 2CNF-deletion
@@ -117,6 +120,17 @@ def _int_opt(kwargs: dict, key: str, default=None) -> int | None:
         raise InputError(f"option {key!r} must be an integer") from exc
 
 
+def _float_opt(kwargs: dict, key: str, default=None) -> float | None:
+    if key not in kwargs:
+        if default is None:
+            raise InputError(f"generator option {key!r} is required")
+        return default
+    try:
+        return float(kwargs[key])
+    except ValueError as exc:
+        raise InputError(f"option {key!r} must be a number") from exc
+
+
 def _unsigned_from_file(path: str) -> tuple[int, list[tuple[int, int]]]:
     """Unsigned graph file: header ``n <count>`` then ``u v`` lines."""
     n = None
@@ -127,12 +141,15 @@ def _unsigned_from_file(path: str) -> tuple[int, list[tuple[int, int]]]:
             if not line:
                 continue
             fields = line.split()
-            if fields[0] == "n":
-                n = int(fields[1])
-                continue
-            if n is None or len(fields) != 2:
-                raise InputError(f"{path}:{lineno}: expected 'u v' after 'n' header")
-            edges.append((int(fields[0]), int(fields[1])))
+            if len(fields) != 2 or (n is None and fields[0] != "n"):
+                raise InputError(f"{path}:{lineno}: expected 'n <count>', then 'u v' lines")
+            try:
+                if fields[0] == "n":
+                    n = int(fields[1])
+                else:
+                    edges.append((int(fields[0]), int(fields[1])))
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: expected integers, got {line!r}") from exc
     if n is None:
         raise InputError(f"{path}: missing 'n <count>' header")
     return n, edges
@@ -164,20 +181,24 @@ def build_instance(spec: str):
         return g, gmap
     if name == "random":
         weights = kwargs.get("weights", "unit")
-        if weights.startswith("uniform:"):
-            _, lo, hi = weights.split(":")
-            weights = ("uniform", float(lo), float(hi))
-        elif weights.startswith("rational:"):
-            _, num, den = weights.split(":")
-            weights = ("rational", int(num), int(den))
-        elif weights != "unit":
-            raise InputError(f"unknown weight spec {weights!r}")
+        if weights != "unit":
+            kind, *numbers = weights.split(":")
+            parse = {"uniform": _float_opt, "rational": _int_opt}.get(kind)
+            if parse is None or len(numbers) != 2:
+                raise InputError(f"unknown weight spec {weights!r}")
+            names = ("LO", "HI") if kind == "uniform" else ("NUM", "DEN")
+            fields = dict(zip(names, numbers))
+            weights = (kind, *(parse(fields, name) for name in names))
+        sparse = "density" in kwargs
+        complete = kwargs.get("complete", "0" if sparse else "1") not in ("0", "false")
+        if complete and sparse:
+            raise InputError("density applies to sparse graphs; drop complete=1")
         return gen_random(
             _int_opt(kwargs, "n"),
-            positive_prob=float(kwargs["p"]) if "p" in kwargs else None,
+            positive_prob=_float_opt(kwargs, "p") if "p" in kwargs else None,
             positive_count=_int_opt(kwargs, "count", -1) if "count" in kwargs else None,
-            complete=kwargs.get("complete", "1") not in ("0", "false"),
-            density=float(kwargs.get("density", "0.5")),
+            complete=complete,
+            density=_float_opt(kwargs, "density", 0.5),
             weights=weights,
             seed=_int_opt(kwargs, "seed", 0)), None
     if name == "vc":

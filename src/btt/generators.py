@@ -14,6 +14,7 @@ cover cost encodes the number of deleted 2CNF clauses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -397,9 +398,14 @@ def gen_random(n: int, *, positive_prob: float | None = None,
         weight_list = [1] * len(pairs)
     elif isinstance(weights, tuple) and weights and weights[0] == "uniform":
         _, lo, hi = weights
+        if not (0 <= lo <= hi < math.inf):
+            raise InputError(f"uniform weights need finite 0 <= LO <= HI, got {lo}, {hi}")
         weight_list = [float(x) for x in rng.uniform(lo, hi, len(pairs))]
     elif isinstance(weights, tuple) and weights and weights[0] == "rational":
         _, max_num, max_den = weights
+        if max_num < 1 or max_den < 1:
+            raise InputError(
+                f"rational weights need NUM, DEN >= 1, got {max_num}, {max_den}")
         nums = rng.integers(1, max_num + 1, len(pairs))
         dens = rng.integers(1, max_den + 1, len(pairs))
         weight_list = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]

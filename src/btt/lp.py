@@ -76,7 +76,10 @@ class FractionalCover:
         return cls(vals, sum(w * x for w, x in zip(weights, vals)))
 
     def clamped(self, g: SignedGraph) -> "FractionalCover":
-        """Values clamped into [0, 1]; never increases cost or breaks feasibility."""
+        """Values clamped into [0, 1], or ``self`` when all already lie there;
+        never increases cost or breaks feasibility."""
+        if all(0 <= v <= 1 for v in self.values):
+            return self
 
         def clamp(v):
             if v < 0:

@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from btt import approx
@@ -11,7 +10,7 @@ from btt import (InputError, SignedGraph, VerificationError,
                  round_fixed_threshold, round_randomized, solve_exact,
                  solve_mwu, standard_three_approx)
 from btt.approx import (RoundingOutcome, expected_rounding_cost,
-                        outcome_to_json, randomized_rounding_trials)
+                        outcome_to_json)
 from btt.graphs import EdgeCover, POSITIVE, complete_graph
 from btt.lp import FractionalCover
 from btt.rng import spawn_seeds
@@ -163,29 +162,41 @@ class TestThresholdRounding:
             assert positive_measure == min(1, 2 * x)
             assert negative_measure == x
 
-    def test_monte_carlo_mean_against_expectation_gap6(self):
-        # x = 1/3 everywhere: thresholds up to 2/3 take the 6 apex edges,
-        # thresholds above it the 15 negative ones, so the cost is random
+    @staticmethod
+    def _integrated_threshold_cost(g, x):
+        """Integral over r in [0, 1] of the fixed-threshold cover cost.
+
+        The cover is constant between consecutive breakpoints (2 x_e for
+        positive edges, 1 - x_e for negative ones), so the midpoint cost
+        times the interval length sums to the exact integral.
+        """
+        breaks = {Fraction(0), Fraction(1)}
+        for e, v in zip(g.edges, x.values):
+            b = 2 * v if e.sign == POSITIVE else 1 - v
+            if 0 < b < 1:
+                breaks.add(b)
+        breaks = sorted(breaks)
+        return sum((b - a) * round_fixed_threshold(g, x, (a + b) / 2).cover.cost
+                   for a, b in zip(breaks, breaks[1:]))
+
+    def _check_expectation(self, g, x):
+        integral = self._integrated_threshold_cost(g, x)
+        expectation = expected_rounding_cost(g, x)
+        weighted_bound = sum(e.weight * v * (2 if e.sign == POSITIVE else 1)
+                             for e, v in zip(g.edges, x.values))
+        assert integral == expectation <= weighted_bound  # 2 x LP bound
+        return expectation, weighted_bound
+
+    def test_expectation_integrates_threshold_costs_gap6(self):
+        # x = 1/3 everywhere: thresholds below 2/3 take the 6 apex edges,
+        # thresholds above it the 15 negative ones
         g = gen_integrality_gap(6)
         x = FractionalCover.from_values(g, [Fraction(1, 3)] * g.m)
-        expectation = float(expected_rounding_cost(g, x))
-        batch = randomized_rounding_trials(g, x, trials=10_000, seed=2)
-        assert set(batch["costs"].tolist()) == {6.0, 15.0}
-        mean = batch["costs"].mean()
-        stderr = batch["costs"].std(ddof=1) / np.sqrt(batch["trials"])
-        weighted_bound = float(sum(
-            e.weight * v * (2 if e.sign == POSITIVE else 1)
-            for e, v in zip(g.edges, x.values)))
-        assert abs(mean - expectation) <= 3 * stderr
-        assert mean <= weighted_bound + 3 * stderr  # 2 x LP bound
+        assert self._check_expectation(g, x) == (9, 9)
 
-    def test_batch_consistent_with_scalar(self):
-        g = gen_figure2()
-        x = solve_exact(g).primal
-        batch = randomized_rounding_trials(g, x, trials=1, seed=5)
-        scalar = round_randomized(g, x, seed=5)
-        assert batch["thresholds"][0] == scalar.threshold
-        assert batch["costs"][0] == float(scalar.cover.cost)
+    def test_expectation_integrates_threshold_costs_on_optima(self):
+        for g in instance_suite(20, seed=73):
+            self._check_expectation(g, solve_exact(g).primal)
 
 
 class TestDerandomizedSweep:
@@ -292,6 +303,15 @@ class TestFloatMode:
         for out in (round_deterministic(g, floats),
                     derandomized_sweep(g, floats),
                     round_fixed_threshold(g, floats, 0.37)):
+            assert is_feasible_cover(g, out.cover)
+
+    def test_tolerance_feasible_floats_round_to_covers(self):
+        # the triangle sums to 1 - 2e-10, inside the 1e-9 input tolerance;
+        # only the tau slack lets each rounding still cover it
+        g = SignedGraph(3, SINGLE_BAD_TRIANGLE)
+        x = FractionalCover.from_values(g, [0.5 - 1e-10, 0.5 - 1e-10, 0.0])
+        for out in (round_deterministic(g, x), derandomized_sweep(g, x),
+                    round_fixed_threshold(g, x, 1.0)):
             assert is_feasible_cover(g, out.cover)
 
     def test_sweep_on_float_mwu_covers(self):

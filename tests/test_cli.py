@@ -100,7 +100,7 @@ class TestSolve:
 
     def test_det2_on_mwu_path_certifies(self, tmp_path):
         # n > 50 sends det2 to solve_mwu; the one-edge step exited 3 here
-        spec = "random:n=60,density=0.2,seed=1"
+        spec = "random:n=60,seed=1"
         body = run_cli(["solve", "--gen", spec, "--alg", "det2"], tmp_path / "solve.json")
         assert body["lp_status"] == "eps-approximate"
         assert body["outcome"]["algorithm"] == "det2"
@@ -110,6 +110,35 @@ class TestSolve:
         patch_fraction_simplex(monkeypatch, offset=1)
         assert main(["solve", "--gen", "fig2", "--alg", "lp-exact"]) == 4
         assert "strong duality" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    def test_density_gives_a_sparse_graph(self, tmp_path):
+        spec = "random:n=60,density=0.2,seed=1"
+        body = run_cli(["solve", "--gen", spec, "--alg", "3approx"], tmp_path / "solve.json")
+        assert body["m"] == 373
+        assert body["m"] == gen_random(60, complete=False, density=0.2, seed=1).m
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--alg", "pivot", "--gen", "fig2", "--seed", "-1"],
+        ["solve", "--alg", "rand2", "--gen", "fig2", "--seed", "-3"],
+        ["verify", "--survey", "--count", "-1"],
+        ["generate", "--gen", "random:n=5,weights=uniform:a"],
+        ["generate", "--gen", "random:n=5,weights=uniform:2:1"],
+        ["generate", "--gen", "random:n=5,weights=rational:0:1"],
+        ["generate", "--gen", "random:n=5,p=x"],
+        ["generate", "--gen", "random:n=5,complete=1,density=0.2"],
+    ])
+    def test_malformed_numbers_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["n x\n0 1\n", "n 3\n0 a\n", "n\n", "0 1\n"])
+    def test_malformed_vc_file_exits_2(self, text, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        assert main(["generate", "--gen", f"vc:file={path}"]) == 2
+        assert "input error" in capsys.readouterr().err
 
 
 class TestJsonEncoding:

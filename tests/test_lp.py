@@ -268,6 +268,30 @@ class TestFractionalCover:
         x = FractionalCover.from_values(g, [Fraction(5, 2)])
         assert x.clamped(g).values == (Fraction(1),)
 
+    def test_clamped_in_range_is_same_object(self):
+        g = gen_figure2()
+        x = FractionalCover.from_values(g, [Fraction(1, 2)] * (g.m - 1) + [1])
+        assert x.clamped(g) is x
+
+    @pytest.mark.parametrize("out_of_range", [Fraction(-1, 4), Fraction(5, 2), -0.5, 1.5])
+    def test_clamped_rebuilds_objective_over_clamped_values(self, out_of_range):
+        g = SignedGraph(3, [(0, 1, 1, 2), (0, 2, 1, 3), (1, 2, -1, Fraction(1, 2))])
+        x = FractionalCover.from_values(g, [out_of_range, Fraction(1, 3), Fraction(1, 2)])
+        c = x.clamped(g)
+        clamped_first = min(max(out_of_range, 0), 1)
+        assert c is not x
+        assert c.values == (clamped_first, Fraction(1, 3), Fraction(1, 2))
+        assert c.objective == 2 * clamped_first + 1 + Fraction(1, 4)
+
+    def test_solver_primals_are_already_clamped(self):
+        for g in instance_suite(6, seed=79) + [gen_integrality_gap(6)]:
+            x = solve_exact(g).primal
+            assert x.clamped(g) is x
+        for n in (12, 20):
+            g = gen_random(n, complete=True, weights=("uniform", 0.5, 2.0), seed=3)
+            x = solve_mwu(g, 0.1).primal
+            assert x.clamped(g) is x
+
     def test_json_serialises_fractions_as_strings(self):
         g = gen_integrality_gap(4)
         obj = lp_solution_to_json(g, solve_exact(g))
