@@ -11,7 +11,8 @@ is written with sorted keys and wall time is only embedded when
 ``--timing`` is requested.  Exit codes: 0 ok, 2 input error, 3 capacity
 or convergence error, 4 verification failure.
 
-Environment: ``BTT_WORKERS`` sets the survey fan-out width.
+Environment: ``BTT_WORKERS`` sets the survey fan-out width, capped at the
+instance count and the CPU count.
 """
 
 from __future__ import annotations

@@ -3,11 +3,17 @@ clusterings, and the cover-versus-clustering ratio survey.
 
 The cover search is a branch-and-bound over edges: branch on one edge of
 a currently uncovered bad triangle (include it or forbid it), prune with
-a greedy edge-disjoint packing bound.  The clustering search enumerates
-set partitions as restricted growth strings with incremental cost and
-incumbent pruning.  Both are desk-scale tools; budgets guard against
-runaway instances and witnesses are re-validated through the graph
-evaluators rather than trusted from the search.
+a greedy edge-disjoint packing bound.  Each triangle is one bitmask of its
+allowed edges and each edge one bitmask of its triangles, so the bound and
+the branching choice are integer operations.  The incumbent starts as the
+edges of the root packing, which is maximal and so covers every triangle;
+recursion deeper than ``MAX_BTT_DEPTH`` is refused as a CapacityError.
+
+The clustering search enumerates set partitions as restricted growth
+strings with incremental cost and incumbent pruning.  Both are desk-scale
+tools; budgets guard against runaway instances and witnesses are
+re-validated through the graph evaluators rather than trusted from the
+search.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ DEFAULT_BTT_TRIANGLE_BUDGET = 5000
 DEFAULT_BTT_NODE_BUDGET = 5_000_000
 DEFAULT_CC_NODE_CAP = 12
 DEFAULT_CC_NODE_BUDGET = 50_000_000
+#: Deepest branching the recursive cover search takes before it raises
+#: CapacityError; kept well below CPython's default recursion limit (1000)
+#: so that the caller's own frames still fit.
+MAX_BTT_DEPTH = 800
 
 
 @dataclass(frozen=True)
@@ -51,146 +61,144 @@ class ExactResult:
 
 def _btt_search(g: SignedGraph, allowed: list[int], *,
                 triangle_budget: int, node_budget: int,
-                enumerate_cap=None, max_optima: int = 10_000):
-    """Shared branch-and-bound core.
+                enumerate_cap=None, max_optima: int = 10_000) -> ExactResult:
+    """Shared branch-and-bound core over bitmasks.
 
-    In optimisation mode (enumerate_cap None) returns the best cover.  In
-    enumeration mode collects every feasible cover of cost exactly
-    ``enumerate_cap`` (which must be the optimum for that to be the set of
-    optima).  Enumeration sums weights as Fractions, so the prune against
-    the cap does not depend on the order edges are added in; pass the cap
-    as the exact sum of an optimal witness's weights.
+    ``tri_mask[ti]`` holds triangle ti's allowed edges and
+    ``edge_tri_mask[e]`` edge e's triangles; a node is (covered triangles,
+    excluded edges).  The bound packs uncovered triangles greedily in index
+    order and adds each packed one's cheapest open edge.  The search
+    includes, then excludes, the lowest open edge of the uncovered triangle
+    with the fewest open edges (ties: lowest open edge, then index).
+
+    Optimisation mode (enumerate_cap None) seeds the incumbent with the
+    root packing's edges, a feasible cover: the packing is maximal, so
+    every triangle left out shares an allowed edge with a packed one.  With
+    every edge allowed that is the standard 3-approximation.  Enumeration
+    mode collects in ``optima`` every feasible cover of cost exactly
+    ``enumerate_cap``, the exact sum of an optimal witness's weights;
+    weights are Fractions there, so the prune does not depend on the order
+    edges are added in.  The witness returned is a frozenset of edge ids.
     """
     tris = g.bad_triangles()
     if len(tris) > triangle_budget:
         raise CapacityError(
             f"{len(tris)} bad triangles exceed the search budget {triangle_budget}")
     allowed_set = frozenset(allowed)
-    for t in tris:
-        if not any(eid in allowed_set for eid in t.edge_ids):
-            raise InputError(
-                f"triangle {t.nodes} has no allowed edge; no feasible cover exists")
-    nt = len(tris)
-    full = (1 << nt) - 1
-    weights = [g.edges[i].weight for i in range(g.m)]
+    weights = [e.weight for e in g.edges]
     if enumerate_cap is not None:
         weights = [Fraction(w) for w in weights]
-    tri_edges = [tuple(eid for eid in t.edge_ids if eid in allowed_set)
-                 for t in tris]
-    edge_tri_mask = [0] * g.m
+    tri_mask, cheapest, edge_tri_mask = [], [], [0] * g.m
     for ti, t in enumerate(tris):
-        for eid in t.edge_ids:
-            if eid in allowed_set:
-                edge_tri_mask[eid] |= 1 << ti
+        ids = sorted((e for e in t.edge_ids if e in allowed_set),
+                     key=weights.__getitem__)
+        if not ids:
+            raise InputError(
+                f"triangle {t.nodes} has no allowed edge; no feasible cover exists")
+        tri_mask.append(sum(1 << e for e in ids))
+        cheapest.append(tuple((1 << e, weights[e]) for e in ids))
+        for e in ids:
+            edge_tri_mask[e] |= 1 << ti
+    full = (1 << len(tris)) - 1
 
-    def packing_bound(covered: int, excluded: int):
-        """Greedy edge-disjoint packing of uncovered triangles; each packed
-        triangle forces at least its cheapest allowed edge.  Returns None
-        when some triangle has no allowed edge left (infeasible branch)."""
+    def pack(covered: int, excluded: int):
+        """(bound, packed edges), or None if a triangle has no open edge."""
         bound = 0
         used = 0
+        keep = ~excluded
         remaining = full & ~covered
         while remaining:
             low = remaining & -remaining
-            ti = low.bit_length() - 1
             remaining ^= low
-            open_edges = [e for e in tri_edges[ti] if not excluded & (1 << e)]
+            ti = low.bit_length() - 1
+            open_edges = tri_mask[ti] & keep
             if not open_edges:
                 return None
-            mask = 0
-            for e in open_edges:
-                mask |= 1 << e
-            if not mask & used:
-                used |= mask
-                bound += min(weights[e] for e in open_edges)
-        return bound
+            if not open_edges & used:
+                used |= open_edges
+                for bit, w in cheapest[ti]:
+                    if bit & keep:
+                        bound += w
+                        break
+        return bound, used
 
-    # Seed the incumbent with the packing-based 3-approximation.
-    state = {"nodes": 0, "best": None, "best_cover": None, "trail": []}
-    if enumerate_cap is None:
-        from .approx import standard_three_approx
-        seed_ids = [i for i in standard_three_approx(g).cover.edge_ids
-                    if i in allowed_set]
-        # The packing union may use forbidden edges; fall back to all
-        # allowed edges (always feasible here).
-        if not is_feasible_cover(g, seed_ids):
-            seed_ids = allowed_set
-        # Incumbent costs are summed in sorted-id order, as EdgeCover sums
-        # them, so float weights give the witness's cost to the last bit.
-        state["best"] = sum(weights[i] for i in sorted(seed_ids))
-        state["best_cover"] = frozenset(seed_ids)
-        state["trail"] = [(0, state["best"])]
-    optima: list[frozenset] = []
-    truncated = [False]
-    included: list[int] = []
-
-    def select(covered: int, excluded: int):
-        best = None
+    def branch_edge(covered: int, excluded: int) -> int:
+        best_key = None
+        keep = ~excluded
         remaining = full & ~covered
         while remaining:
             low = remaining & -remaining
-            ti = low.bit_length() - 1
             remaining ^= low
-            open_edges = [e for e in tri_edges[ti] if not excluded & (1 << e)]
-            key = (len(open_edges), open_edges[0] if open_edges else -1, ti)
-            if best is None or key < best[0]:
-                best = (key, open_edges)
-                if key[0] <= 1:
+            open_edges = tri_mask[low.bit_length() - 1] & keep
+            key = (open_edges.bit_count(), open_edges & -open_edges)
+            if best_key is None or key < best_key:
+                best_key = key
+                if key[0] == 1:
                     break
-        return best[1]
+        return best_key[1].bit_length() - 1
 
-    def dfs(covered: int, excluded: int, cost):
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            lb = packing_bound(0, 0) or 0
+    root_bound, seed = pack(0, 0)
+    nodes, truncated, trail, optima, included = 0, False, [], [], []
+    best = best_cover = None
+    if enumerate_cap is None:
+        # Costs are summed in sorted-id order, as EdgeCover sums them, so
+        # float weights give the witness's cost to the last bit.
+        best_cover = [e for e in range(g.m) if seed >> e & 1]
+        best = sum(weights[e] for e in best_cover)
+        trail.append((0, best))
+
+    def dfs(covered: int, excluded: int, cost, depth: int) -> None:
+        nonlocal nodes, best, best_cover, truncated
+        nodes += 1
+        if nodes > node_budget:
             raise BudgetExceededError(
-                f"cover search exceeded {node_budget} nodes",
-                (lb, state["best"]))
-        bound = packing_bound(covered, excluded)
-        if bound is None:
+                f"cover search exceeded {node_budget} nodes", (root_bound, best))
+        if depth > MAX_BTT_DEPTH:
+            raise CapacityError(f"cover search deeper than {MAX_BTT_DEPTH} branchings")
+        packed = pack(covered, excluded)
+        if packed is None:
             return
         if enumerate_cap is None:
-            if cost + bound >= state["best"]:
+            if cost + packed[0] >= best:
                 return
-        elif cost + bound > enumerate_cap:
+        elif cost + packed[0] > enumerate_cap:
             return
         if covered == full:
             if enumerate_cap is None:
-                state["best"] = sum(weights[i] for i in sorted(included))
-                state["best_cover"] = frozenset(included)
-                state["trail"].append((state["nodes"], state["best"]))
+                best_cover = sorted(included)
+                best = sum(weights[e] for e in best_cover)
+                trail.append((nodes, best))
+            elif len(optima) < max_optima:
+                optima.append(frozenset(included))
             else:
-                if len(optima) < max_optima:
-                    optima.append(frozenset(included))
-                else:
-                    truncated[0] = True
+                truncated = True
             return
-        open_edges = select(covered, excluded)
-        if not open_edges:
-            return
-        branch = open_edges[0]
+        branch = branch_edge(covered, excluded)
         included.append(branch)
-        dfs(covered | edge_tri_mask[branch], excluded, cost + weights[branch])
+        dfs(covered | edge_tri_mask[branch], excluded, cost + weights[branch], depth + 1)
         included.pop()
-        dfs(covered, excluded | (1 << branch), cost)
+        dfs(covered, excluded | 1 << branch, cost, depth + 1)
 
-    root_bound = packing_bound(0, 0)
-    dfs(0, 0, 0)
-    return state, optima, truncated[0], root_bound
+    dfs(0, 0, 0, 0)
+    if enumerate_cap is not None:
+        return ExactResult(None, None, nodes, root_bound, (), tuple(optima), truncated)
+    return ExactResult(best, frozenset(best_cover), nodes, root_bound, tuple(trail))
 
 
 def _min_cover(g: SignedGraph, allowed: list[int], search: str, *,
                triangle_budget: int, node_budget: int) -> ExactResult:
     """Minimum cover drawn from ``allowed``, its witness re-validated."""
+    if min(triangle_budget, node_budget) < 0:
+        raise InputError(f"search budgets must be nonnegative: triangle budget "
+                         f"{triangle_budget}, node budget {node_budget}")
     if not g.bad_triangles():
         return ExactResult(0, EdgeCover(frozenset(), 0), 0, 0, ((0, 0),))
-    state, _, _, root_bound = _btt_search(
+    res = _btt_search(
         g, allowed, triangle_budget=triangle_budget, node_budget=node_budget)
-    cover = EdgeCover.from_ids(g, state["best_cover"])
-    if not is_feasible_cover(g, cover) or cover.cost != state["best"]:
+    cover = EdgeCover.from_ids(g, res.witness)
+    if not is_feasible_cover(g, cover) or cover.cost != res.value:
         raise VerificationError(f"{search} returned an invalid witness")
-    return ExactResult(state["best"], cover, state["nodes"], root_bound,
-                       tuple(state["trail"]))
+    return replace(res, witness=cover)
 
 
 def exact_btt(g: SignedGraph, *,
@@ -221,12 +229,12 @@ def exact_btt_positive_only(g: SignedGraph, *,
                      triangle_budget=triangle_budget, node_budget=node_budget)
     if enumerate_optima is None:
         return res
-    _, found, truncated, _ = _btt_search(
+    found = _btt_search(
         g, allowed, triangle_budget=triangle_budget, node_budget=node_budget,
         enumerate_cap=sum(Fraction(g.edges[i].weight) for i in res.witness.edge_ids),
         max_optima=enumerate_optima)
-    return replace(res, optima=tuple(sorted(found, key=sorted)),
-                   optima_truncated=truncated)
+    return replace(res, optima=tuple(sorted(found.optima, key=sorted)),
+                   optima_truncated=found.optima_truncated)
 
 
 def _check_cc_node_cap(g: SignedGraph, max_nodes: int = DEFAULT_CC_NODE_CAP) -> None:
@@ -411,7 +419,10 @@ def ratio_survey(make_instance, count: int, seed: int, *,
     """
     seeds = spawn_seeds(seed, count)
     graphs = [make_instance(s) for s in seeds]
-    nworkers = workers_from_env() if workers is None else max(1, workers)
+    # a fork pool starts every worker at once, so never ask for more than
+    # there are instances or CPUs
+    requested = workers_from_env() if workers is None else workers
+    nworkers = max(1, min(requested, count, os.cpu_count() or 1))
     if nworkers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=nworkers) as pool:

@@ -133,6 +133,11 @@ class TestInputErrors:
         assert main(argv) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--node-budget", "--triangle-budget"])
+    def test_negative_budget_exits_2(self, flag, capsys):
+        assert main(["solve", "--alg", "exact", "--gen", "fig2", flag, "-1"]) == 2
+        assert "must be nonnegative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["n x\n0 1\n", "n 3\n0 a\n", "n\n", "0 1\n"])
     def test_malformed_vc_file_exits_2(self, text, tmp_path, capsys):
         path = tmp_path / "graph.txt"

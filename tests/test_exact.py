@@ -1,14 +1,16 @@
 import os
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from btt import exact
-from btt import (CapacityError, EdgeCover, SignedGraph, VerificationError,
-                 cc_cost, exact_btt, exact_btt_positive_only, exact_cc,
-                 gen_figure2, gen_hexagram, gen_integrality_gap, gen_random,
-                 gen_vc_reduction, is_feasible_cover, ratio_survey,
-                 sandwich_report, solve_exact)
+from btt import (CapacityError, EdgeCover, InputError, SignedGraph,
+                 VerificationError, cc_cost, exact_btt, exact_btt_positive_only,
+                 exact_cc, gen_figure2, gen_hexagram, gen_integrality_gap,
+                 gen_random, gen_vc_reduction, is_feasible_cover, ratio_survey,
+                 sandwich_report, solve_exact, standard_three_approx)
 from btt.errors import BudgetExceededError
 from btt.exact import survey_rows_to_csv
 from btt.graphs import complete_graph
@@ -69,6 +71,103 @@ class TestExactBtt:
         values = [v for _, v in res.trail]
         assert values == sorted(values, reverse=True)
         assert res.root_lower_bound <= res.value
+
+
+F = Fraction
+RATIONAL = ("rational", 4, 3)
+
+#: exact_btt's (graph, value, nodes_explored, witness ids, trail), frozen
+#: from the search before it moved to bitmasks.  The node count and the
+#: trail depend on the branching rule and the seed, so any change to
+#: either shows here.
+PINNED = {
+    "fig2": (
+        gen_figure2,
+        4, 49,
+        [0, 2, 8, 13],
+        [(0, 12), (8, 7), (13, 6), (22, 5), (43, 4)]),
+    "gap6": (
+        lambda: gen_integrality_gap(6),
+        5, 203,
+        [0, 14, 17, 19, 20],
+        [(0, 9), (55, 8), (102, 7), (147, 6), (180, 5)]),
+    "hexagram": (
+        lambda: gen_hexagram()[0],
+        9, 179,
+        [0, 5, 15, 21, 26, 34, 38, 43, 49],
+        [(0, 27), (14, 13), (21, 12), (40, 11), (139, 10), (170, 9)]),
+    "unit9": (
+        lambda: gen_random(9, complete=True, seed=1),
+        10, 295,
+        [0, 3, 6, 11, 12, 16, 17, 19, 22, 24],
+        [(0, 24), (22, 21), (25, 20), (30, 19), (39, 18), (50, 17), (81, 16),
+         (102, 15), (125, 14), (166, 13), (195, 12), (232, 11), (285, 10)]),
+    "unit10": (
+        lambda: gen_random(10, complete=True, seed=2),
+        12, 1713,
+        [4, 6, 8, 9, 14, 16, 17, 19, 27, 35, 37, 42],
+        [(0, 27), (26, 25), (31, 24), (40, 23), (55, 22), (74, 21), (101, 20),
+         (166, 19), (229, 18), (306, 17), (353, 16), (494, 15), (789, 14),
+         (1194, 13), (1493, 12)]),
+    "rational9": (
+        lambda: gen_random(9, complete=True, weights=RATIONAL, seed=3),
+        F(73, 6), 411,
+        [1, 2, 6, 10, 12, 17, 19, 20],
+        [(0, 38), (11, F(121, 6)), (16, F(115, 6)), (40, F(97, 6)),
+         (45, F(91, 6)), (76, F(79, 6)), (104, F(77, 6)), (374, F(38, 3)),
+         (397, F(73, 6))]),
+    "rational10": (
+        lambda: gen_random(10, complete=True, weights=RATIONAL, seed=3),
+        F(34, 3), 1951,
+        [0, 1, 5, 10, 14, 15, 19, 20, 21, 27, 28, 35, 41],
+        [(0, F(92, 3)), (18, F(49, 2)), (20, F(47, 2)), (29, F(137, 6)),
+         (31, F(131, 6)), (38, F(125, 6)), (47, F(41, 2)), (56, F(119, 6)),
+         (58, F(113, 6)), (61, F(107, 6)), (98, F(103, 6)), (122, F(101, 6)),
+         (186, F(33, 2)), (223, F(95, 6)), (247, F(31, 2)), (309, 15),
+         (346, F(43, 3)), (370, 14), (557, F(27, 2)), (599, 13),
+         (872, F(25, 2)), (914, 12), (1090, F(71, 6)), (1132, F(34, 3))]),
+}
+
+
+class TestPinnedSearch:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_search_is_unchanged(self, name):
+        build, value, nodes, witness, trail = PINNED[name]
+        res = exact_btt(build())
+        assert res.value == value
+        assert sorted(res.witness.edge_ids) == witness
+        assert res.nodes_explored == nodes
+        assert list(res.trail) == trail
+
+    def test_incumbent_starts_at_the_three_approximation(self):
+        graphs = [build() for build, *_ in PINNED.values()]
+        for g in graphs + instance_suite(12, seed=31):
+            assert exact_btt(g).trail[0] == (0, standard_three_approx(g).cover.cost)
+
+    def test_shuffled_edge_order_keeps_the_optimum(self):
+        rng = random.Random(7)
+        for seed in range(4):
+            g = gen_random(8, complete=True, weights=RATIONAL, seed=seed)
+            edges = [(e.u, e.v, e.sign, e.weight) for e in g.edges]
+            rng.shuffle(edges)
+            shuffled = SignedGraph(g.n, edges, complete=True)
+            for solver in (exact_btt, exact_btt_positive_only):
+                assert solver(shuffled).value == solver(g).value
+
+    def test_deep_search_fails_fast(self):
+        # covering the reduction of an 800-cycle takes more branchings than
+        # the recursion may nest; this used to end in RecursionError
+        n = 800
+        g = gen_vc_reduction(n, [(i, (i + 1) % n) for i in range(n)])
+        with pytest.raises(CapacityError, match=f"deeper than {exact.MAX_BTT_DEPTH}"):
+            exact_btt(g)
+
+    @pytest.mark.parametrize("budget", ["triangle_budget", "node_budget"])
+    def test_negative_budget_is_input_error(self, budget):
+        for g in (gen_figure2(), complete_graph(4, lambda u, v: 1)):
+            for solver in (exact_btt, exact_btt_positive_only):
+                with pytest.raises(InputError, match="must be nonnegative"):
+                    solver(g, **{budget: -1})
 
 
 class TestPositiveOnly:
@@ -245,6 +344,36 @@ class TestRatioSurvey:
                                r["ratio"]) for r in rows]
         assert strip(serial["rows"]) == strip(parallel["rows"])
 
+    def test_fanout_width_capped_by_count_and_cpus(self, monkeypatch):
+        # records the width a pool would start with; no process is started
+        import concurrent.futures
+        widths = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(exact.os, "cpu_count", lambda: 4)
+        make = self.make_complete(5)
+        ratio_survey(make, 3, seed=1, workers=5000)
+        ratio_survey(make, 6, seed=1, workers=5000)
+        monkeypatch.setenv("BTT_WORKERS", "5000")
+        ratio_survey(make, 2, seed=1)
+        assert widths == [3, 4, 2]
+        monkeypatch.setattr(exact.os, "cpu_count", lambda: None)
+        report = ratio_survey(make, 3, seed=1)
+        assert widths == [3, 4, 2] and len(report["rows"]) == 3
+
     def test_workers_env_variable(self, monkeypatch):
         from btt.exact import workers_from_env
         monkeypatch.setenv("BTT_WORKERS", "3")
@@ -312,9 +441,8 @@ class TestWitnessRevalidationFailures:
         search = exact._btt_search
 
         def off_by_one(*args, **kwargs):
-            state, *rest = search(*args, **kwargs)
-            state["best"] += 1
-            return (state, *rest)
+            res = search(*args, **kwargs)
+            return replace(res, value=res.value + 1)
 
         monkeypatch.setattr(exact, "_btt_search", off_by_one)
         for solver in (exact_btt, exact_btt_positive_only):
