@@ -12,9 +12,8 @@ instance families used throughout, all behind a batch-oriented CLI.
 
 from .errors import (BttError, BudgetExceededError, CapacityError,
                      ConvergenceError, InputError, VerificationError)
-from .graphs import (BadTriangle, Clustering, Edge, EdgeCover, NEGATIVE,
-                     POSITIVE, SignedGraph, cc_cost, enumerate_bad_triangles,
-                     flip_edges, is_feasible_cover)
+from .graphs import (Clustering, Edge, EdgeCover, NEGATIVE, POSITIVE,
+                     SignedGraph, cc_cost, flip_edges, is_feasible_cover)
 from .lp import (FractionalCover, FractionalPacking, LpSolution,
                  check_fractional_feasibility, check_packing_feasibility,
                  greedy_maximal_packing, solve_exact, solve_mwu)

@@ -101,7 +101,7 @@ def standard_three_approx(g: SignedGraph) -> RoundingOutcome:
     cardinality certificate is size <= 3 x packing size.
     """
     packing = greedy_maximal_packing(g)
-    ids = sorted({eid for t in packing for eid in t.edge_ids})
+    ids = sorted({eid for t in packing for eid in t})
     return RoundingOutcome.create(
         g, ids, ALG_THREE_APPROX,
         lower_bound=len(packing), ratio_numerator=len(ids))

@@ -90,11 +90,7 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
         weights = [Fraction(w) for w in weights]
     tri_mask, cheapest, edge_tri_mask = [], [], [0] * g.m
     for ti, t in enumerate(tris):
-        ids = sorted((e for e in t.edge_ids if e in allowed_set),
-                     key=weights.__getitem__)
-        if not ids:
-            raise InputError(
-                f"triangle {t.nodes} has no allowed edge; no feasible cover exists")
+        ids = sorted((e for e in t if e in allowed_set), key=weights.__getitem__)
         tri_mask.append(sum(1 << e for e in ids))
         cheapest.append(tuple((1 << e, weights[e]) for e in ids))
         for e in ids:
@@ -258,6 +254,9 @@ def exact_cc(g: SignedGraph, *,
     exit once matched.  Guarded by ``max_nodes``; larger instances need a
     different oracle.
     """
+    if min(max_nodes, node_budget) < 0:
+        raise InputError(f"clustering limits must be nonnegative: max nodes "
+                         f"{max_nodes}, node budget {node_budget}")
     _check_cc_node_cap(g, max_nodes)
     if g.n == 0:
         return ExactResult(0, Clustering((), 0), 0, 0, ((0, 0),))
@@ -270,27 +269,28 @@ def exact_cc(g: SignedGraph, *,
     one_cluster = Clustering.from_labels([0] * g.n)
     seeds = [(cc_cost(g, singletons), singletons),
              (cc_cost(g, one_cluster), one_cluster)]
-    best_value, best_witness = min(seeds, key=lambda s: s[0])
-    trail = [(0, best_value)]
+    best, witness = min(seeds, key=lambda s: s[0])
+    trail = [(0, best)]
     labels = [0] * g.n
-    state = {"nodes": 0, "best": best_value, "witness": best_witness,
-             "done": best_value == lower_bound}
+    nodes = 0
+    done = best == lower_bound
 
     def assign(i: int, k: int, cost):
-        if state["done"]:
+        nonlocal nodes, best, witness, done
+        if done:
             return
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
+        nodes += 1
+        if nodes > node_budget:
             raise BudgetExceededError(
                 f"clustering search exceeded {node_budget} nodes",
-                (lower_bound if lower_bound is not None else 0, state["best"]))
+                (lower_bound if lower_bound is not None else 0, best))
         if i == g.n:
-            if cost < state["best"]:
-                state["best"] = cost
-                state["witness"] = Clustering.from_labels(labels)
-                trail.append((state["nodes"], cost))
+            if cost < best:
+                best = cost
+                witness = Clustering.from_labels(labels)
+                trail.append((nodes, cost))
                 if lower_bound is not None and cost == lower_bound:
-                    state["done"] = True
+                    done = True
             return
         # cost of putting node i into cluster c: negative edges inside,
         # positive edges towards every other existing cluster
@@ -307,7 +307,7 @@ def exact_cc(g: SignedGraph, *,
         for c in range(k + 1):
             added = (pos_total - pos_to.get(c, 0)) + neg_to.get(c, 0)
             new_cost = cost + added
-            if new_cost >= state["best"]:
+            if new_cost >= best:
                 continue
             labels[i] = c
             assign(i + 1, max(k, c + 1), new_cost)
@@ -315,10 +315,9 @@ def exact_cc(g: SignedGraph, *,
 
     labels[0] = 0
     assign(1, 1, 0)
-    witness = state["witness"]
-    if cc_cost(g, witness) != state["best"]:
+    if cc_cost(g, witness) != best:
         raise VerificationError("clustering search returned an invalid witness")
-    return ExactResult(state["best"], witness, state["nodes"],
+    return ExactResult(best, witness, nodes,
                        lower_bound if lower_bound is not None else 0,
                        tuple(trail))
 

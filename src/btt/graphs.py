@@ -5,6 +5,10 @@ A signed graph is a simple undirected graph whose edges carry a sign
 exactly one negative edge; the covering, clustering and LP machinery in the
 rest of the package is built on top of the types defined here.
 
+Every layer reads bad triangles in one form: the tuple cached by
+``SignedGraph.bad_triangles()``, holding one edge-id triple ``(ab, ac, bc)``
+per triangle on nodes a < b < c, in lexicographic order of (a, b, c).
+
 Graphs are immutable after construction: every "mutating" operation
 (``flip_edges``) returns a new value, so instances can be shared freely
 across threads.
@@ -52,21 +56,6 @@ class Edge:
     @property
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v)
-
-
-@dataclass(frozen=True)
-class BadTriangle:
-    """A node triple spanning exactly one negative and two positive edges."""
-
-    nodes: tuple[int, int, int]
-    edge_ids: tuple[int, int, int]
-    negative_edge: int
-
-    def __post_init__(self):
-        if not (self.nodes[0] < self.nodes[1] < self.nodes[2]):
-            raise InputError(f"triangle nodes must be ordered: {self.nodes}")
-        if self.negative_edge not in self.edge_ids:
-            raise InputError("negative edge must be one of the member edges")
 
 
 class SignedGraph:
@@ -118,7 +107,7 @@ class SignedGraph:
         self.edges: tuple[Edge, ...] = tuple(canonical)
         self.complete = complete
         self._pair_to_id = pair_to_id
-        self._bad_triangles: tuple[BadTriangle, ...] | None = None
+        self._bad_triangles: tuple[tuple[int, int, int], ...] | None = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -130,18 +119,8 @@ class SignedGraph:
         """Dense id of edge {u, v}, or None when the pair is absent."""
         return self._pair_to_id.get(_canon(u, v))
 
-    def sign_of(self, u: int, v: int) -> int | None:
-        eid = self.edge_id(u, v)
-        return None if eid is None else self.edges[eid].sign
-
     def positive_edge_ids(self) -> list[int]:
         return [i for i, e in enumerate(self.edges) if e.sign == POSITIVE]
-
-    def negative_edge_ids(self) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if e.sign == NEGATIVE]
-
-    def total_weight(self) -> Weight:
-        return sum(e.weight for e in self.edges)
 
     def is_exact(self) -> bool:
         """True when every weight is an int or Fraction (rational mode)."""
@@ -158,42 +137,41 @@ class SignedGraph:
 
     # -- bad triangles ----------------------------------------------------
 
-    def bad_triangles(self) -> tuple[BadTriangle, ...]:
-        """All bad triangles, cached, in lexicographic node-triple order."""
+    def bad_triangles(self) -> tuple[tuple[int, int, int], ...]:
+        """All bad triangles, cached: one edge-id triple ``(ab, ac, bc)`` per
+        triangle on nodes a < b < c, in lexicographic order of (a, b, c).
+
+        Iterates positive wedges (pairs of positive edges sharing a node)
+        and looks the closing pair up among the negative edges, so the work
+        scales with the positive-wedge count rather than n^3 on
+        sparse-positive graphs.  A bad triangle has a unique wedge centre
+        (the node on both positive edges), so no deduplication is needed,
+        and the centre's two edge ids come with its adjacency.
+        """
         if self._bad_triangles is None:
-            self._bad_triangles = tuple(enumerate_bad_triangles(self))
+            negative = {e.pair: eid for eid, e in enumerate(self.edges)
+                        if e.sign == NEGATIVE}
+            positive: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+            for eid, e in enumerate(self.edges):
+                if e.sign == POSITIVE:
+                    positive[e.u].append((e.v, eid))
+                    positive[e.v].append((e.u, eid))
+            found = []
+            for c, nbrs in enumerate(positive):
+                nbrs.sort()
+                for (a, ca), (b, cb) in combinations(nbrs, 2):
+                    ab = negative.get((a, b))
+                    if ab is None:
+                        continue
+                    if c < a:
+                        found.append(((c, a, b), (ca, cb, ab)))
+                    elif c < b:
+                        found.append(((a, c, b), (ca, ab, cb)))
+                    else:
+                        found.append(((a, b, c), (ab, ca, cb)))
+            found.sort()
+            self._bad_triangles = tuple(ids for _, ids in found)
         return self._bad_triangles
-
-
-def enumerate_bad_triangles(g: SignedGraph) -> list[BadTriangle]:
-    """Every node triple with exactly one negative edge, each exactly once.
-
-    Iterates positive wedges (pairs of positive edges sharing a node) and
-    tests the sign of the closing pair, so the work scales with the
-    positive-wedge count rather than n^3 on sparse-positive graphs.  A bad
-    triangle has a unique wedge center (the node on both positive edges),
-    so no deduplication is needed.  Output is sorted lexicographically by
-    node triple.
-    """
-    pos_neighbors: list[list[int]] = [[] for _ in range(g.n)]
-    for e in g.edges:
-        if e.sign == POSITIVE:
-            pos_neighbors[e.u].append(e.v)
-            pos_neighbors[e.v].append(e.u)
-    found: list[BadTriangle] = []
-    for center in range(g.n):
-        nbrs = sorted(pos_neighbors[center])
-        for a, b in combinations(nbrs, 2):
-            eid = g.edge_id(a, b)
-            if eid is None or g.edges[eid].sign != NEGATIVE:
-                continue
-            nodes = tuple(sorted((center, a, b)))
-            ids = (g.edge_id(nodes[0], nodes[1]),
-                   g.edge_id(nodes[0], nodes[2]),
-                   g.edge_id(nodes[1], nodes[2]))
-            found.append(BadTriangle(nodes, ids, eid))
-    found.sort(key=lambda t: t.nodes)
-    return found
 
 
 @dataclass(frozen=True)
@@ -231,7 +209,7 @@ def is_feasible_cover(g: SignedGraph, cover: EdgeCover | Iterable[int]) -> bool:
     """True iff every bad triangle of ``g`` contains at least one cover edge."""
     ids = cover.edge_ids if isinstance(cover, EdgeCover) else frozenset(cover)
     g.check_edge_ids(ids)
-    return all(any(eid in ids for eid in t.edge_ids) for t in g.bad_triangles())
+    return all(a in ids or b in ids or c in ids for a, b, c in g.bad_triangles())
 
 
 @dataclass(frozen=True)

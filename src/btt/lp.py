@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError, InputError, VerificationError
-from .graphs import BadTriangle, SignedGraph, json_value
+from .graphs import SignedGraph, json_value
 
 #: Threshold separating "zero" from "positive" LP values in floating mode.
 #: In rational mode the trichotomy is exact and the threshold is 0.
@@ -93,7 +93,8 @@ class FractionalCover:
 
 @dataclass(frozen=True)
 class FractionalPacking:
-    """Per-bad-triangle dual values y_t >= 0, aligned with g.bad_triangles()."""
+    """Per-bad-triangle dual values y_t >= 0: ``values[i]`` belongs to the
+    edge-id triple ``g.bad_triangles()[i]`` (lexicographic node order)."""
 
     values: tuple
     objective: object
@@ -133,7 +134,7 @@ def check_fractional_feasibility(g: SignedGraph, x: FractionalCover, tol=0) -> b
     if any(v < -tol for v in x.values):
         return False
     vals = x.values
-    return all(sum(vals[i] for i in t.edge_ids) >= 1 - tol for t in g.bad_triangles())
+    return all(vals[a] + vals[b] + vals[c] >= 1 - tol for a, b, c in g.bad_triangles())
 
 
 def check_packing_feasibility(g: SignedGraph, y: FractionalPacking, tol=0) -> bool:
@@ -142,12 +143,12 @@ def check_packing_feasibility(g: SignedGraph, y: FractionalPacking, tol=0) -> bo
         return False
     load = [0] * g.m
     for t, yt in zip(g.bad_triangles(), y.values):
-        for eid in t.edge_ids:
+        for eid in t:
             load[eid] += yt
     return all(load[i] <= g.edges[i].weight + tol for i in range(g.m))
 
 
-def greedy_maximal_packing(g: SignedGraph) -> list[BadTriangle]:
+def greedy_maximal_packing(g: SignedGraph) -> list[tuple[int, int, int]]:
     """Maximal set of pairwise edge-disjoint bad triangles, greedy in
     deterministic (lexicographic) triangle order.
 
@@ -155,18 +156,18 @@ def greedy_maximal_packing(g: SignedGraph) -> list[BadTriangle]:
     unweighted graphs its size lower-bounds the cover-LP value.
     """
     used: set[int] = set()
-    chosen: list[BadTriangle] = []
+    chosen: list[tuple[int, int, int]] = []
     for t in g.bad_triangles():
-        if not any(eid in used for eid in t.edge_ids):
+        if used.isdisjoint(t):
             chosen.append(t)
-            used.update(t.edge_ids)
+            used.update(t)
     return chosen
 
 
 # -- exact rational simplex ------------------------------------------------
 
 
-def _packing_simplex(triangles: list[tuple[int, int, int]], weights: list[Fraction]):
+def _packing_simplex(triangles: Sequence[tuple[int, int, int]], weights: list[Fraction]):
     """Simplex on: max sum(y) s.t. per-edge load <= weight, y >= 0 (Bland's rule).
 
     Returns (x, y, value): the packing optimum y, the cover optimum x read
@@ -233,7 +234,8 @@ def _packing_simplex(triangles: list[tuple[int, int, int]], weights: list[Fracti
     return x, y, value
 
 
-def _float_packing_simplex(triangles: list[tuple[int, int, int]], weights: list[float]):
+def _float_packing_simplex(triangles: Sequence[tuple[int, int, int]],
+                           weights: list[float]):
     """Float mirror of :func:`_packing_simplex`: the same tableau, Bland's
     entering rule and lowest-basic-index choice among tied rows, with
     ``_FLOAT_PIVOT_TOL`` standing in for exact zero in comparisons.  Small
@@ -330,13 +332,12 @@ def solve_exact(g: SignedGraph,
         primal = FractionalCover.from_values(g, [Fraction(0)] * g.m)
         dual = FractionalPacking.from_values(g, [])
         return LpSolution(primal, dual, STATUS_EXACT, (Fraction(0), Fraction(0)))
-    triangles = [t.edge_ids for t in tris]
     weights = [Fraction(e.weight) for e in g.edges]
-    certified = _certified_float_optimum(g, triangles, weights)
+    certified = _certified_float_optimum(g, tris, weights)
     if certified is not None:
         primal, dual = certified
     else:
-        x, y, value = _packing_simplex(triangles, weights)
+        x, y, value = _packing_simplex(tris, weights)
         primal = FractionalCover.from_values(g, x).clamped(g)
         dual = FractionalPacking.from_values(g, y)
         if primal.objective != value or dual.objective != value:
@@ -444,7 +445,7 @@ def solve_mwu(g: SignedGraph, eps: float,
     # Edges of zero weight cover their triangles for free.
     w = np.array([float(e.weight) for e in g.edges])
     free = w == 0
-    all_edges = np.array([t.edge_ids for t in tris_all], dtype=np.int64)
+    all_edges = np.array(tris_all, dtype=np.int64)
     keep = ~free[all_edges].any(axis=1)
     x_final = free.astype(float)
     if not keep.any():

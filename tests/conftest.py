@@ -18,15 +18,22 @@ from btt.rng import spawn_seeds
 
 
 def brute_force_bad_triples(g: SignedGraph) -> list[tuple[int, int, int]]:
-    """All bad triangles by scanning every node triple."""
+    """All bad triangles by scanning every node triple a < b < c, as
+    edge-id triples (ab, ac, bc)."""
     out = []
     for a, b, c in combinations(range(g.n), 3):
-        signs = [g.sign_of(a, b), g.sign_of(a, c), g.sign_of(b, c)]
-        if None in signs:
+        ids = (g.edge_id(a, b), g.edge_id(a, c), g.edge_id(b, c))
+        if None in ids:
             continue
-        if sum(1 for s in signs if s != POSITIVE) == 1:
-            out.append((a, b, c))
+        if sum(1 for eid in ids if g.edges[eid].sign != POSITIVE) == 1:
+            out.append(ids)
     return out
+
+
+def triangle_nodes(g: SignedGraph, t: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Nodes a < b < c of the edge-id triple ``t = (ab, ac, bc)``."""
+    ab, ac, _ = t
+    return g.edges[ab].u, g.edges[ab].v, g.edges[ac].v
 
 
 def brute_force_min_cover(g: SignedGraph):
@@ -39,7 +46,7 @@ def brute_force_min_cover(g: SignedGraph):
     for k in range(g.m + 1):
         for ids in combinations(range(g.m), k):
             chosen = set(ids)
-            if all(any(e in chosen for e in t.edge_ids) for t in tris):
+            if all(any(e in chosen for e in t) for t in tris):
                 cost = sum(g.edges[i].weight for i in ids)
                 if best is None or cost < best:
                     best = cost
@@ -92,10 +99,10 @@ def brute_force_max_packing(g: SignedGraph) -> int:
             used = set()
             ok = True
             for t in subset:
-                if any(e in used for e in t.edge_ids):
+                if any(e in used for e in t):
                     ok = False
                     break
-                used.update(t.edge_ids)
+                used.update(t)
             if ok:
                 best = max(best, k)
                 break
@@ -111,7 +118,7 @@ def scipy_cover_lp_value(g: SignedGraph) -> float:
         return 0.0
     rows = np.zeros((len(tris), g.m))
     for r, t in enumerate(tris):
-        for e in t.edge_ids:
+        for e in t:
             rows[r, e] = 1.0
     cost = np.array([float(e.weight) for e in g.edges])
     res = linprog(cost, A_ub=-rows, b_ub=-np.ones(len(tris)),

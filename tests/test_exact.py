@@ -31,7 +31,8 @@ class TestExactBtt:
     def test_figure2_known_optima_are_optimal(self):
         g = gen_figure2()
         published = EdgeCover.from_pairs(g, [(0, 2), (0, 4), (1, 5), (3, 5)])
-        all_negative = EdgeCover.from_ids(g, g.negative_edge_ids())
+        all_negative = EdgeCover.from_ids(
+            g, [i for i, e in enumerate(g.edges) if e.sign == -1])
         assert is_feasible_cover(g, published) and published.cost == 4
         assert is_feasible_cover(g, all_negative) and all_negative.cost == 4
 
@@ -250,6 +251,11 @@ class TestExactCc:
         g = gen_random(9, positive_prob=0.5, complete=True, seed=2)
         with pytest.raises(BudgetExceededError):
             exact_cc(g, node_budget=3)
+
+    @pytest.mark.parametrize("limit", ["max_nodes", "node_budget"])
+    def test_negative_limit_is_input_error(self, limit):
+        with pytest.raises(InputError, match="must be nonnegative"):
+            exact_cc(gen_figure2(), **{limit: -1})
 
 
 class TestSandwich:

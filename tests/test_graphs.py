@@ -5,14 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btt import (Clustering, EdgeCover, InputError, SignedGraph, cc_cost,
-                 enumerate_bad_triangles, flip_edges, gen_figure2,
-                 gen_integrality_gap, is_feasible_cover)
+                 flip_edges, gen_figure2, gen_integrality_gap,
+                 is_feasible_cover)
 from btt.errors import CapacityError
 from btt.graphs import (COMPLETE_NODE_BOUND, clustering_from_json,
                         clustering_to_json, complete_graph, cover_from_json,
                         cover_to_json, format_edge_list, graph_from_json,
                         graph_to_json, parse_edge_list)
-from conftest import brute_force_bad_triples
+from conftest import brute_force_bad_triples, triangle_nodes
 
 FIG2_COVER_PAIRS = [(0, 2), (0, 4), (1, 5), (3, 5)]  # ac, ae, bf, df
 
@@ -77,43 +77,41 @@ class TestConstruction:
 class TestBadTriangles:
     def test_figure2_list_matches_brute_force(self):
         g = gen_figure2()
-        tris = enumerate_bad_triangles(g)
-        assert [t.nodes for t in tris] == brute_force_bad_triples(g)
-        assert [t.nodes for t in tris] == [
+        tris = g.bad_triangles()
+        assert list(tris) == brute_force_bad_triples(g)
+        assert [triangle_nodes(g, t) for t in tris] == [
             (0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 4),
             (1, 2, 5), (1, 4, 5), (2, 3, 5), (3, 4, 5)]
 
     def test_all_positive_complete_graph_has_none(self):
         g = complete_graph(4, lambda u, v: 1)
-        assert enumerate_bad_triangles(g) == []
+        assert g.bad_triangles() == ()
 
     def test_gap_instance_n3_one_triangle_per_negative_edge(self):
         g = gen_integrality_gap(3)
-        tris = enumerate_bad_triangles(g)
+        tris = g.bad_triangles()
         assert len(tris) == 3
-        negatives = {t.negative_edge for t in tris}
-        assert negatives == set(g.negative_edge_ids())
+        negatives = {e for t in tris for e in t if g.edges[e].sign == -1}
+        assert negatives == {i for i, e in enumerate(g.edges) if e.sign == -1}
 
     def test_triangle_fields_consistent(self):
         g = gen_figure2()
         for t in g.bad_triangles():
-            u, v, w = t.nodes
-            assert t.edge_ids == (g.edge_id(u, v), g.edge_id(u, w), g.edge_id(v, w))
-            assert g.edges[t.negative_edge].sign == -1
-            positives = [e for e in t.edge_ids if e != t.negative_edge]
-            assert all(g.edges[e].sign == 1 for e in positives)
+            u, v, w = triangle_nodes(g, t)
+            assert u < v < w
+            assert t == (g.edge_id(u, v), g.edge_id(u, w), g.edge_id(v, w))
+            assert sorted(g.edges[e].sign for e in t) == [-1, 1, 1]
 
     @settings(max_examples=60, deadline=None)
     @given(signed_graphs())
     def test_enumeration_matches_brute_force(self, g):
-        assert [t.nodes for t in enumerate_bad_triangles(g)] == \
-            brute_force_bad_triples(g)
+        assert list(g.bad_triangles()) == brute_force_bad_triples(g)
 
     def test_cached_and_sorted(self):
         g = gen_figure2()
         tris = g.bad_triangles()
         assert tris is g.bad_triangles()
-        assert list(tris) == sorted(tris, key=lambda t: t.nodes)
+        assert list(tris) == sorted(tris, key=lambda t: triangle_nodes(g, t))
 
 
 class TestFeasibleCover:
@@ -197,9 +195,10 @@ class TestFlipEdges:
     def test_flip_bc_reenumerates_to_brute_force(self):
         g = gen_figure2()
         flipped = flip_edges(g, [g.edge_id(1, 2)])
-        tris = enumerate_bad_triangles(flipped)
-        assert [t.nodes for t in tris] == brute_force_bad_triples(flipped)
-        assert {t.nodes for t in tris} != {t.nodes for t in g.bad_triangles()}
+        tris = flipped.bad_triangles()
+        assert list(tris) == brute_force_bad_triples(flipped)
+        assert {triangle_nodes(flipped, t) for t in tris} != \
+            {triangle_nodes(g, t) for t in g.bad_triangles()}
 
     def test_invalid_id_raises(self):
         with pytest.raises(InputError):

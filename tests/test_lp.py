@@ -14,7 +14,8 @@ from btt.lp import (FractionalCover, STATUS_EPS, STATUS_EXACT,
                     lp_solution_to_json, x_raw_to_feasible)
 from btt.rng import spawn_seeds
 from conftest import (brute_force_max_packing, instance_suite,
-                      patch_fraction_simplex, scipy_cover_lp_value)
+                      patch_fraction_simplex, scipy_cover_lp_value,
+                      triangle_nodes)
 
 
 def half_on_positives(g):
@@ -38,8 +39,7 @@ def certified_graphs():
 
 def fraction_simplex_pair(g):
     """(x, y) as the exact-rational simplex alone returns them."""
-    tris = g.bad_triangles()
-    x, y, _ = lp._packing_simplex([t.edge_ids for t in tris],
+    x, y, _ = lp._packing_simplex(g.bad_triangles(),
                                   [Fraction(e.weight) for e in g.edges])
     return FractionalCover.from_values(g, x).clamped(g).values, tuple(y)
 
@@ -117,14 +117,14 @@ class TestExactSolver:
             tris = g.bad_triangles()
             load = [Fraction(0)] * g.m
             for t, yt in zip(tris, y.values):
-                for eid in t.edge_ids:
+                for eid in t:
                     load[eid] += yt
             for eid in range(g.m):
                 if x.values[eid] > 0:
                     assert load[eid] == Fraction(g.edges[eid].weight)
             for t, yt in zip(tris, y.values):
                 if yt > 0:
-                    assert sum(x.values[e] for e in t.edge_ids) == 1
+                    assert sum(x.values[e] for e in t) == 1
 
     def test_deterministic_output(self):
         g = gen_figure2()
@@ -144,7 +144,7 @@ class TestGreedyPacking:
     def test_single_bad_triangle(self):
         g = SignedGraph(3, [(0, 1, 1), (0, 2, 1), (1, 2, -1)])
         packing = greedy_maximal_packing(g)
-        assert len(packing) == 1 and packing[0].nodes == (0, 1, 2)
+        assert len(packing) == 1 and triangle_nodes(g, packing[0]) == (0, 1, 2)
 
     def test_gap4_packs_two(self):
         g = gen_integrality_gap(4)
@@ -160,12 +160,12 @@ class TestGreedyPacking:
             packing = greedy_maximal_packing(g)
             used = set()
             for t in packing:
-                assert not used & set(t.edge_ids)
-                used.update(t.edge_ids)
-            chosen = {t.nodes for t in packing}
+                assert not used & set(t)
+                used.update(t)
+            chosen = {triangle_nodes(g, t) for t in packing}
             for t in g.bad_triangles():
-                if t.nodes not in chosen:
-                    assert used & set(t.edge_ids), "packing not maximal"
+                if triangle_nodes(g, t) not in chosen:
+                    assert used & set(t), "packing not maximal"
             if all(e.weight == 1 for e in g.edges):
                 assert len(packing) <= solve_exact(g).value
 
@@ -252,8 +252,8 @@ class TestPhasedMwu:
         x = solve_mwu(g, 0.1).primal.values
         tight = set()
         for t in g.bad_triangles():
-            if abs(sum(x[e] for e in t.edge_ids) - 1) <= 1e-9:
-                tight.update(t.edge_ids)
+            if abs(sum(x[e] for e in t) - 1) <= 1e-9:
+                tight.update(t)
         assert all(e in tight for e in range(g.m) if x[e] > 0)
 
 
