@@ -231,7 +231,13 @@ def _load_graph(cfg: RunConfig) -> SignedGraph:
     if mode == "auto":
         mode = "rational" if g.n <= RATIONAL_MODE_NODE_LIMIT else "float"
     if mode == "float":
-        tuples = [(e.u, e.v, e.sign, float(e.weight)) for e in g.edges]
+        tuples = []
+        for e in g.edges:
+            try:
+                tuples.append((e.u, e.v, e.sign, float(e.weight)))
+            except OverflowError:
+                raise InputError(f"weight on edge ({e.u},{e.v}) is too large "
+                                 f"for --mode float") from None
         g = SignedGraph(g.n, tuples, complete=g.complete)
     elif mode != "rational":
         raise InputError(f"mode must be rational, float or auto, got {mode!r}")

@@ -15,15 +15,26 @@ across threads.
 
 Weights are generic over the number kind: ``int``/``Fraction`` weights give
 exact-rational behaviour (required by the exact LP solver and the charging
-oracles), ``float`` weights trade exactness for speed.
+oracles), ``float`` weights trade exactness for speed.  Float weights must
+be finite.
+
+Beside the triangles, a graph caches its edges as numpy columns
+(``SignedGraph.edge_columns()``): endpoints u and v, a positive-sign mask,
+and the weights as float64 when every weight is a Python float.
+``cc_cost`` sums over those columns on all-float graphs and loops over the
+edges on int, Fraction and mixed-weight graphs; both add in edge-id order,
+so the two give the same value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, InputError
 
@@ -44,8 +55,7 @@ def _canon(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One undirected edge with canonical ``u < v`` endpoint order."""
 
     u: int
@@ -58,6 +68,20 @@ class Edge:
         return (self.u, self.v)
 
 
+class EdgeColumns(NamedTuple):
+    """The edges of a graph as numpy columns, indexed by edge id.
+
+    ``weight`` holds the weights as float64 when every weight is a Python
+    float, and is None otherwise: sums over int, Fraction or mixed weights
+    stay in Python arithmetic.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    positive: np.ndarray
+    weight: np.ndarray | None
+
+
 class SignedGraph:
     """Immutable signed graph with dense integer edge ids.
 
@@ -65,14 +89,15 @@ class SignedGraph:
     iteration and tie-breaking in every downstream algorithm.
     """
 
-    __slots__ = ("n", "edges", "complete", "_pair_to_id", "_bad_triangles")
+    __slots__ = ("n", "edges", "complete", "_pair_to_id", "_bad_triangles",
+                 "_columns")
 
     def __init__(self, n: int, edges: Iterable[tuple], complete: bool = False):
         """Build a graph from ``(u, v, sign[, weight])`` tuples.
 
         Raises InputError on self-loops, duplicate pairs, bad signs,
-        negative weights, out-of-range node ids, or a ``complete`` flag
-        that does not match the edge count.
+        negative or non-finite weights, out-of-range node ids, or a
+        ``complete`` flag that does not match the edge count.
         """
         if n < 0:
             raise InputError(f"node count must be nonnegative, got {n}")
@@ -92,6 +117,8 @@ class SignedGraph:
                 raise InputError(f"self-loop at node {u}")
             if sign not in (POSITIVE, NEGATIVE):
                 raise InputError(f"sign must be +1 or -1, got {sign!r}")
+            if isinstance(weight, float) and not math.isfinite(weight):
+                raise InputError(f"non-finite weight on edge ({u},{v}): {weight}")
             if weight < 0:
                 raise InputError(f"negative weight on edge ({u},{v}): {weight}")
             pair = _canon(u, v)
@@ -108,6 +135,7 @@ class SignedGraph:
         self.complete = complete
         self._pair_to_id = pair_to_id
         self._bad_triangles: tuple[tuple[int, int, int], ...] | None = None
+        self._columns: EdgeColumns | None = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -130,6 +158,21 @@ class SignedGraph:
         for eid in edge_ids:
             if not (0 <= eid < self.m):
                 raise InputError(f"invalid edge id {eid} (graph has {self.m} edges)")
+
+    def edge_columns(self) -> EdgeColumns:
+        """The edges as numpy columns, built on first use and cached."""
+        if self._columns is None:
+            u, v, sign, weight = (zip(*self.edges) if self.edges
+                                  else ((), (), (), ()))
+            floats = None
+            if all(type(w) is float for w in weight):
+                # + 0.0 turns -0.0 into 0.0, as the first step of a sum
+                # that starts from int 0 does
+                floats = np.array(weight, dtype=np.float64) + 0.0
+            self._columns = EdgeColumns(
+                np.array(u, dtype=np.intp), np.array(v, dtype=np.intp),
+                np.array(sign, dtype=np.intp) == POSITIVE, floats)
+        return self._columns
 
     def __repr__(self) -> str:
         kind = "complete " if self.complete else ""
@@ -253,12 +296,21 @@ def cc_cost(g: SignedGraph, clustering: Clustering) -> Weight:
     """Correlation-clustering disagreements of a partition.
 
     Sum of weights of positive edges crossing clusters plus negative edges
-    inside clusters.  Absent pairs contribute nothing.
+    inside clusters, added in edge-id order starting from int 0.  Absent
+    pairs contribute nothing.  On float-weight graphs the sum runs over the
+    cached edge columns; ``np.add.accumulate`` adds sequentially, so the
+    result is the loop's to the last bit.
     """
     if len(clustering.labels) != g.n:
         raise InputError(
             f"clustering labels {len(clustering.labels)} != node count {g.n}")
     labels = clustering.labels
+    cols = g.edge_columns()
+    if cols.weight is not None:
+        lab = np.array(labels, dtype=np.intp)
+        disagree = (lab[cols.u] == lab[cols.v]) != cols.positive
+        weights = cols.weight[disagree]
+        return float(np.add.accumulate(weights)[-1]) if weights.size else 0
     total: Weight = 0
     for e in g.edges:
         same = labels[e.u] == labels[e.v]
@@ -297,13 +349,18 @@ def complete_graph(n: int, sign_of_pair) -> SignedGraph:
 
 
 def _parse_weight(token: str) -> Weight:
+    whole, dot, frac = token.partition(".")
+    if dot and whole.isdigit() and frac.isdigit() and token.isascii():
+        # a plain decimal D.F: the value Fraction(token) gives, without
+        # its regular-expression parse
+        return Fraction(int(whole + frac), 10 ** len(frac))
     try:
         return int(token)
     except ValueError:
         pass
     try:
         return Fraction(token)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse weight {token!r}") from exc
 
 

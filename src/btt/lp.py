@@ -244,7 +244,9 @@ def _float_packing_simplex(triangles: Sequence[tuple[int, int, int]],
 
     Returns float lists (x, y) read off the final tableau as the exact
     solver reads them, or None when the pivot column has no positive
-    entry or the pivot cap is reached; the caller then falls back.
+    entry; the caller then falls back.  Raises CapacityError at the pivot
+    cap: an instance that stalls the float simplex that long is beyond
+    the Fraction simplex too.
     """
     m = len(weights)
     nt = len(triangles)
@@ -256,7 +258,8 @@ def _float_packing_simplex(triangles: Sequence[tuple[int, int, int]],
     basis = np.arange(nt, nt + m)
     obj = np.concatenate([np.ones(nt), np.zeros(m)])
 
-    for _ in range(_FLOAT_PIVOT_CAP_PER_COLUMN * (nt + m)):
+    cap = _FLOAT_PIVOT_CAP_PER_COLUMN * (nt + m)
+    for _ in range(cap):
         positive = np.flatnonzero(obj > tol)
         if positive.size == 0:
             y = np.zeros(nt)
@@ -279,7 +282,11 @@ def _float_packing_simplex(triangles: Sequence[tuple[int, int, int]],
         rhs[leave] = piv_rhs
         obj -= obj[enter] * piv_row
         basis[leave] = enter
-    return None
+    raise CapacityError(
+        f"the float simplex reached its cap of {cap} pivots on {nt} bad "
+        f"triangles; the exact solver cannot finish at this size: use "
+        f"solve_mwu for an approximate solution (btt solve --alg lp-mwu, or "
+        f"--mode float for the roundings)")
 
 
 def _certified_float_optimum(g: SignedGraph, triangles, weights):
@@ -320,7 +327,8 @@ def solve_exact(g: SignedGraph,
     finite.
 
     Raises CapacityError when the bad-triangle count exceeds
-    ``max_triangles``; use :func:`solve_mwu` there.  Raises
+    ``max_triangles`` or the float simplex reaches its pivot cap; use
+    :func:`solve_mwu` there.  Raises
     VerificationError if the exact simplex loses strong duality.
     """
     tris = g.bad_triangles()

@@ -14,10 +14,25 @@ that ``join_probabilities`` defines for every algorithm:
   within twice the cover size.
 * ``pivot``: 1 over positive edges, 0 over negative ones; no cover.
 
-The probabilities are computed, and the cover checked, once per batch:
-``pivot_trials`` samples all its trials from the same per-node neighbour
-lists, and ``run_pivot`` is a batch of one.  Disagreements are always
-counted on the input graph.
+Each algorithm's rule is one table from (edge is positive, edge is in the
+cover) to one of four shared Fraction constants, 0, 1/4, 3/4 and 1:
+
+=============  =========  ==========  =========  ==========
+algorithm      +, out     +, in       -, out     -, in
+=============  =========  ==========  =========  ==========
+cover-pivot    1          1/4         0          3/4
+flip-pivot     1          0           0          1
+pivot          1          --          0          --
+=============  =========  ==========  =========  ==========
+
+``join_probabilities`` reads the table per edge in exact rationals, for
+the exhaustive oracle.  The sampler converts the four cells to floats
+once; each is exact in binary, so a uniform draw compares with the float
+as it would with the Fraction.  The probabilities are computed, and the
+cover checked, once per batch: ``pivot_trials`` samples all its trials
+from the same per-node neighbour lists, and ``run_pivot`` is a batch of
+one.  Disagreements are always counted on the input graph, by
+``cc_cost``.
 
 The guarantee rests on a finite case analysis over the 4 triangle sign
 classes times the 8 cover-membership patterns; ``verify_charging_tables``
@@ -32,6 +47,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
 from .errors import CapacityError, InputError, VerificationError
 from .graphs import (Clustering, EdgeCover, POSITIVE, SignedGraph, cc_cost,
                      is_feasible_cover)
@@ -43,15 +60,27 @@ ALG_COVER_PIVOT = "cover-pivot"
 ALG_FLIP_PIVOT = "flip-pivot"
 
 
+_ZERO, _QUARTER, _THREE_QUARTERS, _ONE = (Fraction(0), Fraction(1, 4),
+                                          Fraction(3, 4), Fraction(1))
+
+#: Join probability per algorithm, keyed by (edge is positive, edge is in
+#: the cover).  ``pivot`` has no cover, so only its (_, False) cells occur.
+_JOIN_TABLES = {
+    ALG_COVER_PIVOT: {(True, False): _ONE, (True, True): _QUARTER,
+                      (False, False): _ZERO, (False, True): _THREE_QUARTERS},
+    ALG_FLIP_PIVOT: {(True, False): _ONE, (True, True): _ZERO,
+                     (False, False): _ZERO, (False, True): _ONE},
+}
+_JOIN_TABLES[ALG_STANDARD_PIVOT] = _JOIN_TABLES[ALG_FLIP_PIVOT]
+
+
 def inclusion_probability(sign: int, in_cover: bool) -> Fraction:
     """Probability that a neighbour joins the pivot's cluster over one edge.
 
     Positive edges join with probability 1, negative edges never; edges in
     the cover are softened to 1/4 (positive) and 3/4 (negative).
     """
-    if sign == POSITIVE:
-        return Fraction(1, 4) if in_cover else Fraction(1)
-    return Fraction(3, 4) if in_cover else Fraction(0)
+    return _JOIN_TABLES[ALG_COVER_PIVOT][sign == POSITIVE, bool(in_cover)]
 
 
 @dataclass(frozen=True)
@@ -264,15 +293,11 @@ class PivotTrace:
     removed_per_round: tuple[int, ...]
 
 
-def join_probabilities(g: SignedGraph, algorithm: str,
-                       cover: EdgeCover | None = None) -> list[Fraction]:
-    """Exact probability, per edge id, that a neighbour joins the pivot,
-    by the rules in the module docstring.
-
-    The only place that validates the algorithm name and, for the two
-    cover-based pivots, that a feasible cover was given.
-    """
-    if algorithm not in (ALG_STANDARD_PIVOT, ALG_COVER_PIVOT, ALG_FLIP_PIVOT):
+def _join_rule(g: SignedGraph, algorithm: str, cover: EdgeCover | None):
+    """The (positive, in-cover) table of ``algorithm`` and the cover's
+    edge ids.  The only place that validates the algorithm name and, for
+    the two cover-based pivots, that a feasible cover was given."""
+    if algorithm not in _JOIN_TABLES:
         raise InputError(f"unknown pivot algorithm {algorithm!r}")
     ids: frozenset[int] = frozenset()
     if algorithm != ALG_STANDARD_PIVOT:
@@ -282,34 +307,49 @@ def join_probabilities(g: SignedGraph, algorithm: str,
             raise InputError(
                 f"cover is infeasible; {algorithm} requires a feasible cover")
         ids = cover.edge_ids
-    if algorithm == ALG_COVER_PIVOT:
-        return [inclusion_probability(e.sign, i in ids)
-                for i, e in enumerate(g.edges)]
-    return [Fraction(int((e.sign == POSITIVE) != (i in ids)))
-            for i, e in enumerate(g.edges)]
+    return _JOIN_TABLES[algorithm], ids
+
+
+def join_probabilities(g: SignedGraph, algorithm: str,
+                       cover: EdgeCover | None = None) -> list[Fraction]:
+    """Exact probability, per edge id, that a neighbour joins the pivot,
+    by the rules in the module docstring."""
+    table, ids = _join_rule(g, algorithm, cover)
+    return [table[e.sign == POSITIVE, i in ids] for i, e in enumerate(g.edges)]
 
 
 class _PivotSampler:
     """Pivot state built once per batch and sampled once per seed.
 
     Each node keeps its neighbours of nonzero join probability, as floats,
-    sorted by neighbour id.  The probabilities are 0, 1/4, 3/4 or 1, all
-    exact in binary, so comparing a uniform draw with the float gives the
-    same outcome as comparing it with the Fraction.
+    sorted by neighbour id.  The floats are the four cells of the
+    algorithm's (positive, in-cover) table in the module docstring, the
+    table ``join_probabilities`` reads, converted once per batch.  The
+    cover's endpoints are kept as numpy columns, from which each run
+    counts the cover edges removed per round with one ``np.bincount``.
     """
 
     def __init__(self, g: SignedGraph, algorithm: str, cover: EdgeCover | None):
+        table, ids = _join_rule(g, algorithm, cover)
+        floats = {key: float(p) for key, p in table.items()}
         joins: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
-        for e, p in zip(g.edges, join_probabilities(g, algorithm, cover)):
+        for i, e in enumerate(g.edges):
+            p = floats[e.sign == POSITIVE, i in ids]
             if p:
-                joins[e.u].append((e.v, float(p)))
-                joins[e.v].append((e.u, float(p)))
+                joins[e.u].append((e.v, p))
+                joins[e.v].append((e.u, p))
         for neighbours in joins:
             neighbours.sort()
+        # removed edges are counted for any given cover, also by ``pivot``,
+        # whose joins ignore it
+        cols = g.edge_columns()
+        counted = () if cover is None else cover.edge_ids
+        cover_ids = np.fromiter(counted, dtype=np.intp, count=len(counted))
         self.g = g
         self.algorithm = algorithm
         self.joins = joins
-        self.cover_ids = frozenset() if cover is None else cover.edge_ids
+        self.cover_u = cols.u[cover_ids]
+        self.cover_v = cols.v[cover_ids]
 
     def run(self, seed: int) -> PivotTrace:
         """Pick a uniformly random unclustered pivot, then walk its
@@ -331,13 +371,13 @@ class _PivotSampler:
             unclustered = [v for v in unclustered if rounds[v] < 0]
         # a cover edge is removed in the first round that clusters one of
         # its endpoints
-        removed = [0] * len(pivots)
-        for eid in self.cover_ids:
-            e = g.edges[eid]
-            removed[min(rounds[e.u], rounds[e.v])] += 1
+        node_round = np.array(rounds, dtype=np.intp)
+        removed = np.bincount(
+            np.minimum(node_round[self.cover_u], node_round[self.cover_v]),
+            minlength=len(pivots))
         clustering = Clustering.from_labels(rounds)
         return PivotTrace(self.algorithm, seed, tuple(pivots), clustering,
-                          cc_cost(g, clustering), tuple(removed))
+                          cc_cost(g, clustering), tuple(removed.tolist()))
 
 
 def run_pivot(g: SignedGraph, algorithm: str, seed: int,

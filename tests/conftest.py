@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from btt import Clustering, SignedGraph, cc_cost, gen_random, lp
-from btt.graphs import POSITIVE
+from btt.graphs import NEGATIVE, POSITIVE
 from btt.rng import spawn_seeds
 
 
@@ -34,6 +34,18 @@ def triangle_nodes(g: SignedGraph, t: tuple[int, int, int]) -> tuple[int, int, i
     """Nodes a < b < c of the edge-id triple ``t = (ab, ac, bc)``."""
     ab, ac, _ = t
     return g.edges[ab].u, g.edges[ab].v, g.edges[ac].v
+
+
+def reference_cc_cost(g: SignedGraph, clustering: Clustering):
+    """Disagreement weight by the edge loop ``cc_cost`` ran before its
+    numpy path: added in edge-id order, starting from int 0."""
+    labels = clustering.labels
+    total = 0
+    for e in g.edges:
+        same = labels[e.u] == labels[e.v]
+        if (e.sign == POSITIVE and not same) or (e.sign == NEGATIVE and same):
+            total += e.weight
+    return total
 
 
 def brute_force_min_cover(g: SignedGraph):

@@ -105,6 +105,11 @@ class TestSolve:
         assert body["lp_status"] == "eps-approximate"
         assert body["outcome"]["algorithm"] == "det2"
 
+    def test_float_simplex_pivot_cap_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(lp, "_FLOAT_PIVOT_CAP_PER_COLUMN", 0)
+        assert main(["solve", "--gen", "fig2", "--alg", "lp-exact"]) == 3
+        assert "lp-mwu" in capsys.readouterr().err
+
     def test_verification_failure_exits_4(self, monkeypatch, capsys):
         monkeypatch.setattr(lp, "_float_packing_simplex", lambda *args: None)
         patch_fraction_simplex(monkeypatch, offset=1)
@@ -137,6 +142,21 @@ class TestInputErrors:
     def test_negative_budget_exits_2(self, flag, capsys):
         assert main(["solve", "--alg", "exact", "--gen", "fig2", flag, "-1"]) == 2
         assert "must be nonnegative" in capsys.readouterr().err
+
+    def test_weight_too_large_for_float_mode_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_text("n 3\n0 1 +1 2\n1 2 -1 1e400\n")
+        argv = ["solve", "--alg", "3approx", "--input", str(path)]
+        assert main(argv + ["--mode", "float"]) == 2
+        assert "edge (1,2) is too large for --mode float" in capsys.readouterr().err
+        assert main(argv + ["--mode", "rational", "--out", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("weight", ["1/0", "nan", "inf"])
+    def test_unusable_weight_exits_2(self, weight, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_text(f"n 2\n0 1 +1 {weight}\n")
+        assert main(["solve", "--alg", "3approx", "--input", str(path)]) == 2
+        assert "input error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["n x\n0 1\n", "n 3\n0 a\n", "n\n", "0 1\n"])
     def test_malformed_vc_file_exits_2(self, text, tmp_path, capsys):

@@ -11,8 +11,8 @@ from btt.errors import CapacityError
 from btt.graphs import (COMPLETE_NODE_BOUND, clustering_from_json,
                         clustering_to_json, complete_graph, cover_from_json,
                         cover_to_json, format_edge_list, graph_from_json,
-                        graph_to_json, parse_edge_list)
-from conftest import brute_force_bad_triples, triangle_nodes
+                        graph_to_json, parse_edge_list, _parse_weight)
+from conftest import brute_force_bad_triples, reference_cc_cost, triangle_nodes
 
 FIG2_COVER_PAIRS = [(0, 2), (0, 4), (1, 5), (3, 5)]  # ac, ae, bf, df
 
@@ -46,6 +46,17 @@ class TestConstruction:
     def test_rejects_negative_weight(self):
         with pytest.raises(InputError, match="weight"):
             SignedGraph(3, [(0, 1, 1, -2)])
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_float_weight(self, weight):
+        with pytest.raises(InputError, match=r"non-finite weight on edge \(0,1\)"):
+            SignedGraph(3, [(0, 1, 1, weight)])
+
+    def test_rejects_non_finite_weight_from_json(self):
+        obj = graph_to_json(SignedGraph(2, [(0, 1, 1, 1.5)]))
+        obj["edges"][0][3] = float("inf")
+        with pytest.raises(InputError, match="non-finite"):
+            graph_from_json(obj)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InputError, match="out of range"):
@@ -171,6 +182,48 @@ class TestCcCost:
         with pytest.raises(InputError):
             cc_cost(g, Clustering.from_labels([0, 0]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_float_graphs_match_the_loop(self, data):
+        g = data.draw(signed_graphs(max_n=8))
+        weights = data.draw(st.lists(
+            st.floats(min_value=0, max_value=1e6, allow_subnormal=True),
+            min_size=g.m, max_size=g.m))
+        g = SignedGraph(g.n, [(e.u, e.v, e.sign, w)
+                              for e, w in zip(g.edges, weights)])
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+        clustering = Clustering.from_labels(labels)
+        got, want = cc_cost(g, clustering), reference_cc_cost(g, clustering)
+        assert got == want and type(got) is type(want)
+
+    def test_float_graph_with_no_disagreement_costs_int_zero(self):
+        g = SignedGraph(3, [(0, 1, 1, 0.5), (1, 2, -1, 2.25)])
+        cost = cc_cost(g, Clustering.from_labels([0, 0, 1]))
+        assert cost == 0 and type(cost) is int
+
+    def test_negative_zero_weight_sums_as_the_loop(self):
+        g = SignedGraph(2, [(0, 1, 1, -0.0)])
+        clustering = Clustering.from_labels([0, 1])
+        assert str(cc_cost(g, clustering)) == str(reference_cc_cost(g, clustering)) == "0.0"
+
+    def test_float_sum_keeps_edge_order(self):
+        # 1e16 then sixteen 1.0s: added in order every 1.0 is lost, while a
+        # pairwise (np.sum) or compensated (sum() on 3.12) sum keeps them
+        weights = [1e16] + [1.0] * 16
+        g = SignedGraph(18, [(0, k + 1, 1, w) for k, w in enumerate(weights)])
+        clustering = Clustering.from_labels(range(18))
+        assert cc_cost(g, clustering) == reference_cc_cost(g, clustering) == 1e16
+
+    @pytest.mark.parametrize("weights", [(1, 0.5, Fraction(1, 3)), (2, 0.5, 0.25),
+                                         (Fraction(1, 2), 0.5, 0.25)])
+    def test_mixed_weights_take_the_loop(self, weights):
+        g = SignedGraph(3, [(0, 1, 1, weights[0]), (0, 2, 1, weights[1]),
+                            (1, 2, -1, weights[2])])
+        assert g.edge_columns().weight is None
+        clustering = Clustering.from_labels([0, 1, 1])
+        got, want = cc_cost(g, clustering), reference_cc_cost(g, clustering)
+        assert got == want and type(got) is type(want)
+
     @settings(max_examples=40, deadline=None)
     @given(signed_graphs(max_n=6), st.permutations(list(range(6))))
     def test_invariant_under_relabeling(self, g, perm):
@@ -247,6 +300,40 @@ class TestEdgeListFormat:
     def test_complete_header(self):
         g = parse_edge_list(format_edge_list(gen_figure2()))
         assert g.complete and g.m == 15
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.from_regex(r"\A[0-9]{1,25}\.[0-9]{1,25}\Z"),
+        st.from_regex(r"\A[0-9]*\.?[0-9]*([eE][+-]?[0-9]{1,3})?\Z"),
+        st.text(alphabet="0123456789._e-+/١٣²", max_size=8),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr)))
+    def test_weight_tokens_parse_as_fraction_does(self, token):
+        try:
+            want = int(token)
+        except ValueError:
+            try:
+                want = Fraction(token)
+            except (ValueError, ZeroDivisionError):
+                want = None
+        if want is None:
+            with pytest.raises(InputError, match="cannot parse weight"):
+                _parse_weight(token)
+        else:
+            got = _parse_weight(token)
+            assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("token,value", [
+        ("1.5", Fraction(3, 2)), ("0.10", Fraction(1, 10)), ("1.", Fraction(1)),
+        (".5", Fraction(1, 2)), ("1_0.5", Fraction(21, 2)), ("1e-3", Fraction(1, 1000)),
+        ("3/4", Fraction(3, 4)), ("١.٥", Fraction(3, 2))])
+    def test_weight_token_values(self, token, value):
+        assert _parse_weight(token) == value
+
+    @pytest.mark.parametrize("token", ["1.2.3", "1.-5", "1._5", "e", "1/0.5", "-", "1/0",
+                                       "1.\u00b2", "\u00b2.5"])
+    def test_bad_weight_tokens(self, token):
+        with pytest.raises(InputError, match="cannot parse weight"):
+            _parse_weight(token)
 
     @pytest.mark.parametrize("text,fragment", [
         ("0 1 +1\n", "header"),

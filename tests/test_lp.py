@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -341,6 +342,20 @@ class TestCertifiedFloatSolve:
         monkeypatch.undo()
         assert (sol.primal.values, sol.dual.values) == fraction_simplex_pair(g)
         assert sol.value == solve_exact(g).value == 4
+
+
+    def test_pivot_cap_fails_fast(self, monkeypatch):
+        # a float simplex that stalls at its cap raises instead of handing
+        # the instance to the Fraction simplex, which would not finish;
+        # a cap of 0 stalls every instance with a bad triangle
+        monkeypatch.setattr(lp, "_FLOAT_PIVOT_CAP_PER_COLUMN", 0)
+        fallbacks = patch_fraction_simplex(monkeypatch)
+        g = gen_random(12, positive_prob=0.5, complete=True, seed=3)
+        started = time.process_time()
+        with pytest.raises(CapacityError, match="lp-mwu"):
+            solve_exact(g)
+        assert time.process_time() - started < 1.0
+        assert fallbacks == []
 
 
 class TestFloatWeightedExactSolve:

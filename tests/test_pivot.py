@@ -10,8 +10,10 @@ from btt import (CapacityError, EdgeCover, InputError, SignedGraph,
 from btt.approx import round_deterministic, standard_three_approx
 from btt.graphs import cc_cost, complete_graph, flip_edges, is_feasible_cover
 from btt.pivot import (ALG_COVER_PIVOT, ALG_FLIP_PIVOT, ALG_STANDARD_PIVOT,
-                       MEMBER_COLUMNS, SIGN_ROWS, TripletConfig, pivot_trials,
-                       run_pivot)
+                       MEMBER_COLUMNS, SIGN_ROWS, TRIALS_SCHEMA, TripletConfig,
+                       _PivotSampler,
+                       join_probabilities, pivot_trials, run_pivot,
+                       trials_to_json)
 from btt.rng import spawn_seeds
 
 FIG2_COVER_PAIRS = [(0, 2), (0, 4), (1, 5), (3, 5)]
@@ -282,6 +284,36 @@ RANDOM12_FROZEN = {
 }
 
 
+# trials_to_json of an 8-trial batch (seed 5) per algorithm on a sparse
+# float graph, and removed_per_round of its first trial run with the
+# cover given, frozen before the pivot kernel read edge columns.
+FLOAT150_FROZEN = {
+    ALG_STANDARD_PIVOT: (
+        [1087.3504186382957, 1074.2997064389776, 1081.4608144573492,
+         1062.7265752924318, 1082.1795993135336, 1082.8886823172506,
+         1108.8333515093893, 1078.4573459156368],
+        1082.2745617353582, 4.614563924082379,
+        (160, 224, 135, 121, 151, 42, 56, 9, 55, 48, 54, 39, 23, 17, 15, 5,
+         9, 17, 7, 7, 0, 0, 1, 4, 1, 0, 0, 0, 0, 0, 0, 0)),
+    ALG_COVER_PIVOT: (
+        [1175.3513272047487, 1165.9983943034467, 1183.9050860971174,
+         1206.473953197801, 1178.8419478127703, 1195.3698117522597,
+         1197.025107317387, 1193.5738921808138],
+        1187.067439983293, 4.7167300626861905,
+        (190, 82, 134, 163, 62, 89, 48, 48, 69, 64, 53, 16, 11, 20, 17, 14,
+         11, 12, 18, 23, 4, 6, 12, 2, 1, 4, 6, 12, 4, 3, 0, 1, 0, 0, 0, 0,
+         0, 0, 1)),
+    ALG_FLIP_PIVOT: (
+        [1269.2702004194723, 1252.4274737326173, 1267.0288585039496,
+         1270.844789862161, 1262.1877195960085, 1265.208116960702,
+         1251.3044640942367, 1273.6199912829793],
+        1263.9864518065158, 2.916047996521441,
+        (193, 203, 81, 67, 50, 20, 23, 35, 52, 74, 58, 26, 57, 34, 20, 35, 13,
+         4, 22, 6, 11, 4, 35, 12, 3, 30, 8, 5, 1, 3, 0, 0, 0, 7, 3, 1, 0, 0,
+         1, 2, 0, 1, 0, 0, 0, 0)),
+}
+
+
 def random12_with_cover():
     g = gen_random(12, positive_prob=0.5, complete=True, seed=7)
     return g, standard_three_approx(g).cover
@@ -328,6 +360,39 @@ class TestPivotKernel:
                 assert trace.pivot_order == order
                 assert trace.removed_per_round == removed
                 assert sum(trace.removed_per_round) == f.size
+
+    @pytest.mark.parametrize("algorithm", PIVOT_ALGS)
+    def test_float_batches_match_frozen_values(self, algorithm):
+        g = gen_random(150, positive_prob=0.3, complete=False, density=0.3,
+                       weights=("uniform", 0.5, 2.0), seed=4)
+        f = standard_three_approx(g).cover
+        costs, mean, stderr, removed = FLOAT150_FROZEN[algorithm]
+        report = pivot_trials(g, algorithm, 8, 5,
+                              cover=None if algorithm == ALG_STANDARD_PIVOT else f)
+        assert trials_to_json(report) == {
+            "schema": TRIALS_SCHEMA, "algorithm": algorithm, "trials": 8,
+            "seed": 5, "disagreements": costs, "mean": mean, "stderr": stderr}
+        trace = run_pivot(g, algorithm, spawn_seeds(5, 8)[0], cover=f)
+        assert trace.disagreements == costs[0]
+        assert trace.removed_per_round == removed
+        assert sum(removed) == f.size
+
+    @pytest.mark.parametrize("algorithm", PIVOT_ALGS)
+    def test_join_lists_follow_join_probabilities(self, algorithm):
+        g, f = sparse_float_with_cover()
+        probs = join_probabilities(g, algorithm, f)
+        for p, (i, e) in zip(probs, enumerate(g.edges)):
+            in_cover = algorithm != ALG_STANDARD_PIVOT and i in f.edge_ids
+            if algorithm == ALG_COVER_PIVOT:
+                assert p == inclusion_probability(e.sign, in_cover)
+            else:
+                assert p == int((e.sign == 1) != in_cover)
+        expected = [[] for _ in range(g.n)]
+        for e, p in zip(g.edges, probs):
+            if p:
+                expected[e.u].append((e.v, float(p)))
+                expected[e.v].append((e.u, float(p)))
+        assert _PivotSampler(g, algorithm, f).joins == [sorted(x) for x in expected]
 
     def test_standard_pivot_removes_no_cover_edges(self):
         trace = standard_pivot(gen_figure2(), seed=2)
