@@ -26,7 +26,7 @@ from .pivot import (PivotTrace, TripletConfig, cover_pivot,
                     join_probabilities, match_flip_pivot, run_pivot,
                     standard_pivot, triplet_sums, verify_charging_tables)
 from .exact import (ExactResult, exact_btt, exact_btt_positive_only,
-                    exact_cc, ratio_survey, sandwich_report)
+                    exact_cc, ratio_survey)
 from .generators import (GadgetMap, TwoCnfFormula, consistent_cover,
                          gen_figure2, gen_hardness_reduction, gen_hexagram,
                          gen_integrality_gap, gen_random, gen_vc_reduction)

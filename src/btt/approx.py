@@ -159,22 +159,12 @@ def krivelevich(g: SignedGraph) -> RoundingOutcome:
     while any(v <= 0 for v in values):
         cover.update(eid for eid, v in zip(alive, values) if v >= half)
         alive = [eid for eid, v in zip(alive, values) if 0 < v < half]
-        values = list(solve_exact(_restriction(g, alive)).primal.values)
-    sub = _restriction(g, alive)
-    part1, part2 = local_search_max_cut(sub)
-    for sub_eid, e in enumerate(sub.edges):
-        same1 = e.u in part1 and e.v in part1
-        same2 = e.u in part2 and e.v in part2
-        if same1 or same2:
-            cover.add(alive[sub_eid])
+        sub = SignedGraph(g.n, [g.edges[eid] for eid in alive])
+        values = list(solve_exact(sub).primal.values)
+    part1, _ = local_search_max_cut(g, alive)
+    cover.update(eid for eid in alive
+                 if (g.edges[eid].u in part1) == (g.edges[eid].v in part1))
     return RoundingOutcome.create(g, cover, ALG_KRIVELEVICH, lower_bound=lp_value)
-
-
-def _restriction(g: SignedGraph, edge_ids: list[int]) -> SignedGraph:
-    """Subgraph on the same node set keeping edges in id order."""
-    tuples = [(g.edges[i].u, g.edges[i].v, g.edges[i].sign, g.edges[i].weight)
-              for i in edge_ids]
-    return SignedGraph(g.n, tuples, complete=False)
 
 
 def round_deterministic(g: SignedGraph, x: FractionalCover,
@@ -218,8 +208,7 @@ def _threshold_cover_ids(g: SignedGraph, values, tau, r, side: str) -> list[int]
 
 
 def round_fixed_threshold(g: SignedGraph, x: FractionalCover, r, *,
-                          lower_bound=None, seed=None,
-                          algorithm=ALG_RANDOMIZED) -> RoundingOutcome:
+                          lower_bound=None, seed=None) -> RoundingOutcome:
     """Threshold rounding at a fixed r: positive edges with x >= r/2 and
     negative edges with x strictly above 1-r.
 
@@ -230,7 +219,7 @@ def round_fixed_threshold(g: SignedGraph, x: FractionalCover, r, *,
     if not (0 <= r <= 1):
         raise InputError(f"threshold must lie in [0,1], got {r}")
     ids = _threshold_cover_ids(g, values, tau, r, side="at")
-    return RoundingOutcome.create(g, ids, algorithm, threshold=r,
+    return RoundingOutcome.create(g, ids, ALG_RANDOMIZED, threshold=r,
                                   threshold_side="at", seed=seed,
                                   lower_bound=lower_bound)
 

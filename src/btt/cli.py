@@ -35,9 +35,9 @@ from .exact import (exact_btt, exact_btt_positive_only, ratio_survey,
 from .generators import (gen_figure2, gen_hardness_reduction, gen_hexagram,
                          gen_integrality_gap, gen_random, gen_vc_reduction,
                          parse_2cnf)
-from .graphs import (EdgeCover, SignedGraph, clustering_to_json,
-                     cover_from_json, format_edge_list, graph_to_json,
-                     json_value, parse_edge_list)
+from .graphs import (COVER_SCHEMA, EdgeCover, SignedGraph,
+                     clustering_to_json, cover_from_json, format_edge_list,
+                     graph_to_json, json_value, parse_edge_list)
 from .lp import lp_solution_to_json, solve_exact, solve_mwu
 from .pivot import (ALG_COVER_PIVOT, ALG_FLIP_PIVOT, ALG_STANDARD_PIVOT,
                     pivot_trials, run_pivot, verify_charging_tables)
@@ -132,25 +132,35 @@ def _float_opt(kwargs: dict, key: str, default=None) -> float | None:
         raise InputError(f"option {key!r} must be a number") from exc
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of an input file; InputError naming the path when it
+    cannot be read or decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot read {path}: {reason}") from None
+
+
 def _unsigned_from_file(path: str) -> tuple[int, list[tuple[int, int]]]:
     """Unsigned graph file: header ``n <count>`` then ``u v`` lines."""
     n = None
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 2 or (n is None and fields[0] != "n"):
-                raise InputError(f"{path}:{lineno}: expected 'n <count>', then 'u v' lines")
-            try:
-                if fields[0] == "n":
-                    n = int(fields[1])
-                else:
-                    edges.append((int(fields[0]), int(fields[1])))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: expected integers, got {line!r}") from exc
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 2 or (n is None and fields[0] != "n"):
+            raise InputError(f"{path}:{lineno}: expected 'n <count>', then 'u v' lines")
+        try:
+            if fields[0] == "n":
+                n = int(fields[1])
+            else:
+                edges.append((int(fields[0]), int(fields[1])))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: expected integers, got {line!r}") from exc
     if n is None:
         raise InputError(f"{path}: missing 'n <count>' header")
     return n, edges
@@ -212,8 +222,7 @@ def build_instance(spec: str):
     if name == "hardness":
         if "file" not in kwargs:
             raise InputError("hardness spec needs file=<2cnf path>")
-        with open(kwargs["file"], "r", encoding="utf-8") as fh:
-            formula = parse_2cnf(fh.read())
+        formula = parse_2cnf(_read_text(kwargs["file"]))
         g, gmap = gen_hardness_reduction(formula, mode=kwargs.get("mode", "theorem"))
         return g, gmap
     raise InputError(f"unknown generator {name!r}")
@@ -223,8 +232,7 @@ def _load_graph(cfg: RunConfig) -> SignedGraph:
     if (cfg.input is None) == (cfg.gen is None):
         raise InputError("exactly one input source: give --input or --gen")
     if cfg.input is not None:
-        with open(cfg.input, "r", encoding="utf-8") as fh:
-            g = parse_edge_list(fh.read())
+        g = parse_edge_list(_read_text(cfg.input))
     else:
         g, _ = build_instance(cfg.gen)
     mode = cfg.mode
@@ -326,17 +334,19 @@ def cmd_solve(cfg: RunConfig, timing: bool) -> dict:
 
 def _load_cover(g: SignedGraph, path: str) -> EdgeCover:
     """Accept a cover JSON, a solve result JSON, or '-' for stdin."""
-    if path == "-":
-        obj = json.load(sys.stdin)
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    if "outcome" in obj:
-        obj = obj["outcome"]
+    text = sys.stdin.read() if path == "-" else _read_text(path)
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise InputError(f"cover {path} is not valid JSON: {exc}") from None
+    for key in ("outcome", "exact"):  # a solve result
+        if isinstance(obj, dict) and key in obj:
+            obj = obj[key]
+    if not isinstance(obj, dict):
+        raise InputError(f"cover {path} must hold a JSON object: a solve "
+                         f"result or a {COVER_SCHEMA} cover")
     if "cover_edge_ids" in obj:
-        return EdgeCover.from_ids(g, obj["cover_edge_ids"])
-    if "exact" in obj:
-        return EdgeCover.from_ids(g, obj["exact"]["cover_edge_ids"])
+        obj = {"schema": COVER_SCHEMA, "edge_ids": obj["cover_edge_ids"]}
     return cover_from_json(g, obj)
 
 
@@ -556,9 +566,6 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except BttError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,12 +23,10 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import lp as lp_mod
 from .errors import (BudgetExceededError, CapacityError, InputError,
                      VerificationError)
 from .graphs import (Clustering, EdgeCover, POSITIVE, SignedGraph, cc_cost,
                      format_edge_list, is_feasible_cover)
-from .lp import greedy_maximal_packing
 from .rng import spawn_seeds
 
 DEFAULT_BTT_TRIANGLE_BUDGET = 5000
@@ -233,17 +231,15 @@ def exact_btt_positive_only(g: SignedGraph, *,
                    optima_truncated=found.optima_truncated)
 
 
-def _check_cc_node_cap(g: SignedGraph, max_nodes: int = DEFAULT_CC_NODE_CAP) -> None:
+def _check_cc_node_cap(g: SignedGraph) -> None:
     """Raise CapacityError when ``exact_cc`` would refuse ``g``; callers
     that pair it with costlier searches check before starting them."""
-    if g.n > max_nodes:
-        raise CapacityError(
-            f"exact clustering search capped at {max_nodes} nodes (n={g.n}); "
-            "raise max_nodes explicitly if you accept the cost")
+    if g.n > DEFAULT_CC_NODE_CAP:
+        raise CapacityError(f"exact clustering search capped at "
+                            f"{DEFAULT_CC_NODE_CAP} nodes (n={g.n})")
 
 
 def exact_cc(g: SignedGraph, *,
-             max_nodes: int = DEFAULT_CC_NODE_CAP,
              node_budget: int = DEFAULT_CC_NODE_BUDGET,
              lower_bound=None) -> ExactResult:
     """Minimum-disagreement clustering by restricted-growth enumeration.
@@ -251,13 +247,14 @@ def exact_cc(g: SignedGraph, *,
     Assigns nodes in id order to an existing cluster or a fresh one,
     carrying the cost of finalised pairs and pruning on the incumbent.
     ``lower_bound`` (for instance a known minimum cover cost) allows early
-    exit once matched.  Guarded by ``max_nodes``; larger instances need a
-    different oracle.
+    exit once matched.  Graphs above ``DEFAULT_CC_NODE_CAP`` nodes are
+    refused with CapacityError before any search; a negative
+    ``node_budget`` is an InputError.
     """
-    if min(max_nodes, node_budget) < 0:
-        raise InputError(f"clustering limits must be nonnegative: max nodes "
-                         f"{max_nodes}, node budget {node_budget}")
-    _check_cc_node_cap(g, max_nodes)
+    if node_budget < 0:
+        raise InputError(
+            f"clustering node budget must be nonnegative, got {node_budget}")
+    _check_cc_node_cap(g)
     if g.n == 0:
         return ExactResult(0, Clustering((), 0), 0, 0, ((0, 0),))
     # Adjacency of finalised pairs: for node i, its weighted signed edges
@@ -325,57 +322,14 @@ def exact_cc(g: SignedGraph, *,
 # -- cover-versus-clustering survey -----------------------------------------
 
 
-def _is_unit_weighted(g: SignedGraph) -> bool:
-    return all(e.weight == 1 for e in g.edges)
-
-
-def sandwich_report(g: SignedGraph, **budgets) -> dict:
-    """Compute packing size, LP value, minimum cover and minimum clustering
-    cost for one instance, plus the inequality checks that apply to it.
-
-    The count-based inequalities (packing <= LP, cover <= 3 x packing) are
-    checked on unit-weight graphs; the 1.5 clustering bound additionally
-    needs completeness.  LP <= cover <= clustering holds for any signed
-    graph and is always checked.  Instances beyond ``exact_cc``'s node cap
-    are rejected before any search starts.
-    """
-    _check_cc_node_cap(g)
-    packing = len(greedy_maximal_packing(g))
-    lp_value = lp_mod.solve_exact(g).value
-    btt = exact_btt(g, **budgets)
-    # the disagreement edges of any clustering form a feasible cover, so
-    # the minimum cover cost lower-bounds the clustering optimum
-    cc = exact_cc(g, lower_bound=btt.value)
-    unit = _is_unit_weighted(g)
-    checks = {
-        "lp_le_cover": lp_value <= btt.value,
-        "cover_le_clustering": btt.value <= cc.value,
-    }
-    if unit:
-        checks["packing_le_lp"] = packing <= lp_value
-        checks["cover_le_3_packing"] = btt.value <= 3 * packing
-    if unit and g.complete:
-        checks["clustering_le_1.5_cover"] = 2 * cc.value <= 3 * btt.value
-    return {
-        "n": g.n,
-        "complete": g.complete,
-        "unit_weights": unit,
-        "packing_size": packing,
-        "lp_value": lp_value,
-        "min_cover": btt.value,
-        "min_clustering": cc.value,
-        "checks": checks,
-        "violations": sorted(name for name, ok in checks.items() if not ok),
-    }
-
-
-def _survey_one(index: int, seed: int, g: SignedGraph, budgets: dict) -> dict:
+def _survey_one(job: tuple[int, int, SignedGraph]) -> dict:
+    """One survey row for the job (instance index, seed, graph)."""
+    index, seed, g = job
     start = time.perf_counter()
     row: dict = {"instance": index, "seed": seed, "n": g.n}
     try:
         _check_cc_node_cap(g)
-        btt = exact_btt(g, **{k: v for k, v in budgets.items()
-                              if k in ("triangle_budget", "node_budget")})
+        btt = exact_btt(g)
         cc = exact_cc(g, lower_bound=btt.value)
         error = None
         if btt.value == 0:
@@ -405,16 +359,17 @@ def workers_from_env() -> int:
 
 
 def ratio_survey(make_instance, count: int, seed: int, *,
-                 workers: int | None = None, dump_dir=None, **budgets) -> dict:
+                 workers: int | None = None) -> dict:
     """Compare minimum cover and minimum clustering costs over a seeded
     instance suite.
 
     ``make_instance(instance_seed)`` builds one signed graph.  Each row
     records both optima and their ratio (0/0 counts as 1).  Ratios outside
     [1, 3/2] are collected as violations; ratios strictly above 1 are
-    flagged as equality counterexample candidates and serialised in full
-    (also written to ``dump_dir`` when given).  Budget errors are recorded
-    per instance and the survey continues.
+    flagged as equality counterexample candidates, each with its edge
+    list.  The searches run with their default budgets; an instance that
+    exceeds one is recorded as that row's error and the survey continues.
+    ``workers`` (default ``BTT_WORKERS``) sets the process fan-out.
     """
     seeds = spawn_seeds(seed, count)
     graphs = [make_instance(s) for s in seeds]
@@ -422,15 +377,13 @@ def ratio_survey(make_instance, count: int, seed: int, *,
     # there are instances or CPUs
     requested = workers_from_env() if workers is None else workers
     nworkers = max(1, min(requested, count, os.cpu_count() or 1))
+    jobs = list(zip(range(count), seeds, graphs))
     if nworkers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            rows = list(pool.map(
-                _survey_worker,
-                [(i, seeds[i], graphs[i], budgets) for i in range(count)]))
+            rows = list(pool.map(_survey_one, jobs))
     else:
-        rows = [_survey_one(i, seeds[i], graphs[i], budgets)
-                for i in range(count)]
+        rows = [_survey_one(job) for job in jobs]
     violations = []
     candidates = []
     for row, g in zip(rows, graphs):
@@ -443,10 +396,6 @@ def ratio_survey(make_instance, count: int, seed: int, *,
             candidate = dict(row)
             candidate["edge_list"] = format_edge_list(g)
             candidates.append(candidate)
-            if dump_dir is not None:
-                path = os.path.join(dump_dir, f"candidate_{row['instance']}.txt")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(candidate["edge_list"])
     return {
         "count": count,
         "seed": seed,
@@ -454,11 +403,6 @@ def ratio_survey(make_instance, count: int, seed: int, *,
         "violations": violations,
         "equality_counterexample_candidates": candidates,
     }
-
-
-def _survey_worker(args):
-    index, seed, g, budgets = args
-    return _survey_one(index, seed, g, budgets)
 
 
 SURVEY_CSV_HEADER = "instance,seed,n,opt_cover,opt_clustering,ratio,runtime_s"

@@ -252,7 +252,7 @@ class TwoCnfFormula:
 def parse_2cnf(text: str) -> TwoCnfFormula:
     """DIMACS-style 2CNF: ``p cnf <vars> <clauses>`` then ``lit lit 0``
     lines with 1-indexed variables, negative meaning negated; ``c`` lines
-    are comments."""
+    are comments.  Raises InputError naming the line on malformed input."""
     num_vars = None
     expected = None
     clauses = []
@@ -264,7 +264,11 @@ def parse_2cnf(text: str) -> TwoCnfFormula:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise InputError(f"line {lineno}: header is 'p cnf <vars> <clauses>'")
-            num_vars, expected = int(fields[2]), int(fields[3])
+            try:
+                num_vars, expected = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise InputError(f"line {lineno}: header counts must be "
+                                 f"integers, got {line!r}") from None
             continue
         if num_vars is None:
             raise InputError(f"line {lineno}: clause before header")
@@ -273,7 +277,10 @@ def parse_2cnf(text: str) -> TwoCnfFormula:
             raise InputError(f"line {lineno}: 2CNF clause line is 'lit lit 0'")
         literals = []
         for token in fields[:2]:
-            lit = int(token)
+            try:
+                lit = int(token)
+            except ValueError:
+                lit = 0
             if lit == 0 or abs(lit) > num_vars:
                 raise InputError(f"line {lineno}: bad literal {token}")
             literals.append((abs(lit) - 1, lit < 0))

@@ -44,6 +44,11 @@ NEGATIVE = -1
 #: Largest node count for which complete graphs are materialised.
 COMPLETE_NODE_BOUND = 2000
 
+#: Parsed weights keep numerator and denominator below 10 ** this, so
+#: sums of weights stay far below Python's int-to-str digit limit.
+MAX_WEIGHT_DIGITS = 1000
+_WEIGHT_LIMIT = 10 ** MAX_WEIGHT_DIGITS
+
 GRAPH_SCHEMA = "btt.graph/1"
 COVER_SCHEMA = "btt.cover/1"
 CLUSTERING_SCHEMA = "btt.clustering/1"
@@ -273,23 +278,6 @@ class Clustering:
             normal.append(remap[lab])
         return cls(tuple(normal), len(remap))
 
-    @classmethod
-    def from_clusters(cls, n: int, clusters: Iterable[Iterable[int]]) -> "Clustering":
-        labels = [-1] * n
-        for k, cluster in enumerate(clusters):
-            for node in cluster:
-                if labels[node] != -1:
-                    raise InputError(f"node {node} assigned to two clusters")
-                labels[node] = k
-        if any(lab == -1 for lab in labels):
-            raise InputError("clustering must assign every node")
-        return cls.from_labels(labels)
-
-    def clusters(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_clusters)]
-        for node, lab in enumerate(self.labels):
-            out[lab].append(node)
-        return out
 
 
 def cc_cost(g: SignedGraph, clustering: Clustering) -> Weight:
@@ -349,19 +337,30 @@ def complete_graph(n: int, sign_of_pair) -> SignedGraph:
 
 
 def _parse_weight(token: str) -> Weight:
+    """``int(token)``, else ``Fraction(token)``; InputError when neither
+    parses or the numerator or denominator reaches 10 ** MAX_WEIGHT_DIGITS."""
     whole, dot, frac = token.partition(".")
-    if dot and whole.isdigit() and frac.isdigit() and token.isascii():
-        # a plain decimal D.F: the value Fraction(token) gives, without
-        # its regular-expression parse
+    if (dot and whole.isdigit() and frac.isdigit() and token.isascii()
+            and len(token) <= MAX_WEIGHT_DIGITS):
+        # a plain decimal D.F, too short to reach the bound: the value
+        # Fraction(token) gives, without its regular-expression parse
         return Fraction(int(whole + frac), 10 ** len(frac))
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
-        pass
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot parse weight {token!r}") from exc
+        try:  # refuse a huge exponent before Fraction expands it
+            huge = abs(int(token.lower().partition("e")[2])) > MAX_WEIGHT_DIGITS
+        except ValueError:  # no exponent, or not a number
+            huge = False
+        if huge:
+            raise InputError(f"weight {token!r} exceeds {MAX_WEIGHT_DIGITS} digits") from None
+        try:
+            value = Fraction(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"cannot parse weight {token!r}") from exc
+    if max(abs(value.numerator), value.denominator) >= _WEIGHT_LIMIT:
+        raise InputError(f"weight {token!r} exceeds {MAX_WEIGHT_DIGITS} digits")
+    return value
 
 
 def _format_weight(w: Weight) -> str:
@@ -439,12 +438,6 @@ def json_value(v):
     return str(v) if isinstance(v, Fraction) else v
 
 
-def _weight_from_json(w) -> Weight:
-    if isinstance(w, str):
-        return Fraction(w)
-    return w
-
-
 def graph_to_json(g: SignedGraph) -> dict:
     return {
         "schema": GRAPH_SCHEMA,
@@ -454,26 +447,15 @@ def graph_to_json(g: SignedGraph) -> dict:
     }
 
 
-def graph_from_json(obj: dict) -> SignedGraph:
-    if obj.get("schema") != GRAPH_SCHEMA:
-        raise InputError(f"expected schema {GRAPH_SCHEMA!r}, got {obj.get('schema')!r}")
-    tuples = [(u, v, s, _weight_from_json(w)) for u, v, s, w in obj["edges"]]
-    return SignedGraph(obj["n"], tuples, complete=obj.get("complete", False))
-
-
-def cover_to_json(g: SignedGraph, cover: EdgeCover) -> dict:
-    return {
-        "schema": COVER_SCHEMA,
-        "edge_ids": sorted(cover.edge_ids),
-        "pairs": [list(p) for p in cover.pairs(g)],
-        "cost": json_value(cover.cost),
-    }
-
-
 def cover_from_json(g: SignedGraph, obj: dict) -> EdgeCover:
+    """Read a ``btt.cover/1`` object: its ``edge_ids`` must be a list of
+    edge ids of ``g`` (ints, not bools)."""
     if obj.get("schema") != COVER_SCHEMA:
         raise InputError(f"expected schema {COVER_SCHEMA!r}, got {obj.get('schema')!r}")
-    return EdgeCover.from_ids(g, obj["edge_ids"])
+    ids = obj.get("edge_ids")
+    if not isinstance(ids, list) or not all(type(i) is int for i in ids):
+        raise InputError("cover edge ids must be a list of integers")
+    return EdgeCover.from_ids(g, ids)
 
 
 def clustering_to_json(c: Clustering) -> dict:
@@ -483,9 +465,3 @@ def clustering_to_json(c: Clustering) -> dict:
         "num_clusters": c.num_clusters,
     }
 
-
-def clustering_from_json(obj: dict) -> Clustering:
-    if obj.get("schema") != CLUSTERING_SCHEMA:
-        raise InputError(
-            f"expected schema {CLUSTERING_SCHEMA!r}, got {obj.get('schema')!r}")
-    return Clustering.from_labels(obj["labels"])

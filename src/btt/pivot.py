@@ -437,21 +437,24 @@ def pivot_trials(g: SignedGraph, algorithm: str, trials: int, seed: int,
 
 # -- exhaustive expectation oracle ------------------------------------------
 
+#: Largest node count the exhaustive expectation oracle accepts.
+EXHAUSTIVE_NODE_CAP = 10
+
 
 def exhaustive_expected_disagreements(g: SignedGraph,
                                       cover: EdgeCover | None = None,
-                                      algorithm: str = ALG_COVER_PIVOT,
-                                      max_nodes: int = 10) -> Fraction:
+                                      algorithm: str = ALG_COVER_PIVOT) -> Fraction:
     """Exact expected disagreements of a pivot run by full enumeration.
 
     Recurses over the unclustered node set (uniform pivot choice, joint
     coin outcomes for fractional join probabilities), memoised on the set.
-    Exponential in n; intended as a desk-scale oracle, guarded by
-    ``max_nodes``.
+    It certifies the paper's 3/2 (cover-pivot) and 2 (flip-pivot) bounds
+    on small graphs.  Exponential in n, so graphs above
+    ``EXHAUSTIVE_NODE_CAP`` nodes are refused with CapacityError.
     """
-    if g.n > max_nodes:
-        raise CapacityError(
-            f"exhaustive expectation oracle capped at {max_nodes} nodes (n={g.n})")
+    if g.n > EXHAUSTIVE_NODE_CAP:
+        raise CapacityError(f"exhaustive expectation oracle capped at "
+                            f"{EXHAUSTIVE_NODE_CAP} nodes (n={g.n})")
     probs = join_probabilities(g, algorithm, cover)
 
     def round_cost(members: tuple[int, ...], outside: tuple[int, ...]) -> Fraction:

@@ -4,7 +4,8 @@ import pytest
 
 from btt import approx
 from btt import (InputError, SignedGraph, VerificationError,
-                 derandomized_sweep, gen_figure2, gen_integrality_gap,
+                 derandomized_sweep, gen_figure2, gen_hexagram,
+                 gen_integrality_gap,
                  gen_random, is_feasible_cover, krivelevich,
                  local_search_max_cut, round_deterministic,
                  round_fixed_threshold, round_randomized, solve_exact,
@@ -23,6 +24,50 @@ def optimal_half_positives(g):
     return FractionalCover.from_values(
         g, [Fraction(1, 2) if e.sign == POSITIVE else Fraction(0)
             for e in g.edges])
+
+
+def kriv_frozen_instances():
+    """fig2, hexagram, the n=6 gap graph, then per seed a complete n=9
+    graph and a sparse n=12 graph with rational weights."""
+    yield gen_figure2()
+    yield gen_hexagram()[0]
+    yield gen_integrality_gap(6)
+    for s in spawn_seeds(7, 12):
+        yield gen_random(9, complete=True, seed=s)
+        yield gen_random(12, complete=False, weights=("rational", 4, 3), seed=s)
+
+
+#: JSON cover edge ids, cost, LP lower bound and certified ratio of
+#: ``krivelevich`` on ``kriv_frozen_instances``; the cover must not move.
+KRIV_FROZEN = [
+    ([5, 7, 9, 12], 4, "4", "1"),
+    ([0, 5, 15, 21, 26, 34, 38, 43, 49], 9, "9", "1"),
+    ([5, 10, 14, 17, 19, 20], 6, "3", "2"),
+    ([0, 1, 7, 10, 11, 13, 15, 17, 18, 19, 20, 23, 24, 27, 29, 31, 35], 17, "17/2", "2"),
+    ([0, 4, 5, 9], "13/3", "13/3", "1"),
+    ([0, 2, 3, 9, 18, 24, 33, 34, 35], 9, "9", "1"),
+    ([1, 4, 16, 23, 28], "13/2", "13/2", "1"),
+    ([6, 7, 8, 10, 13, 18, 19, 28, 32], 9, "9", "1"),
+    ([3, 6, 7, 15, 16, 20, 25, 31], "35/6", "35/6", "1"),
+    ([4, 12, 15, 16, 17, 20, 22, 24], 8, "8", "1"),
+    ([4, 7, 11, 13, 20, 24, 32], "11/2", "11/2", "1"),
+    ([2, 4, 9, 12, 14, 15, 17, 18, 28], 9, "13/2", "18/13"),
+    ([10, 12, 17, 22], "13/6", "13/6", "1"),
+    ([0, 2, 4, 15, 19, 20, 21, 23, 27, 31, 34], 11, "11", "1"),
+    ([1, 4, 10, 12, 14, 15, 19, 20, 21, 23, 37], "15/2", "37/6", "45/37"),
+    ([1, 2, 5, 6, 7, 8, 9, 12, 16, 21, 22, 24, 25, 27, 28, 33, 34], 17, "17/2", "2"),
+    ([0, 5, 6, 10, 15, 21, 26], "6", "6", "1"),
+    ([2, 9, 11, 12, 16, 18, 22, 23, 31], 9, "9", "1"),
+    ([6, 12, 22], "13/6", "13/6", "1"),
+    ([5, 12, 14, 16, 21], 5, "5", "1"),
+    ([0, 3, 4, 10, 19], "4", "4", "1"),
+    ([5, 9, 10, 13, 18, 21, 22, 27, 28, 32], 10, "10", "1"),
+    ([0, 2, 8, 10, 11, 19, 24, 26, 31], "55/6", "55/6", "1"),
+    ([1, 3, 4, 6, 8, 9, 10, 11, 12, 15, 20, 23, 24, 29, 30, 31, 32], 17, "9", "17/9"),
+    ([0, 1, 6, 8, 16, 22, 23, 25], "16/3", "16/3", "1"),
+    ([1, 3, 6, 9, 11, 15, 17, 18, 20, 21, 24, 25, 26, 27], 14, "17/2", "28/17"),
+    ([2, 8, 9, 20], "8/3", "8/3", "1"),
+]
 
 
 class TestThreeApprox:
@@ -90,6 +135,18 @@ class TestKrivelevich:
         out = krivelevich(g)
         assert is_feasible_cover(g, out.cover)
         assert out.cover.cost <= 2 * out.lower_bound == 4
+
+    def test_outputs_frozen(self):
+        graphs = list(kriv_frozen_instances())
+        assert len(graphs) == len(KRIV_FROZEN)
+        for g, (ids, cost, lower, ratio) in zip(graphs, KRIV_FROZEN):
+            assert outcome_to_json(g, krivelevich(g)) == {
+                "schema": approx.OUTCOME_SCHEMA, "algorithm": "kriv",
+                "seed": None, "threshold": None, "threshold_side": None,
+                "cover_edge_ids": ids,
+                "cover_pairs": [list(g.edges[i].pair) for i in ids],
+                "cost": cost, "size": len(ids), "lp_lower_bound": lower,
+                "certified_ratio": ratio}
 
     def test_random_suite_two_approximation(self):
         for g in instance_suite(20, seed=23):

@@ -151,7 +151,10 @@ class TestInputErrors:
         assert "edge (1,2) is too large for --mode float" in capsys.readouterr().err
         assert main(argv + ["--mode", "rational", "--out", str(tmp_path / "r.json")]) == 0
 
-    @pytest.mark.parametrize("weight", ["1/0", "nan", "inf"])
+    @pytest.mark.parametrize("weight", [
+        "1/0", "nan", "inf", "1e99999999", "1e-1001", "2e1000",
+        pytest.param("9" * 1001 + ".5", id="long-decimal"),
+        pytest.param("1/1" + "0" * 1000, id="denominator")])
     def test_unusable_weight_exits_2(self, weight, tmp_path, capsys):
         path = tmp_path / "graph.txt"
         path.write_text(f"n 2\n0 1 +1 {weight}\n")
@@ -164,6 +167,45 @@ class TestInputErrors:
         path.write_text(text)
         assert main(["generate", "--gen", f"vc:file={path}"]) == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_unreadable_input_exits_2(self, tmp_path, capsys):
+        binary = tmp_path / "graph.bin"
+        binary.write_bytes(b"n 2\n0 1 +1 \xff\n")
+        for path in (tmp_path, binary):
+            assert main(["solve", "--alg", "3approx", "--input", str(path)]) == 2
+            assert f"cannot read {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["vc", "hardness"])
+    def test_generator_file_that_is_a_directory_exits_2(self, name, tmp_path, capsys):
+        assert main(["generate", "--gen", f"{name}:file={tmp_path}"]) == 2
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,fragment", [
+        ("p cnf x 2\n", "line 1: header counts must be integers"),
+        ("p cnf 2 1\n1 y 0\n", "line 2: bad literal y"),
+    ])
+    def test_malformed_2cnf_file_exits_2(self, text, fragment, tmp_path, capsys):
+        path = tmp_path / "formula.cnf"
+        path.write_text(text)
+        assert main(["generate", "--gen", f"hardness:file={path}"]) == 2
+        assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,fragment", [
+        ("{", "is not valid JSON"),
+        ("[]", "must hold a JSON object"),
+        ('{"exact": {}}', "expected schema"),
+        ('{"cover_edge_ids": [1.5]}', "list of integers"),
+        ('{"cover_edge_ids": "ab"}', "list of integers"),
+        ('{"cover_edge_ids": [true]}', "list of integers"),
+        ('{"schema": "btt.cover/1"}', "list of integers"),
+    ])
+    def test_malformed_cover_file_exits_2(self, text, fragment, tmp_path, capsys):
+        path = tmp_path / "cover.json"
+        path.write_text(text)
+        argv = ["cluster", "--alg", "cover-pivot", "--gen", "fig2", "--cover", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and fragment in err
 
 
 class TestJsonEncoding:

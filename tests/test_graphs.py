@@ -8,10 +8,10 @@ from btt import (Clustering, EdgeCover, InputError, SignedGraph, cc_cost,
                  flip_edges, gen_figure2, gen_integrality_gap,
                  is_feasible_cover)
 from btt.errors import CapacityError
-from btt.graphs import (COMPLETE_NODE_BOUND, clustering_from_json,
+from btt.graphs import (COMPLETE_NODE_BOUND, COVER_SCHEMA, MAX_WEIGHT_DIGITS,
                         clustering_to_json, complete_graph, cover_from_json,
-                        cover_to_json, format_edge_list, graph_from_json,
-                        graph_to_json, parse_edge_list, _parse_weight)
+                        format_edge_list, graph_to_json, parse_edge_list,
+                        _parse_weight)
 from conftest import brute_force_bad_triples, reference_cc_cost, triangle_nodes
 
 FIG2_COVER_PAIRS = [(0, 2), (0, 4), (1, 5), (3, 5)]  # ac, ae, bf, df
@@ -51,12 +51,6 @@ class TestConstruction:
     def test_rejects_non_finite_float_weight(self, weight):
         with pytest.raises(InputError, match=r"non-finite weight on edge \(0,1\)"):
             SignedGraph(3, [(0, 1, 1, weight)])
-
-    def test_rejects_non_finite_weight_from_json(self):
-        obj = graph_to_json(SignedGraph(2, [(0, 1, 1, 1.5)]))
-        obj["edges"][0][3] = float("inf")
-        with pytest.raises(InputError, match="non-finite"):
-            graph_from_json(obj)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InputError, match="out of range"):
@@ -269,16 +263,6 @@ class TestClustering:
         assert c.labels == (0, 0, 1, 2)
         assert c.num_clusters == 3
 
-    def test_from_clusters_roundtrip(self):
-        c = Clustering.from_clusters(4, [[1, 3], [0], [2]])
-        assert {frozenset(cl) for cl in c.clusters()} == \
-            {frozenset({1, 3}), frozenset({0}), frozenset({2})}
-
-    def test_from_clusters_rejects_overlap_and_gap(self):
-        with pytest.raises(InputError):
-            Clustering.from_clusters(3, [[0, 1], [1, 2]])
-        with pytest.raises(InputError):
-            Clustering.from_clusters(3, [[0, 1]])
 
 
 class TestEdgeListFormat:
@@ -318,6 +302,9 @@ class TestEdgeListFormat:
         if want is None:
             with pytest.raises(InputError, match="cannot parse weight"):
                 _parse_weight(token)
+        elif max(abs(want.numerator), want.denominator) >= 10 ** MAX_WEIGHT_DIGITS:
+            with pytest.raises(InputError, match="exceeds 1000 digits"):
+                _parse_weight(token)
         else:
             got = _parse_weight(token)
             assert got == want and type(got) is type(want)
@@ -351,16 +338,21 @@ class TestEdgeListFormat:
 class TestJson:
     def test_graph_roundtrip(self):
         g = SignedGraph(3, [(0, 1, 1, Fraction(1, 3)), (1, 2, -1, 2)])
-        h = graph_from_json(graph_to_json(g))
+        obj = graph_to_json(g)
+        assert obj["edges"] == [[0, 1, 1, "1/3"], [1, 2, -1, 2]]
+        h = SignedGraph(obj["n"], [(u, v, s, Fraction(w)) for u, v, s, w in obj["edges"]])
         assert [e for e in h.edges] == [e for e in g.edges]
 
     def test_cover_and_clustering_roundtrip(self):
         g = gen_figure2()
         cover = EdgeCover.from_pairs(g, FIG2_COVER_PAIRS)
-        assert cover_from_json(g, cover_to_json(g, cover)).edge_ids == cover.edge_ids
+        obj = {"schema": COVER_SCHEMA, "edge_ids": sorted(cover.edge_ids)}
+        assert cover_from_json(g, obj) == cover
         c = Clustering.from_labels([0, 1, 0, 2, 1, 2])
-        assert clustering_from_json(clustering_to_json(c)) == c
+        obj = clustering_to_json(c)
+        assert Clustering.from_labels(obj["labels"]) == c
+        assert obj["num_clusters"] == c.num_clusters
 
     def test_schema_guard(self):
         with pytest.raises(InputError, match="schema"):
-            graph_from_json({"schema": "nope", "n": 0, "edges": []})
+            cover_from_json(gen_figure2(), {"schema": "nope", "edge_ids": []})
