@@ -18,9 +18,8 @@ from .lp import (FractionalCover, FractionalPacking, LpSolution,
                  check_fractional_feasibility, check_packing_feasibility,
                  greedy_maximal_packing, solve_exact, solve_mwu)
 from .approx import (RoundingOutcome, derandomized_sweep, krivelevich,
-                     local_search_max_cut, round_deterministic,
-                     round_fixed_threshold, round_randomized,
-                     standard_three_approx)
+                     round_deterministic, round_fixed_threshold,
+                     round_randomized, standard_three_approx)
 from .pivot import (PivotTrace, TripletConfig, cover_pivot,
                     exhaustive_expected_disagreements, inclusion_probability,
                     join_probabilities, match_flip_pivot, run_pivot,

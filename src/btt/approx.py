@@ -5,7 +5,7 @@ Four families:
 * the standard 3-approximation (all edges of a maximal edge-disjoint bad
   triangle packing);
 * iterative LP rounding in the style of Krivelevich's triangle-cover
-  algorithm, finished by a local-search max cut;
+  algorithm;
 * single-shot deterministic rounding of an optimal fractional cover
   (negative edges with positive value, positive edges at or above 1/2);
 * randomized threshold rounding and its derandomized threshold sweep,
@@ -107,63 +107,38 @@ def standard_three_approx(g: SignedGraph) -> RoundingOutcome:
         lower_bound=len(packing), ratio_numerator=len(ids))
 
 
-def local_search_max_cut(g: SignedGraph, edge_ids=None) -> tuple[set[int], set[int]]:
-    """Single-vertex-move local search, first improvement in node-id order.
-
-    At a fixpoint every vertex has at least half its incident weight cut,
-    so the cut carries at least half the total edge weight.  Signs are
-    ignored; ``edge_ids`` restricts the instance to a subgraph.
-    """
-    ids = range(g.m) if edge_ids is None else sorted(edge_ids)
-    incident: list[list[tuple[int, object]]] = [[] for _ in range(g.n)]
-    for eid in ids:
-        e = g.edges[eid]
-        incident[e.u].append((e.v, e.weight))
-        incident[e.v].append((e.u, e.weight))
-    side = [0] * g.n
-    improved = True
-    while improved:
-        improved = False
-        for node in range(g.n):
-            cut = sum(w for other, w in incident[node] if side[other] != side[node])
-            uncut = sum(w for other, w in incident[node] if side[other] == side[node])
-            if uncut > cut:
-                side[node] = 1 - side[node]
-                improved = True
-    part1 = {v for v in range(g.n) if side[v] == 0}
-    return part1, set(range(g.n)) - part1
-
-
 def krivelevich(g: SignedGraph) -> RoundingOutcome:
-    """Iterative LP rounding: harvest high-value edges, drop zero-value
-    edges, re-solve, and finish the residual graph with a max-cut step.
+    """Iterative LP rounding: each pass solves the cover LP on the
+    surviving edges, adds the edges at >= 1/2 to the cover and keeps only
+    the edges strictly between 0 and 1/2.
 
-    While some surviving edge has value zero: edges at >= 1/2 join the
-    cover, edges at zero or >= 1/2 leave the graph, and the LP is
-    re-solved on what remains.  When no zero-value edge is left, all
-    within-part edges of an approximate max cut of the residual graph are
-    added; any triangle has two nodes on one side, so residual bad
-    triangles are covered, and earlier deletions were covered at deletion
-    time (a zero-value edge in a triangle forces some edge at >= 1/2).
-
-    The certificate (cost <= 2 x the first LP value) is recorded against
-    the original graph's exact LP optimum.
+    Every pass drops an edge, so the max cut that ends Krivelevich's
+    triangle-cover algorithm is never needed.  Lemma: with z_e = 2 on
+    negative and -1 on positive edges, z sums to 0 over every bad
+    triangle, so on m >= 1 edges the triangle rows span at most m - 1
+    dimensions and every vertex of the cover polytope has some tight
+    x_e >= 0.  ``solve_exact`` returns a vertex (a basic slack reads x_e
+    exactly 0).  Cost <= 2 x LP: x restricted to the kept edges is
+    feasible for the next LP, so each pass adds at most twice its drop in
+    LP value, and a triangle losing an edge at 0 has one at >= 1/2.  The
+    certificate is recorded against the original graph's exact LP optimum.
     """
     first = solve_exact(g)
     lp_value = first.primal.objective
     cover: set[int] = set()
     alive = list(range(g.m))
-    values = list(first.primal.values)
+    values = first.primal.values
     half = Fraction(1, 2)
 
-    while any(v <= 0 for v in values):
+    while alive:
+        if all(v > 0 for v in values):
+            raise VerificationError(
+                "cover LP vertex without a zero value; this is a bug")
         cover.update(eid for eid, v in zip(alive, values) if v >= half)
         alive = [eid for eid, v in zip(alive, values) if 0 < v < half]
-        sub = SignedGraph(g.n, [g.edges[eid] for eid in alive])
-        values = list(solve_exact(sub).primal.values)
-    part1, _ = local_search_max_cut(g, alive)
-    cover.update(eid for eid in alive
-                 if (g.edges[eid].u in part1) == (g.edges[eid].v in part1))
+        if alive:
+            sub = SignedGraph(g.n, [g.edges[eid] for eid in alive])
+            values = solve_exact(sub).primal.values
     return RoundingOutcome.create(g, cover, ALG_KRIVELEVICH, lower_bound=lp_value)
 
 

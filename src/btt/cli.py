@@ -143,6 +143,16 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {reason}") from None
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; InputError naming the path when it cannot be
+    written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _unsigned_from_file(path: str) -> tuple[int, list[tuple[int, int]]]:
     """Unsigned graph file: header ``n <count>`` then ``u v`` lines."""
     n = None
@@ -257,8 +267,7 @@ def _emit(payload: dict, out: str | None) -> None:
     if out in (None, "-"):
         print(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(out, text + "\n")
 
 
 def _json_default(value):
@@ -375,10 +384,8 @@ def cmd_cluster(cfg: RunConfig, timing: bool, csv_out: str | None = None) -> dic
             "disagreements": report["disagreements"],
         }
         if csv_out:
-            with open(csv_out, "w", encoding="utf-8") as fh:
-                fh.write("trial,disagreements\n")
-                for i, c in enumerate(report["disagreements"]):
-                    fh.write(f"{i},{c}\n")
+            _write_text(csv_out, "trial,disagreements\n" + "".join(
+                f"{i},{c}\n" for i, c in enumerate(report["disagreements"])))
     return _result(cfg, body, started)
 
 
@@ -452,20 +459,17 @@ def cmd_generate(args) -> None:
     if args.out in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     if gmap is not None:
         map_path = args.map
         if map_path is None and args.out not in (None, "-"):
             map_path = args.out + ".map.json"
         if map_path is not None:
-            with open(map_path, "w", encoding="utf-8") as fh:
-                json.dump(gmap.to_json(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_text(map_path, json.dumps(gmap.to_json(), indent=2,
+                                             sort_keys=True) + "\n")
     if args.json_graph and args.out not in (None, "-"):
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            json.dump(graph_to_json(g), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(args.out + ".json",
+                    json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n")
 
 
 # -- argument parsing --------------------------------------------------------
@@ -546,8 +550,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.csv and args.survey:
                 for check in payload["checks"]:
                     if check["check"] == "survey":
-                        with open(args.csv, "w", encoding="utf-8") as fh:
-                            fh.write(survey_rows_to_csv(check["rows"]))
+                        _write_text(args.csv, survey_rows_to_csv(check["rows"]))
             for check in payload["checks"]:
                 check.pop("rows", None)
                 status = "PASS" if check["passed"] else "FAIL"

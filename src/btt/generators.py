@@ -20,8 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CapacityError, InputError, VerificationError
-from .graphs import (EdgeCover, NEGATIVE, POSITIVE, SignedGraph,
-                     complete_graph)
+from .graphs import (COMPLETE_NODE_BOUND, EdgeCover, NEGATIVE, POSITIVE,
+                     SignedGraph, complete_graph)
 from .rng import make_rng
 
 GADGET_SCHEMA = "btt.gadget-map/1"
@@ -375,10 +375,15 @@ def gen_random(n: int, *, positive_prob: float | None = None,
     each pair is present independently with ``density``.  ``weights`` is
     ``"unit"``, ``("uniform", lo, hi)`` for floats, or
     ``("rational", max_num, max_den)`` for random small fractions.
-    Identical parameters and seed give identical graphs.
+    Identical parameters and seed give identical graphs.  Refuses n beyond
+    COMPLETE_NODE_BOUND, sparse graphs too: both draw over all n(n-1)/2
+    pairs.
     """
     if n < 0:
         raise InputError(f"n must be nonnegative, got {n}")
+    if n > COMPLETE_NODE_BOUND:
+        raise CapacityError(
+            f"random graphs are capped at {COMPLETE_NODE_BOUND} nodes (asked {n})")
     if positive_prob is not None and positive_count is not None:
         raise InputError("give positive_prob or positive_count, not both")
     if positive_prob is None and positive_count is None:
@@ -410,9 +415,9 @@ def gen_random(n: int, *, positive_prob: float | None = None,
         weight_list = [float(x) for x in rng.uniform(lo, hi, len(pairs))]
     elif isinstance(weights, tuple) and weights and weights[0] == "rational":
         _, max_num, max_den = weights
-        if max_num < 1 or max_den < 1:
-            raise InputError(
-                f"rational weights need NUM, DEN >= 1, got {max_num}, {max_den}")
+        if not (1 <= max_num < 2**63 and 1 <= max_den < 2**63):  # int64 draws
+            raise InputError(f"rational weights need 1 <= NUM, DEN < 2**63, "
+                             f"got {max_num}, {max_den}")
         nums = rng.integers(1, max_num + 1, len(pairs))
         dens = rng.integers(1, max_den + 1, len(pairs))
         weight_list = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]

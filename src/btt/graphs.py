@@ -44,7 +44,8 @@ NEGATIVE = -1
 #: Largest node count for which complete graphs are materialised.
 COMPLETE_NODE_BOUND = 2000
 
-#: Parsed weights keep numerator and denominator below 10 ** this, so
+#: Parsed weights keep numerator and denominator below 10 ** this, and a
+#: graph's Fraction weights keep their common denominator below it, so
 #: sums of weights stay far below Python's int-to-str digit limit.
 MAX_WEIGHT_DIGITS = 1000
 _WEIGHT_LIMIT = 10 ** MAX_WEIGHT_DIGITS
@@ -101,13 +102,15 @@ class SignedGraph:
         """Build a graph from ``(u, v, sign[, weight])`` tuples.
 
         Raises InputError on self-loops, duplicate pairs, bad signs,
-        negative or non-finite weights, out-of-range node ids, or a
-        ``complete`` flag that does not match the edge count.
+        negative or non-finite weights, Fraction weights whose common
+        denominator reaches 10 ** MAX_WEIGHT_DIGITS, out-of-range node ids,
+        or a ``complete`` flag that does not match the edge count.
         """
         if n < 0:
             raise InputError(f"node count must be nonnegative, got {n}")
         canonical: list[Edge] = []
         pair_to_id: dict[tuple[int, int], int] = {}
+        denominators: set[int] = set()
         for item in edges:
             if len(item) == 3:
                 u, v, sign = item
@@ -122,8 +125,11 @@ class SignedGraph:
                 raise InputError(f"self-loop at node {u}")
             if sign not in (POSITIVE, NEGATIVE):
                 raise InputError(f"sign must be +1 or -1, got {sign!r}")
-            if isinstance(weight, float) and not math.isfinite(weight):
-                raise InputError(f"non-finite weight on edge ({u},{v}): {weight}")
+            if isinstance(weight, float):
+                if not math.isfinite(weight):
+                    raise InputError(f"non-finite weight on edge ({u},{v}): {weight}")
+            elif isinstance(weight, Fraction):
+                denominators.add(weight.denominator)
             if weight < 0:
                 raise InputError(f"negative weight on edge ({u},{v}): {weight}")
             pair = _canon(u, v)
@@ -131,6 +137,12 @@ class SignedGraph:
                 raise InputError(f"duplicate edge {pair}")
             pair_to_id[pair] = len(canonical)
             canonical.append(Edge(pair[0], pair[1], sign, weight))
+        common = 1
+        for d in denominators:
+            common = math.lcm(common, d)
+            if common >= _WEIGHT_LIMIT:
+                raise InputError(f"the weights' common denominator exceeds "
+                                 f"{MAX_WEIGHT_DIGITS} digits")
         if complete and len(canonical) != n * (n - 1) // 2:
             raise InputError(
                 f"complete graph on {n} nodes needs {n * (n - 1) // 2} edges, "
@@ -348,16 +360,21 @@ def _parse_weight(token: str) -> Weight:
     try:
         value = int(token)
     except ValueError:
+        mantissa, e, exponent = token.lower().partition("e")
         try:  # refuse a huge exponent before Fraction expands it
-            huge = abs(int(token.lower().partition("e")[2])) > MAX_WEIGHT_DIGITS
+            huge = abs(int(exponent)) > MAX_WEIGHT_DIGITS + 2 * len(token)
         except ValueError:  # no exponent, or not a number
             huge = False
-        if huge:
-            raise InputError(f"weight {token!r} exceeds {MAX_WEIGHT_DIGITS} digits") from None
+        if huge:  # parse the token with its exponent's digits set to 0
+            exponent = "".join("0" if c.isdecimal() else c for c in exponent)
         try:
-            value = Fraction(token)
+            value = Fraction(mantissa + e + exponent if huge else token)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse weight {token!r}") from exc
+        if huge and value:
+            # a nonzero mantissa has fewer than len(token) digits, so the
+            # exponent alone puts the numerator or denominator past the bound
+            raise InputError(f"weight {token!r} exceeds {MAX_WEIGHT_DIGITS} digits")
     if max(abs(value.numerator), value.denominator) >= _WEIGHT_LIMIT:
         raise InputError(f"weight {token!r} exceeds {MAX_WEIGHT_DIGITS} digits")
     return value

@@ -289,22 +289,15 @@ def _float_packing_simplex(triangles: Sequence[tuple[int, int, int]],
         f"--mode float for the roundings)")
 
 
-def _certified_float_optimum(g: SignedGraph, triangles, weights):
-    """Primal/dual pair from the float simplex, or None unless it certifies.
-
-    Values are rebuilt as Fractions with denominators at most
-    ``_CERTIFIED_DENOMINATOR_BOUND`` and accepted only when x covers every
-    bad triangle, y packs within every weight, and both objectives agree,
-    all in exact arithmetic: such a pair is optimal on both sides.
-    """
-    found = _float_packing_simplex(triangles, [float(w) for w in weights])
-    if found is None:
-        return None
-    x, y = ([Fraction(v).limit_denominator(_CERTIFIED_DENOMINATOR_BOUND) for v in vals]
-            for vals in found)
+def _certified_pair(g: SignedGraph, x, y, value=None):
+    """(primal, dual) built from exact values x and y, or None unless they
+    certify each other: x covers every bad triangle, y packs within every
+    weight, and both objectives agree (and equal ``value`` when given), all
+    in exact arithmetic.  Such a pair is optimal on both sides."""
     primal = FractionalCover.from_values(g, x).clamped(g)
     dual = FractionalPacking.from_values(g, y)
     if (primal.objective == dual.objective
+            and (value is None or value == dual.objective)
             and check_fractional_feasibility(g, primal)
             and check_packing_feasibility(g, dual)):
         return primal, dual
@@ -318,18 +311,19 @@ def solve_exact(g: SignedGraph,
     The packing dual is first solved by a float tableau simplex under
     Bland's rule; its primal (slack reduced costs) and dual (basic values)
     are rebuilt as small-denominator Fractions and kept only if they pass
-    an exact check: x feasible, y feasible, and equal objectives.  When
-    that check fails (float weights, numerically hard instances) the
-    exact-rational tableau simplex :func:`_packing_simplex` runs instead,
-    and strong duality is verified on its output.  Either way primal and
-    dual objectives agree identically, so complementary slackness holds
-    exactly.  Weights are converted to Fractions; float weights must be
-    finite.
+    the exact check of :func:`_certified_pair`: x feasible, y feasible,
+    and equal objectives.  When that check fails (float weights,
+    numerically hard instances) the exact-rational tableau simplex
+    :func:`_packing_simplex` runs instead, and its output must pass the
+    same check, with both objectives equal to the value it reports.
+    Either way primal and dual objectives agree identically, so
+    complementary slackness holds exactly.  Weights are converted to
+    Fractions; float weights must be finite.
 
     Raises CapacityError when the bad-triangle count exceeds
     ``max_triangles`` or the float simplex reaches its pivot cap; use
-    :func:`solve_mwu` there.  Raises
-    VerificationError if the exact simplex loses strong duality.
+    :func:`solve_mwu` there.  Raises VerificationError if the exact
+    simplex's output fails the check.
     """
     tris = g.bad_triangles()
     if len(tris) > max_triangles:
@@ -341,15 +335,19 @@ def solve_exact(g: SignedGraph,
         dual = FractionalPacking.from_values(g, [])
         return LpSolution(primal, dual, STATUS_EXACT, (Fraction(0), Fraction(0)))
     weights = [Fraction(e.weight) for e in g.edges]
-    certified = _certified_float_optimum(g, tris, weights)
-    if certified is not None:
-        primal, dual = certified
-    else:
-        x, y, value = _packing_simplex(tris, weights)
-        primal = FractionalCover.from_values(g, x).clamped(g)
-        dual = FractionalPacking.from_values(g, y)
-        if primal.objective != value or dual.objective != value:
-            raise VerificationError("simplex lost strong duality; this is a bug")
+    certified = None
+    found = _float_packing_simplex(tris, [float(w) for w in weights])
+    if found is not None:
+        x, y = ([Fraction(v).limit_denominator(_CERTIFIED_DENOMINATOR_BOUND)
+                 for v in vals] for vals in found)
+        certified = _certified_pair(g, x, y)
+    if certified is None:
+        certified = _certified_pair(g, *_packing_simplex(tris, weights))
+        if certified is None:
+            raise VerificationError(
+                "exact simplex failed its certificate (feasibility or strong "
+                "duality); this is a bug")
+    primal, dual = certified
     value = dual.objective
     return LpSolution(primal, dual, STATUS_EXACT, (value, value))
 

@@ -1,13 +1,14 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from btt import approx
+from btt import approx, lp
 from btt import (InputError, SignedGraph, VerificationError,
                  derandomized_sweep, gen_figure2, gen_hexagram,
                  gen_integrality_gap,
                  gen_random, is_feasible_cover, krivelevich,
-                 local_search_max_cut, round_deterministic,
+                 round_deterministic,
                  round_fixed_threshold, round_randomized, solve_exact,
                  solve_mwu, standard_three_approx)
 from btt.approx import (RoundingOutcome, expected_rounding_cost,
@@ -28,13 +29,15 @@ def optimal_half_positives(g):
 
 def kriv_frozen_instances():
     """fig2, hexagram, the n=6 gap graph, then per seed a complete n=9
-    graph and a sparse n=12 graph with rational weights."""
+    graph and a sparse n=12 graph with rational weights, then a float-weight
+    graph, whose LPs take the Fraction fallback."""
     yield gen_figure2()
     yield gen_hexagram()[0]
     yield gen_integrality_gap(6)
     for s in spawn_seeds(7, 12):
         yield gen_random(9, complete=True, seed=s)
         yield gen_random(12, complete=False, weights=("rational", 4, 3), seed=s)
+    yield gen_random(8, weights=("uniform", 0.5, 2), seed=3)
 
 
 #: JSON cover edge ids, cost, LP lower bound and certified ratio of
@@ -67,6 +70,8 @@ KRIV_FROZEN = [
     ([0, 1, 6, 8, 16, 22, 23, 25], "16/3", "16/3", "1"),
     ([1, 3, 6, 9, 11, 15, 17, 18, 20, 21, 24, 25, 26, 27], 14, "17/2", "28/17"),
     ([2, 8, 9, 20], "8/3", "8/3", "1"),
+    ([0, 1, 2, 7, 10, 12, 13, 14, 15, 16, 19, 20, 21, 22, 26], 19.910989113558408,
+     "89671123152399631/9007199254740992", "2"),
 ]
 
 
@@ -94,35 +99,6 @@ class TestThreeApprox:
             assert is_feasible_cover(g, out.cover)
             assert out.cover.size == 3 * out.lower_bound
             assert out.certified_ratio <= 3
-
-
-class TestLocalSearchMaxCut:
-    def test_single_edge_cut(self):
-        g = SignedGraph(2, [(0, 1, 1)])
-        p1, p2 = local_search_max_cut(g)
-        assert (0 in p1) != (1 in p1)
-
-    def test_triangle_cuts_two(self):
-        g = SignedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, -1)])
-        p1, p2 = local_search_max_cut(g)
-        cut = sum(1 for e in g.edges if (e.u in p1) != (e.v in p1))
-        assert cut == 2
-
-    def test_random_graphs_cut_at_least_half(self):
-        for s in spawn_seeds(17, 20):
-            g = gen_random(12, positive_prob=0.5, complete=False,
-                           density=0.5, seed=s)
-            p1, _ = local_search_max_cut(g)
-            cut = sum(e.weight for e in g.edges if (e.u in p1) != (e.v in p1))
-            assert 2 * cut >= sum(e.weight for e in g.edges)
-
-    def test_edge_subset_restriction(self):
-        g = gen_figure2()
-        ids = [0, 1, 2]
-        p1, _ = local_search_max_cut(g, edge_ids=ids)
-        cut = sum(g.edges[i].weight for i in ids
-                  if (g.edges[i].u in p1) != (g.edges[i].v in p1))
-        assert 2 * cut >= sum(g.edges[i].weight for i in ids)
 
 
 class TestKrivelevich:
@@ -154,6 +130,43 @@ class TestKrivelevich:
             assert is_feasible_cover(g, out.cover)
             assert out.cover.cost <= 2 * out.lower_bound
             assert out.lower_bound == solve_exact(g).value
+
+    def test_z_vanishes_on_every_bad_triangle(self):
+        # z = 2 on negative and -1 on positive edges is orthogonal to every
+        # triangle row, so those rows cannot span all m dimensions
+        for g in instance_suite(20, seed=29):
+            z = [-1 if e.sign == POSITIVE else 2 for e in g.edges]
+            assert all(z[a] + z[b] + z[c] == 0 for a, b, c in g.bad_triangles())
+
+    @pytest.mark.parametrize("path", ["certified", "fraction"])
+    def test_every_lp_pass_has_a_zero(self, path, monkeypatch):
+        if path == "fraction":
+            monkeypatch.setattr(lp, "_float_packing_simplex", lambda *args: None)
+        solves = []
+
+        def recorded(g):
+            sol = solve_exact(g)
+            solves.append((g.m, sol.primal.values))
+            return sol
+
+        monkeypatch.setattr(approx, "solve_exact", recorded)
+        # two graphs whose first LP leaves edges strictly inside (0, 1/2),
+        # so krivelevich also solves a subgraph
+        graphs = instance_suite(20, seed=29) + [
+            gen_random(9, seed=5), gen_random(10, weights=("rational", 4, 3), seed=16)]
+        for g in graphs:
+            krivelevich(g)
+        assert len(solves) == len(graphs) + 2
+        assert all(0 in values for m, values in solves if m)
+
+    def test_pass_without_a_zero_raises(self, monkeypatch):
+        g = gen_figure2()
+        sol = solve_exact(g)
+        no_zero = FractionalCover.from_values(g, [Fraction(1, 2)] * g.m)
+        monkeypatch.setattr(approx, "solve_exact",
+                            lambda g: dataclasses.replace(sol, primal=no_zero))
+        with pytest.raises(VerificationError, match="without a zero"):
+            krivelevich(g)
 
 
 class TestRoundDeterministic:

@@ -131,6 +131,9 @@ class TestInputErrors:
         ["generate", "--gen", "random:n=5,weights=uniform:a"],
         ["generate", "--gen", "random:n=5,weights=uniform:2:1"],
         ["generate", "--gen", "random:n=5,weights=rational:0:1"],
+        ["generate", "--gen", f"random:n=5,weights=rational:1:{10 ** 23}"],
+        ["solve", "--alg", "3approx",
+         "--gen", "random:n=50,weights=rational:1:4000000000000000000,seed=1"],
         ["generate", "--gen", "random:n=5,p=x"],
         ["generate", "--gen", "random:n=5,complete=1,density=0.2"],
     ])
@@ -174,6 +177,27 @@ class TestInputErrors:
         for path in (tmp_path, binary):
             assert main(["solve", "--alg", "3approx", "--input", str(path)]) == 2
             assert f"cannot read {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--alg", "3approx", "--gen", "fig2", "--out", "{dir}"],
+        ["cluster", "--alg", "pivot", "--gen", "fig2", "--trials", "3", "--csv", "{dir}"],
+        ["generate", "--gen", "hexagram", "--out", "{dir}/g.txt", "--map", "{dir}"],
+        ["generate", "--gen", "hexagram", "--out", "{dir}/g.txt", "--json-graph",
+         "--map", "{dir}/g.map"],
+        ["verify", "--survey", "--n", "6", "--count", "2", "--csv", "{dir}"],
+    ])
+    def test_unwritable_output_exits_2(self, argv, tmp_path, capsys):
+        (tmp_path / "g.txt.json").mkdir()
+        assert main([a.format(dir=tmp_path) for a in argv]) == 2
+        assert f"cannot write {tmp_path}" in capsys.readouterr().err
+
+    def test_common_denominator_past_the_bound_exits_2(self, tmp_path, capsys):
+        dens = [2**3300, 3**2090, 5**1420, 7**1180, 11**955, 13**895]
+        pairs = ["0 1 +1", "0 2 +1", "1 2 -1", "3 4 +1", "3 5 +1", "4 5 -1"]
+        path = tmp_path / "graph.txt"
+        path.write_text("n 6\n" + "".join(f"{p} 1/{d}\n" for p, d in zip(pairs, dens)))
+        assert main(["solve", "--alg", "3approx", "--input", str(path)]) == 2
+        assert "common denominator" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["vc", "hardness"])
     def test_generator_file_that_is_a_directory_exits_2(self, name, tmp_path, capsys):

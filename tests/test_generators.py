@@ -1,10 +1,12 @@
+import time
 from itertools import product
 
 import pytest
 
-from btt import (InputError, VerificationError, consistent_cover, exact_btt,
-                 gen_hardness_reduction, is_feasible_cover)
+from btt import (CapacityError, InputError, VerificationError, consistent_cover,
+                 exact_btt, gen_hardness_reduction, gen_random, is_feasible_cover)
 from btt.generators import TwoCnfFormula, parse_2cnf
+from btt.graphs import COMPLETE_NODE_BOUND
 
 # (DIMACS text, validity mode); the relaxed formulas leave a clause
 # unsatisfied under every assignment
@@ -40,3 +42,12 @@ class TestHardnessReduction:
         monkeypatch.setattr(TwoCnfFormula, "validate_relaxed_mode", lambda self: None)
         with pytest.raises(VerificationError, match="crown pool exhausted"):
             gen_hardness_reduction(f, mode="relaxed")
+
+
+class TestRandom:
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_node_bound_refused_before_the_pairs(self, complete):
+        started = time.process_time()
+        with pytest.raises(CapacityError, match=f"capped at {COMPLETE_NODE_BOUND}"):
+            gen_random(20000, complete=complete)
+        assert time.process_time() - started < 1.0

@@ -60,6 +60,16 @@ class TestConstruction:
         with pytest.raises(InputError, match="complete"):
             SignedGraph(3, [(0, 1, 1)], complete=True)
 
+    def test_common_denominator_bound(self):
+        # each denominator is below the bound, their product is far above
+        dens = [2**3300, 3**2090, 5**1420, 7**1180, 11**955, 13**895]
+        assert max(dens) < 10 ** MAX_WEIGHT_DIGITS
+        pairs = [(0, 1, 1), (0, 2, 1), (1, 2, -1), (3, 4, 1), (3, 5, 1), (4, 5, -1)]
+        with pytest.raises(InputError, match="common denominator"):
+            SignedGraph(6, [(*p, Fraction(1, d)) for p, d in zip(pairs, dens)])
+        shared = SignedGraph(6, [(*p, Fraction(k, dens[0])) for k, p in enumerate(pairs, 1)])
+        assert shared.m == 6
+
     def test_canonical_endpoint_order_and_dense_ids(self):
         g = SignedGraph(3, [(2, 0, 1), (1, 2, -1)])
         assert g.edges[0].pair == (0, 2)
@@ -312,12 +322,14 @@ class TestEdgeListFormat:
     @pytest.mark.parametrize("token,value", [
         ("1.5", Fraction(3, 2)), ("0.10", Fraction(1, 10)), ("1.", Fraction(1)),
         (".5", Fraction(1, 2)), ("1_0.5", Fraction(21, 2)), ("1e-3", Fraction(1, 1000)),
-        ("3/4", Fraction(3, 4)), ("١.٥", Fraction(3, 2))])
+        ("3/4", Fraction(3, 4)), ("١.٥", Fraction(3, 2)),
+        ("0e99999999", Fraction(0)), (".01e1001", Fraction(10 ** 999))])
     def test_weight_token_values(self, token, value):
         assert _parse_weight(token) == value
 
     @pytest.mark.parametrize("token", ["1.2.3", "1.-5", "1._5", "e", "1/0.5", "-", "1/0",
-                                       "1.\u00b2", "\u00b2.5"])
+                                       "1.\u00b2", "\u00b2.5", "e1001", "1/2e1001",
+                                       "1e\u00b2"])
     def test_bad_weight_tokens(self, token):
         with pytest.raises(InputError, match="cannot parse weight"):
             _parse_weight(token)

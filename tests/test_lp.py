@@ -383,6 +383,22 @@ class TestVerificationErrors:
         with pytest.raises(VerificationError, match="strong duality"):
             solve_exact(gen_figure2())
 
+    def test_fallback_primal_must_be_feasible(self, monkeypatch):
+        # swapping a positive and a zero value keeps fig2's unit-weight
+        # objective but uncovers a bad triangle
+        monkeypatch.setattr(lp, "_float_packing_simplex", lambda *args: None)
+        exact_simplex = lp._packing_simplex
+
+        def swapped(*args):
+            x, y, value = exact_simplex(*args)
+            i, j = x.index(max(x)), x.index(0)
+            x[i], x[j] = x[j], x[i]
+            return x, y, value
+
+        monkeypatch.setattr(lp, "_packing_simplex", swapped)
+        with pytest.raises(VerificationError, match="certificate"):
+            solve_exact(gen_figure2())
+
     def test_rescaling_that_never_reaches_feasibility(self):
         tri_edges = np.array([[0, 1, 2]])
         with np.errstate(invalid="ignore"):
