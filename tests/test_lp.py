@@ -1,3 +1,4 @@
+import hashlib
 import time
 from fractions import Fraction
 
@@ -47,6 +48,16 @@ def fraction_simplex_pair(g):
 
 def float_weighted(n, seed):
     return gen_random(n, weights=("uniform", 0.5, 2), seed=seed)
+
+
+#: sha256 of the exact-rational simplex's x, y and value on
+#: ``float_weighted(n, seed=3)``: each part's values as str() joined by
+#: spaces, the parts joined by "|".  The exact run must keep this vertex.
+EXACT_RUN_FROZEN = {
+    8: "787c53633c7bec96477d38f6b66bca07dd043d83e8cc0b57d4bb0b90357cf7c0",
+    10: "ff666f6415bac5b0e0d1bfa63fa8591a059fa22425d3e5efab5a5457b9216629",
+    12: "7fc1fa7a1128d27109f936f1ab4dce6c5b31331c4f7beaa5596ceb93db423e9a",
+}
 
 
 class TestFeasibilityCheck:
@@ -359,6 +370,15 @@ class TestCertifiedFloatSolve:
 
 
 class TestFloatWeightedExactSolve:
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_exact_run_vertex_is_frozen(self, n):
+        g = float_weighted(n, seed=3)
+        x, y, value = lp._packing_simplex(g.bad_triangles(),
+                                          [Fraction(e.weight) for e in g.edges])
+        assert all(isinstance(v, Fraction) for v in x + y + [value])
+        text = "|".join(" ".join(map(str, part)) for part in (x, y, [value]))
+        assert hashlib.sha256(text.encode()).hexdigest() == EXACT_RUN_FROZEN[n]
+
     @pytest.mark.parametrize("n", [8, 10, 12])
     def test_strong_duality_holds_in_fractions(self, n):
         g = float_weighted(n, seed=3)
