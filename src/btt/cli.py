@@ -18,7 +18,9 @@ instance count and the CPU count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -30,8 +32,8 @@ from .approx import (ALG_DETERMINISTIC, ALG_KRIVELEVICH, ALG_RANDOMIZED,
                      round_randomized, standard_three_approx)
 from .errors import (BttError, CapacityError, ConvergenceError, InputError,
                      VerificationError)
-from .exact import (exact_btt, exact_btt_positive_only, ratio_survey,
-                    survey_rows_to_csv)
+from .exact import (DEFAULT_CC_NODE_CAP, exact_btt, exact_btt_positive_only,
+                    ratio_survey, survey_rows_to_csv)
 from .generators import (gen_figure2, gen_hardness_reduction, gen_hexagram,
                          gen_integrality_gap, gen_random, gen_vc_reduction,
                          parse_2cnf)
@@ -143,14 +145,27 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {reason}") from None
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write an output file; InputError naming the path when it cannot be
-    written."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
+    """Write every rendered (path, text) output of a command, a path of
+    None or '-' meaning stdout.  Files go first and stdout last.  When a
+    file cannot be written, the files already written are removed and
+    InputError names the path, so a failed command leaves no output."""
+    written = []
+    for path, text in outputs:
+        if path in (None, "-"):
+            continue
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                written.append(path)
+                fh.write(text)
+        except OSError as exc:
+            for done in written:
+                with contextlib.suppress(OSError):
+                    os.remove(done)
+            raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+    for path, text in outputs:
+        if path in (None, "-"):
+            sys.stdout.write(text)
 
 
 def _unsigned_from_file(path: str) -> tuple[int, list[tuple[int, int]]]:
@@ -262,12 +277,8 @@ def _load_graph(cfg: RunConfig) -> SignedGraph:
     return g
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
-    if out in (None, "-"):
-        print(text)
-    else:
-        _write_text(out, text + "\n")
+def _render(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def _json_default(value):
@@ -359,10 +370,11 @@ def _load_cover(g: SignedGraph, path: str) -> EdgeCover:
     return cover_from_json(g, obj)
 
 
-def cmd_cluster(cfg: RunConfig, timing: bool, csv_out: str | None = None) -> dict:
+def cmd_cluster(cfg: RunConfig, timing: bool) -> tuple[dict, str | None]:
+    """The result payload and, for a trial batch, the per-trial CSV."""
     started = time.perf_counter() if timing else None
     g = _load_graph(cfg)
-    cover = None
+    cover = csv = None
     if cfg.alg in (ALG_COVER_PIVOT, ALG_FLIP_PIVOT):
         if cfg.cover is None:
             raise InputError(f"{cfg.alg} needs --cover (a solve result or cover file)")
@@ -383,10 +395,9 @@ def cmd_cluster(cfg: RunConfig, timing: bool, csv_out: str | None = None) -> dic
             "stderr": report["stderr"],
             "disagreements": report["disagreements"],
         }
-        if csv_out:
-            _write_text(csv_out, "trial,disagreements\n" + "".join(
-                f"{i},{c}\n" for i, c in enumerate(report["disagreements"])))
-    return _result(cfg, body, started)
+        csv = "trial,disagreements\n" + "".join(
+            f"{i},{c}\n" for i, c in enumerate(report["disagreements"]))
+    return _result(cfg, body, started), csv
 
 
 # -- verify ------------------------------------------------------------------
@@ -420,6 +431,11 @@ def _verify_hexagram() -> dict:
 
 
 def _verify_survey(n: int, count: int, seed: int) -> dict:
+    # every row would be refused by exact_cc's node cap
+    if n > DEFAULT_CC_NODE_CAP:
+        raise CapacityError(f"exact clustering search capped at "
+                            f"{DEFAULT_CC_NODE_CAP} nodes (--n {n})")
+
     def make(instance_seed: int) -> SignedGraph:
         return gen_random(n, positive_prob=0.5, complete=True, seed=instance_seed)
 
@@ -453,23 +469,22 @@ def cmd_verify(args) -> tuple[dict, bool]:
 # -- generate ----------------------------------------------------------------
 
 
-def cmd_generate(args) -> None:
+def cmd_generate(args) -> list[tuple[str | None, str]]:
+    """The rendered outputs: the edge list, then its sidecars."""
     g, gmap = build_instance(args.gen)
-    text = format_edge_list(g)
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        _write_text(args.out, text)
+    outputs = [(args.out, format_edge_list(g))]
+    to_file = args.out not in (None, "-")
     if gmap is not None:
         map_path = args.map
-        if map_path is None and args.out not in (None, "-"):
+        if map_path is None and to_file:
             map_path = args.out + ".map.json"
         if map_path is not None:
-            _write_text(map_path, json.dumps(gmap.to_json(), indent=2,
-                                             sort_keys=True) + "\n")
-    if args.json_graph and args.out not in (None, "-"):
-        _write_text(args.out + ".json",
-                    json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n")
+            outputs.append((map_path, json.dumps(gmap.to_json(), indent=2,
+                                                 sort_keys=True) + "\n"))
+    if args.json_graph and to_file:
+        outputs.append((args.out + ".json",
+                        json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n"))
+    return outputs
 
 
 # -- argument parsing --------------------------------------------------------
@@ -538,28 +553,31 @@ def main(argv: list[str] | None = None) -> int:
                 command="solve", alg=args.alg, input=args.input, gen=args.gen,
                 eps=args.eps, seed=args.seed, mode=args.mode, out=args.out,
                 triangle_budget=args.triangle_budget, node_budget=args.node_budget)
-            _emit(cmd_solve(cfg, args.timing), args.out)
+            _write_outputs([(args.out, _render(cmd_solve(cfg, args.timing)))])
         elif args.command == "cluster":
             cfg = RunConfig(
                 command="cluster", alg=args.alg, input=args.input, gen=args.gen,
                 seed=args.seed, trials=args.trials, mode=args.mode,
                 out=args.out, cover=args.cover)
-            _emit(cmd_cluster(cfg, args.timing, csv_out=args.csv), args.out)
+            payload, csv = cmd_cluster(cfg, args.timing)
+            outputs = [(args.out, _render(payload))]
+            if args.csv and csv is not None:
+                outputs.insert(0, (args.csv, csv))
+            _write_outputs(outputs)
         elif args.command == "verify":
             payload, passed = cmd_verify(args)
-            if args.csv and args.survey:
-                for check in payload["checks"]:
-                    if check["check"] == "survey":
-                        _write_text(args.csv, survey_rows_to_csv(check["rows"]))
+            outputs = []
             for check in payload["checks"]:
-                check.pop("rows", None)
+                rows = check.pop("rows", None)
+                if args.csv and rows is not None:
+                    outputs.append((args.csv, survey_rows_to_csv(rows)))
                 status = "PASS" if check["passed"] else "FAIL"
                 print(f"[{status}] {check['check']}", file=sys.stderr)
-            _emit(payload, args.out)
+            _write_outputs(outputs + [(args.out, _render(payload))])
             if not passed:
                 return 4
         elif args.command == "generate":
-            cmd_generate(args)
+            _write_outputs(cmd_generate(args))
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

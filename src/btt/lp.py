@@ -6,13 +6,14 @@ bad-triangle masses y_t subject to a per-edge capacity of w_e.
 
 Two solvers are provided:
 
-* :func:`solve_exact` - exact optimum of both LPs.  A float tableau
-  simplex on the packing dual (Bland's rule) proposes a primal/dual pair,
-  which is rebuilt as small-denominator Fractions and certified in exact
-  arithmetic: primal feasible, dual feasible, equal objectives.  When the
-  certificate fails, a dense exact-rational simplex with the same rule
-  runs instead.  Either way the result carries a strong-duality
-  certificate, enabling exact complementary-slackness checks downstream.
+* :func:`solve_exact` - exact optimum of both LPs from one tableau
+  simplex on the packing dual (Bland's rule), run twice at most.  The
+  float run proposes a primal/dual pair, which is rebuilt as
+  small-denominator Fractions and certified in exact arithmetic: primal
+  feasible, dual feasible, equal objectives.  When the certificate fails,
+  the same simplex runs again over Fractions.  Either way the result
+  carries a strong-duality certificate, enabling exact
+  complementary-slackness checks downstream.
 * :func:`solve_mwu` - a phased multiplicative-weights scheme for
   covering LPs (Garg-Koenemann style: each round steps every edge within
   a factor 1+eps/4 of the best ratio).  Returns a feasible primal within
@@ -42,7 +43,7 @@ FLOAT_POSITIVITY_TAU = 1e-7
 #: as positive, and ratios within it of the minimum tie.
 _FLOAT_PIVOT_TOL = 1e-9
 
-#: The float simplex gives up after this many pivots per tableau column.
+#: The simplex gives up after this many pivots per tableau column.
 _FLOAT_PIVOT_CAP_PER_COLUMN = 50
 
 #: Largest denominator tried when rebuilding float LP values as Fractions.
@@ -68,12 +69,12 @@ class FractionalCover:
         if len(values) != g.m:
             raise InputError(f"expected {g.m} edge values, got {len(values)}")
         vals = tuple(values)
-        # Exact values keep an exact objective even when weights are floats.
+        # Exact values keep an exact objective even when weights are floats,
+        # and an exact sum starts at Fraction(0) so that m = 0 gives one too.
         if any(isinstance(v, float) for v in vals):
-            weights = [e.weight for e in g.edges]
-        else:
-            weights = [Fraction(e.weight) for e in g.edges]
-        return cls(vals, sum(w * x for w, x in zip(weights, vals)))
+            return cls(vals, sum(e.weight * x for e, x in zip(g.edges, vals)))
+        return cls(vals, sum((Fraction(e.weight) * x for e, x in zip(g.edges, vals)),
+                             Fraction(0)))
 
     def clamped(self, g: SignedGraph) -> "FractionalCover":
         """Values clamped into [0, 1], or ``self`` when all already lie there;
@@ -164,108 +165,45 @@ def greedy_maximal_packing(g: SignedGraph) -> list[tuple[int, int, int]]:
     return chosen
 
 
-# -- exact rational simplex ------------------------------------------------
+# -- tableau simplex -------------------------------------------------------
 
 
-def _packing_simplex(triangles: Sequence[tuple[int, int, int]], weights: list[Fraction]):
-    """Simplex on: max sum(y) s.t. per-edge load <= weight, y >= 0 (Bland's rule).
+def _packing_simplex(triangles: Sequence[tuple[int, int, int]], weights: list):
+    """Tableau simplex on: max sum(y) s.t. per-edge load <= weight, y >= 0.
 
-    Returns (x, y, value): the packing optimum y, the cover optimum x read
-    off the optimal tableau's slack reduced costs, and the shared objective
-    value.  All exact Fractions.
+    The tableau holds the weights' number kind: float64 with
+    ``_FLOAT_PIVOT_TOL`` as zero in every comparison, or exact Fractions
+    (dtype object) with tolerance 0.  Bland's rule enters the first column
+    of positive reduced cost; the least ratio leaves, ties going to the
+    lowest basic index.  Small float entries stay in the tableau: zeroing
+    them made the float run drift from the exact one.
+
+    Returns (x, y, value): the packing optimum y and the cover optimum x
+    (read off the slack reduced costs) as lists, and the objective; or
+    None when a pivot column has no positive entry, which only float error
+    can cause.  Raises CapacityError at the pivot cap.
     """
-    m = len(weights)
-    nt = len(triangles)
-    ncols = nt + m
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    rows = [[zero] * ncols for _ in range(m)]
-    rhs = [Fraction(w) for w in weights]
-    for j, tri in enumerate(triangles):
-        for eid in tri:
-            rows[eid][j] = one
-    for i in range(m):
-        rows[i][nt + i] = one
-    basis = list(range(nt, nt + m))
-    # reduced costs c_j - z_j for the max problem; slack basis gives z = 0
-    obj = [one] * nt + [zero] * m
-    value = zero
-
-    while True:
-        enter = next((j for j in range(ncols) if obj[j] > 0), None)
-        if enter is None:
-            break
-        leave_row = None
-        best_ratio = None
-        for i in range(m):
-            coef = rows[i][enter]
-            if coef > 0:
-                ratio = rhs[i] / coef
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave_row])):
-                    best_ratio = ratio
-                    leave_row = i
-        if leave_row is None:
-            raise InputError("packing LP unbounded; graph invariants violated")
-        piv_row = rows[leave_row]
-        piv = piv_row[enter]
-        if piv != 1:
-            rows[leave_row] = piv_row = [a / piv for a in piv_row]
-            rhs[leave_row] /= piv
-        for i in range(m):
-            if i == leave_row:
-                continue
-            factor = rows[i][enter]
-            if factor != 0:
-                row = rows[i]
-                rows[i] = [a - factor * b if b else a for a, b in zip(row, piv_row)]
-                rhs[i] -= factor * rhs[leave_row]
-        factor = obj[enter]
-        obj = [a - factor * b if b else a for a, b in zip(obj, piv_row)]
-        value += factor * rhs[leave_row]
-        basis[leave_row] = enter
-
-    y = [zero] * nt
-    for i, var in enumerate(basis):
-        if var < nt:
-            y[var] = rhs[i]
-    x = [-obj[nt + e] for e in range(m)]
-    return x, y, value
-
-
-def _float_packing_simplex(triangles: Sequence[tuple[int, int, int]],
-                           weights: list[float]):
-    """Float mirror of :func:`_packing_simplex`: the same tableau, Bland's
-    entering rule and lowest-basic-index choice among tied rows, with
-    ``_FLOAT_PIVOT_TOL`` standing in for exact zero in comparisons.  Small
-    entries are left in the tableau: zeroing them made it drift from the
-    exact one over long degenerate runs.
-
-    Returns float lists (x, y) read off the final tableau as the exact
-    solver reads them, or None when the pivot column has no positive
-    entry; the caller then falls back.  Raises CapacityError at the pivot
-    cap: an instance that stalls the float simplex that long is beyond
-    the Fraction simplex too.
-    """
-    m = len(weights)
-    nt = len(triangles)
-    tol = _FLOAT_PIVOT_TOL
-    rows = np.zeros((m, nt + m))
-    rows[np.asarray(triangles).ravel(), np.repeat(np.arange(nt), 3)] = 1.0
-    rows[:, nt:] = np.eye(m)
-    rhs = np.array(weights, dtype=float)
+    m, nt = len(weights), len(triangles)
+    rhs = np.array(weights)
+    exact = rhs.dtype == object
+    tol = 0 if exact else _FLOAT_PIVOT_TOL
+    zero = weights[0] * 0
+    one = zero + 1
+    rows = np.full((m, nt + m), zero)
+    rows[np.asarray(triangles).ravel(), np.repeat(np.arange(nt), 3)] = one
+    rows[np.arange(m), nt + np.arange(m)] = one
     basis = np.arange(nt, nt + m)
-    obj = np.concatenate([np.ones(nt), np.zeros(m)])
+    # reduced costs c_j - z_j for the max problem; slack basis gives z = 0
+    obj = np.concatenate([np.full(nt, one), np.full(m, zero)])
+    value = zero
 
     cap = _FLOAT_PIVOT_CAP_PER_COLUMN * (nt + m)
     for _ in range(cap):
         positive = np.flatnonzero(obj > tol)
         if positive.size == 0:
-            y = np.zeros(nt)
-            in_basis = basis < nt
-            y[basis[in_basis]] = rhs[in_basis]
-            return (-obj[nt:]).tolist(), y.tolist()
+            y = np.full(nt, zero)
+            y[basis[basis < nt]] = rhs[basis < nt]
+            return (-obj[nt:]).tolist(), y.tolist(), value
         enter = positive[0]
         col = rows[:, enter].copy()
         candidates = np.flatnonzero(col > tol)
@@ -274,16 +212,29 @@ def _float_packing_simplex(triangles: Sequence[tuple[int, int, int]],
         ratios = rhs[candidates] / col[candidates]
         tied = candidates[ratios <= ratios.min() + tol]
         leave = tied[np.argmin(basis[tied])]
-        piv_row = rows[leave] / col[leave]
-        piv_rhs = rhs[leave] / col[leave]
-        rows -= np.outer(col, piv_row)
-        rhs -= col * piv_rhs
-        rows[leave] = piv_row
+        piv, factor = col[leave], obj[enter]
+        piv_rhs = rhs[leave] / piv
+        if exact:
+            # Each Fraction operation is a Python call: touch only the
+            # nonzero rows of the pivot column and columns of the pivot row.
+            live, cols = np.flatnonzero(col), np.flatnonzero(rows[leave])
+            live = live[live != leave]
+            piv_row = rows[leave, cols] / piv
+            rows[np.ix_(live, cols)] -= np.outer(col[live], piv_row)
+            rows[leave, cols] = piv_row
+            rhs[live] -= col[live] * piv_rhs
+            obj[cols] -= factor * piv_row
+        else:
+            piv_row = rows[leave] / piv
+            rows -= np.outer(col, piv_row)
+            rows[leave] = piv_row
+            rhs -= col * piv_rhs
+            obj -= factor * piv_row
         rhs[leave] = piv_rhs
-        obj -= obj[enter] * piv_row
+        value += factor * piv_rhs
         basis[leave] = enter
     raise CapacityError(
-        f"the float simplex reached its cap of {cap} pivots on {nt} bad "
+        f"the simplex reached its cap of {cap} pivots on {nt} bad "
         f"triangles; the exact solver cannot finish at this size: use "
         f"solve_mwu for an approximate solution (btt solve --alg lp-mwu, or "
         f"--mode float for the roundings)")
@@ -308,22 +259,20 @@ def solve_exact(g: SignedGraph,
                 max_triangles: int = DEFAULT_EXACT_TRIANGLE_BOUND) -> LpSolution:
     """Exact-rational optimum of the cover LP with a dual certificate.
 
-    The packing dual is first solved by a float tableau simplex under
-    Bland's rule; its primal (slack reduced costs) and dual (basic values)
-    are rebuilt as small-denominator Fractions and kept only if they pass
-    the exact check of :func:`_certified_pair`: x feasible, y feasible,
-    and equal objectives.  When that check fails (float weights,
-    numerically hard instances) the exact-rational tableau simplex
-    :func:`_packing_simplex` runs instead, and its output must pass the
-    same check, with both objectives equal to the value it reports.
-    Either way primal and dual objectives agree identically, so
-    complementary slackness holds exactly.  Weights are converted to
-    Fractions; float weights must be finite.
+    :func:`_packing_simplex` runs first on float weights.  Its x and y are
+    rebuilt as small-denominator Fractions and kept if
+    :func:`_certified_pair` certifies them in exact arithmetic.  Otherwise
+    (float weights, numerically hard instances) the same simplex runs on
+    Fraction weights, and its output must pass the same check with both
+    objectives equal to the value it reports.  Either way primal and dual
+    objectives agree identically, so complementary slackness holds
+    exactly.  Float weights must be finite.
 
     Raises CapacityError when the bad-triangle count exceeds
-    ``max_triangles`` or the float simplex reaches its pivot cap; use
-    :func:`solve_mwu` there.  Raises VerificationError if the exact
-    simplex's output fails the check.
+    ``max_triangles`` or a run reaches its pivot cap; use
+    :func:`solve_mwu` there.  Raises VerificationError if the exact run
+    finds no optimum or fails the check: the packing LP is bounded, so
+    either is a bug.
     """
     tris = g.bad_triangles()
     if len(tris) > max_triangles:
@@ -332,21 +281,22 @@ def solve_exact(g: SignedGraph,
             f"{max_triangles}; use solve_mwu for an approximate solution")
     if not tris:
         primal = FractionalCover.from_values(g, [Fraction(0)] * g.m)
-        dual = FractionalPacking.from_values(g, [])
+        dual = FractionalPacking((), Fraction(0))
         return LpSolution(primal, dual, STATUS_EXACT, (Fraction(0), Fraction(0)))
     weights = [Fraction(e.weight) for e in g.edges]
     certified = None
-    found = _float_packing_simplex(tris, [float(w) for w in weights])
+    found = _packing_simplex(tris, [float(w) for w in weights])
     if found is not None:
         x, y = ([Fraction(v).limit_denominator(_CERTIFIED_DENOMINATOR_BOUND)
-                 for v in vals] for vals in found)
+                 for v in vals] for vals in found[:2])
         certified = _certified_pair(g, x, y)
     if certified is None:
-        certified = _certified_pair(g, *_packing_simplex(tris, weights))
+        found = _packing_simplex(tris, weights)
+        certified = None if found is None else _certified_pair(g, *found)
         if certified is None:
             raise VerificationError(
-                "exact simplex failed its certificate (feasibility or strong "
-                "duality); this is a bug")
+                "exact simplex failed its certificate (optimum, feasibility "
+                "or strong duality); this is a bug")
     primal, dual = certified
     value = dual.objective
     return LpSolution(primal, dual, STATUS_EXACT, (value, value))
@@ -444,7 +394,7 @@ def solve_mwu(g: SignedGraph, eps: float,
         raise InputError(f"eps must lie in (0,1), got {eps}")
     tris_all = g.bad_triangles()
     if not tris_all:
-        primal = FractionalCover.from_values(g, [0.0] * g.m)
+        primal = FractionalCover((0.0,) * g.m, 0.0)
         dual = FractionalPacking.from_values(g, [])
         return LpSolution(primal, dual, STATUS_EPS, (0.0, 0.0), eps=eps)
 

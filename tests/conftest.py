@@ -8,6 +8,7 @@ values through scipy, vertex covers by subset search.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -159,17 +160,37 @@ def instance_suite(count: int, seed: int) -> list[SignedGraph]:
     return [mixed_instance(i, s) for i, s in enumerate(spawn_seeds(seed, count))]
 
 
+def patch_simplex_run(monkeypatch, kind, run):
+    """Route each run of the simplex behind ``solve_exact`` whose weights
+    are of number kind ``kind`` (float or Fraction) to
+    ``run(simplex, triangles, weights)``, where ``simplex`` is the function
+    replaced; runs of the other kind pass through."""
+    simplex = lp._packing_simplex
+
+    def routed(triangles, weights):
+        if isinstance(weights[0], kind):
+            return run(simplex, triangles, weights)
+        return simplex(triangles, weights)
+
+    monkeypatch.setattr(lp, "_packing_simplex", routed)
+
+
 def patch_fraction_simplex(monkeypatch, *, offset=0):
-    """Wrap the Fraction simplex behind ``solve_exact`` so that each run is
-    recorded and ``offset`` is added to the value it reports; returns the
-    list of runs."""
-    exact_simplex = lp._packing_simplex
+    """Wrap the Fraction run of the simplex behind ``solve_exact`` so that
+    each run is recorded and ``offset`` is added to the value it reports;
+    returns the list of runs."""
     runs = []
 
-    def counted(*args):
+    def counted(simplex, *args):
         runs.append(args)
-        x, y, value = exact_simplex(*args)
+        x, y, value = simplex(*args)
         return x, y, value + offset
 
-    monkeypatch.setattr(lp, "_packing_simplex", counted)
+    patch_simplex_run(monkeypatch, Fraction, counted)
     return runs
+
+
+def stall_float_simplex(monkeypatch):
+    """Make the float run of the simplex behind ``solve_exact`` find no
+    optimum, so every solve takes the Fraction run."""
+    patch_simplex_run(monkeypatch, float, lambda *args: None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from btt import approx, lp
+from btt import approx
 from btt import (InputError, SignedGraph, VerificationError,
                  derandomized_sweep, gen_figure2, gen_hexagram,
                  gen_integrality_gap,
@@ -16,7 +16,7 @@ from btt.approx import (RoundingOutcome, expected_rounding_cost,
 from btt.graphs import EdgeCover, POSITIVE, complete_graph
 from btt.lp import FractionalCover
 from btt.rng import spawn_seeds
-from conftest import instance_suite
+from conftest import instance_suite, stall_float_simplex
 
 SINGLE_BAD_TRIANGLE = [(0, 1, 1), (0, 2, 1), (1, 2, -1)]
 
@@ -141,7 +141,7 @@ class TestKrivelevich:
     @pytest.mark.parametrize("path", ["certified", "fraction"])
     def test_every_lp_pass_has_a_zero(self, path, monkeypatch):
         if path == "fraction":
-            monkeypatch.setattr(lp, "_float_packing_simplex", lambda *args: None)
+            stall_float_simplex(monkeypatch)
         solves = []
 
         def recorded(g):

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from btt import EdgeCover, gen_figure2, gen_random, lp, solve_exact
 from btt.cli import _json_default, main
 from btt.pivot import pivot_trials, run_pivot
-from conftest import patch_fraction_simplex
+from conftest import patch_fraction_simplex, stall_float_simplex
 
 FIG2_SEED = 3
 
@@ -91,6 +92,17 @@ class TestSolve:
             assert Fraction(body["outcome"]["lp_lower_bound"]) == sol.value
             assert Fraction(body["outcome"]["certified_ratio"]) <= 2
 
+    @pytest.mark.parametrize("text", ["n 2\n", "n 2\n0 1 +1\n"])
+    def test_zero_lp_value_is_a_fraction_string(self, text, tmp_path):
+        # the edgeless graph summed its objective to int 0, a JSON number
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        argv = ["solve", "--input", str(path), "--alg"]
+        body = run_cli(argv + ["lp-exact"], tmp_path / "lp.json")
+        assert body["lp"]["objective"] == body["lp"]["dual_objective"] == "0"
+        body = run_cli(argv + ["kriv"], tmp_path / "kriv.json")
+        assert body["outcome"]["lp_lower_bound"] == "0"
+
     def test_exact_on_float_weights(self, tmp_path):
         spec = "random:n=8,weights=uniform:0.5:2,seed=1"
         body = run_cli(["solve", "--gen", spec, "--alg", "exact"], tmp_path / "solve.json")
@@ -111,7 +123,7 @@ class TestSolve:
         assert "lp-mwu" in capsys.readouterr().err
 
     def test_verification_failure_exits_4(self, monkeypatch, capsys):
-        monkeypatch.setattr(lp, "_float_packing_simplex", lambda *args: None)
+        stall_float_simplex(monkeypatch)
         patch_fraction_simplex(monkeypatch, offset=1)
         assert main(["solve", "--gen", "fig2", "--alg", "lp-exact"]) == 4
         assert "strong duality" in capsys.readouterr().err
@@ -185,11 +197,25 @@ class TestInputErrors:
         ["generate", "--gen", "hexagram", "--out", "{dir}/g.txt", "--json-graph",
          "--map", "{dir}/g.map"],
         ["verify", "--survey", "--n", "6", "--count", "2", "--csv", "{dir}"],
+        ["cluster", "--alg", "pivot", "--gen", "fig2", "--trials", "3",
+         "--csv", "{dir}/t.csv", "--out", "{dir}"],
+        ["verify", "--survey", "--n", "6", "--count", "2", "--csv", "{dir}/rows.csv",
+         "--out", "{dir}"],
     ])
     def test_unwritable_output_exits_2(self, argv, tmp_path, capsys):
         (tmp_path / "g.txt.json").mkdir()
         assert main([a.format(dir=tmp_path) for a in argv]) == 2
-        assert f"cannot write {tmp_path}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"cannot write {tmp_path}" in captured.err
+        # outputs written before the failing one are removed again
+        assert [p.name for p in tmp_path.iterdir()] == ["g.txt.json"]
+        assert captured.out == ""
+
+    def test_survey_past_the_clustering_node_cap_exits_3(self, capsys):
+        started = time.process_time()
+        assert main(["verify", "--survey", "--n", "13", "--count", "2"]) == 3
+        assert time.process_time() - started < 0.1
+        assert "capped at 12 nodes" in capsys.readouterr().err
 
     def test_common_denominator_past_the_bound_exits_2(self, tmp_path, capsys):
         dens = [2**3300, 3**2090, 5**1420, 7**1180, 11**955, 13**895]

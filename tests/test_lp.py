@@ -16,7 +16,8 @@ from btt.lp import (FractionalCover, STATUS_EPS, STATUS_EXACT,
                     lp_solution_to_json, x_raw_to_feasible)
 from btt.rng import spawn_seeds
 from conftest import (brute_force_max_packing, instance_suite,
-                      patch_fraction_simplex, scipy_cover_lp_value,
+                      patch_fraction_simplex, patch_simplex_run,
+                      scipy_cover_lp_value, stall_float_simplex,
                       triangle_nodes)
 
 
@@ -323,7 +324,7 @@ class TestCertifiedFloatSolve:
         def refuse(*args):
             raise RuntimeError("fallback ran")
 
-        monkeypatch.setattr(lp, "_packing_simplex", refuse)
+        patch_simplex_run(monkeypatch, Fraction, refuse)
         for g in certified_graphs():
             sol = solve_exact(g)
             assert check_fractional_feasibility(g, sol.primal)
@@ -334,19 +335,18 @@ class TestCertifiedFloatSolve:
     def test_corrupted_candidate_falls_back_to_exact_optimum(self, corrupt,
                                                              monkeypatch):
         g = gen_figure2()
-        float_simplex = lp._float_packing_simplex
 
-        def corrupted(triangles, weights):
+        def corrupted(simplex, triangles, weights):
             if corrupt == "stall":
                 return None
-            x, y = float_simplex(triangles, weights)
+            x, y, value = simplex(triangles, weights)
             if corrupt == "x":
                 x[x.index(max(x))] -= 0.25
             else:
                 y[y.index(max(y))] += 0.25
-            return x, y
+            return x, y, value
 
-        monkeypatch.setattr(lp, "_float_packing_simplex", corrupted)
+        patch_simplex_run(monkeypatch, float, corrupted)
         fallbacks = patch_fraction_simplex(monkeypatch)
         sol = solve_exact(g)
         assert len(fallbacks) == 1
@@ -398,24 +398,30 @@ class TestFloatWeightedExactSolve:
 
 class TestVerificationErrors:
     def test_lost_strong_duality(self, monkeypatch):
-        monkeypatch.setattr(lp, "_float_packing_simplex", lambda *args: None)
+        stall_float_simplex(monkeypatch)
         patch_fraction_simplex(monkeypatch, offset=1)
         with pytest.raises(VerificationError, match="strong duality"):
+            solve_exact(gen_figure2())
+
+    def test_exact_run_without_optimum(self, monkeypatch):
+        # the packing LP is bounded, so an exact run finding none is a bug
+        stall_float_simplex(monkeypatch)
+        patch_simplex_run(monkeypatch, Fraction, lambda *args: None)
+        with pytest.raises(VerificationError, match="certificate"):
             solve_exact(gen_figure2())
 
     def test_fallback_primal_must_be_feasible(self, monkeypatch):
         # swapping a positive and a zero value keeps fig2's unit-weight
         # objective but uncovers a bad triangle
-        monkeypatch.setattr(lp, "_float_packing_simplex", lambda *args: None)
-        exact_simplex = lp._packing_simplex
+        stall_float_simplex(monkeypatch)
 
-        def swapped(*args):
-            x, y, value = exact_simplex(*args)
+        def swapped(simplex, *args):
+            x, y, value = simplex(*args)
             i, j = x.index(max(x)), x.index(0)
             x[i], x[j] = x[j], x[i]
             return x, y, value
 
-        monkeypatch.setattr(lp, "_packing_simplex", swapped)
+        patch_simplex_run(monkeypatch, Fraction, swapped)
         with pytest.raises(VerificationError, match="certificate"):
             solve_exact(gen_figure2())
 
