@@ -1,11 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btt import (Clustering, EdgeCover, InputError, SignedGraph, cc_cost,
-                 flip_edges, gen_figure2, gen_integrality_gap,
+                 flip_edges, gen_figure2, gen_integrality_gap, gen_random,
                  is_feasible_cover)
 from btt.errors import CapacityError
 from btt.graphs import (COMPLETE_NODE_BOUND, COVER_SCHEMA, MAX_WEIGHT_DIGITS,
@@ -70,6 +71,35 @@ class TestConstruction:
         shared = SignedGraph(6, [(*p, Fraction(k, dens[0])) for k, p in enumerate(pairs, 1)])
         assert shared.m == 6
 
+    @pytest.mark.parametrize("edges,message", [
+        ([(0, 1, 1), (0, 9, 1), (2, 2, 1)], r"edge \(0,9\) out of range"),
+        ([(0, 1, 1), (2, 2, 1), (0, 9, 1)], "self-loop at node 2"),
+        ([(0, 1, 0), (0, 9, 1)], "sign must be"),
+        ([(0, 1, 1, float("nan")), (1, 2, 2)], r"non-finite weight on edge \(0,1\)"),
+        ([(0, 1, 1, Fraction(-1, 2)), (1, 2, 1, float("inf"))],
+         r"negative weight on edge \(0,1\): -1/2"),
+        ([(0, 1, 1, -3), (0, 1, 1)], r"negative weight on edge \(0,1\): -3"),
+        ([(0, 1, 1), (1, 0, -1), (3, 3, 1)], r"duplicate edge \(0, 1\)"),
+        ([(2, 1, 1), (0, 1, 1, 2.5), (1, 2, 1, Fraction(-1))],
+         r"negative weight on edge \(1,2\): -1"),
+        ([(0, 1, 9, -1.0)], "sign must be"),
+        ([(0, 1, 1, 2), (0, 2)], "3 or 4 fields"),
+    ])
+    def test_first_faulty_edge_in_input_order_is_named(self, edges, message):
+        with pytest.raises(InputError, match=message):
+            SignedGraph(4, edges)
+
+    def test_mixed_weight_kinds_accepted(self):
+        g = SignedGraph(4, [(1, 0, 1), (0, 2, -1, Fraction(3, 2)),
+                            (3, 0, 1, 0.25), (1, 2, -1, 0), (2, 3, 1, Fraction(0))])
+        assert [e.weight for e in g.edges] == [1, Fraction(3, 2), 0.25, 0, 0]
+        assert [type(e.weight) for e in g.edges] == [int, Fraction, float, int, Fraction]
+        assert [e.pair for e in g.edges] == [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+        assert not g.is_exact()
+        assert g.edge_id(3, 0) == 2
+        assert g.edge_id(1, 3) is None
+        assert g.edge_id(0, 0) is None
+
     def test_canonical_endpoint_order_and_dense_ids(self):
         g = SignedGraph(3, [(2, 0, 1), (1, 2, -1)])
         assert g.edges[0].pair == (0, 2)
@@ -122,6 +152,36 @@ class TestBadTriangles:
     def test_enumeration_matches_brute_force(self, g):
         assert list(g.bad_triangles()) == brute_force_bad_triples(g)
 
+    @pytest.mark.parametrize("make", [
+        lambda: gen_random(60, complete=True, seed=3),
+        lambda: gen_random(60, positive_prob=0.9, complete=True, seed=4),
+        lambda: gen_random(60, positive_prob=0.0, complete=True, seed=5),
+        lambda: gen_random(60, positive_prob=1.0, complete=True, seed=6),
+        lambda: SignedGraph(9, [(7, 2, 1), (2, 5, 1), (5, 7, -1), (5, 3, 1),
+                                (3, 7, 1)]),
+        lambda: SignedGraph(5, []),
+        lambda: gen_random(80, complete=False, density=0.2, seed=7),
+    ], ids=["complete60", "complete60-p0.9", "no-positive", "no-negative",
+            "isolated-nodes", "edgeless", "sparse80"])
+    def test_larger_graphs_match_brute_force(self, make):
+        g = make()
+        assert list(g.bad_triangles()) == brute_force_bad_triples(g)
+
+    def test_top_node_ids_beyond_two_to_the_21(self):
+        # a key (a*n + b)*n + c would pass 2**63 on these node ids
+        n = 2**21 + 3
+        small = [(0, 1, 1), (1, 2, 1), (0, 2, -1), (2, 3, 1), (1, 3, -1),
+                 (3, 4, 1), (2, 4, 1), (1, 4, 1), (0, 4, 1), (0, 3, 1),
+                 (4, 5, 1), (3, 5, -1)]
+
+        def relabel(v):
+            return v if v == 0 else n - 6 + v
+
+        g = SignedGraph(n, [(relabel(u), relabel(v), s) for u, v, s in small])
+        expected = brute_force_bad_triples(SignedGraph(6, small))
+        assert len(expected) > 4
+        assert list(g.bad_triangles()) == expected
+
     def test_cached_and_sorted(self):
         g = gen_figure2()
         tris = g.bad_triangles()
@@ -154,6 +214,22 @@ class TestFeasibleCover:
         g = gen_figure2()
         base = {g.edge_id(u, v) for u, v in FIG2_COVER_PAIRS}
         assert is_feasible_cover(g, base | {extra})
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_covers_match_a_triple_scan(self, seed):
+        g = gen_random(30, complete=False, density=0.6, seed=seed)
+        triples = brute_force_bad_triples(g)
+        rng = np.random.default_rng(seed)
+        seen = set()
+        for share in (0.2, 0.5, 0.8, 0.95, 1.0):
+            for _ in range(5):
+                ids = np.flatnonzero(rng.random(g.m) < share).tolist()
+                expected = all(set(t) & set(ids) for t in triples)
+                seen.add(expected)
+                assert is_feasible_cover(g, ids) is expected
+                assert is_feasible_cover(g, EdgeCover.from_ids(g, ids)) is expected
+        assert seen == {True, False}
 
 
 class TestCcCost:

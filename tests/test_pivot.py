@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -313,6 +314,62 @@ FLOAT150_FROZEN = {
 }
 
 
+# pivot_trials disagreements (4 trials, seed 9), then pivot_order,
+# removed_per_round, cluster count and a SHA-256 prefix of the labels'
+# repr for run_pivot with seed 3 and the cover given, per algorithm on two
+# larger float graphs, frozen before the sampler read edge columns.
+WIDE_FROZEN = {
+    "sparse150": {
+        ALG_STANDARD_PIVOT: (
+            [1952.8226077789639, 1974.1393383236762, 1971.6873727938334,
+             1990.561697017447],
+            (98, 6, 39, 19, 83, 26, 68, 141, 134, 148, 20, 97, 77, 126, 8, 28,
+             96, 79),
+            (858, 507, 238, 188, 127, 104, 59, 64, 20, 11, 24, 13, 5, 10, 5, 2,
+             0, 0),
+            "99db01404b7172ed"),
+        ALG_COVER_PIVOT: (
+            [2120.1100743819197, 2125.8243111233246, 2113.5818800578395,
+             2084.3430274277353],
+            (98, 8, 124, 85, 117, 15, 129, 61, 64, 139, 27, 23, 136, 49, 65,
+             106, 77, 134, 127, 43, 143, 99, 22, 142, 145, 66, 16),
+            (485, 495, 206, 258, 57, 82, 113, 130, 125, 26, 69, 73, 29, 27, 1,
+             6, 12, 2, 7, 21, 5, 2, 1, 2, 1, 0, 0),
+            "46ec5a7a84cf4d74"),
+        ALG_FLIP_PIVOT: (
+            [2211.512945828326, 2216.8505904818644, 2219.06531617042,
+             2220.277168687568],
+            (98, 6, 43, 25, 91, 34, 78, 146, 136, 143, 54, 115, 92, 129, 32,
+             79, 84, 134, 131, 117, 80, 38, 107, 112, 82, 56, 109, 35),
+            (447, 618, 255, 194, 157, 84, 69, 61, 35, 38, 63, 20, 32, 36, 38,
+             27, 14, 13, 16, 8, 1, 2, 3, 3, 1, 0, 0, 0),
+            "121b675ac8cb4bbd"),
+    },
+    "complete40": {
+        ALG_STANDARD_PIVOT: (
+            [393.06283156905425, 439.67791024063933, 428.8912777438368,
+             444.29676664598924],
+            (26, 2, 14, 11), (462, 47, 24, 16), "0bd9b3d890e40a39"),
+        ALG_COVER_PIVOT: (
+            [479.1740103125301, 466.1512152281519, 461.7488059662003,
+             482.84603494515244],
+            (26, 3, 2, 25, 27, 24, 23, 38, 4), (234, 215, 70, 13, 4, 4, 1, 5, 3),
+            "abaedbec443a2e6a"),
+        ALG_FLIP_PIVOT: (
+            [500.15486454154524, 492.63639946421506, 489.2783945701944,
+             497.1252843820741],
+            (26, 1, 13, 4, 35, 27, 30, 39, 36, 17),
+            (176, 276, 61, 20, 8, 3, 2, 0, 3, 0), "079793029e80eb81"),
+    },
+}
+WIDE_GRAPHS = {
+    "sparse150": lambda: gen_random(150, complete=False, density=0.3,
+                                    weights=("uniform", 0.5, 2.0), seed=1),
+    "complete40": lambda: gen_random(40, complete=True,
+                                     weights=("uniform", 0.5, 2.0), seed=1),
+}
+
+
 def random12_with_cover():
     g = gen_random(12, positive_prob=0.5, complete=True, seed=7)
     return g, standard_three_approx(g).cover
@@ -375,6 +432,21 @@ class TestPivotKernel:
         assert trace.disagreements == costs[0]
         assert trace.removed_per_round == removed
         assert sum(removed) == f.size
+
+    @pytest.mark.parametrize("graph", sorted(WIDE_GRAPHS))
+    def test_wide_runs_match_frozen_values(self, graph):
+        g = WIDE_GRAPHS[graph]()
+        f = standard_three_approx(g).cover
+        for algorithm, (costs, order, removed, labels) in WIDE_FROZEN[graph].items():
+            report = pivot_trials(g, algorithm, 4, 9,
+                                  cover=None if algorithm == ALG_STANDARD_PIVOT else f)
+            assert report["disagreements"] == costs
+            trace = run_pivot(g, algorithm, 3, cover=f)
+            assert trace.pivot_order == order
+            assert trace.removed_per_round == removed
+            assert trace.clustering.num_clusters == len(order)
+            digest = hashlib.sha256(repr(trace.clustering.labels).encode())
+            assert digest.hexdigest()[:16] == labels
 
     @pytest.mark.parametrize("algorithm", PIVOT_ALGS)
     def test_join_lists_follow_join_probabilities(self, algorithm):
