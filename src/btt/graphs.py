@@ -8,6 +8,12 @@ rest of the package is built on top of the types defined here.
 Every layer reads bad triangles in one form: the tuple cached by
 ``SignedGraph.bad_triangles()``, holding one edge-id triple ``(ab, ac, bc)``
 per triangle on nodes a < b < c, in lexicographic order of (a, b, c).
+The same rows are cached as a read-only (T, 3) numpy index,
+``SignedGraph.bad_triangle_index()``, for the readers that work on arrays
+(``is_feasible_cover`` and ``lp.solve_mwu``).  Enumeration builds the
+index from the edge columns: it looks up the closing pair of every
+positive wedge among the sorted negative edges, a block of about 4,096
+wedges at a time, so memory follows the triangle count.
 
 Graphs are immutable after construction: every "mutating" operation
 (``flip_edges``) returns a new value, so instances can be shared freely
@@ -23,7 +29,9 @@ Beside the triangles, a graph caches its edges as numpy columns
 and the weights as float64 when every weight is a Python float.
 ``cc_cost`` sums over those columns on all-float graphs and loops over the
 edges on int, Fraction and mixed-weight graphs; both add in edge-id order,
-so the two give the same value.
+so the two give the same value.  The pair-to-id map behind
+``SignedGraph.edge_id`` is built on its first call: the constructor checks
+duplicates with a set, and most graphs never look a pair up.
 """
 
 from __future__ import annotations
@@ -96,7 +104,7 @@ class SignedGraph:
     """
 
     __slots__ = ("n", "edges", "complete", "_pair_to_id", "_bad_triangles",
-                 "_columns")
+                 "_triangle_index", "_columns")
 
     def __init__(self, n: int, edges: Iterable[tuple], complete: bool = False):
         """Build a graph from ``(u, v, sign[, weight])`` tuples.
@@ -104,12 +112,15 @@ class SignedGraph:
         Raises InputError on self-loops, duplicate pairs, bad signs,
         negative or non-finite weights, Fraction weights whose common
         denominator reaches 10 ** MAX_WEIGHT_DIGITS, out-of-range node ids,
-        or a ``complete`` flag that does not match the edge count.
+        or a ``complete`` flag that does not match the edge count.  The
+        message names the first faulty edge in input order.
         """
         if n < 0:
             raise InputError(f"node count must be nonnegative, got {n}")
         canonical: list[Edge] = []
-        pair_to_id: dict[tuple[int, int], int] = {}
+        append = canonical.append
+        new_tuple = tuple.__new__  # Edge(...) without its Python-level __new__
+        seen: set[tuple[int, int]] = set()
         denominators: set[int] = set()
         for item in edges:
             if len(item) == 3:
@@ -125,18 +136,32 @@ class SignedGraph:
                 raise InputError(f"self-loop at node {u}")
             if sign not in (POSITIVE, NEGATIVE):
                 raise InputError(f"sign must be +1 or -1, got {sign!r}")
-            if isinstance(weight, float):
+            kind = type(weight)
+            if kind is int:
+                negative = weight < 0
+            elif kind is float:
                 if not math.isfinite(weight):
                     raise InputError(f"non-finite weight on edge ({u},{v}): {weight}")
-            elif isinstance(weight, Fraction):
+                negative = weight < 0
+            elif kind is Fraction:
+                # a Fraction's sign is its numerator's; Fraction < is slow
                 denominators.add(weight.denominator)
-            if weight < 0:
+                negative = weight.numerator < 0
+            else:  # bool, numpy scalars, subclasses of float or Fraction
+                if isinstance(weight, float) and not math.isfinite(weight):
+                    raise InputError(f"non-finite weight on edge ({u},{v}): {weight}")
+                if isinstance(weight, Fraction):
+                    denominators.add(weight.denominator)
+                negative = weight < 0
+            if negative:
                 raise InputError(f"negative weight on edge ({u},{v}): {weight}")
-            pair = _canon(u, v)
-            if pair in pair_to_id:
+            if u > v:
+                u, v = v, u
+            pair = (u, v)
+            if pair in seen:
                 raise InputError(f"duplicate edge {pair}")
-            pair_to_id[pair] = len(canonical)
-            canonical.append(Edge(pair[0], pair[1], sign, weight))
+            seen.add(pair)
+            append(new_tuple(Edge, (u, v, sign, weight)))
         common = 1
         for d in denominators:
             common = math.lcm(common, d)
@@ -150,8 +175,9 @@ class SignedGraph:
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(canonical)
         self.complete = complete
-        self._pair_to_id = pair_to_id
+        self._pair_to_id: dict[tuple[int, int], int] | None = None
         self._bad_triangles: tuple[tuple[int, int, int], ...] | None = None
+        self._triangle_index: np.ndarray | None = None
         self._columns: EdgeColumns | None = None
 
     # -- basic accessors ------------------------------------------------
@@ -161,7 +187,10 @@ class SignedGraph:
         return len(self.edges)
 
     def edge_id(self, u: int, v: int) -> int | None:
-        """Dense id of edge {u, v}, or None when the pair is absent."""
+        """Dense id of edge {u, v}, or None when the pair is absent.  The
+        pair-to-id map is built on the first call."""
+        if self._pair_to_id is None:
+            self._pair_to_id = {e.pair: i for i, e in enumerate(self.edges)}
         return self._pair_to_id.get(_canon(u, v))
 
     def positive_edge_ids(self) -> list[int]:
@@ -172,9 +201,10 @@ class SignedGraph:
         return all(isinstance(e.weight, (int, Fraction)) for e in self.edges)
 
     def check_edge_ids(self, edge_ids: Iterable[int]) -> None:
+        m = self.m
         for eid in edge_ids:
-            if not (0 <= eid < self.m):
-                raise InputError(f"invalid edge id {eid} (graph has {self.m} edges)")
+            if not (0 <= eid < m):
+                raise InputError(f"invalid edge id {eid} (graph has {m} edges)")
 
     def edge_columns(self) -> EdgeColumns:
         """The edges as numpy columns, built on first use and cached."""
@@ -182,7 +212,7 @@ class SignedGraph:
             u, v, sign, weight = (zip(*self.edges) if self.edges
                                   else ((), (), (), ()))
             floats = None
-            if all(type(w) is float for w in weight):
+            if set(map(type, weight)) <= {float}:
                 # + 0.0 turns -0.0 into 0.0, as the first step of a sum
                 # that starts from int 0 does
                 floats = np.array(weight, dtype=np.float64) + 0.0
@@ -201,37 +231,85 @@ class SignedGraph:
         """All bad triangles, cached: one edge-id triple ``(ab, ac, bc)`` per
         triangle on nodes a < b < c, in lexicographic order of (a, b, c).
 
-        Iterates positive wedges (pairs of positive edges sharing a node)
-        and looks the closing pair up among the negative edges, so the work
-        scales with the positive-wedge count rather than n^3 on
-        sparse-positive graphs.  A bad triangle has a unique wedge centre
-        (the node on both positive edges), so no deduplication is needed,
-        and the centre's two edge ids come with its adjacency.
+        The tuple holds the rows of ``bad_triangle_index()`` as Python ints,
+        taken from one shared ``list(range(m))``, so each id is one object
+        however many triangles hold it.
         """
         if self._bad_triangles is None:
-            negative = {e.pair: eid for eid, e in enumerate(self.edges)
-                        if e.sign == NEGATIVE}
-            positive: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-            for eid, e in enumerate(self.edges):
-                if e.sign == POSITIVE:
-                    positive[e.u].append((e.v, eid))
-                    positive[e.v].append((e.u, eid))
-            found = []
-            for c, nbrs in enumerate(positive):
-                nbrs.sort()
-                for (a, ca), (b, cb) in combinations(nbrs, 2):
-                    ab = negative.get((a, b))
-                    if ab is None:
-                        continue
-                    if c < a:
-                        found.append(((c, a, b), (ca, cb, ab)))
-                    elif c < b:
-                        found.append(((a, c, b), (ca, ab, cb)))
-                    else:
-                        found.append(((a, b, c), (ab, ca, cb)))
-            found.sort()
-            self._bad_triangles = tuple(ids for _, ids in found)
+            ints = list(range(self.m))
+            ab, ac, bc = (list(map(ints.__getitem__, column.tolist()))
+                          for column in self.bad_triangle_index().T)
+            self._bad_triangles = tuple(zip(ab, ac, bc))
         return self._bad_triangles
+
+    def bad_triangle_index(self) -> np.ndarray:
+        """The bad triangles as a read-only (T, 3) intp array, cached; row i
+        is the triple ``bad_triangles()[i]``.
+
+        Built from the edge columns.  The positive half-edges are sorted by
+        (centre, neighbour), so the wedges of a centre are its pairs of
+        half-edges i < j, with neighbours a < b; each closing pair (a, b) is
+        looked up with ``np.searchsorted`` among the negative edges sorted
+        by ``a * n + b``.  A bad triangle has a unique wedge centre (the node
+        on both positive edges), so no deduplication is needed.  Wedges are
+        made in blocks of about ``_WEDGE_BLOCK``, so memory follows the
+        triangle count rather than the wedge count, and one sort on
+        (a, b, c) gives lexicographic order.  The work scales with the
+        positive-wedge count (Chiba–Nishizeki, Latapy).
+        """
+        if self._triangle_index is None:
+            index = _bad_triangle_index(self.n, self.edge_columns())
+            index.flags.writeable = False
+            self._triangle_index = index
+        return self._triangle_index
+
+
+#: Wedges looked up per block by ``SignedGraph.bad_triangle_index``.
+_WEDGE_BLOCK = 4096
+
+
+def _bad_triangle_index(n: int, cols: EdgeColumns) -> np.ndarray:
+    positive = cols.positive.nonzero()[0]
+    negative = (~cols.positive).nonzero()[0]
+    centre = np.concatenate((cols.u[positive], cols.v[positive]))
+    other = np.concatenate((cols.v[positive], cols.u[positive]))
+    order = (centre * n + other).argsort()
+    centre, other = centre[order], other[order]
+    half_id = np.concatenate((positive, positive))[order]
+    key = cols.u[negative] * n + cols.v[negative]  # u < v, and n * n < 2**63
+    order = key.argsort()
+    # n * n closes no wedge: a lookup past the last key lands on it
+    neg_key, neg_id = np.append(key[order], n * n), negative[order]
+    # half-edge i opens a wedge with every later half-edge of its centre
+    count = centre.searchsorted(centre, side="right") - np.arange(1, len(centre) + 1)
+    total = count.cumsum()
+    wedges = int(total[-1]) if len(total) else 0
+    if not wedges or not len(negative):
+        return np.empty((0, 3), dtype=np.intp)
+    cuts = total.searchsorted(np.arange(_WEDGE_BLOCK, wedges, _WEDGE_BLOCK), side="right")
+    blocks = []
+    start = 0
+    for stop in sorted({*cuts.tolist(), len(count)}):
+        runs = count[start:stop]
+        first = np.arange(start, stop).repeat(runs)
+        second = first + np.arange(1, len(first) + 1) - (runs.cumsum() - runs).repeat(runs)
+        start = stop
+        wedge_key = other[first] * n + other[second]
+        at = neg_key.searchsorted(wedge_key)
+        hit = neg_key[at] == wedge_key
+        first, second = first[hit], second[hit]
+        c, a, b = centre[first], other[first], other[second]
+        ca, cb, ab = half_id[first], half_id[second], neg_id[at[hit]]
+        # order (c, a, b) with a < b: c below a, between them, or above b
+        below, above = c < a, c > b
+        blocks.append(np.stack((np.where(above, ab, ca),
+                                np.where(below, cb, np.where(above, ca, ab)),
+                                np.where(below, ab, cb)), axis=1))
+    index = np.concatenate(blocks)
+    del blocks
+    # row (ab, ac, bc) sorts by the key of edge ab, a * n + b, then by c
+    order = np.lexsort((cols.v[index[:, 1]], (cols.u * n + cols.v)[index[:, 0]]))
+    return index[order]
 
 
 @dataclass(frozen=True)
@@ -266,10 +344,13 @@ class EdgeCover:
 
 
 def is_feasible_cover(g: SignedGraph, cover: EdgeCover | Iterable[int]) -> bool:
-    """True iff every bad triangle of ``g`` contains at least one cover edge."""
+    """True iff every bad triangle of ``g`` contains at least one cover edge:
+    a membership mask over the edges, read at ``g.bad_triangle_index()``."""
     ids = cover.edge_ids if isinstance(cover, EdgeCover) else frozenset(cover)
     g.check_edge_ids(ids)
-    return all(a in ids or b in ids or c in ids for a, b, c in g.bad_triangles())
+    mask = np.zeros(g.m, dtype=bool)
+    mask[np.fromiter(ids, dtype=np.intp, count=len(ids))] = True
+    return bool(mask[g.bad_triangle_index()].any(axis=1).all())
 
 
 @dataclass(frozen=True)

@@ -392,21 +392,20 @@ def solve_mwu(g: SignedGraph, eps: float,
     """
     if not (0 < eps < 1):
         raise InputError(f"eps must lie in (0,1), got {eps}")
-    tris_all = g.bad_triangles()
-    if not tris_all:
+    all_edges = g.bad_triangle_index()
+    if not len(all_edges):
         primal = FractionalCover((0.0,) * g.m, 0.0)
-        dual = FractionalPacking.from_values(g, [])
-        return LpSolution(primal, dual, STATUS_EPS, (0.0, 0.0), eps=eps)
+        return LpSolution(primal, FractionalPacking((), 0.0), STATUS_EPS,
+                          (0.0, 0.0), eps=eps)
 
     # Edges of zero weight cover their triangles for free.
     w = np.array([float(e.weight) for e in g.edges])
     free = w == 0
-    all_edges = np.array(tris_all, dtype=np.int64)
     keep = ~free[all_edges].any(axis=1)
     x_final = free.astype(float)
     if not keep.any():
         primal = FractionalCover.from_values(g, x_final.tolist())
-        dual = FractionalPacking.from_values(g, [0.0] * len(tris_all))
+        dual = FractionalPacking.from_values(g, [0.0] * len(all_edges))
         return LpSolution(primal, dual, STATUS_EPS,
                           (0.0, float(primal.objective)), eps=eps)
 
@@ -467,7 +466,7 @@ def solve_mwu(g: SignedGraph, eps: float,
     np.clip(x_final, 0.0, 1.0, out=x_final)
     primal = FractionalCover.from_values(g, x_final.tolist())
 
-    y_full = np.zeros(len(tris_all))
+    y_full = np.zeros(len(all_edges))
     y_full[keep] = best_y * (1 - 1e-12)
     dual = FractionalPacking.from_values(g, y_full.tolist())
     return LpSolution(primal, dual, STATUS_EPS,

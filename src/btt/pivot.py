@@ -31,8 +31,11 @@ once; each is exact in binary, so a uniform draw compares with the float
 as it would with the Fraction.  The probabilities are computed, and the
 cover checked, once per batch: ``pivot_trials`` samples all its trials
 from the same per-node neighbour lists, and ``run_pivot`` is a batch of
-one.  Disagreements are always counted on the input graph, by
-``cc_cost``.
+one.  The sampler builds those lists from the graph's numpy edge columns,
+and a run keeps its unclustered nodes as a sorted list from which each
+clustered node is deleted by bisection, so a round costs its joins rather
+than a pass over every node.  Disagreements are always counted on the
+input graph, by ``cc_cost``.
 
 The guarantee rests on a finite case analysis over the 4 triangle sign
 classes times the 8 cover-membership patterns; ``verify_charging_tables``
@@ -42,6 +45,7 @@ and checks them cell by cell against frozen reference values.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -324,37 +328,45 @@ class _PivotSampler:
     Each node keeps its neighbours of nonzero join probability, as floats,
     sorted by neighbour id.  The floats are the four cells of the
     algorithm's (positive, in-cover) table in the module docstring, the
-    table ``join_probabilities`` reads, converted once per batch.  The
-    cover's endpoints are kept as numpy columns, from which each run
-    counts the cover edges removed per round with one ``np.bincount``.
+    table ``join_probabilities`` reads, converted once per batch and taken
+    per edge from the graph's edge columns at ``2 * positive + in_cover``;
+    one ``np.lexsort`` groups the half-edges by node and sorts each group
+    by neighbour.  The cover's endpoints are kept as numpy columns, from
+    which each run counts the cover edges removed per round with one
+    ``np.bincount``.
     """
 
     def __init__(self, g: SignedGraph, algorithm: str, cover: EdgeCover | None):
         table, ids = _join_rule(g, algorithm, cover)
-        floats = {key: float(p) for key, p in table.items()}
-        joins: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
-        for i, e in enumerate(g.edges):
-            p = floats[e.sign == POSITIVE, i in ids]
-            if p:
-                joins[e.u].append((e.v, p))
-                joins[e.v].append((e.u, p))
-        for neighbours in joins:
-            neighbours.sort()
+        cells = np.array([float(table[positive, in_cover])
+                          for positive in (False, True) for in_cover in (False, True)])
+        cols = g.edge_columns()
+        in_cover = np.zeros(g.m, dtype=np.intp)
+        in_cover[np.fromiter(ids, dtype=np.intp, count=len(ids))] = 1
+        join = cells[2 * cols.positive + in_cover]
+        kept = join.nonzero()[0]
+        node = np.concatenate((cols.u[kept], cols.v[kept]))
+        neighbour = np.concatenate((cols.v[kept], cols.u[kept]))
+        order = np.lexsort((neighbour, node))
+        p = join[kept]
+        pairs = list(zip(neighbour[order].tolist(), np.concatenate((p, p))[order].tolist()))
+        bounds = node[order].searchsorted(np.arange(g.n + 1)).tolist()
         # removed edges are counted for any given cover, also by ``pivot``,
         # whose joins ignore it
-        cols = g.edge_columns()
         counted = () if cover is None else cover.edge_ids
         cover_ids = np.fromiter(counted, dtype=np.intp, count=len(counted))
         self.g = g
         self.algorithm = algorithm
-        self.joins = joins
+        self.joins = [pairs[start:stop] for start, stop in zip(bounds, bounds[1:])]
         self.cover_u = cols.u[cover_ids]
         self.cover_v = cols.v[cover_ids]
 
     def run(self, seed: int) -> PivotTrace:
         """Pick a uniformly random unclustered pivot, then walk its
         neighbours in id order; a coin is drawn only for an unclustered
-        neighbour with a fractional probability."""
+        neighbour with a fractional probability.  The unclustered nodes are
+        kept as a sorted list, so the draw picks the k-th of them in id
+        order, and each newly clustered node is deleted by bisection."""
         g = self.g
         rng = make_rng(seed)
         rounds = [-1] * g.n  # round in which each node was clustered
@@ -365,10 +377,11 @@ class _PivotSampler:
             k = len(pivots)
             pivots.append(pivot)
             rounds[pivot] = k
+            del unclustered[bisect_left(unclustered, pivot)]
             for v, p in self.joins[pivot]:
                 if rounds[v] < 0 and (p == 1.0 or rng.random() < p):
                     rounds[v] = k
-            unclustered = [v for v in unclustered if rounds[v] < 0]
+                    del unclustered[bisect_left(unclustered, v)]
         # a cover edge is removed in the first round that clusters one of
         # its endpoints
         node_round = np.array(rounds, dtype=np.intp)

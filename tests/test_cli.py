@@ -103,6 +103,18 @@ class TestSolve:
         body = run_cli(argv + ["kriv"], tmp_path / "kriv.json")
         assert body["outcome"]["lp_lower_bound"] == "0"
 
+    @pytest.mark.parametrize("text", ["n 2\n", "n 2\n0 1 +1\n"])
+    def test_mwu_zero_dual_is_a_float(self, text, tmp_path):
+        # a triangle-free graph summed its empty packing to int 0
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        body = run_cli(["solve", "--input", str(path), "--alg", "lp-mwu"],
+                       tmp_path / "lp.json")
+        lp = body["lp"]
+        assert lp["bounds"] == [0.0, 0.0]
+        assert lp["dual_objective"] == 0.0 and type(lp["dual_objective"]) is float
+        assert lp["triangle_values"] == []
+
     def test_exact_on_float_weights(self, tmp_path):
         spec = "random:n=8,weights=uniform:0.5:2,seed=1"
         body = run_cli(["solve", "--gen", spec, "--alg", "exact"], tmp_path / "solve.json")

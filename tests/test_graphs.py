@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from btt import (Clustering, EdgeCover, InputError, SignedGraph, cc_cost,
                  flip_edges, gen_figure2, gen_integrality_gap, gen_random,
                  is_feasible_cover)
+from btt import graphs
 from btt.errors import CapacityError
 from btt.graphs import (COMPLETE_NODE_BOUND, COVER_SCHEMA, MAX_WEIGHT_DIGITS,
                         clustering_to_json, complete_graph, cover_from_json,
@@ -166,6 +167,26 @@ class TestBadTriangles:
     def test_larger_graphs_match_brute_force(self, make):
         g = make()
         assert list(g.bad_triangles()) == brute_force_bad_triples(g)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    def test_any_wedge_block_size_gives_the_same_triangles(self, block, monkeypatch):
+        # blocks smaller than a centre's wedge run, and empty ones, included
+        monkeypatch.setattr(graphs, "_WEDGE_BLOCK", block)
+        for g in (gen_random(25, complete=True, seed=block),
+                  gen_random(40, positive_prob=0.8, complete=False, density=0.4,
+                             seed=block),
+                  SignedGraph(6, [(0, 5, 1), (1, 5, 1), (2, 5, 1), (3, 5, 1),
+                                  (0, 1, -1), (2, 3, -1), (1, 3, -1)])):
+            assert list(g.bad_triangles()) == brute_force_bad_triples(g)
+
+    def test_index_rows_are_the_tuple(self):
+        g = gen_random(60, complete=True, seed=3)
+        index = g.bad_triangle_index()
+        assert index.dtype == np.intp and index.shape == (len(g.bad_triangles()), 3)
+        assert list(map(tuple, index.tolist())) == list(g.bad_triangles())
+        assert not index.flags.writeable
+        assert g.bad_triangle_index() is index
+        assert SignedGraph(3, [(0, 1, 1)]).bad_triangle_index().shape == (0, 3)
 
     def test_top_node_ids_beyond_two_to_the_21(self):
         # a key (a*n + b)*n + c would pass 2**63 on these node ids
