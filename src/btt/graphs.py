@@ -306,7 +306,7 @@ def _bad_triangle_index(n: int, cols: EdgeColumns) -> np.ndarray:
                                 np.where(below, cb, np.where(above, ca, ab)),
                                 np.where(below, ab, cb)), axis=1))
     index = np.concatenate(blocks)
-    del blocks
+    del blocks  # freed before the sort's temporaries, for peak memory
     # row (ab, ac, bc) sorts by the key of edge ab, a * n + b, then by c
     order = np.lexsort((cols.v[index[:, 1]], (cols.u * n + cols.v)[index[:, 0]]))
     return index[order]
