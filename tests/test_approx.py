@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -168,6 +170,105 @@ class TestKrivelevich:
         with pytest.raises(VerificationError, match="without a zero"):
             krivelevich(g)
 
+
+def rounding_pin_graphs():
+    """Unit, rational:4:3 and rational:1000000007:999999937 complete graphs
+    (the last has weight denominators far past 2**63), gap8-10, fig2 and
+    the hexagram."""
+    yield "unit10", gen_random(10, complete=True, seed=1)
+    yield "unit12", gen_random(12, complete=True, seed=2)
+    yield "rational10", gen_random(10, complete=True, weights=("rational", 4, 3), seed=2)
+    yield "rational12", gen_random(12, complete=True, weights=("rational", 4, 3), seed=3)
+    yield "big10", gen_random(10, complete=True,
+                              weights=("rational", 1000000007, 999999937), seed=1)
+    for n in (8, 9, 10):
+        yield f"gap{n}", gen_integrality_gap(n)
+    yield "fig2", gen_figure2()
+    yield "hexagram", gen_hexagram()[0]
+
+
+#: sha256 of ``json.dumps([det2, sweep2, rand2], sort_keys=True)`` over the
+#: ``outcome_to_json`` records of the three roundings (rand2 with seed 7,
+#: each with the exact LP value as lower bound), first on the exact LP
+#: optimum x, then on (x + 1/3) / 2, whose sweep picks a threshold of 1/3
+#: on most graphs.  The covers, thresholds and their JSON kinds must not
+#: move.
+ROUNDING_PINS = {
+    "unit10": ("294ac093d7428d0dd5892df0087b411d924881fdae23ea4a89ddee0a0dab91e4",
+               "b11939175071c0b35f1508d811d2189bff606c594b93c9606b80950fd1010ca7"),
+    "unit12": ("d90dad076da5c741b4b1fe89de1d4f79c4febe6ff9f9c400f6198a0cd8b2e844",
+               "d7a6c54cc283ee668cc5b5e1baed15eb7fa544a86528fb745317dd2e96e42c5e"),
+    "rational10": ("f0a5c03794b088254d5a1eb084fa8706e430edac6f17ae0d712a89f8fe1a4c95",
+                   "21029b39c92d56ab0603e47f220fdfd141498762e6e380a56c982c73cea1268a"),
+    "rational12": ("175c3ceca1c7624ad7f7a05003dc89a5d4c1eeba3cfb8a877c7ea5f1a9a41228",
+                   "792876013f770fd8e4dda86229815eba22ac631ac75577d457d37689f7518ade"),
+    "big10": ("399673a4f39e25e8403566757222713d25d9fceba1efabb8df623bccab8c2c6a",
+              "0ee60a5af922b2dc80a66cef76c48aa54fd2fc72e2fcaf35e1a6077b4c4e4e84"),
+    "gap8": ("e7ad91bdd2abeab00349193aad0540120c0bd6932d092fe2eb5ae75276fa0c1e",
+             "16c9fa1930210c5e86ad91aa71606969f0793c938e2d36e522e19456cccaebc2"),
+    "gap9": ("777ea12551d05a4d96e5bf0b662805fef131c9d8b7d7744f85336294362dbf96",
+             "68809120437871d48787817ea8613d38f801c18cfd0a13665142967ee14192c3"),
+    "gap10": ("8f2060b8cb16c7950903d981ba17b59811382fa98060e795c9c9db3db7094461",
+              "502f94c851f84c9cc9dff5a60aeccbfbf41d13d3c56dac4bfc054b9bb0082b18"),
+    "fig2": ("3299c0cb7a4402261d3a47d307e1fa450bfeebc27a34c844bd24acb159362dc8",
+             "d324b683cba450171206906010bdc18b5a6a795b6351f70ebde846c7b55115f0"),
+    "hexagram": ("172390815ef3f0ffa5629477fa9cda0efd53279802c87d129f456656481c921e",
+                 "c050fb678cde91e4f57907efd9c716d766cd01388c60a2cec05e2a4b89dc1164"),
+}
+
+
+class TestPinnedRoundings:
+    @pytest.mark.parametrize("name", sorted(ROUNDING_PINS))
+    def test_outcomes_are_unchanged(self, name):
+        g = dict(rounding_pin_graphs())[name]
+        sol = solve_exact(g)
+        blend = FractionalCover.from_values(
+            g, [(v + Fraction(1, 3)) / 2 for v in sol.primal.values])
+        digests = []
+        for x in (sol.primal, blend):
+            outs = (round_deterministic(g, x, lower_bound=sol.value),
+                    derandomized_sweep(g, x, lower_bound=sol.value),
+                    round_randomized(g, x, 7, lower_bound=sol.value))
+            text = json.dumps([outcome_to_json(g, o) for o in outs], sort_keys=True)
+            digests.append(hashlib.sha256(text.encode()).hexdigest())
+        assert tuple(digests) == ROUNDING_PINS[name]
+
+    @staticmethod
+    def _fig2_indicator(inside, outside):
+        """fig2's optimal cover (four negative edges) as values ``inside``
+        on its edges and ``outside`` elsewhere."""
+        g = gen_figure2()
+        ids = {g.edge_id(1, 2), g.edge_id(2, 3), g.edge_id(3, 4), g.edge_id(1, 4)}
+        return g, FractionalCover.from_values(
+            g, [inside if i in ids else outside for i in range(g.m)])
+
+    @pytest.mark.parametrize("inside, outside, threshold", [
+        (1, 0, 0),                 # Python ints: the threshold stays int 0
+        (Fraction(1), 0, 0),       # positive edge 0 puts int 0 in first
+        (1, Fraction(0), "0"),     # positive edge 0 puts Fraction(0) in first
+    ])
+    def test_sweep_threshold_keeps_the_first_breakpoint_kind(self, inside, outside,
+                                                            threshold):
+        # equal breakpoints are one threshold; it keeps the number kind of
+        # the first edge (in id order) that has it, so the JSON is 0 or "0"
+        g, x = self._fig2_indicator(inside, outside)
+        out = derandomized_sweep(g, x)
+        assert sorted(out.cover.edge_ids) == [5, 7, 9, 12]
+        assert out.threshold_side == "above"
+        assert outcome_to_json(g, out)["threshold"] == threshold
+        assert type(outcome_to_json(g, out)["threshold"]) is type(threshold)
+
+    @pytest.mark.parametrize("r, taken", [(0.1, [0, 1]), (0.3, [0, 1, 2])])
+    def test_float_thresholds_round_before_the_exact_comparison(self, r, taken):
+        # x on the negative edge is exactly 1 - r; the threshold 1 - r is
+        # computed in floats first, which rounds up at r = 0.1 and down at
+        # r = 0.3, so only at 0.3 does the negative edge lie strictly above
+        g = SignedGraph(3, SINGLE_BAD_TRIANGLE)
+        x = FractionalCover.from_values(
+            g, [Fraction(r) / 2, Fraction(r) / 2, 1 - Fraction(r)])
+        out = round_fixed_threshold(g, x, r)
+        assert out.algorithm == "rand2" and out.threshold == r
+        assert sorted(out.cover.edge_ids) == taken
 
 class TestRoundDeterministic:
     def test_gap4_optimal_half_takes_all_positives(self):

@@ -213,7 +213,25 @@ class TestPositiveOnly:
         assert res.optima_truncated and len(res.optima) == 1
 
 
+#: exact_cc's (value, nodes_explored, witness labels) without a lower
+#: bound, frozen before its per-node cluster sums moved from dicts to
+#: lists; the search order must not change.
+CC_PINNED = {
+    "fig2": (4, 21, [0, 0, 0, 0, 0, 0]),
+    "gap6": (5, 225, [0, 0, 1, 2, 3, 4, 0]),
+    "unit9": (10, 447, [0, 1, 0, 0, 0, 0, 0, 1, 0]),
+    "unit10": (12, 2949, [0, 1, 1, 0, 1, 0, 2, 1, 0, 0]),
+    "rational9": (F(73, 6), 142, [0, 0, 1, 1, 1, 1, 2, 0, 0]),
+}
+
 class TestExactCc:
+    @pytest.mark.parametrize("name", sorted(CC_PINNED))
+    def test_search_is_unchanged(self, name):
+        res = exact_cc(PINNED[name][0]())
+        value, nodes, labels = CC_PINNED[name]
+        assert (res.value, res.nodes_explored, list(res.witness.labels)) == \
+            (value, nodes, labels)
+
     def test_figure2(self):
         g = gen_figure2()
         res = exact_cc(g)
