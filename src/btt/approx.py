@@ -22,13 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InputError, VerificationError
 from .graphs import (EdgeCover, POSITIVE, SignedGraph, is_feasible_cover,
                      json_value)
-from .lp import (FLOAT_POSITIVITY_TAU, FractionalCover,
-                 check_fractional_feasibility, greedy_maximal_packing,
-                 solve_exact)
+from .lp import (FLOAT_POSITIVITY_TAU, FractionalCover, ceil_scaled,
+                 check_fractional_feasibility, covers_scaled, floor_scaled,
+                 greedy_maximal_packing, scaled_integers, solve_exact)
 from .rng import make_rng
 
 ALG_THREE_APPROX = "3approx"
@@ -81,17 +84,48 @@ class RoundingOutcome:
                    lower_bound, ratio)
 
 
-def _rounding_input(g: SignedGraph, x: FractionalCover) -> tuple:
-    """Check a fractional cover given to a rounding; return (values, tau).
+class _Column(NamedTuple):
+    """A checked fractional cover, clamped into [0, 1], as one column.
 
-    Float values are checked within 1e-9 and round with the inclusion
-    slack tau = FLOAT_POSITIVITY_TAU; exact values are checked exactly
-    and round with tau = 0.  ``values`` are x's values clamped into [0, 1].
+    Exact values come as integer numerators ``values`` over ``den`` (see
+    ``lp.scaled_integers``) with ``tau = 0``; values holding a float come as
+    float64 with ``den = None`` and ``tau = FLOAT_POSITIVITY_TAU``.
     """
-    float_mode = any(isinstance(v, float) for v in x.values)
-    if not check_fractional_feasibility(g, x, tol=1e-9 if float_mode else 0):
+
+    values: np.ndarray
+    den: int | None
+    tau: float
+
+    def above(self, t, strict: bool) -> np.ndarray:
+        """Mask of values > t (``strict``) or >= t, compared exactly."""
+        if self.den is None:
+            return self.values > t if strict else self.values >= t
+        if strict:
+            return self.values > floor_scaled(t, self.den)
+        return self.values >= ceil_scaled(t, self.den)
+
+
+def _rounding_input(g: SignedGraph, x: FractionalCover) -> _Column:
+    """Check a fractional cover given to a rounding and return its clamped
+    column.
+
+    Exact values are checked exactly and come back as integer numerators
+    over their common denominator, rounding with tau = 0.  Values holding a
+    float are checked within 1e-9, come back as float64 (an exact value
+    among them is rounded to the nearest float) and round with the
+    inclusion slack tau = FLOAT_POSITIVITY_TAU.
+    """
+    if any(isinstance(v, float) for v in x.values):
+        if not check_fractional_feasibility(g, x, tol=1e-9):
+            raise InputError("fractional cover is infeasible for this graph")
+        values = np.clip(np.array(x.values, dtype=np.float64), 0.0, 1.0)
+        return _Column(values, None, FLOAT_POSITIVITY_TAU)
+    if len(x.values) != g.m:
+        raise InputError(f"expected {g.m} edge values, got {len(x.values)}")
+    num, den = scaled_integers(x.values, headroom=3)
+    if not covers_scaled(g, num, den):
         raise InputError("fractional cover is infeasible for this graph")
-    return x.clamped(g).values, FLOAT_POSITIVITY_TAU if float_mode else 0
+    return _Column(np.clip(num, 0, den), den, 0)
 
 
 def standard_three_approx(g: SignedGraph) -> RoundingOutcome:
@@ -151,35 +185,34 @@ def round_deterministic(g: SignedGraph, x: FractionalCover,
     "positive" means above FLOAT_POSITIVITY_TAU and the positive-edge
     threshold relaxes to (1 - tau)/2.
     """
-    values, tau = _rounding_input(g, x)
+    col = _rounding_input(g, x)
+    tau = col.tau
     # positive threshold drops by tau so that excluding a negative edge at
     # <= tau still leaves an includable positive edge for tol-feasible x
     half = (1 - 2 * tau) / 2 if tau else Fraction(1, 2)
-    ids = [i for i, e in enumerate(g.edges)
-           if (e.sign != POSITIVE and values[i] > tau)
-           or (e.sign == POSITIVE and values[i] >= half)]
-    return RoundingOutcome.create(g, ids, ALG_DETERMINISTIC, lower_bound=lower_bound)
+    positive = g.edge_columns().positive
+    take = np.where(positive, col.above(half, strict=False), col.above(tau, strict=True))
+    return RoundingOutcome.create(g, np.flatnonzero(take).tolist(), ALG_DETERMINISTIC,
+                                  lower_bound=lower_bound)
 
 
-def _threshold_cover_ids(g: SignedGraph, values, tau, r, side: str) -> list[int]:
+def _threshold_cover_ids(g: SignedGraph, col: _Column, r, side: str) -> list[int]:
     """Edges selected at threshold r; ``side`` 'above' takes the right limit.
 
-    ``values`` and ``tau`` come from ``_rounding_input``.  With tau > 0
-    (float values) both rules gain an inclusion slack of tau, so any x
-    whose triangle sums are within 3*tau of feasible still rounds to a
-    feasible cover at every threshold (an uncovered triangle would force
-    a sum below 1 - 3*tau).
+    ``col`` comes from ``_rounding_input``: positive edges need x >= r/2 - tau
+    (strictly above it for 'above'), negative edges x > 1 - r - tau (at
+    least it for 'above').  The two bounds are computed from r as numbers
+    of r's kind, then compared exactly.  With tau > 0 (float values) both
+    rules gain an inclusion slack of tau, so any x whose triangle sums are
+    within 3*tau of feasible still rounds to a feasible cover at every
+    threshold (an uncovered triangle would force a sum below 1 - 3*tau).
     """
-    ids = []
-    for i, e in enumerate(g.edges):
-        v = values[i]
-        if e.sign == POSITIVE:
-            take = v > r / 2 - tau if side == "above" else v >= r / 2 - tau
-        else:
-            take = v >= 1 - r - tau if side == "above" else v > 1 - r - tau
-        if take:
-            ids.append(i)
-    return ids
+    tau = col.tau
+    above = side == "above"
+    take = np.where(g.edge_columns().positive,
+                    col.above(r / 2 - tau, strict=above),
+                    col.above(1 - r - tau, strict=not above))
+    return np.flatnonzero(take).tolist()
 
 
 def round_fixed_threshold(g: SignedGraph, x: FractionalCover, r, *,
@@ -190,10 +223,10 @@ def round_fixed_threshold(g: SignedGraph, x: FractionalCover, r, *,
     Always feasible for feasible x: an uncovered bad triangle would make
     its constraint sum strictly below (1-r) + r/2 + r/2 = 1.
     """
-    values, tau = _rounding_input(g, x)
+    col = _rounding_input(g, x)
     if not (0 <= r <= 1):
         raise InputError(f"threshold must lie in [0,1], got {r}")
-    ids = _threshold_cover_ids(g, values, tau, r, side="at")
+    ids = _threshold_cover_ids(g, col, r, side="at")
     return RoundingOutcome.create(g, ids, ALG_RANDOMIZED, threshold=r,
                                   threshold_side="at", seed=seed,
                                   lower_bound=lower_bound)
@@ -224,41 +257,48 @@ def derandomized_sweep(g: SignedGraph, x: FractionalCover,
                        lower_bound=None) -> RoundingOutcome:
     """Minimum-cost cover over every combinatorially distinct threshold.
 
-    Walks the sorted breakpoints (r = 2 x_e for positive edges, r = 1 - x_e
-    for negative edges, both one-sided limits at each, plus the interval
-    ends) while updating the running cover cost incrementally, so the scan
-    is sort-plus-linear after the breakpoint sort.  The result costs no
-    more than any fixed-threshold rounding, hence no more than the
-    randomized expectation.
+    The breakpoints are r = 2 x_e (+ 2 tau) for positive edges, where the
+    edge drops out, and r = 1 - x_e (- tau) for negative edges, where it
+    enters.  Equal breakpoints are grouped with ``np.unique`` and the
+    running cover cost is walked over the groups in sorted order; the
+    first strictly cheapest cover wins: r = 0 itself, or the right limit
+    just past a breakpoint (the left limit at a breakpoint is the right
+    limit of the previous one, and r = 1 that of the last).  Costs are
+    integer numerators over the weights' common denominator, exact for
+    float weights too, so the running cost equals the cost of the cover
+    rebuilt at the chosen threshold.  The result costs no more than any
+    fixed-threshold rounding, hence no more than the randomized
+    expectation.
+
+    On exact x the breakpoints are integers over x's denominator, and the
+    threshold takes the number kind of the first edge (in id order) at the
+    chosen breakpoint: an int x_e gives an int, as an int breakpoint would.
     """
-    values, tau = _rounding_input(g, x)
-    # Cost at r = 0: every positive edge, plus (float mode) negative edges
-    # already inside the tau inclusion slack.  Costs are summed as
-    # Fractions, exact for float weights too, so the running cost equals
-    # the cost of the cover rebuilt at the chosen threshold.
-    running = sum(Fraction(e.weight) for i, e in enumerate(g.edges)
-                  if e.sign == POSITIVE or values[i] > 1 - tau)
-    events: dict[object, Fraction] = {}
-    for i, e in enumerate(g.edges):
-        if e.sign == POSITIVE:
-            v = 2 * values[i] + 2 * tau  # drops out once r exceeds this
-            if v < 1:
-                events[v] = events.get(v, 0) - Fraction(e.weight)
-        else:
-            v = 1 - values[i] - tau  # enters once r exceeds this
-            if 0 <= v < 1:
-                events[v] = events.get(v, 0) + Fraction(e.weight)
-    best_cost, best_r, best_side = running, 0, "at"
-    for v in sorted(events):
-        if v > 0 and running < best_cost:
-            best_cost, best_r, best_side = running, v, "at"
-        running += events[v]
-        if running < best_cost:
-            best_cost, best_r, best_side = running, v, "above"
-    # r = 1 candidate equals the last "above" (or the r=0 baseline when
-    # there are no events), so it is already covered by the walk.
-    ids = _threshold_cover_ids(g, values, tau, best_r, best_side)
-    if sum(Fraction(g.edges[i].weight) for i in ids) != best_cost:
+    col = _rounding_input(g, x)
+    tau, positive = col.tau, g.edge_columns().positive
+    one = 1 if col.den is None else col.den
+    w_num, _ = scaled_integers([e.weight for e in g.edges], headroom=max(g.m, 1))
+    # r = 0 takes every positive edge, plus (float mode) negative edges
+    # already inside the tau inclusion slack
+    running = w_num[positive | col.above(1 - tau, strict=True)].sum()
+    keys = np.where(positive, 2 * col.values + 2 * tau, one - col.values - tau)
+    events = np.flatnonzero((keys < one) & (positive | (keys >= 0)))
+    breaks, first, group = np.unique(keys[events], return_index=True,
+                                     return_inverse=True)
+    deltas = np.zeros(len(breaks), dtype=w_num.dtype)
+    np.add.at(deltas, group, np.where(positive, -w_num, w_num)[events])
+    costs = np.concatenate(([running], running + deltas.cumsum()))
+    best = int(np.argmin(costs))
+    best_r, best_side = 0, "at"
+    if best:
+        best_r, best_side = breaks.tolist()[best - 1], "above"
+        if col.den is not None:
+            edge = events[first[best - 1]]
+            v = x.values[edge]
+            exact_kind = isinstance(v, Fraction) or not 0 <= v <= 1
+            best_r = Fraction(best_r, col.den) if exact_kind else best_r // col.den
+    ids = _threshold_cover_ids(g, col, best_r, best_side)
+    if w_num[ids].sum() != costs[best]:
         raise VerificationError("sweep bookkeeping drifted from the rebuilt cover")
     return RoundingOutcome.create(
         g, ids, ALG_SWEEP, threshold=best_r, threshold_side=best_side,

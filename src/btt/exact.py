@@ -96,11 +96,17 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     full = (1 << len(tris)) - 1
 
     def pack(covered: int, excluded: int):
-        """(bound, packed edges), or None if a triangle has no open edge."""
+        """(bound, packed edges, branching edge), or None if a triangle has
+        no open edge; one walk over the uncovered triangles in index order.
+
+        The branching edge is the lowest open edge of the first triangle
+        with one open edge, or else of the triangle with the fewest open
+        edges (ties: lowest open edge, then index)."""
         bound = 0
         used = 0
         keep = ~excluded
         remaining = full & ~covered
+        best_count, best_bit = 4, 0
         while remaining:
             low = remaining & -remaining
             remaining ^= low
@@ -108,30 +114,20 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
             open_edges = tri_mask[ti] & keep
             if not open_edges:
                 return None
+            if best_count > 1:
+                count = open_edges.bit_count()
+                lowest = open_edges & -open_edges
+                if count < best_count or (count == best_count and lowest < best_bit):
+                    best_count, best_bit = count, lowest
             if not open_edges & used:
                 used |= open_edges
                 for bit, w in cheapest[ti]:
                     if bit & keep:
                         bound += w
                         break
-        return bound, used
+        return bound, used, best_bit.bit_length() - 1
 
-    def branch_edge(covered: int, excluded: int) -> int:
-        best_key = None
-        keep = ~excluded
-        remaining = full & ~covered
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            open_edges = tri_mask[low.bit_length() - 1] & keep
-            key = (open_edges.bit_count(), open_edges & -open_edges)
-            if best_key is None or key < best_key:
-                best_key = key
-                if key[0] == 1:
-                    break
-        return best_key[1].bit_length() - 1
-
-    root_bound, seed = pack(0, 0)
+    root_bound, seed, _ = pack(0, 0)
     nodes, truncated, trail, optima, included = 0, False, [], [], []
     best = best_cover = None
     if enumerate_cap is None:
@@ -152,10 +148,11 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
         packed = pack(covered, excluded)
         if packed is None:
             return
+        bound, _, branch = packed
         if enumerate_cap is None:
-            if cost + packed[0] >= best:
+            if cost + bound >= best:
                 return
-        elif cost + packed[0] > enumerate_cap:
+        elif cost + bound > enumerate_cap:
             return
         if covered == full:
             if enumerate_cap is None:
@@ -167,7 +164,6 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
             else:
                 truncated = True
             return
-        branch = branch_edge(covered, excluded)
         included.append(branch)
         dfs(covered | edge_tri_mask[branch], excluded, cost + weights[branch], depth + 1)
         included.pop()
@@ -291,18 +287,18 @@ def exact_cc(g: SignedGraph, *,
             return
         # cost of putting node i into cluster c: negative edges inside,
         # positive edges towards every other existing cluster
-        pos_to: dict[int, object] = {}
-        neg_to: dict[int, object] = {}
+        pos_to = [0] * (k + 1)
+        neg_to = [0] * (k + 1)
         pos_total = 0
         for j, sign, w in back_edges[i]:
             c = labels[j]
             if sign == POSITIVE:
-                pos_to[c] = pos_to.get(c, 0) + w
+                pos_to[c] += w
                 pos_total += w
             else:
-                neg_to[c] = neg_to.get(c, 0) + w
+                neg_to[c] += w
         for c in range(k + 1):
-            added = (pos_total - pos_to.get(c, 0)) + neg_to.get(c, 0)
+            added = (pos_total - pos_to[c]) + neg_to[c]
             new_cost = cost + added
             if new_cost >= best:
                 continue

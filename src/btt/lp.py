@@ -26,6 +26,7 @@ Two solvers are provided:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -48,6 +49,9 @@ _FLOAT_PIVOT_CAP_PER_COLUMN = 50
 
 #: Largest denominator tried when rebuilding float LP values as Fractions.
 _CERTIFIED_DENOMINATOR_BOUND = 10**6
+
+#: Integer columns at or past this magnitude are kept as Python ints.
+_INT64_LIMIT = 2**63
 
 #: Default cap on the number of LP constraints (bad triangles) accepted by
 #: the exact solver.
@@ -94,17 +98,17 @@ class FractionalCover:
 
 @dataclass(frozen=True)
 class FractionalPacking:
-    """Per-bad-triangle dual values y_t >= 0: ``values[i]`` belongs to the
-    edge-id triple ``g.bad_triangles()[i]`` (lexicographic node order)."""
+    """Per-bad-triangle dual values y_t >= 0: ``values[i]`` belongs to row i
+    of ``g.bad_triangle_index()`` (lexicographic node order)."""
 
     values: tuple
     objective: object
 
     @classmethod
     def from_values(cls, g: SignedGraph, values: Sequence) -> "FractionalPacking":
-        if len(values) != len(g.bad_triangles()):
-            raise InputError(
-                f"expected {len(g.bad_triangles())} triangle values, got {len(values)}")
+        count = len(g.bad_triangle_index())
+        if len(values) != count:
+            raise InputError(f"expected {count} triangle values, got {len(values)}")
         vals = tuple(values)
         return cls(vals, sum(vals))
 
@@ -128,25 +132,119 @@ class LpSolution:
         return self.primal.objective
 
 
+def scaled_integers(values: Sequence, headroom: int = 1) -> tuple[np.ndarray, int]:
+    """Exact values as integer numerators over their least common
+    denominator: ``(num, den)`` with ``num[i] / den == values[i]`` exactly.
+
+    The values are ints, Fractions or floats; a float stands for the
+    dyadic rational it stores.  ``num`` is int64 when ``headroom`` times
+    the largest of ``den`` and every ``|num[i]|`` stays below 2**63, so
+    that a sum of up to ``headroom`` numerators, or of ``den``, cannot
+    overflow; otherwise it is an object array of Python ints.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*{d for _, d in ratios})
+    nums = [n * (den // d) for n, d in ratios]
+    big = max(den, max(map(abs, nums), default=0)) * headroom >= _INT64_LIMIT
+    return np.array(nums, dtype=object if big else np.int64), den
+
+
+def ceil_scaled(q, den: int) -> int:
+    """ceil(q * den) for a finite int, Fraction or float q: an integer
+    numerator k over ``den`` has k / den >= q exactly when k >= this."""
+    n, d = q.as_integer_ratio()
+    return -(-n * den // d)
+
+
+def floor_scaled(q, den: int) -> int:
+    """floor(q * den): an integer numerator k has k / den <= q exactly when
+    k <= this."""
+    n, d = q.as_integer_ratio()
+    return n * den // d
+
+
+def _float_count(values) -> int:
+    return sum(isinstance(v, float) for v in values)
+
+
+def covers_scaled(g: SignedGraph, num: np.ndarray, den: int, tol=0) -> bool:
+    """The exact cover check on values ``num / den``: every value >= -tol
+    and every bad triangle sums to >= 1 - tol.  The bounds are computed as
+    the value check computes them, then compared as integers."""
+    index = g.bad_triangle_index()
+    return bool((num >= ceil_scaled(-tol, den)).all()
+                and (num[index].sum(axis=1) >= ceil_scaled(1 - tol, den)).all())
+
+
 def check_fractional_feasibility(g: SignedGraph, x: FractionalCover, tol=0) -> bool:
-    """True iff all values >= -tol and every bad triangle sums to >= 1 - tol."""
-    if len(x.values) != g.m:
-        raise InputError(f"expected {g.m} edge values, got {len(x.values)}")
-    if any(v < -tol for v in x.values):
-        return False
+    """True iff all values >= -tol and every bad triangle sums to >= 1 - tol.
+
+    Exact values (ints and Fractions) are compared as integers over their
+    common denominator (:func:`covers_scaled`), all-float values as float64
+    summed ``(a + b) + c``; an x mixing the two kinds takes a scalar loop
+    over the triangle index, with the same arithmetic as the float path.
+    """
     vals = x.values
-    return all(vals[a] + vals[b] + vals[c] >= 1 - tol for a, b, c in g.bad_triangles())
+    if len(vals) != g.m:
+        raise InputError(f"expected {g.m} edge values, got {len(vals)}")
+    floats = _float_count(vals)
+    if not floats:
+        return covers_scaled(g, *scaled_integers(vals, headroom=3), tol)
+    index = g.bad_triangle_index()
+    if floats < len(vals):
+        if any(v < -tol for v in vals):
+            return False
+        return all(vals[a] + vals[b] + vals[c] >= 1 - tol for a, b, c in index.tolist())
+    col = np.array(vals, dtype=np.float64)
+    ab, ac, bc = col[index.T]
+    return not (col < -tol).any() and bool(((ab + ac) + bc >= 1 - tol).all())
+
+
+def packs_scaled(g: SignedGraph, num: np.ndarray, den: int, caps: Sequence,
+                 tol=0) -> bool:
+    """The exact packing check on triangle values ``num / den``: every value
+    >= -tol, and every edge load at most ``caps[e]`` (w_e + tol as the value
+    check computes it).  Loads are integer sums, so ``num`` needs a headroom
+    of ``g.n``: an edge lies in at most n - 2 bad triangles."""
+    if (num < ceil_scaled(-tol, den)).any():
+        return False
+    load = np.zeros(g.m, dtype=num.dtype)
+    np.add.at(load, g.bad_triangle_index().ravel(), num.repeat(3))
+    return bool((load <= np.array([floor_scaled(c, den) for c in caps])).all())
 
 
 def check_packing_feasibility(g: SignedGraph, y: FractionalPacking, tol=0) -> bool:
-    """True iff y >= -tol and every edge load sum_{t: e in t} y_t <= w_e + tol."""
-    if any(v < -tol for v in y.values):
+    """True iff y >= -tol and every edge load sum_{t: e in t} y_t <= w_e + tol.
+
+    Exact values are compared as integers over their common denominator
+    (:func:`packs_scaled`).  All-float values are loaded with ``np.add.at``
+    over the row-major flattened triangle index, so each edge adds its
+    triangles' values in index order, as a scalar loop would; an x mixing
+    the two kinds takes that scalar loop.  Each load is compared exactly
+    with w_e + tol.
+    """
+    vals = y.values
+    index = g.bad_triangle_index()
+    if len(vals) != len(index):
+        raise InputError(f"expected {len(index)} triangle values, got {len(vals)}")
+    weights = [e.weight for e in g.edges]
+    caps = (weights if tol == 0 and not isinstance(tol, float)
+            else [w + tol for w in weights])
+    floats = _float_count(vals)
+    if not floats:
+        return packs_scaled(g, *scaled_integers(vals, headroom=max(g.n, 1)), caps, tol)
+    if any(v < -tol for v in vals):
         return False
-    load = [0] * g.m
-    for t, yt in zip(g.bad_triangles(), y.values):
-        for eid in t:
-            load[eid] += yt
-    return all(load[i] <= g.edges[i].weight + tol for i in range(g.m))
+    if floats < len(vals):
+        load = [0] * g.m
+        for t, yt in zip(index.tolist(), vals):
+            for eid in t:
+                load[eid] += yt
+    else:
+        load = np.zeros(g.m)
+        np.add.at(load, index.ravel(), np.array(vals, dtype=np.float64).repeat(3))
+    kind = np.float64 if _float_count(caps) == len(caps) else object
+    return bool((np.asarray(load) <= np.array(caps, dtype=kind)).all())
 
 
 def greedy_maximal_packing(g: SignedGraph) -> list[tuple[int, int, int]]:
@@ -168,8 +266,9 @@ def greedy_maximal_packing(g: SignedGraph) -> list[tuple[int, int, int]]:
 # -- tableau simplex -------------------------------------------------------
 
 
-def _packing_simplex(triangles: Sequence[tuple[int, int, int]], weights: list):
-    """Tableau simplex on: max sum(y) s.t. per-edge load <= weight, y >= 0.
+def _packing_simplex(triangles: np.ndarray, weights: list):
+    """Tableau simplex on: max sum(y) s.t. per-edge load <= weight, y >= 0,
+    over the (T, 3) edge ids of ``triangles``.
 
     The tableau holds the weights' number kind: float64 with
     ``_FLOAT_PIVOT_TOL`` as zero in every comparison, or exact Fractions
@@ -240,18 +339,32 @@ def _packing_simplex(triangles: Sequence[tuple[int, int, int]], weights: list):
         f"--mode float for the roundings)")
 
 
-def _certified_pair(g: SignedGraph, x, y, value=None):
+def _certified_pair(g: SignedGraph, weights: tuple, x, y, value=None):
     """(primal, dual) built from exact values x and y, or None unless they
     certify each other: x covers every bad triangle, y packs within every
     weight, and both objectives agree (and equal ``value`` when given), all
-    in exact arithmetic.  Such a pair is optimal on both sides."""
-    primal = FractionalCover.from_values(g, x).clamped(g)
-    dual = FractionalPacking.from_values(g, y)
-    if (primal.objective == dual.objective
-            and (value is None or value == dual.objective)
-            and check_fractional_feasibility(g, primal)
-            and check_packing_feasibility(g, dual)):
-        return primal, dual
+    in exact arithmetic.  Such a pair is optimal on both sides.
+
+    ``weights`` is ``(w, num, den)``: the Fraction weights and their
+    :func:`scaled_integers` column.  x is clamped into [0, 1] as
+    :meth:`FractionalCover.clamped` does, and the checks and objectives run
+    on integer numerators over the common denominators of x and y.
+    """
+    w, w_num, w_den = weights
+    x_num, x_den = scaled_integers(x, headroom=3)
+    if ((x_num < 0) | (x_num > x_den)).any():
+        x = [Fraction(0) if v < 0 else Fraction(1) if v > 1 else v for v in x]
+        x_num, x_den = scaled_integers(x, headroom=3)
+    y_num, y_den = scaled_integers(y, headroom=max(g.n, 1))
+    primal_value = Fraction(sum(map(operator.mul, w_num, x_num.tolist())),
+                            w_den * x_den)
+    dual_value = Fraction(sum(y_num.tolist()), y_den)
+    if (primal_value == dual_value
+            and (value is None or value == dual_value)
+            and covers_scaled(g, x_num, x_den)
+            and packs_scaled(g, y_num, y_den, w)):
+        return (FractionalCover(tuple(x), primal_value),
+                FractionalPacking(tuple(y), dual_value))
     return None
 
 
@@ -274,25 +387,29 @@ def solve_exact(g: SignedGraph,
     finds no optimum or fails the check: the packing LP is bounded, so
     either is a bug.
     """
-    tris = g.bad_triangles()
-    if len(tris) > max_triangles:
+    index = g.bad_triangle_index()
+    if len(index) > max_triangles:
         raise CapacityError(
-            f"{len(tris)} bad triangles exceed the exact-solver bound "
+            f"{len(index)} bad triangles exceed the exact-solver bound "
             f"{max_triangles}; use solve_mwu for an approximate solution")
-    if not tris:
+    if not len(index):
         primal = FractionalCover.from_values(g, [Fraction(0)] * g.m)
         dual = FractionalPacking((), Fraction(0))
         return LpSolution(primal, dual, STATUS_EXACT, (Fraction(0), Fraction(0)))
     weights = [Fraction(e.weight) for e in g.edges]
+    w_num, w_den = scaled_integers(weights)
+    scaled = (weights, w_num.tolist(), w_den)
     certified = None
-    found = _packing_simplex(tris, [float(w) for w in weights])
+    found = _packing_simplex(index, [float(w) for w in weights])
     if found is not None:
-        x, y = ([Fraction(v).limit_denominator(_CERTIFIED_DENOMINATOR_BOUND)
-                 for v in vals] for vals in found[:2])
-        certified = _certified_pair(g, x, y)
+        # each distinct float is rebuilt once: a vertex repeats few values
+        rebuilt = {v: Fraction(v).limit_denominator(_CERTIFIED_DENOMINATOR_BOUND)
+                   for v in {*found[0], *found[1]}}
+        x, y = ([rebuilt[v] for v in vals] for vals in found[:2])
+        certified = _certified_pair(g, scaled, x, y)
     if certified is None:
-        found = _packing_simplex(tris, weights)
-        certified = None if found is None else _certified_pair(g, *found)
+        found = _packing_simplex(index, weights)
+        certified = None if found is None else _certified_pair(g, scaled, *found)
         if certified is None:
             raise VerificationError(
                 "exact simplex failed its certificate (optimum, feasibility "
