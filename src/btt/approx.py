@@ -13,7 +13,15 @@ Four families:
   covers.
 
 The roundings check, clamp and set the float slack tau of their input x
-in one place, ``_rounding_input``, once per call.
+in one place, ``_rounding_input``, once per call.  An exact x (ints and
+Fractions) comes back as integer numerators over its common denominator D
+(``lp.scaled_integers``: int64 while 3 x max(D, |num|) < 2**63, else
+Python ints), so det2 and the threshold rule compare integers with
+thresholds that are computed from r as before and then scaled by D.  The
+sweep groups its breakpoints (2 num and D - num) with ``np.unique`` and
+sums costs as integer numerators over the weights' common denominator
+(int64 while m x max(D, |num|) < 2**63).  An x holding a float is read as
+float64 and keeps float thresholds.
 Every algorithm returns a :class:`RoundingOutcome` whose cover is
 re-checked for feasibility at construction.
 """

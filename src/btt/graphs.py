@@ -5,12 +5,16 @@ A signed graph is a simple undirected graph whose edges carry a sign
 exactly one negative edge; the covering, clustering and LP machinery in the
 rest of the package is built on top of the types defined here.
 
-Every layer reads bad triangles in one form: the tuple cached by
-``SignedGraph.bad_triangles()``, holding one edge-id triple ``(ab, ac, bc)``
-per triangle on nodes a < b < c, in lexicographic order of (a, b, c).
-The same rows are cached as a read-only (T, 3) numpy index,
-``SignedGraph.bad_triangle_index()``, for the readers that work on arrays
-(``is_feasible_cover`` and ``lp.solve_mwu``).  Enumeration builds the
+Every layer reads bad triangles in one form: one edge-id triple
+``(ab, ac, bc)`` per triangle on nodes a < b < c, in lexicographic order
+of (a, b, c).  ``SignedGraph.bad_triangle_index()`` caches them as a
+read-only (T, 3) numpy index, read by ``is_feasible_cover``,
+``lp.solve_exact`` (its simplex and certificate), ``lp.solve_mwu``, the
+two LP checks (``lp.check_fractional_feasibility`` and
+``lp.check_packing_feasibility``) and, through the cover check, the
+roundings of ``approx``.  ``SignedGraph.bad_triangles()`` caches the same
+rows as a tuple of Python int triples; ``lp.greedy_maximal_packing`` and
+the cover search of ``exact`` still read it.  Enumeration builds the
 index from the edge columns: it looks up the closing pair of every
 positive wedge among the sorted negative edges, a block of about 4,096
 wedges at a time, so memory follows the triangle count.

@@ -21,6 +21,20 @@ Two solvers are provided:
   simultaneously maintained feasible dual, and then made minimal: no
   value can drop without uncovering a triangle.  Its default round cap is
   the scheme's proven bound, O(log T / eps^2) for T bad triangles.
+
+Exact checks run on integers, never on Fractions per triangle.
+:func:`scaled_integers` writes exact values (ints and Fractions; a float
+counts as the dyadic rational it stores) over their least common
+denominator D as one integer numpy column.  The column is int64 when a
+stated headroom rules out overflow, that is when headroom x max(D, |num|)
+stays below 2**63: 3 for the values of one triangle, n for the loads of
+an edge, which lies in at most n - 2 bad triangles, m for a sum of
+weights.  Otherwise it is an object array of Python ints.  Bounds such as
+1 - tol or w_e + tol are computed as before and then scaled by D, rounded
+up for >= and down for <= (:func:`ceil_scaled`, :func:`floor_scaled`), so
+an integer comparison gives exactly the rational one.  The cover check
+(:func:`covers_scaled`), the packing check (:func:`packs_scaled`) and the
+certificate of :func:`solve_exact` all read ``g.bad_triangle_index()``.
 """
 
 from __future__ import annotations
@@ -182,7 +196,7 @@ def check_fractional_feasibility(g: SignedGraph, x: FractionalCover, tol=0) -> b
     Exact values (ints and Fractions) are compared as integers over their
     common denominator (:func:`covers_scaled`), all-float values as float64
     summed ``(a + b) + c``; an x mixing the two kinds takes a scalar loop
-    over the triangle index, with the same arithmetic as the float path.
+    over the triangle index in Python's mixed arithmetic.
     """
     vals = x.values
     if len(vals) != g.m:
@@ -210,7 +224,8 @@ def packs_scaled(g: SignedGraph, num: np.ndarray, den: int, caps: Sequence,
         return False
     load = np.zeros(g.m, dtype=num.dtype)
     np.add.at(load, g.bad_triangle_index().ravel(), num.repeat(3))
-    return bool((load <= np.array([floor_scaled(c, den) for c in caps])).all())
+    limits = np.array([floor_scaled(c, den) for c in caps], dtype=object)
+    return bool((load <= limits).all())
 
 
 def check_packing_feasibility(g: SignedGraph, y: FractionalPacking, tol=0) -> bool:
@@ -219,7 +234,7 @@ def check_packing_feasibility(g: SignedGraph, y: FractionalPacking, tol=0) -> bo
     Exact values are compared as integers over their common denominator
     (:func:`packs_scaled`).  All-float values are loaded with ``np.add.at``
     over the row-major flattened triangle index, so each edge adds its
-    triangles' values in index order, as a scalar loop would; an x mixing
+    triangles' values in index order, as a scalar loop would; a y mixing
     the two kinds takes that scalar loop.  Each load is compared exactly
     with w_e + tol.
     """

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import time
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from btt import (CapacityError, ConvergenceError, InputError, SignedGraph,
                  solve_exact, solve_mwu)
 from btt import lp
 from btt.graphs import POSITIVE, complete_graph
-from btt.lp import (FractionalCover, STATUS_EPS, STATUS_EXACT,
+from btt.lp import (FractionalCover, FractionalPacking, STATUS_EPS, STATUS_EXACT,
                     lp_solution_to_json, x_raw_to_feasible)
 from btt.rng import spawn_seeds
 from conftest import (brute_force_max_packing, instance_suite,
@@ -95,6 +96,139 @@ class TestFeasibilityCheck:
         assert check_fractional_feasibility(g, x, tol=1e-9)
         assert not check_fractional_feasibility(g, x, tol=0)
 
+
+def reference_cover_check(g, values, tol=0):
+    """The cover check as a scalar loop over the triangle triples, in
+    Python's arithmetic for the values' own number kinds."""
+    if any(v < -tol for v in values):
+        return False
+    return all(values[a] + values[b] + values[c] >= 1 - tol
+               for a, b, c in g.bad_triangles())
+
+
+def reference_packing_check(g, values, tol=0):
+    """The packing check as a scalar loop: each triangle adds its value to
+    its three edges' loads, in triangle order, from int 0."""
+    if any(v < -tol for v in values):
+        return False
+    load = [0] * g.m
+    for t, yt in zip(g.bad_triangles(), values):
+        for eid in t:
+            load[eid] += yt
+    return all(load[i] <= g.edges[i].weight + tol for i in range(g.m))
+
+
+#: A denominator past 2**63, so numerators over it need Python ints.
+BIG = 2**64 + 13
+
+
+def check_graphs():
+    """Unit, rational and float weights, plus a triangle-free and an empty
+    graph (T = 0, and m = 0)."""
+    yield gen_figure2()
+    yield gen_integrality_gap(5)
+    yield gen_random(7, complete=True, weights=("rational", 4, 3), seed=5)
+    yield gen_random(7, complete=True, weights=("uniform", 0.5, 2.0), seed=5)
+    yield gen_random(8, complete=False, density=0.6, weights=("rational", 7, 5), seed=2)
+    yield SignedGraph(3, [(0, 1, 1), (1, 2, -1)])
+    yield SignedGraph(0, [])
+
+
+def random_values(rng, count, kind):
+    """``count`` values of number kind 'int', 'fraction', 'big' (denominator
+    BIG), 'float' or 'mixed', drawn near 0, 1/3, 1/2 and 1."""
+    out = []
+    for _ in range(count):
+        k = rng.choice(["int", "fraction", "big", "float"]) if kind == "mixed" else kind
+        base = Fraction(rng.choice([0, 1, 1, 2, 3]), rng.choice([1, 2, 3]))
+        if k == "int":
+            out.append(rng.choice([0, 1, 1, -1, 2]))
+        elif k == "fraction":
+            out.append(base + Fraction(rng.choice([-1, 0, 0, 1]), rng.choice([6, 7, 100])))
+        elif k == "big":
+            out.append(base + Fraction(rng.choice([-1, 0, 1]), BIG))
+        else:
+            v = float(base)
+            out.append(float(rng.choice([v, v, np.nextafter(v, -1.0), np.nextafter(v, 2.0)])))
+    return out
+
+
+class TestChecksAgainstScalarLoop:
+    @pytest.mark.parametrize("kind", ["int", "fraction", "big", "float", "mixed"])
+    @pytest.mark.parametrize("tol", [0, 1e-9, Fraction(1, 10), 0.0])
+    def test_random_values(self, kind, tol):
+        rng = random.Random(f"{kind}-{tol}")
+        for g in check_graphs():
+            tris = len(g.bad_triangles())
+            for _ in range(40):
+                x = FractionalCover(tuple(random_values(rng, g.m, kind)), 0)
+                assert check_fractional_feasibility(g, x, tol) == \
+                    reference_cover_check(g, x.values, tol)
+                scale = rng.choice([1, Fraction(1, 4), 0.25, Fraction(1, 8)])
+                y = FractionalPacking(
+                    tuple(v * scale for v in random_values(rng, tris, kind)), 0)
+                assert check_packing_feasibility(g, y, tol) == \
+                    reference_packing_check(g, y.values, tol)
+
+    @pytest.mark.parametrize("den", [10**6, BIG])
+    def test_cover_sums_at_one_and_just_below(self, den):
+        g = SignedGraph(3, [(0, 1, 1), (0, 2, 1), (1, 2, -1)])
+        exact = [Fraction(1, 3), Fraction(1, 3) + Fraction(1, den), Fraction(1, 3) - Fraction(1, den)]
+        cases = [exact, exact[:2] + [exact[2] - Fraction(1, den)],
+                 [1 / 3] * 3, [1 / 3, 1 / 3, float(np.nextafter(1 / 3, 0.0))],
+                 [Fraction(-1, den), Fraction(1, 2), Fraction(1, 2) + Fraction(1, den)]]
+        expected = [True, False, True, False, False]
+        for values, feasible in zip(cases, expected):
+            x = FractionalCover(tuple(values), 0)
+            assert reference_cover_check(g, values) == feasible
+            assert check_fractional_feasibility(g, x) == feasible
+        # a tolerance lets the sums fall short by up to tol
+        x = FractionalCover(tuple(cases[1]), 0)
+        assert check_fractional_feasibility(g, x, tol=1e-9) == (den == BIG)
+        assert check_fractional_feasibility(g, x, tol=Fraction(1, den))
+        assert not check_fractional_feasibility(g, x, tol=Fraction(1, 2 * den))
+
+    @pytest.mark.parametrize("den", [10**6, BIG])
+    def test_loads_at_the_weight_and_just_above(self, den):
+        # two bad triangles share edge (0, 1) of weight 1
+        g = SignedGraph(4, [(0, 1, 1), (0, 2, 1), (1, 2, -1), (0, 3, 1), (1, 3, -1)])
+        half = Fraction(1, 2)
+        cases = [([half, half], True), ([half, half + Fraction(1, den)], False),
+                 ([half + Fraction(1, den), half - Fraction(1, den)], True),
+                 ([-Fraction(1, den), 1], False), ([0.5, 0.5], True),
+                 ([0.5, 0.5 + 2**-52], False)]
+        for values, feasible in cases:
+            y = FractionalPacking(tuple(values), 0)
+            assert reference_packing_check(g, values) == feasible
+            assert check_packing_feasibility(g, y) == feasible
+        y = FractionalPacking((half, half + Fraction(1, den)), 0)
+        assert check_packing_feasibility(g, y, tol=Fraction(1, den))
+        assert check_packing_feasibility(g, y, tol=1e-9) == (den == BIG)
+
+    def test_float_loads_add_in_triangle_order(self):
+        # edge (1, 2) of weight 0.6 is the last edge of triangle 012 and the
+        # first of 123 and 124; (0.1 + 0.2) + 0.3 rounds above 0.6, while
+        # (0.3 + 0.2) + 0.1 does not, so adding by triangle side would differ
+        g = SignedGraph(5, [(0, 1, 1), (0, 2, -1), (1, 2, 1, 0.6), (1, 3, 1),
+                            (2, 3, -1), (1, 4, 1), (2, 4, -1)])
+        assert len(g.bad_triangles()) == 3
+        for values, feasible in (([0.1, 0.2, 0.3], False), ([0.3, 0.2, 0.1], True)):
+            y = FractionalPacking(tuple(values), 0)
+            assert reference_packing_check(g, values) == feasible
+            assert check_packing_feasibility(g, y) == feasible
+
+    def test_solver_certificates_agree(self):
+        for g in certified_graphs()[:12]:
+            sol = solve_exact(g)
+            assert reference_cover_check(g, sol.primal.values)
+            assert reference_packing_check(g, sol.dual.values)
+            assert check_fractional_feasibility(g, sol.primal)
+            assert check_packing_feasibility(g, sol.dual)
+
+    def test_value_counts_must_match(self):
+        g = gen_figure2()
+        with pytest.raises(InputError, match="triangle values"):
+            check_packing_feasibility(g, FractionalPacking((Fraction(1),), 1))
 
 class TestExactSolver:
     @pytest.mark.parametrize("n", range(3, 9))
