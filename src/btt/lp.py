@@ -30,9 +30,10 @@ stated headroom rules out overflow, that is when headroom x max(D, |num|)
 stays below 2**63: 3 for the values of one triangle, n for the loads of
 an edge, which lies in at most n - 2 bad triangles, m for a sum of
 weights.  Otherwise it is an object array of Python ints.  Bounds such as
-1 - tol or w_e + tol are computed as before and then scaled by D, rounded
-up for >= and down for <= (:func:`ceil_scaled`, :func:`floor_scaled`), so
-an integer comparison gives exactly the rational one.  The cover check
+1 - tol or w_e + tol are computed in Python arithmetic first and then
+scaled by D, rounded up for >= and down for <= (:func:`ceil_scaled`,
+:func:`floor_scaled`), so an integer comparison gives exactly the
+comparison of the value with that bound.  The cover check
 (:func:`covers_scaled`), the packing check (:func:`packs_scaled`) and the
 certificate of :func:`solve_exact` all read ``g.bad_triangle_index()``.
 """
@@ -354,30 +355,29 @@ def _packing_simplex(triangles: np.ndarray, weights: list):
         f"--mode float for the roundings)")
 
 
-def _certified_pair(g: SignedGraph, weights: tuple, x, y, value=None):
+def _certified_pair(g: SignedGraph, weights: list, x, y, value=None):
     """(primal, dual) built from exact values x and y, or None unless they
     certify each other: x covers every bad triangle, y packs within every
     weight, and both objectives agree (and equal ``value`` when given), all
     in exact arithmetic.  Such a pair is optimal on both sides.
 
-    ``weights`` is ``(w, num, den)``: the Fraction weights and their
-    :func:`scaled_integers` column.  x is clamped into [0, 1] as
-    :meth:`FractionalCover.clamped` does, and the checks and objectives run
-    on integer numerators over the common denominators of x and y.
+    x is clamped into [0, 1] as :meth:`FractionalCover.clamped` does; the
+    checks and both objectives run on integer numerators over the common
+    denominators of the weights, of x and of y.
     """
-    w, w_num, w_den = weights
     x_num, x_den = scaled_integers(x, headroom=3)
     if ((x_num < 0) | (x_num > x_den)).any():
-        x = [Fraction(0) if v < 0 else Fraction(1) if v > 1 else v for v in x]
+        x = FractionalCover.from_values(g, x).clamped(g).values
         x_num, x_den = scaled_integers(x, headroom=3)
     y_num, y_den = scaled_integers(y, headroom=max(g.n, 1))
-    primal_value = Fraction(sum(map(operator.mul, w_num, x_num.tolist())),
+    w_num, w_den = scaled_integers(weights)
+    primal_value = Fraction(sum(map(operator.mul, w_num.tolist(), x_num.tolist())),
                             w_den * x_den)
     dual_value = Fraction(sum(y_num.tolist()), y_den)
     if (primal_value == dual_value
             and (value is None or value == dual_value)
             and covers_scaled(g, x_num, x_den)
-            and packs_scaled(g, y_num, y_den, w)):
+            and packs_scaled(g, y_num, y_den, weights)):
         return (FractionalCover(tuple(x), primal_value),
                 FractionalPacking(tuple(y), dual_value))
     return None
@@ -412,8 +412,6 @@ def solve_exact(g: SignedGraph,
         dual = FractionalPacking((), Fraction(0))
         return LpSolution(primal, dual, STATUS_EXACT, (Fraction(0), Fraction(0)))
     weights = [Fraction(e.weight) for e in g.edges]
-    w_num, w_den = scaled_integers(weights)
-    scaled = (weights, w_num.tolist(), w_den)
     certified = None
     found = _packing_simplex(index, [float(w) for w in weights])
     if found is not None:
@@ -421,10 +419,10 @@ def solve_exact(g: SignedGraph,
         rebuilt = {v: Fraction(v).limit_denominator(_CERTIFIED_DENOMINATOR_BOUND)
                    for v in {*found[0], *found[1]}}
         x, y = ([rebuilt[v] for v in vals] for vals in found[:2])
-        certified = _certified_pair(g, scaled, x, y)
+        certified = _certified_pair(g, weights, x, y)
     if certified is None:
         found = _packing_simplex(index, weights)
-        certified = None if found is None else _certified_pair(g, scaled, *found)
+        certified = None if found is None else _certified_pair(g, weights, *found)
         if certified is None:
             raise VerificationError(
                 "exact simplex failed its certificate (optimum, feasibility "
