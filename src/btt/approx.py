@@ -17,7 +17,8 @@ in one place, ``_rounding_input``, once per call.  An exact x (ints and
 Fractions) comes back as integer numerators over its common denominator D
 (``lp.scaled_integers``: int64 while 3 x max(D, |num|) < 2**63, else
 Python ints), so det2 and the threshold rule compare integers with
-thresholds that are computed from r as before and then scaled by D.  The
+thresholds that are computed from r in r's own arithmetic and then scaled
+by D (rounded up for >=, down for >).  The
 sweep groups its breakpoints (2 num and D - num) with ``np.unique`` and
 sums costs as integer numerators over the weights' common denominator
 (int64 while m x max(D, |num|) < 2**63).  An x holding a float is read as
