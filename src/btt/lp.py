@@ -157,24 +157,35 @@ def scaled_integers(values: Sequence, headroom: int = 1) -> tuple[np.ndarray, in
     that a sum of up to ``headroom`` numerators, or of ``den``, cannot
     overflow; otherwise it is an object array of Python ints.
     """
-    ratios = [v.as_integer_ratio() for v in values]
+    try:  # one method call per value on the common kinds
+        ratios = [v.as_integer_ratio() for v in values]
+    except AttributeError:
+        ratios = [_ratio(v) for v in values]
     den = math.lcm(*{d for _, d in ratios})
     nums = [n * (den // d) for n, d in ratios]
     big = max(den, max(map(abs, nums), default=0)) * headroom >= _INT64_LIMIT
     return np.array(nums, dtype=object if big else np.int64), den
 
 
+def _ratio(q) -> tuple[int, int]:
+    """(numerator, denominator) of a finite int, Fraction or float."""
+    try:
+        return q.as_integer_ratio()
+    except AttributeError:  # numpy integers have no as_integer_ratio
+        return Fraction(q).as_integer_ratio()
+
+
 def ceil_scaled(q, den: int) -> int:
     """ceil(q * den) for a finite int, Fraction or float q: an integer
     numerator k over ``den`` has k / den >= q exactly when k >= this."""
-    n, d = q.as_integer_ratio()
+    n, d = _ratio(q)
     return -(-n * den // d)
 
 
 def floor_scaled(q, den: int) -> int:
     """floor(q * den): an integer numerator k has k / den <= q exactly when
     k <= this."""
-    n, d = q.as_integer_ratio()
+    n, d = _ratio(q)
     return n * den // d
 
 

@@ -135,14 +135,16 @@ def check_graphs():
 
 
 def random_values(rng, count, kind):
-    """``count`` values of number kind 'int', 'fraction', 'big' (denominator
-    BIG), 'float' or 'mixed', drawn near 0, 1/3, 1/2 and 1."""
+    """``count`` values of number kind 'int', 'numpy' (numpy int64),
+    'fraction', 'big' (denominator BIG), 'float' or 'mixed', drawn near 0,
+    1/3, 1/2 and 1."""
     out = []
     for _ in range(count):
         k = rng.choice(["int", "fraction", "big", "float"]) if kind == "mixed" else kind
         base = Fraction(rng.choice([0, 1, 1, 2, 3]), rng.choice([1, 2, 3]))
-        if k == "int":
-            out.append(rng.choice([0, 1, 1, -1, 2]))
+        if k in ("int", "numpy"):
+            v = rng.choice([0, 1, 1, -1, 2])
+            out.append(np.int64(v) if k == "numpy" else v)
         elif k == "fraction":
             out.append(base + Fraction(rng.choice([-1, 0, 0, 1]), rng.choice([6, 7, 100])))
         elif k == "big":
@@ -154,7 +156,7 @@ def random_values(rng, count, kind):
 
 
 class TestChecksAgainstScalarLoop:
-    @pytest.mark.parametrize("kind", ["int", "fraction", "big", "float", "mixed"])
+    @pytest.mark.parametrize("kind", ["int", "numpy", "fraction", "big", "float", "mixed"])
     @pytest.mark.parametrize("tol", [0, 1e-9, Fraction(1, 10), 0.0])
     def test_random_values(self, kind, tol):
         rng = random.Random(f"{kind}-{tol}")
