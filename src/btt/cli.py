@@ -549,6 +549,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "solve":
+            if args.eps is not None and not 0 < args.eps < 1:
+                raise InputError(f"--eps must lie in (0,1), got {args.eps}")
             cfg = RunConfig(
                 command="solve", alg=args.alg, input=args.input, gen=args.gen,
                 eps=args.eps, seed=args.seed, mode=args.mode, out=args.out,

@@ -35,9 +35,11 @@ class VerificationError(BttError):
 class ConvergenceError(BttError):
     """Iterative solver hit its iteration cap before certifying its target gap.
 
-    Carries the best (lower, upper) objective bounds found so far.
+    Carries the best (lower, upper) objective bounds found so far and the
+    number of rounds run.
     """
 
-    def __init__(self, message: str, bounds: tuple):
+    def __init__(self, message: str, bounds: tuple, rounds: int):
         super().__init__(message)
         self.bounds = bounds
+        self.rounds = rounds

@@ -165,6 +165,17 @@ class TestInputErrors:
         assert main(argv) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alg", ["lp-exact", "lp-mwu", "det2"])
+    @pytest.mark.parametrize("eps", ["2", "1", "0", "-0.5", "nan"])
+    def test_eps_outside_unit_interval_exits_2(self, alg, eps, tmp_path, capsys):
+        # lp-exact never runs the MWU solver, so only the argument check
+        # can catch its eps
+        out = tmp_path / "solve.json"
+        argv = ["solve", "--alg", alg, "--gen", "fig2", "--eps", eps, "--out", str(out)]
+        assert main(argv) == 2
+        assert "--eps must lie in (0,1)" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--node-budget", "--triangle-budget"])
     def test_negative_budget_exits_2(self, flag, capsys):
         assert main(["solve", "--alg", "exact", "--gen", "fig2", flag, "-1"]) == 2

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import time
 from fractions import Fraction
@@ -367,6 +368,15 @@ class TestMwuSolver:
         assert sol.value == 0
         assert check_fractional_feasibility(g, sol.primal, tol=1e-9)
 
+    def test_rounds_are_recorded(self):
+        g = gen_random(12, positive_prob=0.5, complete=True, seed=3)
+        assert solve_exact(g).rounds is None
+        assert solve_mwu(complete_graph(4, lambda u, v: 1), 0.1).rounds == 0
+        assert 1 <= solve_mwu(g, 0.1).rounds
+        with pytest.raises(ConvergenceError) as err:
+            solve_mwu(g, 0.01, max_iterations=2)
+        assert err.value.rounds == 2
+
 
 def baseline_failures():
     """Float graphs of the shapes on which the one-edge MWU step hit its
@@ -404,6 +414,91 @@ class TestPhasedMwu:
             if abs(sum(x[e] for e in t) - 1) <= 1e-9:
                 tight.update(t)
         assert all(e in tight for e in range(g.m) if x[e] > 0)
+
+
+def mwu_states(g, rng):
+    """The arrays one round of ``solve_mwu`` scales, for a few integer
+    raw primals: (x_raw, cover_sums, p, ratios) over candidate edges
+    renumbered as the solver does, with the triangle sides, the edge
+    incidence and the weights.  The first raw primal is zero; the others
+    put one unit on an edge of each triangle they leave uncovered."""
+    tri = g.bad_triangle_index()
+    weights = np.array([float(e.weight) for e in g.edges])
+    tri = tri[(weights[tri] > 0).all(axis=1)]
+    cand, local = np.unique(tri, return_inverse=True)
+    tri_edges = local.reshape(-1, 3)
+    sides = tri_edges.T.copy()
+    k, wc = len(cand), weights[cand]
+    tri_of, starts = lp._edge_incidence(tri_edges, k)
+    raws = [rng.integers(0, 6, k).astype(float) for _ in range(3)]
+    for x_raw in raws:
+        x_raw[sides[0][x_raw[sides].sum(axis=0) == 0]] = 1.0
+    for x_raw in [np.zeros(k)] + raws:
+        cover_sums = x_raw[sides].sum(axis=0)
+        p = np.exp(0.025 * (cover_sums.min() - cover_sums))
+        ratios = sum(np.bincount(side, p, k) for side in sides) / wc
+        yield x_raw, cover_sums, p, ratios, sides, tri_of, starts, wc
+
+
+def candidate_graphs():
+    graphs = [g for g in instance_suite(16, seed=61) if g.bad_triangles()]
+    return graphs + baseline_failures()
+
+
+#: Rounds of ``solve_mwu(g, 0.1)`` on ``baseline_failures()`` with the
+#: global candidates x_raw / min_cov and p / mu, and with the local ones.
+GLOBAL_CANDIDATE_ROUNDS = (593, 457, 489, 495, 586)
+LOCAL_CANDIDATE_ROUNDS = (263, 212, 215, 83, 170)
+
+
+class TestLocalCandidates:
+    def test_feasible_and_dominate_the_global_candidates(self):
+        rng = np.random.default_rng(7)
+        for g in candidate_graphs():
+            for x_raw, sums, p, ratios, sides, tri_of, starts, wc in mwu_states(g, rng):
+                triangles = list(zip(*sides.tolist()))
+                y = lp._dual_candidate(p, ratios, sides)
+                assert (y >= p / ratios.max()).all()
+                load = [0.0] * len(wc)
+                for (a, b, c), y_t in zip(triangles, y.tolist()):
+                    load[a] += y_t
+                    load[b] += y_t
+                    load[c] += y_t
+                assert all(l <= w * (1 + 1e-12) for l, w in zip(load, wc.tolist()))
+                if sums.min() == 0:
+                    continue
+                x = lp._primal_candidate(x_raw, sums, tri_of, starts)
+                assert (x <= x_raw / sums.min()).all()
+                for a, b, c in triangles:
+                    assert x[a] + x[b] + x[c] >= 1 - 1e-12
+
+    def test_candidates_scale_by_their_own_triangles_and_edges(self):
+        rng = np.random.default_rng(11)
+        for g in candidate_graphs():
+            for x_raw, sums, p, ratios, sides, tri_of, starts, wc in mwu_states(g, rng):
+                triangles = list(zip(*sides.tolist()))
+                least = [math.inf] * len(wc)
+                for t, (a, b, c) in enumerate(triangles):
+                    for e in (a, b, c):
+                        least[e] = min(least[e], sums[t])
+                y = lp._dual_candidate(p, ratios, sides)
+                assert y.tolist() == [p[t] / max(ratios[a], ratios[b], ratios[c])
+                                      for t, (a, b, c) in enumerate(triangles)]
+                if sums.min() > 0:
+                    x = lp._primal_candidate(x_raw, sums, tri_of, starts)
+                    assert x.tolist() == (x_raw / least).tolist()
+
+    def test_fewer_rounds_than_the_global_candidates(self, monkeypatch):
+        graphs = baseline_failures()
+        local = tuple(solve_mwu(g, 0.1).rounds for g in graphs)
+        monkeypatch.setattr(lp, "_primal_candidate",
+                            lambda x_raw, sums, tri_of, starts: x_raw / sums.min())
+        monkeypatch.setattr(lp, "_dual_candidate",
+                            lambda p, ratios, sides: p / ratios.max())
+        global_ = tuple(solve_mwu(g, 0.1).rounds for g in graphs)
+        assert local == LOCAL_CANDIDATE_ROUNDS
+        assert global_ == GLOBAL_CANDIDATE_ROUNDS
+        assert all(a < b for a, b in zip(local, global_))
 
 
 class TestFractionalCover:
