@@ -32,7 +32,7 @@ from .approx import (ALG_DETERMINISTIC, ALG_KRIVELEVICH, ALG_RANDOMIZED,
                      round_randomized, standard_three_approx)
 from .errors import (BttError, CapacityError, ConvergenceError, InputError,
                      VerificationError)
-from .exact import (DEFAULT_CC_NODE_CAP, exact_btt, exact_btt_positive_only,
+from .exact import (_check_cc_node_cap, exact_btt, exact_btt_positive_only,
                     ratio_survey, survey_rows_to_csv)
 from .generators import (gen_figure2, gen_hardness_reduction, gen_hexagram,
                          gen_integrality_gap, gen_random, gen_vc_reduction,
@@ -53,6 +53,9 @@ RESULT_SCHEMA = "btt.result/1"
 #: Above this node count the default number mode switches from exact
 #: rationals to floats.
 RATIONAL_MODE_NODE_LIMIT = 50
+
+#: Accuracy of solve_mwu when --eps is not given.
+DEFAULT_EPS = 0.1
 
 
 @dataclass(frozen=True)
@@ -298,11 +301,13 @@ def _result(cfg: RunConfig, body: dict, started: float | None) -> dict:
 # -- solve -------------------------------------------------------------------
 
 
+def _solve_mwu(g: SignedGraph, cfg: RunConfig):
+    return solve_mwu(g, DEFAULT_EPS if cfg.eps is None else cfg.eps)
+
+
 def _fractional_solution(g: SignedGraph, cfg: RunConfig):
     """LP solution used as rounding input, per number mode."""
-    if g.is_exact():
-        return solve_exact(g)
-    return solve_mwu(g, cfg.eps if cfg.eps is not None else 0.1)
+    return solve_exact(g) if g.is_exact() else _solve_mwu(g, cfg)
 
 
 def cmd_solve(cfg: RunConfig, timing: bool) -> dict:
@@ -312,8 +317,7 @@ def cmd_solve(cfg: RunConfig, timing: bool) -> dict:
     if cfg.alg == "lp-exact":
         body["lp"] = lp_solution_to_json(g, solve_exact(g))
     elif cfg.alg == "lp-mwu":
-        body["lp"] = lp_solution_to_json(
-            g, solve_mwu(g, cfg.eps if cfg.eps is not None else 0.1))
+        body["lp"] = lp_solution_to_json(g, _solve_mwu(g, cfg))
     elif cfg.alg == "exact":
         budgets = {}
         if cfg.triangle_budget is not None:
@@ -431,10 +435,7 @@ def _verify_hexagram() -> dict:
 
 
 def _verify_survey(n: int, count: int, seed: int) -> dict:
-    # every row would be refused by exact_cc's node cap
-    if n > DEFAULT_CC_NODE_CAP:
-        raise CapacityError(f"exact clustering search capped at "
-                            f"{DEFAULT_CC_NODE_CAP} nodes (--n {n})")
+    _check_cc_node_cap(n)  # every row would be refused
 
     def make(instance_seed: int) -> SignedGraph:
         return gen_random(n, positive_prob=0.5, complete=True, seed=instance_seed)

@@ -3,11 +3,13 @@ clusterings, and the cover-versus-clustering ratio survey.
 
 The cover search is a branch-and-bound over edges: branch on one edge of
 a currently uncovered bad triangle (include it or forbid it), prune with
-a greedy edge-disjoint packing bound.  Each triangle is one bitmask of its
-allowed edges and each edge one bitmask of its triangles, so the bound and
-the branching choice are integer operations.  The incumbent starts as the
-edges of the root packing, which is maximal and so covers every triangle;
-recursion deeper than ``MAX_BTT_DEPTH`` is refused as a CapacityError.
+a greedy edge-disjoint packing bound.  The triangles are the rows of
+``g.bad_triangle_index()``, the package's one triangle form.  Each
+triangle is one bitmask of its allowed edges and each edge one bitmask of
+its triangles, so the bound and the branching choice are integer
+operations.  The incumbent starts as the edges of the root packing, which
+is maximal and so covers every triangle; recursion deeper than
+``MAX_BTT_DEPTH`` is refused as a CapacityError.
 
 The clustering search enumerates set partitions as restricted growth
 strings with incremental cost and incumbent pruning.  Both are desk-scale
@@ -78,22 +80,22 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     weights are Fractions there, so the prune does not depend on the order
     edges are added in.  The witness returned is a frozenset of edge ids.
     """
-    tris = g.bad_triangles()
-    if len(tris) > triangle_budget:
+    index = g.bad_triangle_index()
+    if len(index) > triangle_budget:
         raise CapacityError(
-            f"{len(tris)} bad triangles exceed the search budget {triangle_budget}")
+            f"{len(index)} bad triangles exceed the search budget {triangle_budget}")
     allowed_set = frozenset(allowed)
     weights = [e.weight for e in g.edges]
     if enumerate_cap is not None:
         weights = [Fraction(w) for w in weights]
     tri_mask, cheapest, edge_tri_mask = [], [], [0] * g.m
-    for ti, t in enumerate(tris):
+    for ti, t in enumerate(index.tolist()):
         ids = sorted((e for e in t if e in allowed_set), key=weights.__getitem__)
         tri_mask.append(sum(1 << e for e in ids))
         cheapest.append(tuple((1 << e, weights[e]) for e in ids))
         for e in ids:
             edge_tri_mask[e] |= 1 << ti
-    full = (1 << len(tris)) - 1
+    full = (1 << len(index)) - 1
 
     def pack(covered: int, excluded: int):
         """(bound, packed edges, branching edge), or None if a triangle has
@@ -181,7 +183,7 @@ def _min_cover(g: SignedGraph, allowed: list[int], search: str, *,
     if min(triangle_budget, node_budget) < 0:
         raise InputError(f"search budgets must be nonnegative: triangle budget "
                          f"{triangle_budget}, node budget {node_budget}")
-    if not g.bad_triangles():
+    if not len(g.bad_triangle_index()):
         return ExactResult(0, EdgeCover(frozenset(), 0), 0, 0, ((0, 0),))
     res = _btt_search(
         g, allowed, triangle_budget=triangle_budget, node_budget=node_budget)
@@ -227,12 +229,12 @@ def exact_btt_positive_only(g: SignedGraph, *,
                    optima_truncated=found.optima_truncated)
 
 
-def _check_cc_node_cap(g: SignedGraph) -> None:
-    """Raise CapacityError when ``exact_cc`` would refuse ``g``; callers
-    that pair it with costlier searches check before starting them."""
-    if g.n > DEFAULT_CC_NODE_CAP:
+def _check_cc_node_cap(n: int) -> None:
+    """Raise CapacityError when ``exact_cc`` would refuse a graph on ``n``
+    nodes; callers that pair it with costlier searches check first."""
+    if n > DEFAULT_CC_NODE_CAP:
         raise CapacityError(f"exact clustering search capped at "
-                            f"{DEFAULT_CC_NODE_CAP} nodes (n={g.n})")
+                            f"{DEFAULT_CC_NODE_CAP} nodes (n={n})")
 
 
 def exact_cc(g: SignedGraph, *,
@@ -250,7 +252,7 @@ def exact_cc(g: SignedGraph, *,
     if node_budget < 0:
         raise InputError(
             f"clustering node budget must be nonnegative, got {node_budget}")
-    _check_cc_node_cap(g)
+    _check_cc_node_cap(g.n)
     if g.n == 0:
         return ExactResult(0, Clustering((), 0), 0, 0, ((0, 0),))
     # Adjacency of finalised pairs: for node i, its weighted signed edges
@@ -324,7 +326,7 @@ def _survey_one(job: tuple[int, int, SignedGraph]) -> dict:
     start = time.perf_counter()
     row: dict = {"instance": index, "seed": seed, "n": g.n}
     try:
-        _check_cc_node_cap(g)
+        _check_cc_node_cap(g.n)
         btt = exact_btt(g)
         cc = exact_cc(g, lower_bound=btt.value)
         error = None

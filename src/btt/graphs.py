@@ -7,17 +7,17 @@ rest of the package is built on top of the types defined here.
 
 Every layer reads bad triangles in one form: one edge-id triple
 ``(ab, ac, bc)`` per triangle on nodes a < b < c, in lexicographic order
-of (a, b, c).  ``SignedGraph.bad_triangle_index()`` caches them as a
-read-only (T, 3) numpy index, read by ``is_feasible_cover``,
-``lp.solve_exact`` (its simplex and certificate), ``lp.solve_mwu``, the
-two LP checks (``lp.check_fractional_feasibility`` and
-``lp.check_packing_feasibility``) and, through the cover check, the
-roundings of ``approx``.  ``SignedGraph.bad_triangles()`` caches the same
-rows as a tuple of Python int triples; ``lp.greedy_maximal_packing`` and
-the cover search of ``exact`` still read it.  Enumeration builds the
-index from the edge columns: it looks up the closing pair of every
-positive wedge among the sorted negative edges, a block of about 4,096
-wedges at a time, so memory follows the triangle count.
+of (a, b, c), as the rows of the read-only (T, 3) numpy index that
+``SignedGraph.bad_triangle_index()`` builds once and caches.  The cover
+check ``is_feasible_cover`` (which the roundings and the pivots call), the
+LP solvers and checks of ``lp``, its greedy packing and the cover search
+of ``exact`` all read it.
+Enumeration builds the index from the edge columns: it looks up the
+closing pair of every positive wedge among the sorted negative edges, a
+block of about 4,096 wedges at a time, so memory follows the triangle
+count.  ``SignedGraph.bad_triangles()`` is a view of the same rows as
+Python int triples, built on each call, kept only for callers outside
+the package.
 
 Graphs are immutable after construction: every "mutating" operation
 (``flip_edges``) returns a new value, so instances can be shared freely
@@ -55,6 +55,10 @@ NEGATIVE = -1
 
 #: Largest node count for which complete graphs are materialised.
 COMPLETE_NODE_BOUND = 2000
+
+#: Largest node count a graph accepts: the triangle index keys a node pair
+#: (a, b) as ``a * n + b`` in int64, which needs n * n < 2**63.
+MAX_NODES = math.isqrt(2**63 - 1)
 
 #: Parsed weights keep numerator and denominator below 10 ** this, and a
 #: graph's Fraction weights keep their common denominator below it, so
@@ -107,8 +111,8 @@ class SignedGraph:
     iteration and tie-breaking in every downstream algorithm.
     """
 
-    __slots__ = ("n", "edges", "complete", "_pair_to_id", "_bad_triangles",
-                 "_triangle_index", "_columns")
+    __slots__ = ("n", "edges", "complete", "_pair_to_id", "_triangle_index",
+                 "_columns")
 
     def __init__(self, n: int, edges: Iterable[tuple], complete: bool = False):
         """Build a graph from ``(u, v, sign[, weight])`` tuples.
@@ -117,10 +121,13 @@ class SignedGraph:
         negative or non-finite weights, Fraction weights whose common
         denominator reaches 10 ** MAX_WEIGHT_DIGITS, out-of-range node ids,
         or a ``complete`` flag that does not match the edge count.  The
-        message names the first faulty edge in input order.
+        message names the first faulty edge in input order.  Raises
+        CapacityError for more than MAX_NODES nodes.
         """
         if n < 0:
             raise InputError(f"node count must be nonnegative, got {n}")
+        if n > MAX_NODES:
+            raise CapacityError(f"graphs are capped at {MAX_NODES} nodes (asked {n})")
         canonical: list[Edge] = []
         append = canonical.append
         new_tuple = tuple.__new__  # Edge(...) without its Python-level __new__
@@ -180,7 +187,6 @@ class SignedGraph:
         self.edges: tuple[Edge, ...] = tuple(canonical)
         self.complete = complete
         self._pair_to_id: dict[tuple[int, int], int] | None = None
-        self._bad_triangles: tuple[tuple[int, int, int], ...] | None = None
         self._triangle_index: np.ndarray | None = None
         self._columns: EdgeColumns | None = None
 
@@ -232,23 +238,22 @@ class SignedGraph:
     # -- bad triangles ----------------------------------------------------
 
     def bad_triangles(self) -> tuple[tuple[int, int, int], ...]:
-        """All bad triangles, cached: one edge-id triple ``(ab, ac, bc)`` per
-        triangle on nodes a < b < c, in lexicographic order of (a, b, c).
+        """The rows of ``bad_triangle_index()`` as a tuple of Python int
+        triples, built on each call; kept only for callers outside the
+        package, which reads the index.
 
-        The tuple holds the rows of ``bad_triangle_index()`` as Python ints,
-        taken from one shared ``list(range(m))``, so each id is one object
-        however many triangles hold it.
+        The ints come from one shared ``list(range(m))``, so each id is one
+        object however many triangles hold it.
         """
-        if self._bad_triangles is None:
-            ints = list(range(self.m))
-            ab, ac, bc = (list(map(ints.__getitem__, column.tolist()))
-                          for column in self.bad_triangle_index().T)
-            self._bad_triangles = tuple(zip(ab, ac, bc))
-        return self._bad_triangles
+        ints = list(range(self.m))
+        ab, ac, bc = (list(map(ints.__getitem__, column.tolist()))
+                      for column in self.bad_triangle_index().T)
+        return tuple(zip(ab, ac, bc))
 
     def bad_triangle_index(self) -> np.ndarray:
-        """The bad triangles as a read-only (T, 3) intp array, cached; row i
-        is the triple ``bad_triangles()[i]``.
+        """The bad triangles as a read-only (T, 3) intp array, cached: row
+        i holds the edge ids ``(ab, ac, bc)`` of the i-th triangle on nodes
+        a < b < c, in lexicographic order of (a, b, c).
 
         Built from the edge columns.  The positive half-edges are sorted by
         (centre, neighbour), so the wedges of a centre are its pairs of
@@ -280,7 +285,7 @@ def _bad_triangle_index(n: int, cols: EdgeColumns) -> np.ndarray:
     order = (centre * n + other).argsort()
     centre, other = centre[order], other[order]
     half_id = np.concatenate((positive, positive))[order]
-    key = cols.u[negative] * n + cols.v[negative]  # u < v, and n * n < 2**63
+    key = cols.u[negative] * n + cols.v[negative]  # u < v; n <= MAX_NODES
     order = key.argsort()
     # n * n closes no wedge: a lookup past the last key lands on it
     neg_key, neg_id = np.append(key[order], n * n), negative[order]

@@ -34,9 +34,13 @@ weights.  Otherwise it is an object array of Python ints.  Bounds such as
 1 - tol or w_e + tol are computed in Python arithmetic first and then
 scaled by D, rounded up for >= and down for <= (:func:`ceil_scaled`,
 :func:`floor_scaled`), so an integer comparison gives exactly the
-comparison of the value with that bound.  The cover check
-(:func:`covers_scaled`), the packing check (:func:`packs_scaled`) and the
-certificate of :func:`solve_exact` all read ``g.bad_triangle_index()``.
+comparison of the value with that bound.
+
+Every function here reads the bad triangles as the rows of
+``g.bad_triangle_index()``, the package's one triangle form: the
+solvers, the cover check (:func:`covers_scaled`), the packing check
+(:func:`packs_scaled`), the certificate of :func:`solve_exact` and
+:func:`greedy_maximal_packing`.
 """
 
 from __future__ import annotations
@@ -68,6 +72,15 @@ _CERTIFIED_DENOMINATOR_BOUND = 10**6
 
 #: Integer columns at or past this magnitude are kept as Python ints.
 _INT64_LIMIT = 2**63
+
+#: solve_mwu refuses graphs on which a load ratio deg_e / w_e, over its
+#: scaled weights, reaches this bound: their weights spread too widely for
+#: float64, and the ratios or the round cap would overflow.
+_MWU_RATIO_LIMIT = 2.0**1000
+
+#: Triangle rows that greedy_maximal_packing turns into Python ints at a
+#: time: at T = 33k, reading the whole index at once held 3.8 MB more.
+_PACKING_BLOCK = 8192
 
 #: Default cap on the number of LP constraints (bad triangles) accepted by
 #: the exact solver.
@@ -283,14 +296,18 @@ def greedy_maximal_packing(g: SignedGraph) -> list[tuple[int, int, int]]:
     deterministic (lexicographic) triangle order.
 
     The induced 0/1 packing loads every edge at most once, so on
-    unweighted graphs its size lower-bounds the cover-LP value.
+    unweighted graphs its size lower-bounds the cover-LP value.  The
+    triangle index is read as Python ints ``_PACKING_BLOCK`` rows at a
+    time, so the temporary lists stay small.
     """
-    used: set[int] = set()
+    index = g.bad_triangle_index()
+    used = bytearray(g.m)
     chosen: list[tuple[int, int, int]] = []
-    for t in g.bad_triangles():
-        if used.isdisjoint(t):
-            chosen.append(t)
-            used.update(t)
+    for start in range(0, len(index), _PACKING_BLOCK):
+        for a, b, c in zip(*index[start:start + _PACKING_BLOCK].T.tolist()):
+            if not (used[a] or used[b] or used[c]):
+                chosen.append((a, b, c))
+                used[a] = used[b] = used[c] = 1
     return chosen
 
 
@@ -320,7 +337,7 @@ def _packing_simplex(triangles: np.ndarray, weights: list):
     zero = weights[0] * 0
     one = zero + 1
     rows = np.full((m, nt + m), zero)
-    rows[np.asarray(triangles).ravel(), np.repeat(np.arange(nt), 3)] = one
+    rows[triangles.ravel(), np.repeat(np.arange(nt), 3)] = one
     rows[np.arange(m), nt + np.arange(m)] = one
     basis = np.arange(nt, nt + m)
     # reduced costs c_j - z_j for the max problem; slack basis gives z = 0
@@ -574,13 +591,16 @@ def solve_mwu(g: SignedGraph, eps: float,
     (:func:`_minimal_primal`), which only lowers the upper bound; rounding
     that thresholds x then keeps fewer edges.
 
-    Returns an LpSolution with ``bounds = (dual value, primal value)`` and
-    the number of rounds run.  Raises ConvergenceError carrying the best
-    bounds and the rounds run if the iteration cap is hit first.  The
-    default cap is the round bound proven in :func:`_mwu_iteration_cap`
-    for the global candidates, O(log T / eps^2) plus a term in the weight
-    spread; it holds for the local ones too, so only a smaller
-    ``max_iterations`` can trip it.
+    Weights below 1 are first scaled up by a power of two, which changes
+    no comparison, so tiny weights give the solution of their rescaled
+    graph, scaled back.  Returns an LpSolution with ``bounds = (dual
+    value, primal value)`` and the number of rounds run.  Raises
+    CapacityError when a load ratio would reach ``_MWU_RATIO_LIMIT``, and
+    ConvergenceError carrying the best bounds and the rounds run if the
+    iteration cap is hit first.  The default cap is the round bound proven
+    in :func:`_mwu_iteration_cap` for the global candidates,
+    O(log T / eps^2) plus a term in the weight spread; it holds for the
+    local ones too, so only a smaller ``max_iterations`` can trip it.
     """
     if not (0 < eps < 1):
         raise InputError(f"eps must lie in (0,1), got {eps}")
@@ -608,12 +628,26 @@ def solve_mwu(g: SignedGraph, eps: float,
     cand_ids, local = np.unique(all_edges[keep], return_inverse=True)
     tri_edges = local.reshape(-1, 3)
     nt, k = len(tri_edges), len(cand_ids)
-    wc = w[cand_ids]
     # One contiguous index row per triangle side: at T = 490k, a sum over
     # sides and one bincount per side halve the round's time against a row
     # sum over (T, 3) and one bincount over the repeated weights.
     sides = tri_edges.T.copy()
     tri_of, starts = _edge_incidence(tri_edges, k)
+    # Weights below 1 are scaled up by 2**shift, so that the largest lies
+    # in [1, 2) and the load ratios of tiny weights stay finite.  A power of
+    # two commutes with float rounding: every comparison below is the one
+    # the unscaled weights give, and y and the bounds scale back exactly.
+    # Weights are never scaled down, which could round the smallest ones
+    # into subnormals.
+    shift = max(0, 1 - math.frexp(w[cand_ids].max())[1])
+    wc = np.ldexp(w[cand_ids], shift)
+    # Every p_t <= 1, so no load ratio ever exceeds the round-0 largest.
+    with np.errstate(over="ignore"):
+        mu_0 = (np.diff(starts) / wc).max()
+    if not mu_0 < _MWU_RATIO_LIMIT:
+        raise CapacityError(
+            "the weights of the bad triangles spread too widely for "
+            "solve_mwu's float arithmetic; use solve_exact")
 
     eta = eps / 4.0
     if max_iterations is not None:
@@ -621,7 +655,6 @@ def solve_mwu(g: SignedGraph, eps: float,
     else:
         # Covering each triangle by its cheapest edge bounds OPT; the
         # round-0 dual is T / mu_0.
-        mu_0 = (np.diff(starts) / wc).max()
         start_gap = float(wc[tri_edges].min(axis=1).sum()) * mu_0 / nt
         cap = _mwu_iteration_cap(nt, eps, start_gap)
 
@@ -653,7 +686,7 @@ def solve_mwu(g: SignedGraph, eps: float,
     else:
         raise ConvergenceError(
             f"MWU failed to certify a (1+{eps}) gap within {cap} iterations",
-            (best_dual, best_primal), cap)
+            (math.ldexp(best_dual, -shift), math.ldexp(best_primal, -shift)), cap)
 
     # Make minimal, harden feasibility against float slop, clamp into [0, 1].
     x_final[cand_ids] = x_raw_to_feasible(
@@ -662,7 +695,7 @@ def solve_mwu(g: SignedGraph, eps: float,
     primal = FractionalCover.from_values(g, x_final.tolist())
 
     y_full = np.zeros(len(all_edges))
-    y_full[keep] = best_y * (1 - 1e-12)
+    y_full[keep] = np.ldexp(best_y, -shift) * (1 - 1e-12)
     dual = FractionalPacking.from_values(g, y_full.tolist())
     return LpSolution(primal, dual, STATUS_EPS,
                       (float(dual.objective), float(primal.objective)),

@@ -31,6 +31,11 @@ def brute_force_bad_triples(g: SignedGraph) -> list[tuple[int, int, int]]:
     return out
 
 
+def index_rows(g: SignedGraph) -> list[tuple[int, int, int]]:
+    """The rows of ``g.bad_triangle_index()`` as edge-id triples."""
+    return [tuple(t) for t in g.bad_triangle_index().tolist()]
+
+
 def triangle_nodes(g: SignedGraph, t: tuple[int, int, int]) -> tuple[int, int, int]:
     """Nodes a < b < c of the edge-id triple ``t = (ab, ac, bc)``."""
     ab, ac, _ = t
@@ -51,7 +56,7 @@ def reference_cc_cost(g: SignedGraph, clustering: Clustering):
 
 def brute_force_min_cover(g: SignedGraph):
     """Minimum-weight cover by enumerating edge subsets (tiny m only)."""
-    tris = g.bad_triangles()
+    tris = g.bad_triangle_index().tolist()
     if not tris:
         return 0
     unit = all(e.weight == 1 for e in g.edges)
@@ -103,7 +108,7 @@ def brute_force_vertex_cover(n: int, edges: list[tuple[int, int]]) -> int:
 
 def brute_force_max_packing(g: SignedGraph) -> int:
     """Maximum edge-disjoint bad-triangle packing by subset enumeration."""
-    tris = g.bad_triangles()
+    tris = g.bad_triangle_index().tolist()
     best = 0
     for k in range(len(tris), 0, -1):
         if k <= best:
@@ -126,7 +131,7 @@ def scipy_cover_lp_value(g: SignedGraph) -> float:
     """Cover LP optimum via an independent dense float solver."""
     from scipy.optimize import linprog
 
-    tris = g.bad_triangles()
+    tris = g.bad_triangle_index().tolist()
     if not tris:
         return 0.0
     rows = np.zeros((len(tris), g.m))

@@ -138,7 +138,7 @@ class TestKrivelevich:
         # triangle row, so those rows cannot span all m dimensions
         for g in instance_suite(20, seed=29):
             z = [-1 if e.sign == POSITIVE else 2 for e in g.edges]
-            assert all(z[a] + z[b] + z[c] == 0 for a, b, c in g.bad_triangles())
+            assert all(z[a] + z[b] + z[c] == 0 for a, b, c in g.bad_triangle_index().tolist())
 
     @pytest.mark.parametrize("path", ["certified", "fraction"])
     def test_every_lp_pass_has_a_zero(self, path, monkeypatch):

@@ -129,6 +129,19 @@ class TestSolve:
         assert body["lp_status"] == "eps-approximate"
         assert body["outcome"]["algorithm"] == "det2"
 
+    @pytest.mark.parametrize("alg", ["lp-mwu", "det2"])
+    def test_tiny_float_weights(self, alg, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_text("n 4\n0 1 +1 1e-320\n0 2 +1 1e-320\n1 2 -1 1e-320\n"
+                        "0 3 +1 1e-320\n1 3 -1 1e-320\n")
+        body = run_cli(["solve", "--alg", alg, "--mode", "float", "--input", str(path)],
+                       tmp_path / "out.json")
+        if alg == "lp-mwu":
+            assert body["lp"]["edge_values"] == [1.0, 0.0, 0.0, 0.0, 0.0]
+            assert body["lp"]["bounds"] == [1e-320, 1e-320]
+        else:
+            assert body["outcome"]["certified_ratio"] == 1.0
+
     def test_float_simplex_pivot_cap_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(lp, "_FLOAT_PIVOT_CAP_PER_COLUMN", 0)
         assert main(["solve", "--gen", "fig2", "--alg", "lp-exact"]) == 3
@@ -239,6 +252,14 @@ class TestInputErrors:
         assert main(["verify", "--survey", "--n", "13", "--count", "2"]) == 3
         assert time.process_time() - started < 0.1
         assert "capped at 12 nodes" in capsys.readouterr().err
+
+    def test_node_count_past_the_pair_keys_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_text("n 4000000000\n3999999000 3999999997 +1\n"
+                        "3999999000 3999999999 +1\n3999999997 3999999998 -1\n")
+        for alg in ("exact", "lp-mwu"):
+            assert main(["solve", "--alg", alg, "--input", str(path)]) == 3
+            assert "graphs are capped at 3037000499 nodes" in capsys.readouterr().err
 
     def test_common_denominator_past_the_bound_exits_2(self, tmp_path, capsys):
         dens = [2**3300, 3**2090, 5**1420, 7**1180, 11**955, 13**895]

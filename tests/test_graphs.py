@@ -10,11 +10,12 @@ from btt import (Clustering, EdgeCover, InputError, SignedGraph, cc_cost,
                  is_feasible_cover)
 from btt import graphs
 from btt.errors import CapacityError
-from btt.graphs import (COMPLETE_NODE_BOUND, COVER_SCHEMA, MAX_WEIGHT_DIGITS,
-                        clustering_to_json, complete_graph, cover_from_json,
+from btt.graphs import (COMPLETE_NODE_BOUND, COVER_SCHEMA, MAX_NODES,
+                        MAX_WEIGHT_DIGITS, clustering_to_json, complete_graph, cover_from_json,
                         format_edge_list, graph_to_json, parse_edge_list,
                         _parse_weight)
-from conftest import brute_force_bad_triples, reference_cc_cost, triangle_nodes
+from conftest import (brute_force_bad_triples, index_rows, reference_cc_cost,
+                      triangle_nodes)
 
 FIG2_COVER_PAIRS = [(0, 2), (0, 4), (1, 5), (3, 5)]  # ac, ae, bf, df
 
@@ -123,26 +124,26 @@ class TestConstruction:
 class TestBadTriangles:
     def test_figure2_list_matches_brute_force(self):
         g = gen_figure2()
-        tris = g.bad_triangles()
-        assert list(tris) == brute_force_bad_triples(g)
+        tris = index_rows(g)
+        assert tris == brute_force_bad_triples(g)
         assert [triangle_nodes(g, t) for t in tris] == [
             (0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 4),
             (1, 2, 5), (1, 4, 5), (2, 3, 5), (3, 4, 5)]
 
     def test_all_positive_complete_graph_has_none(self):
         g = complete_graph(4, lambda u, v: 1)
-        assert g.bad_triangles() == ()
+        assert g.bad_triangle_index().shape == (0, 3)
 
     def test_gap_instance_n3_one_triangle_per_negative_edge(self):
         g = gen_integrality_gap(3)
-        tris = g.bad_triangles()
+        tris = g.bad_triangle_index().tolist()
         assert len(tris) == 3
         negatives = {e for t in tris for e in t if g.edges[e].sign == -1}
         assert negatives == {i for i, e in enumerate(g.edges) if e.sign == -1}
 
     def test_triangle_fields_consistent(self):
         g = gen_figure2()
-        for t in g.bad_triangles():
+        for t in index_rows(g):
             u, v, w = triangle_nodes(g, t)
             assert u < v < w
             assert t == (g.edge_id(u, v), g.edge_id(u, w), g.edge_id(v, w))
@@ -151,7 +152,7 @@ class TestBadTriangles:
     @settings(max_examples=60, deadline=None)
     @given(signed_graphs())
     def test_enumeration_matches_brute_force(self, g):
-        assert list(g.bad_triangles()) == brute_force_bad_triples(g)
+        assert index_rows(g) == brute_force_bad_triples(g)
 
     @pytest.mark.parametrize("make", [
         lambda: gen_random(60, complete=True, seed=3),
@@ -166,7 +167,7 @@ class TestBadTriangles:
             "isolated-nodes", "edgeless", "sparse80"])
     def test_larger_graphs_match_brute_force(self, make):
         g = make()
-        assert list(g.bad_triangles()) == brute_force_bad_triples(g)
+        assert index_rows(g) == brute_force_bad_triples(g)
 
     @pytest.mark.parametrize("block", [1, 2, 7, 64])
     def test_any_wedge_block_size_gives_the_same_triangles(self, block, monkeypatch):
@@ -177,16 +178,19 @@ class TestBadTriangles:
                              seed=block),
                   SignedGraph(6, [(0, 5, 1), (1, 5, 1), (2, 5, 1), (3, 5, 1),
                                   (0, 1, -1), (2, 3, -1), (1, 3, -1)])):
-            assert list(g.bad_triangles()) == brute_force_bad_triples(g)
+            assert index_rows(g) == brute_force_bad_triples(g)
 
     def test_index_rows_are_the_tuple(self):
         g = gen_random(60, complete=True, seed=3)
         index = g.bad_triangle_index()
-        assert index.dtype == np.intp and index.shape == (len(g.bad_triangles()), 3)
-        assert list(map(tuple, index.tolist())) == list(g.bad_triangles())
+        assert index.dtype == np.intp and index.ndim == 2 and index.shape[1] == 3
         assert not index.flags.writeable
-        assert g.bad_triangle_index() is index
         assert SignedGraph(3, [(0, 1, 1)]).bad_triangle_index().shape == (0, 3)
+        # the view kept for callers outside the package: the rows as a
+        # tuple of Python int triples
+        tris = g.bad_triangles()
+        assert type(tris) is tuple and tris == tuple(index_rows(g))
+        assert all(type(t) is tuple and set(map(type, t)) == {int} for t in tris)
 
     def test_top_node_ids_beyond_two_to_the_21(self):
         # a key (a*n + b)*n + c would pass 2**63 on these node ids
@@ -201,13 +205,28 @@ class TestBadTriangles:
         g = SignedGraph(n, [(relabel(u), relabel(v), s) for u, v, s in small])
         expected = brute_force_bad_triples(SignedGraph(6, small))
         assert len(expected) > 4
-        assert list(g.bad_triangles()) == expected
+        assert index_rows(g) == expected
+
+    def test_node_count_past_the_pair_keys_is_refused(self):
+        # no bad triangle: the wedge at n - 1000 closes on the absent pair
+        # (n - 3, n - 1), and the one negative edge is (n - 3, n - 2)
+        def wedge(n):
+            return [(n - 1000, n - 3, 1), (n - 1000, n - 1, 1), (n - 3, n - 2, -1)]
+
+        assert MAX_NODES == 3_037_000_499
+        assert MAX_NODES**2 < 2**63 <= (MAX_NODES + 1) ** 2
+        # past the bound the keys a * n + b left int64 and two of them met
+        with pytest.raises(CapacityError, match=f"capped at {MAX_NODES} nodes"):
+            SignedGraph(4_000_000_000, wedge(4_000_000_000))
+        with pytest.raises(CapacityError):
+            SignedGraph(MAX_NODES + 1, [])
+        assert SignedGraph(MAX_NODES, wedge(MAX_NODES)).bad_triangle_index().shape == (0, 3)
 
     def test_cached_and_sorted(self):
         g = gen_figure2()
-        tris = g.bad_triangles()
-        assert tris is g.bad_triangles()
-        assert list(tris) == sorted(tris, key=lambda t: triangle_nodes(g, t))
+        assert g.bad_triangle_index() is g.bad_triangle_index()
+        tris = index_rows(g)
+        assert tris == sorted(tris, key=lambda t: triangle_nodes(g, t))
 
 
 class TestFeasibleCover:
@@ -349,10 +368,10 @@ class TestFlipEdges:
     def test_flip_bc_reenumerates_to_brute_force(self):
         g = gen_figure2()
         flipped = flip_edges(g, [g.edge_id(1, 2)])
-        tris = flipped.bad_triangles()
-        assert list(tris) == brute_force_bad_triples(flipped)
+        tris = index_rows(flipped)
+        assert tris == brute_force_bad_triples(flipped)
         assert {triangle_nodes(flipped, t) for t in tris} != \
-            {triangle_nodes(g, t) for t in g.bad_triangles()}
+            {triangle_nodes(g, t) for t in index_rows(g)}
 
     def test_invalid_id_raises(self):
         with pytest.raises(InputError):

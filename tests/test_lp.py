@@ -17,7 +17,7 @@ from btt.graphs import POSITIVE, complete_graph
 from btt.lp import (FractionalCover, FractionalPacking, STATUS_EPS, STATUS_EXACT,
                     lp_solution_to_json, x_raw_to_feasible)
 from btt.rng import spawn_seeds
-from conftest import (brute_force_max_packing, instance_suite,
+from conftest import (brute_force_max_packing, index_rows, instance_suite,
                       patch_fraction_simplex, patch_simplex_run,
                       scipy_cover_lp_value, stall_float_simplex,
                       triangle_nodes)
@@ -44,7 +44,7 @@ def certified_graphs():
 
 def fraction_simplex_pair(g):
     """(x, y) as the exact-rational simplex alone returns them."""
-    x, y, _ = lp._packing_simplex(g.bad_triangles(),
+    x, y, _ = lp._packing_simplex(g.bad_triangle_index(),
                                   [Fraction(e.weight) for e in g.edges])
     return FractionalCover.from_values(g, x).clamped(g).values, tuple(y)
 
@@ -104,7 +104,7 @@ def reference_cover_check(g, values, tol=0):
     if any(v < -tol for v in values):
         return False
     return all(values[a] + values[b] + values[c] >= 1 - tol
-               for a, b, c in g.bad_triangles())
+               for a, b, c in g.bad_triangle_index().tolist())
 
 
 def reference_packing_check(g, values, tol=0):
@@ -113,7 +113,7 @@ def reference_packing_check(g, values, tol=0):
     if any(v < -tol for v in values):
         return False
     load = [0] * g.m
-    for t, yt in zip(g.bad_triangles(), values):
+    for t, yt in zip(g.bad_triangle_index().tolist(), values):
         for eid in t:
             load[eid] += yt
     return all(load[i] <= g.edges[i].weight + tol for i in range(g.m))
@@ -162,7 +162,7 @@ class TestChecksAgainstScalarLoop:
     def test_random_values(self, kind, tol):
         rng = random.Random(f"{kind}-{tol}")
         for g in check_graphs():
-            tris = len(g.bad_triangles())
+            tris = len(g.bad_triangle_index())
             for _ in range(40):
                 x = FractionalCover(tuple(random_values(rng, g.m, kind)), 0)
                 assert check_fractional_feasibility(g, x, tol) == \
@@ -214,7 +214,7 @@ class TestChecksAgainstScalarLoop:
         # (0.3 + 0.2) + 0.1 does not, so adding by triangle side would differ
         g = SignedGraph(5, [(0, 1, 1), (0, 2, -1), (1, 2, 1, 0.6), (1, 3, 1),
                             (2, 3, -1), (1, 4, 1), (2, 4, -1)])
-        assert len(g.bad_triangles()) == 3
+        assert len(g.bad_triangle_index()) == 3
         for values, feasible in (([0.1, 0.2, 0.3], False), ([0.3, 0.2, 0.1], True)):
             y = FractionalPacking(tuple(values), 0)
             assert reference_packing_check(g, values) == feasible
@@ -264,7 +264,7 @@ class TestExactSolver:
             assert check_fractional_feasibility(g, x)
             assert check_packing_feasibility(g, y)
             assert x.objective == y.objective
-            tris = g.bad_triangles()
+            tris = g.bad_triangle_index().tolist()
             load = [Fraction(0)] * g.m
             for t, yt in zip(tris, y.values):
                 for eid in t:
@@ -291,6 +291,19 @@ class TestExactSolver:
 
 
 class TestGreedyPacking:
+    @pytest.mark.parametrize("block", [1, 2, 7, 8192])
+    def test_any_block_size_gives_the_scalar_greedy(self, block, monkeypatch):
+        monkeypatch.setattr(lp, "_PACKING_BLOCK", block)
+        for g in instance_suite(6, seed=77) + [gen_random(30, complete=True, seed=2)]:
+            used, expected = set(), []
+            for t in index_rows(g):
+                if used.isdisjoint(t):
+                    expected.append(t)
+                    used.update(t)
+            packing = greedy_maximal_packing(g)
+            assert packing == expected
+            assert all(type(e) is int for t in packing for e in t)
+
     def test_single_bad_triangle(self):
         g = SignedGraph(3, [(0, 1, 1), (0, 2, 1), (1, 2, -1)])
         packing = greedy_maximal_packing(g)
@@ -313,7 +326,7 @@ class TestGreedyPacking:
                 assert not used & set(t)
                 used.update(t)
             chosen = {triangle_nodes(g, t) for t in packing}
-            for t in g.bad_triangles():
+            for t in g.bad_triangle_index().tolist():
                 if triangle_nodes(g, t) not in chosen:
                     assert used & set(t), "packing not maximal"
             if all(e.weight == 1 for e in g.edges):
@@ -378,6 +391,54 @@ class TestMwuSolver:
         assert err.value.rounds == 2
 
 
+def scaled_weights(g, k):
+    """``g`` with every weight multiplied by 2**k, as floats."""
+    return SignedGraph(g.n, [(e.u, e.v, e.sign, math.ldexp(float(e.weight), k))
+                             for e in g.edges])
+
+
+class TestMwuWeightScale:
+    """Rescaling every weight by a power of two commutes with float
+    rounding, so it gives the same x and scaled bounds; solve_mwu scales
+    weights below 1 up by one, so that tiny weights solve too."""
+
+    def test_tiny_weights_give_the_unit_solution(self):
+        # at 2**-1070 a load ratio deg / w overflowed to inf
+        two_triangles = complete_graph(4, lambda u, v: -1 if (u, v) in ((1, 2), (1, 3)) else 1)
+        for g in (two_triangles, gen_random(12, positive_prob=0.5, complete=True, seed=3)):
+            unit, tiny = solve_mwu(g, 0.1), solve_mwu(scaled_weights(g, -1070), 0.1)
+            assert tiny.primal.values == unit.primal.values
+            assert tiny.dual.values == tuple(math.ldexp(v, -1070) for v in unit.dual.values)
+            assert tiny.rounds == unit.rounds
+            if g is two_triangles:
+                # the objectives sum subnormals, exactly so for x = (1, 0, ...)
+                assert unit.primal.values == (1.0,) + (0.0,) * 5
+                assert tiny.bounds == tuple(math.ldexp(b, -1070) for b in unit.bounds)
+
+    @pytest.mark.parametrize("k", [-10, 1000])
+    def test_power_of_two_rescaling_is_exact(self, k):
+        g = gen_random(30, positive_prob=0.5, complete=True, seed=1)
+        unit, scaled = solve_mwu(g, 0.1), solve_mwu(scaled_weights(g, k), 0.1)
+        assert scaled.primal.values == unit.primal.values
+        assert scaled.bounds == tuple(math.ldexp(b, k) for b in unit.bounds)
+        with pytest.raises(ConvergenceError) as unit_err:
+            solve_mwu(g, 0.01, max_iterations=3)
+        with pytest.raises(ConvergenceError) as scaled_err:
+            solve_mwu(scaled_weights(g, k), 0.01, max_iterations=3)
+        assert scaled_err.value.bounds == tuple(math.ldexp(b, k)
+                                                for b in unit_err.value.bounds)
+
+    def test_load_ratio_past_the_limit_is_refused(self):
+        def spread(bits):
+            return SignedGraph(3, [(0, 1, 1, 1.0), (0, 2, 1, 1.0),
+                                   (1, 2, -1, math.ldexp(1.0, -bits))])
+
+        # the one triangle's load ratio is 2**bits
+        assert solve_mwu(spread(999), 0.1).value == 2.0**-999
+        with pytest.raises(CapacityError, match="spread too widely"):
+            solve_mwu(spread(1000), 0.1)
+
+
 def baseline_failures():
     """Float graphs of the shapes on which the one-edge MWU step hit its
     iteration cap at eps = 0.1."""
@@ -410,7 +471,7 @@ class TestPhasedMwu:
     def test_primal_is_minimal(self, g):
         x = solve_mwu(g, 0.1).primal.values
         tight = set()
-        for t in g.bad_triangles():
+        for t in g.bad_triangle_index().tolist():
             if abs(sum(x[e] for e in t) - 1) <= 1e-9:
                 tight.update(t)
         assert all(e in tight for e in range(g.m) if x[e] > 0)
@@ -441,7 +502,7 @@ def mwu_states(g, rng):
 
 
 def candidate_graphs():
-    graphs = [g for g in instance_suite(16, seed=61) if g.bad_triangles()]
+    graphs = [g for g in instance_suite(16, seed=61) if len(g.bad_triangle_index())]
     return graphs + baseline_failures()
 
 
@@ -546,7 +607,7 @@ class TestFractionalCover:
 class TestCertifiedFloatSolve:
     def test_matches_fraction_simplex(self):
         for g in certified_graphs():
-            if not g.bad_triangles():
+            if not len(g.bad_triangle_index()):
                 continue
             sol = solve_exact(g)
             assert (sol.primal.values, sol.dual.values) == fraction_simplex_pair(g)
@@ -604,7 +665,7 @@ class TestFloatWeightedExactSolve:
     @pytest.mark.parametrize("n", [8, 10, 12])
     def test_exact_run_vertex_is_frozen(self, n):
         g = float_weighted(n, seed=3)
-        x, y, value = lp._packing_simplex(g.bad_triangles(),
+        x, y, value = lp._packing_simplex(g.bad_triangle_index(),
                                           [Fraction(e.weight) for e in g.edges])
         assert all(isinstance(v, Fraction) for v in x + y + [value])
         text = "|".join(" ".join(map(str, part)) for part in (x, y, [value]))
