@@ -9,11 +9,19 @@ Two solvers are provided:
 * :func:`solve_exact` - exact optimum of both LPs from one tableau
   simplex on the packing dual (Bland's rule), run twice at most.  The
   float run proposes a primal/dual pair, which is rebuilt as
-  small-denominator Fractions and certified in exact arithmetic: primal
+  small-denominator Fractions (an integer continued-fraction rebuild,
+  :func:`_limit_denominator`) and certified in exact arithmetic: primal
   feasible, dual feasible, equal objectives.  When the certificate fails,
-  the same simplex runs again over Fractions.  Either way the result
-  carries a strong-duality certificate, enabling exact
-  complementary-slackness checks downstream.
+  or a weight has no finite float64, the same simplex runs over
+  Fractions.  Either way the result carries a strong-duality
+  certificate, enabling exact complementary-slackness checks downstream.
+  The tableau is one (m + 1) x (T + m + 1) array: the m edge rows, the
+  reduced costs as row m, the right-hand side as the last column.  A
+  pivot is one rank-one update of the whole array; in float64 its outer
+  product is a matrix product with inner dimension 1, whose every cell is
+  one rounded multiply, so the float run's bits are those of
+  ``np.outer`` (zero signs aside) at a fraction of its numpy overhead,
+  taken over cache-sized row blocks on large tableaux.
 * :func:`solve_mwu` - a phased multiplicative-weights scheme for
   covering LPs (Garg-Koenemann style: each round steps every edge within
   a factor 1+eps/4 of the best ratio).  Returns a feasible primal within
@@ -66,6 +74,12 @@ _FLOAT_PIVOT_TOL = 1e-9
 
 #: The simplex gives up after this many pivots per tableau column.
 _FLOAT_PIVOT_CAP_PER_COLUMN = 50
+
+#: The float simplex updates its tableau in row blocks of about this many
+#: cells (1 MB of float64), so that each block's outer product stays in
+#: cache: at 300 x 1176, one product of the whole tableau per pivot took
+#: twice as long.
+_UPDATE_BLOCK_CELLS = 2**17
 
 #: Largest denominator tried when rebuilding float LP values as Fractions.
 _CERTIFIED_DENOMINATOR_BOUND = 10**6
@@ -149,7 +163,10 @@ class LpSolution:
     ``bounds = (lower, upper)`` bracket the LP optimum; in exact mode both
     equal the primal objective.  ``rounds`` counts the repricing rounds of
     :func:`solve_mwu` (0 when no triangle needs a solve) and is None for
-    :func:`solve_exact`.
+    :func:`solve_exact`.  ``pivots`` holds the simplex pivots of each pass
+    :func:`solve_exact` ran, float pass first (empty when no triangle needs
+    a solve), and is None for :func:`solve_mwu`.  Neither counter appears
+    in the result JSON.
     """
 
     primal: FractionalCover
@@ -158,6 +175,7 @@ class LpSolution:
     bounds: tuple
     eps: float | None = None
     rounds: int | None = None
+    pivots: tuple | None = None
 
     @property
     def value(self):
@@ -318,6 +336,13 @@ def _packing_simplex(triangles: np.ndarray, weights: list):
     """Tableau simplex on: max sum(y) s.t. per-edge load <= weight, y >= 0,
     over the (T, 3) edge ids of ``triangles``.
 
+    One (m + 1) x (T + m + 1) array holds the whole tableau: row e < m is
+    edge e's constraint over the T triangle columns and the m slack
+    columns, row m the reduced costs, and the last column the right-hand
+    side, whose cell in row m is minus the objective.  A pivot is then one
+    entering scan of row m, one ratio test over the last column, one pivot
+    row and one rank-one update of the whole array.
+
     The tableau holds the weights' number kind: float64 with
     ``_FLOAT_PIVOT_TOL`` as zero in every comparison, or exact Fractions
     (dtype object) with tolerance 0.  Bland's rule enters the first column
@@ -325,60 +350,74 @@ def _packing_simplex(triangles: np.ndarray, weights: list):
     lowest basic index.  Small float entries stay in the tableau: zeroing
     them made the float run drift from the exact one.
 
-    Returns (x, y, value): the packing optimum y and the cover optimum x
-    (read off the slack reduced costs) as lists, and the objective; or
-    None when a pivot column has no positive entry, which only float error
-    can cause.  Raises CapacityError at the pivot cap.
+    The float update forms the outer product as a matrix product with inner
+    dimension 1, ``np.dot(col[:, None], row[None, :])``: each cell is one
+    rounded multiply, the bits of ``np.outer`` apart from the signs of
+    zeros, which no comparison and no rebuilt Fraction sees, at a fraction
+    of its numpy overhead.  It runs over row blocks of about
+    ``_UPDATE_BLOCK_CELLS`` cells into one reused buffer, so a large
+    tableau's product stays in cache; a tableau of fewer cells (complete
+    graphs up to n = 20) is one block.  Each cell still gets one multiply and
+    one subtraction, so any block size gives the same bits.  The Fraction
+    update touches only the nonzero rows of the pivot column and the
+    nonzero columns of the pivot row, since each Fraction operation is a
+    Python call.
+
+    Returns ``(found, pivots)``: the pivots made, and ``found = (x, y,
+    value)``, the packing optimum y and the cover optimum x (read off the
+    slack reduced costs) as lists with the objective; or ``found = None``
+    when a pivot column has no positive entry, which only float error can
+    cause.  Raises CapacityError at the pivot cap.
     """
     m, nt = len(weights), len(triangles)
-    rhs = np.array(weights)
-    exact = rhs.dtype == object
-    tol = 0 if exact else _FLOAT_PIVOT_TOL
+    width = nt + m
     zero = weights[0] * 0
     one = zero + 1
-    rows = np.full((m, nt + m), zero)
-    rows[triangles.ravel(), np.repeat(np.arange(nt), 3)] = one
-    rows[np.arange(m), nt + np.arange(m)] = one
-    basis = np.arange(nt, nt + m)
+    tab = np.full((m + 1, width + 1), zero)
+    tab[triangles.ravel(), np.repeat(np.arange(nt), 3)] = one
+    tab[np.arange(m), nt + np.arange(m)] = one
+    tab[:m, -1] = weights
     # reduced costs c_j - z_j for the max problem; slack basis gives z = 0
-    obj = np.concatenate([np.full(nt, one), np.full(m, zero)])
-    value = zero
+    tab[m, :nt] = one
+    costs, rhs = tab[m, :width], tab[:m, -1]
+    exact = tab.dtype == object
+    tol = 0 if exact else _FLOAT_PIVOT_TOL
+    basis = np.arange(nt, width)
+    block = max(1, _UPDATE_BLOCK_CELLS // (width + 1))
+    product = None if exact else np.empty((min(block, m + 1), width + 1))
 
-    cap = _FLOAT_PIVOT_CAP_PER_COLUMN * (nt + m)
-    for _ in range(cap):
-        positive = np.flatnonzero(obj > tol)
-        if positive.size == 0:
+    cap = _FLOAT_PIVOT_CAP_PER_COLUMN * width
+    for pivots in range(cap):
+        # array methods skip numpy's Python-level wrappers: a pivot makes
+        # about 20 calls on arrays of about 100 cells
+        enter = (costs > tol).argmax()
+        if not costs[enter] > tol:
             y = np.full(nt, zero)
             y[basis[basis < nt]] = rhs[basis < nt]
-            return (-obj[nt:]).tolist(), y.tolist(), value
-        enter = positive[0]
-        col = rows[:, enter].copy()
-        candidates = np.flatnonzero(col > tol)
+            return ((-costs[nt:]).tolist(), y.tolist(), -tab[m, -1]), pivots
+        col = tab[:, enter].copy()
+        candidates = (col[:m] > tol).nonzero()[0]
         if candidates.size == 0:
-            return None
+            return None, pivots
         ratios = rhs[candidates] / col[candidates]
-        tied = candidates[ratios <= ratios.min() + tol]
-        leave = tied[np.argmin(basis[tied])]
-        piv, factor = col[leave], obj[enter]
-        piv_rhs = rhs[leave] / piv
+        tied = candidates[ratios <= np.minimum.reduce(ratios) + tol]
+        leave = tied[basis[tied].argmin()]
+        piv = col[leave]
         if exact:
-            # Each Fraction operation is a Python call: touch only the
-            # nonzero rows of the pivot column and columns of the pivot row.
-            live, cols = np.flatnonzero(col), np.flatnonzero(rows[leave])
+            live, cols = col.nonzero()[0], tab[leave].nonzero()[0]
             live = live[live != leave]
-            piv_row = rows[leave, cols] / piv
-            rows[np.ix_(live, cols)] -= np.outer(col[live], piv_row)
-            rows[leave, cols] = piv_row
-            rhs[live] -= col[live] * piv_rhs
-            obj[cols] -= factor * piv_row
+            piv_row = tab[leave, cols] / piv
+            tab[np.ix_(live, cols)] -= np.outer(col[live], piv_row)
+            tab[leave, cols] = piv_row
         else:
-            piv_row = rows[leave] / piv
-            rows -= np.outer(col, piv_row)
-            rows[leave] = piv_row
-            rhs -= col * piv_rhs
-            obj -= factor * piv_row
-        rhs[leave] = piv_rhs
-        value += factor * piv_rhs
+            piv_row = tab[leave] / piv
+            row = piv_row[None, :]
+            for lo in range(0, m + 1, block):
+                rows = tab[lo:lo + block]
+                part = product[:len(rows)]
+                np.dot(col[lo:lo + block, None], row, out=part)
+                rows -= part
+            tab[leave] = piv_row
         basis[leave] = enter
     raise CapacityError(
         f"the simplex reached its cap of {cap} pivots on {nt} bad "
@@ -415,6 +454,37 @@ def _certified_pair(g: SignedGraph, weights: list, x, y, value=None):
     return None
 
 
+def _limit_denominator(v: float) -> Fraction:
+    """``Fraction(v).limit_denominator(_CERTIFIED_DENOMINATOR_BOUND)`` for a
+    finite float v, in integer arithmetic.
+
+    The continued fraction of v runs until the next convergent's
+    denominator would pass the bound.  The answer is then the last
+    convergent p1/q1 or the semiconvergent (p0 + k p1)/(q0 + k q1) with
+    the largest denominator within the bound, whichever lies closer to v;
+    a tie goes to p1/q1.  The two candidates lie 1/(q1 (q0 + k q1)) apart
+    and p1/q1 lies d'/(q1 d) from v = n/d, d' being the remainder left, so
+    the comparison is one of integers: CPython 3.12's form of the rule.
+    """
+    n, d = v.as_integer_ratio()
+    bound = _CERTIFIED_DENOMINATOR_BOUND
+    if d <= bound:
+        return Fraction(n, d)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (bound - q0) // q1
+    if 2 * den * (q0 + k * q1) <= d:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
 def solve_exact(g: SignedGraph,
                 max_triangles: int = DEFAULT_EXACT_TRIANGLE_BOUND) -> LpSolution:
     """Exact-rational optimum of the cover LP with a dual certificate.
@@ -427,6 +497,10 @@ def solve_exact(g: SignedGraph,
     objectives equal to the value it reports.  Either way primal and dual
     objectives agree identically, so complementary slackness holds
     exactly.  Float weights must be finite.
+
+    A weight with no finite float64 (past about 1.8e308) skips the float
+    pass, and the Fraction pass solves alone.  ``LpSolution.pivots``
+    records the pivots of each pass run.
 
     Raises CapacityError when the bad-triangle count exceeds
     ``max_triangles`` or a run reaches its pivot cap; use
@@ -442,18 +516,26 @@ def solve_exact(g: SignedGraph,
     if not len(index):
         primal = FractionalCover.from_values(g, [Fraction(0)] * g.m)
         dual = FractionalPacking((), Fraction(0))
-        return LpSolution(primal, dual, STATUS_EXACT, (Fraction(0), Fraction(0)))
+        return LpSolution(primal, dual, STATUS_EXACT, (Fraction(0), Fraction(0)),
+                          pivots=())
     weights = [Fraction(e.weight) for e in g.edges]
+    pivots = []
     certified = None
-    found = _packing_simplex(index, [float(w) for w in weights])
-    if found is not None:
-        # each distinct float is rebuilt once: a vertex repeats few values
-        rebuilt = {v: Fraction(v).limit_denominator(_CERTIFIED_DENOMINATOR_BOUND)
-                   for v in {*found[0], *found[1]}}
-        x, y = ([rebuilt[v] for v in vals] for vals in found[:2])
-        certified = _certified_pair(g, weights, x, y)
+    try:
+        floats = [float(w) for w in weights]
+    except OverflowError:  # a weight past float64's range: no float pass
+        floats = None
+    if floats is not None:
+        found, count = _packing_simplex(index, floats)
+        pivots.append(count)
+        if found is not None:
+            # each distinct float is rebuilt once: a vertex repeats few values
+            rebuilt = {v: _limit_denominator(v) for v in {*found[0], *found[1]}}
+            x, y = ([rebuilt[v] for v in vals] for vals in found[:2])
+            certified = _certified_pair(g, weights, x, y)
     if certified is None:
-        found = _packing_simplex(index, weights)
+        found, count = _packing_simplex(index, weights)
+        pivots.append(count)
         certified = None if found is None else _certified_pair(g, weights, *found)
         if certified is None:
             raise VerificationError(
@@ -461,7 +543,7 @@ def solve_exact(g: SignedGraph,
                 "or strong duality); this is a bug")
     primal, dual = certified
     value = dual.objective
-    return LpSolution(primal, dual, STATUS_EXACT, (value, value))
+    return LpSolution(primal, dual, STATUS_EXACT, (value, value), pivots=tuple(pivots))
 
 
 # -- multiplicative-weights covering solver --------------------------------
@@ -613,7 +695,12 @@ def solve_mwu(g: SignedGraph, eps: float,
     # Edges of zero weight cover their triangles for free.
     w = g.edge_columns().weight
     if w is None:
-        w = np.array([float(e.weight) for e in g.edges])
+        try:
+            w = np.array([float(e.weight) for e in g.edges])
+        except OverflowError:
+            raise CapacityError(
+                "a weight lies beyond float64's range, so solve_mwu's float "
+                "arithmetic cannot hold it; use solve_exact") from None
     free = w == 0
     keep = ~free[all_edges].any(axis=1)
     x_final = free.astype(float)

@@ -169,7 +169,9 @@ def patch_simplex_run(monkeypatch, kind, run):
     """Route each run of the simplex behind ``solve_exact`` whose weights
     are of number kind ``kind`` (float or Fraction) to
     ``run(simplex, triangles, weights)``, where ``simplex`` is the function
-    replaced; runs of the other kind pass through."""
+    replaced; runs of the other kind pass through.  ``run`` returns what
+    the simplex does: ``((x, y, value), pivots)``, or ``(None, pivots)``
+    when it finds no optimum."""
     simplex = lp._packing_simplex
 
     def routed(triangles, weights):
@@ -188,8 +190,8 @@ def patch_fraction_simplex(monkeypatch, *, offset=0):
 
     def counted(simplex, *args):
         runs.append(args)
-        x, y, value = simplex(*args)
-        return x, y, value + offset
+        (x, y, value), pivots = simplex(*args)
+        return (x, y, value + offset), pivots
 
     patch_simplex_run(monkeypatch, Fraction, counted)
     return runs
@@ -198,4 +200,4 @@ def patch_fraction_simplex(monkeypatch, *, offset=0):
 def stall_float_simplex(monkeypatch):
     """Make the float run of the simplex behind ``solve_exact`` find no
     optimum, so every solve takes the Fraction run."""
-    patch_simplex_run(monkeypatch, float, lambda *args: None)
+    patch_simplex_run(monkeypatch, float, lambda *args: (None, 0))

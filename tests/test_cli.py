@@ -142,6 +142,23 @@ class TestSolve:
         else:
             assert body["outcome"]["certified_ratio"] == 1.0
 
+    @pytest.mark.parametrize("alg", ["lp-exact", "det2", "sweep2", "rand2", "kriv", "lp-mwu"])
+    def test_weight_past_float_range(self, alg, tmp_path, capsys):
+        # float(1e400) raised OverflowError (exit 1) on every LP path
+        path = tmp_path / "graph.txt"
+        path.write_text("n 3\n0 1 +1 1e400\n0 2 +1 1\n1 2 -1 1\n")
+        argv = ["solve", "--alg", alg, "--input", str(path)]
+        if alg == "lp-mwu":
+            assert main(argv) == 3
+            assert "float64" in capsys.readouterr().err
+            return
+        body = run_cli(argv, tmp_path / "out.json")
+        if alg == "lp-exact":
+            assert body["lp"]["objective"] == body["lp"]["dual_objective"] == "1"
+        else:
+            assert body["outcome"]["lp_lower_bound"] == "1"
+            assert body["outcome"]["cost"] == 1
+
     def test_float_simplex_pivot_cap_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(lp, "_FLOAT_PIVOT_CAP_PER_COLUMN", 0)
         assert main(["solve", "--gen", "fig2", "--alg", "lp-exact"]) == 3

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btt import (CapacityError, ConvergenceError, InputError, SignedGraph,
                  VerificationError, check_fractional_feasibility,
@@ -44,8 +46,8 @@ def certified_graphs():
 
 def fraction_simplex_pair(g):
     """(x, y) as the exact-rational simplex alone returns them."""
-    x, y, _ = lp._packing_simplex(g.bad_triangle_index(),
-                                  [Fraction(e.weight) for e in g.edges])
+    (x, y, _), _ = lp._packing_simplex(g.bad_triangle_index(),
+                                       [Fraction(e.weight) for e in g.edges])
     return FractionalCover.from_values(g, x).clamped(g).values, tuple(y)
 
 
@@ -61,6 +63,27 @@ EXACT_RUN_FROZEN = {
     10: "ff666f6415bac5b0e0d1bfa63fa8591a059fa22425d3e5efab5a5457b9216629",
     12: "7fc1fa7a1128d27109f936f1ab4dce6c5b31331c4f7beaa5596ceb93db423e9a",
 }
+
+#: sha256 of the float simplex's x and y over ``certified_graphs()`` (those
+#: with a bad triangle): per graph ``repr(x) + repr(y)``, graphs joined by
+#: newlines.  Frozen before the tableau became one array: the float pass
+#: must keep doing the same arithmetic.
+FLOAT_RUN_FROZEN = "ae88af23b6f1e4289257ebfd3809ee5a9a3d3696b152e8ce28fb9b99b0a09681"
+
+#: Float-pass pivots of ``solve_exact``, frozen before the tableau became
+#: one array.
+FLOAT_PIVOTS_FROZEN = {
+    "fig2": (gen_figure2, 9),
+    "hexagram": (lambda: gen_hexagram()[0], 26),
+    "gap10": (lambda: gen_integrality_gap(10), 94),
+    "random12": (lambda: gen_random(12, complete=True, seed=1), 191),
+}
+
+
+def huge_weight_graph():
+    """One bad triangle whose positive edge (0, 1) weighs 10**400, past
+    float64's range; the LP optimum is 1, on the other two edges."""
+    return SignedGraph(3, [(0, 1, 1, Fraction(10) ** 400), (0, 2, 1), (1, 2, -1)])
 
 
 class TestFeasibilityCheck:
@@ -630,22 +653,36 @@ class TestCertifiedFloatSolve:
 
         def corrupted(simplex, triangles, weights):
             if corrupt == "stall":
-                return None
-            x, y, value = simplex(triangles, weights)
+                return None, 0
+            (x, y, value), pivots = simplex(triangles, weights)
             if corrupt == "x":
                 x[x.index(max(x))] -= 0.25
             else:
                 y[y.index(max(y))] += 0.25
-            return x, y, value
+            return (x, y, value), pivots
 
         patch_simplex_run(monkeypatch, float, corrupted)
         fallbacks = patch_fraction_simplex(monkeypatch)
         sol = solve_exact(g)
         assert len(fallbacks) == 1
+        assert len(sol.pivots) == 2
         monkeypatch.undo()
         assert (sol.primal.values, sol.dual.values) == fraction_simplex_pair(g)
         assert sol.value == solve_exact(g).value == 4
 
+    @pytest.mark.parametrize("cells", [1, 500, lp._UPDATE_BLOCK_CELLS])
+    def test_float_run_is_frozen(self, cells, monkeypatch):
+        # any row block of the update gives the same bits; a cell count of 1
+        # updates one row at a time
+        monkeypatch.setattr(lp, "_UPDATE_BLOCK_CELLS", cells)
+        texts = []
+        for g in certified_graphs():
+            index = g.bad_triangle_index()
+            if len(index):
+                (x, y, _), _ = lp._packing_simplex(index, [float(e.weight) for e in g.edges])
+                texts.append(repr(x) + repr(y))
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        assert digest == FLOAT_RUN_FROZEN
 
     def test_pivot_cap_fails_fast(self, monkeypatch):
         # a float simplex that stalls at its cap raises instead of handing
@@ -661,12 +698,108 @@ class TestCertifiedFloatSolve:
         assert fallbacks == []
 
 
+class TestPivotCounter:
+    @pytest.mark.parametrize("name", sorted(FLOAT_PIVOTS_FROZEN))
+    def test_float_pass_pivots_are_frozen(self, name):
+        make, pivots = FLOAT_PIVOTS_FROZEN[name]
+        assert solve_exact(make()).pivots == (pivots,)
+
+    def test_fallback_records_both_passes(self, monkeypatch):
+        fallbacks = patch_fraction_simplex(monkeypatch)
+        sol = solve_exact(float_weighted(8, seed=3))
+        assert len(fallbacks) == 1
+        assert len(sol.pivots) == 2 and all(p > 0 for p in sol.pivots)
+
+    def test_no_pass_without_triangles(self):
+        g = SignedGraph(3, [(0, 1, 1), (1, 2, -1)])
+        assert solve_exact(g).pivots == ()
+
+    def test_mwu_records_no_pivots(self):
+        assert solve_mwu(gen_figure2(), 0.1).pivots is None
+        assert solve_exact(gen_figure2()).rounds is None
+
+    def test_pivots_stay_out_of_the_json(self):
+        g = gen_figure2()
+        obj = lp_solution_to_json(g, solve_exact(g))
+        assert not any("pivot" in key for key in obj)
+
+
+def nearest_fraction(v):
+    return Fraction(v).limit_denominator(10**6)
+
+
+def farey_right_neighbour(p, q, bound=10**6):
+    """The fraction after p/q among those of denominator <= bound: r/s with
+    r q - p s = 1 and s as large as the bound allows."""
+    s = -pow(p, -1, q) % q if q > 1 else 0
+    s += (bound - s) // q * q
+    return Fraction((1 + p * s) // q, s)
+
+
+class TestLimitDenominator:
+    @settings(max_examples=2000, deadline=None)
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.floats(min_value=-2.0, max_value=2.0)))
+    def test_equals_limit_denominator(self, v):
+        got = lp._limit_denominator(v)
+        assert isinstance(got, Fraction)
+        assert got == nearest_fraction(v)
+
+    def test_fixed_values(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                  2.2250738585072014e-308, 1.7976931348623157e308, -1e300,
+                  0.5, -0.375, 3.0, -7.0, 1 / 1024, 2.0**-19, 2.0**-20, 1e-6, -1e-6,
+                  5e-7, 1 / 3, -2 / 3, 0.1, -0.7, 1 - 2**-53, 1 + 2**-52,
+                  np.nextafter(1 / 3, 1.0), 0.4999995, 999999.5]
+        for v in values:
+            assert lp._limit_denominator(float(v)) == nearest_fraction(float(v)), v
+        # the float nearest a fraction of denominator at most the bound
+        # gives that fraction back
+        for p, q in ((1, 999_999), (-3, 1_000_000), (7, 640), (-999_983, 524_288)):
+            assert lp._limit_denominator(p / q) == nearest_fraction(p / q) == Fraction(p, q)
+
+    def test_near_ties_between_the_candidates(self):
+        # floats at and beside the midpoint of two neighbours in the Farey
+        # sequence of order 10**6, the two candidates the rule picks from
+        rng = random.Random(17)
+        pairs = [(0, 1), (1, 1), (1, 2), (1, 3), (2, 7), (-1, 3), (999_999, 1_000_000)]
+        pairs += [(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6)) for _ in range(400)]
+        picked = set()
+        for p, q in pairs:
+            left = Fraction(p, q)
+            right = farey_right_neighbour(left.numerator, left.denominator)
+            mid = float((left + right) / 2)
+            for v in (mid, np.nextafter(mid, -math.inf), np.nextafter(mid, math.inf),
+                      np.nextafter(np.nextafter(mid, math.inf), math.inf)):
+                got = lp._limit_denominator(float(v))
+                assert got == nearest_fraction(float(v)), (p, q, v)
+                assert got in (left, right)
+                picked.add(got == left)
+        assert picked == {True, False}
+
+
+class TestHugeWeights:
+    def test_exact_solve_skips_the_float_pass(self, monkeypatch):
+        fallbacks = patch_fraction_simplex(monkeypatch)
+        g = huge_weight_graph()
+        sol = solve_exact(g)
+        assert len(fallbacks) == 1 and len(sol.pivots) == 1
+        assert sol.value == sol.dual.objective == 1
+        assert sol.primal.values[0] == 0
+        assert check_fractional_feasibility(g, sol.primal)
+        assert check_packing_feasibility(g, sol.dual)
+
+    def test_mwu_refuses(self):
+        with pytest.raises(CapacityError, match="float64"):
+            solve_mwu(huge_weight_graph(), 0.1)
+
+
 class TestFloatWeightedExactSolve:
     @pytest.mark.parametrize("n", [8, 10, 12])
     def test_exact_run_vertex_is_frozen(self, n):
         g = float_weighted(n, seed=3)
-        x, y, value = lp._packing_simplex(g.bad_triangle_index(),
-                                          [Fraction(e.weight) for e in g.edges])
+        (x, y, value), _ = lp._packing_simplex(g.bad_triangle_index(),
+                                               [Fraction(e.weight) for e in g.edges])
         assert all(isinstance(v, Fraction) for v in x + y + [value])
         text = "|".join(" ".join(map(str, part)) for part in (x, y, [value]))
         assert hashlib.sha256(text.encode()).hexdigest() == EXACT_RUN_FROZEN[n]
@@ -698,7 +831,7 @@ class TestVerificationErrors:
     def test_exact_run_without_optimum(self, monkeypatch):
         # the packing LP is bounded, so an exact run finding none is a bug
         stall_float_simplex(monkeypatch)
-        patch_simplex_run(monkeypatch, Fraction, lambda *args: None)
+        patch_simplex_run(monkeypatch, Fraction, lambda *args: (None, 0))
         with pytest.raises(VerificationError, match="certificate"):
             solve_exact(gen_figure2())
 
@@ -708,10 +841,10 @@ class TestVerificationErrors:
         stall_float_simplex(monkeypatch)
 
         def swapped(simplex, *args):
-            x, y, value = simplex(*args)
+            (x, y, value), pivots = simplex(*args)
             i, j = x.index(max(x)), x.index(0)
             x[i], x[j] = x[j], x[i]
-            return x, y, value
+            return (x, y, value), pivots
 
         patch_simplex_run(monkeypatch, Fraction, swapped)
         with pytest.raises(VerificationError, match="certificate"):
