@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InputError, VerificationError
 from .graphs import (EdgeCover, POSITIVE, SignedGraph, is_feasible_cover,
-                     json_value)
+                     json_value, total)
 from .lp import (FLOAT_POSITIVITY_TAU, FractionalCover, ceil_scaled,
                  check_fractional_feasibility, covers_scaled, floor_scaled,
                  greedy_maximal_packing, scaled_integers, solve_exact)
@@ -256,10 +256,8 @@ def round_randomized(g: SignedGraph, x: FractionalCover, seed: int,
 def expected_rounding_cost(g: SignedGraph, x: FractionalCover):
     """Exact expectation of the randomized-rounding cover cost."""
     x = x.clamped(g)
-    total = 0
-    for e, v in zip(g.edges, x.values):
-        total += e.weight * (min(1, 2 * v) if e.sign == POSITIVE else v)
-    return total
+    return total(e.weight * (min(1, 2 * v) if e.sign == POSITIVE else v)
+                 for e, v in zip(g.edges, x.values))
 
 
 def derandomized_sweep(g: SignedGraph, x: FractionalCover,

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .errors import (BudgetExceededError, CapacityError, InputError,
                      VerificationError)
 from .graphs import (Clustering, EdgeCover, POSITIVE, SignedGraph, cc_cost,
-                     format_edge_list, is_feasible_cover)
+                     format_edge_list, is_feasible_cover, total)
 from .rng import spawn_seeds
 
 DEFAULT_BTT_TRIANGLE_BUDGET = 5000
@@ -133,10 +133,10 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     nodes, truncated, trail, optima, included = 0, False, [], [], []
     best = best_cover = None
     if enumerate_cap is None:
-        # Costs are summed in sorted-id order, as EdgeCover sums them, so
-        # float weights give the witness's cost to the last bit.
+        # Costs are totalled in sorted-id order, so float weights give the
+        # witness's cost to the last bit.
         best_cover = [e for e in range(g.m) if seed >> e & 1]
-        best = sum(weights[e] for e in best_cover)
+        best = total(weights[e] for e in best_cover)
         trail.append((0, best))
 
     def dfs(covered: int, excluded: int, cost, depth: int) -> None:
@@ -159,7 +159,7 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
         if covered == full:
             if enumerate_cap is None:
                 best_cover = sorted(included)
-                best = sum(weights[e] for e in best_cover)
+                best = total(weights[e] for e in best_cover)
                 trail.append((nodes, best))
             elif len(optima) < max_optima:
                 optima.append(frozenset(included))

@@ -30,19 +30,26 @@ be finite.
 
 Beside the triangles, a graph caches its edges as numpy columns
 (``SignedGraph.edge_columns()``): endpoints u and v, a positive-sign mask,
-and the weights as float64 when every weight is a Python float.
-``cc_cost`` sums over those columns on all-float graphs and loops over the
-edges on int, Fraction and mixed-weight graphs; both add in edge-id order,
-so the two give the same value.  The pair-to-id map behind
-``SignedGraph.edge_id`` is built on its first call: the constructor checks
-duplicates with a set, and most graphs never look a pair up.
+and one weight column, float64 when every weight is a Python float and an
+object array of the weights themselves otherwise.  ``cc_cost`` reads that
+column on every graph.  The pair-to-id map behind ``SignedGraph.edge_id``
+is built on its first call: the constructor checks duplicates with a set,
+and most graphs never look a pair up.
+
+Every total that can hold a float is added by ``total``, the package's one
+summation rule: left to right from int 0, in the values' own arithmetic.
+That is ``sum()`` up to CPython 3.11; 3.12's ``sum()`` compensates float
+rounding, so it would give other bits on other Pythons.  Totals that are
+exact (ints and Fractions) may use ``sum()``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -93,15 +100,15 @@ class Edge(NamedTuple):
 class EdgeColumns(NamedTuple):
     """The edges of a graph as numpy columns, indexed by edge id.
 
-    ``weight`` holds the weights as float64 when every weight is a Python
-    float, and is None otherwise: sums over int, Fraction or mixed weights
-    stay in Python arithmetic.
+    ``weight`` is float64 when every weight is a Python float, and an
+    object array of the weights otherwise, so that a ``total`` over int,
+    Fraction or mixed weights stays in Python arithmetic.
     """
 
     u: np.ndarray
     v: np.ndarray
     positive: np.ndarray
-    weight: np.ndarray | None
+    weight: np.ndarray
 
 
 class SignedGraph:
@@ -221,14 +228,11 @@ class SignedGraph:
         if self._columns is None:
             u, v, sign, weight = (zip(*self.edges) if self.edges
                                   else ((), (), (), ()))
-            floats = None
-            if set(map(type, weight)) <= {float}:
-                # + 0.0 turns -0.0 into 0.0, as the first step of a sum
-                # that starts from int 0 does
-                floats = np.array(weight, dtype=np.float64) + 0.0
+            kind = np.float64 if set(map(type, weight)) <= {float} else object
             self._columns = EdgeColumns(
                 np.array(u, dtype=np.intp), np.array(v, dtype=np.intp),
-                np.array(sign, dtype=np.intp) == POSITIVE, floats)
+                np.array(sign, dtype=np.intp) == POSITIVE,
+                np.array(weight, dtype=kind))
         return self._columns
 
     def __repr__(self) -> str:
@@ -291,11 +295,11 @@ def _bad_triangle_index(n: int, cols: EdgeColumns) -> np.ndarray:
     neg_key, neg_id = np.append(key[order], n * n), negative[order]
     # half-edge i opens a wedge with every later half-edge of its centre
     count = centre.searchsorted(centre, side="right") - np.arange(1, len(centre) + 1)
-    total = count.cumsum()
-    wedges = int(total[-1]) if len(total) else 0
+    ends = count.cumsum()
+    wedges = int(ends[-1]) if len(ends) else 0
     if not wedges or not len(negative):
         return np.empty((0, 3), dtype=np.intp)
-    cuts = total.searchsorted(np.arange(_WEDGE_BLOCK, wedges, _WEDGE_BLOCK), side="right")
+    cuts = ends.searchsorted(np.arange(_WEDGE_BLOCK, wedges, _WEDGE_BLOCK), side="right")
     blocks = []
     start = 0
     for stop in sorted({*cuts.tolist(), len(count)}):
@@ -332,7 +336,7 @@ class EdgeCover:
     def from_ids(cls, g: SignedGraph, edge_ids: Iterable[int]) -> "EdgeCover":
         ids = frozenset(edge_ids)
         g.check_edge_ids(ids)
-        return cls(ids, sum(g.edges[i].weight for i in sorted(ids)))
+        return cls(ids, total(g.edges[i].weight for i in sorted(ids)))
 
     @classmethod
     def from_pairs(cls, g: SignedGraph, pairs: Iterable[tuple[int, int]]) -> "EdgeCover":
@@ -381,32 +385,40 @@ class Clustering:
         return cls(tuple(normal), len(remap))
 
 
+def total(values) -> Weight:
+    """The package's one summation rule: ``values`` added left to right
+    from int 0, each addition in the values' own arithmetic, so an empty
+    input gives int 0.  This is ``sum()`` up to CPython 3.11 bit for bit;
+    3.12's ``sum()`` compensates float rounding and is not used on floats.
+
+    A float64 array is added by ``np.add.accumulate``, which adds in the
+    same order; its first addition starts from the first value rather
+    than from 0, so ``+ 0.0`` turns an all-(-0.0) total into 0.0, as
+    ``0 + -0.0`` does.  Any other array is added as its ``tolist()``, the
+    objects themselves for dtype object: a Python loop over a list is
+    faster than one over array elements.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.float64:
+            return float(np.add.accumulate(values)[-1]) + 0.0 if values.size else 0
+        values = values.tolist()
+    return reduce(operator.add, values, 0)
+
 
 def cc_cost(g: SignedGraph, clustering: Clustering) -> Weight:
     """Correlation-clustering disagreements of a partition.
 
     Sum of weights of positive edges crossing clusters plus negative edges
-    inside clusters, added in edge-id order starting from int 0.  Absent
-    pairs contribute nothing.  On float-weight graphs the sum runs over the
-    cached edge columns; ``np.add.accumulate`` adds sequentially, so the
-    result is the loop's to the last bit.
+    inside clusters: the ``total`` of the edge columns' weight column over
+    the disagreeing edges, in edge-id order.  Absent pairs contribute
+    nothing.
     """
     if len(clustering.labels) != g.n:
         raise InputError(
             f"clustering labels {len(clustering.labels)} != node count {g.n}")
-    labels = clustering.labels
     cols = g.edge_columns()
-    if cols.weight is not None:
-        lab = np.array(labels, dtype=np.intp)
-        disagree = (lab[cols.u] == lab[cols.v]) != cols.positive
-        weights = cols.weight[disagree]
-        return float(np.add.accumulate(weights)[-1]) if weights.size else 0
-    total: Weight = 0
-    for e in g.edges:
-        same = labels[e.u] == labels[e.v]
-        if (e.sign == POSITIVE and not same) or (e.sign == NEGATIVE and same):
-            total += e.weight
-    return total
+    lab = np.array(clustering.labels, dtype=np.intp)
+    return total(cols.weight[(lab[cols.u] == lab[cols.v]) != cols.positive])
 
 
 def flip_edges(g: SignedGraph, edge_ids: Iterable[int]) -> SignedGraph:

@@ -62,7 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError, InputError, VerificationError
-from .graphs import SignedGraph, json_value
+from .graphs import SignedGraph, json_value, total
 
 #: Threshold separating "zero" from "positive" LP values in floating mode.
 #: In rational mode the trichotomy is exact and the threshold is 0.
@@ -119,7 +119,7 @@ class FractionalCover:
         # Exact values keep an exact objective even when weights are floats,
         # and an exact sum starts at Fraction(0) so that m = 0 gives one too.
         if any(isinstance(v, float) for v in vals):
-            return cls(vals, sum(e.weight * x for e, x in zip(g.edges, vals)))
+            return cls(vals, total(e.weight * x for e, x in zip(g.edges, vals)))
         return cls(vals, sum((Fraction(e.weight) * x for e, x in zip(g.edges, vals)),
                              Fraction(0)))
 
@@ -153,7 +153,7 @@ class FractionalPacking:
         if len(values) != count:
             raise InputError(f"expected {count} triangle values, got {len(values)}")
         vals = tuple(values)
-        return cls(vals, sum(vals))
+        return cls(vals, total(vals))
 
 
 @dataclass(frozen=True)
@@ -241,9 +241,10 @@ def check_fractional_feasibility(g: SignedGraph, x: FractionalCover, tol=0) -> b
     """True iff all values >= -tol and every bad triangle sums to >= 1 - tol.
 
     Exact values (ints and Fractions) are compared as integers over their
-    common denominator (:func:`covers_scaled`), all-float values as float64
-    summed ``(a + b) + c``; an x mixing the two kinds takes a scalar loop
-    over the triangle index in Python's mixed arithmetic.
+    common denominator (:func:`covers_scaled`).  Values holding a float
+    are summed ``(a + b) + c`` per triangle as one numpy column: float64
+    when every value is a float, else dtype object, whose cells add in
+    Python's mixed arithmetic.
     """
     vals = x.values
     if len(vals) != g.m:
@@ -251,13 +252,8 @@ def check_fractional_feasibility(g: SignedGraph, x: FractionalCover, tol=0) -> b
     floats = _float_count(vals)
     if not floats:
         return covers_scaled(g, *scaled_integers(vals, headroom=3), tol)
-    index = g.bad_triangle_index()
-    if floats < len(vals):
-        if any(v < -tol for v in vals):
-            return False
-        return all(vals[a] + vals[b] + vals[c] >= 1 - tol for a, b, c in index.tolist())
-    col = np.array(vals, dtype=np.float64)
-    ab, ac, bc = col[index.T]
+    col = np.array(vals, dtype=np.float64 if floats == len(vals) else object)
+    ab, ac, bc = col[g.bad_triangle_index().T]
     return not (col < -tol).any() and bool(((ab + ac) + bc >= 1 - tol).all())
 
 
@@ -279,11 +275,12 @@ def check_packing_feasibility(g: SignedGraph, y: FractionalPacking, tol=0) -> bo
     """True iff y >= -tol and every edge load sum_{t: e in t} y_t <= w_e + tol.
 
     Exact values are compared as integers over their common denominator
-    (:func:`packs_scaled`).  All-float values are loaded with ``np.add.at``
-    over the row-major flattened triangle index, so each edge adds its
-    triangles' values in index order, as a scalar loop would; a y mixing
-    the two kinds takes that scalar loop.  Each load is compared exactly
-    with w_e + tol.
+    (:func:`packs_scaled`).  Values holding a float are loaded with
+    ``np.add.at`` over the row-major flattened triangle index, so each edge
+    adds its triangles' values in index order, as a scalar loop would: in
+    float64 when every value is a float, else in dtype object, whose cells
+    add in Python's mixed arithmetic from int 0.  Each load is compared
+    exactly with w_e + tol.
     """
     vals = y.values
     index = g.bad_triangle_index()
@@ -297,16 +294,11 @@ def check_packing_feasibility(g: SignedGraph, y: FractionalPacking, tol=0) -> bo
         return packs_scaled(g, *scaled_integers(vals, headroom=max(g.n, 1)), caps, tol)
     if any(v < -tol for v in vals):
         return False
-    if floats < len(vals):
-        load = [0] * g.m
-        for t, yt in zip(index.tolist(), vals):
-            for eid in t:
-                load[eid] += yt
-    else:
-        load = np.zeros(g.m)
-        np.add.at(load, index.ravel(), np.array(vals, dtype=np.float64).repeat(3))
-    kind = np.float64 if _float_count(caps) == len(caps) else object
-    return bool((np.asarray(load) <= np.array(caps, dtype=kind)).all())
+    kind = np.float64 if floats == len(vals) else object
+    load = np.zeros(g.m, dtype=kind)
+    np.add.at(load, index.ravel(), np.array(vals, dtype=kind).repeat(3))
+    cap_kind = np.float64 if _float_count(caps) == len(caps) else object
+    return bool((load <= np.array(caps, dtype=cap_kind)).all())
 
 
 def greedy_maximal_packing(g: SignedGraph) -> list[tuple[int, int, int]]:
@@ -694,9 +686,9 @@ def solve_mwu(g: SignedGraph, eps: float,
 
     # Edges of zero weight cover their triangles for free.
     w = g.edge_columns().weight
-    if w is None:
+    if w.dtype == object:
         try:
-            w = np.array([float(e.weight) for e in g.edges])
+            w = w.astype(np.float64)
         except OverflowError:
             raise CapacityError(
                 "a weight lies beyond float64's range, so solve_mwu's float "
@@ -725,7 +717,8 @@ def solve_mwu(g: SignedGraph, eps: float,
     # two commutes with float rounding: every comparison below is the one
     # the unscaled weights give, and y and the bounds scale back exactly.
     # Weights are never scaled down, which could round the smallest ones
-    # into subnormals.
+    # into subnormals.  Both objectives are totalled over the scaled values
+    # and scaled back once, so subnormal products cannot reorder them.
     shift = max(0, 1 - math.frexp(w[cand_ids].max())[1])
     wc = np.ldexp(w[cand_ids], shift)
     # Every p_t <= 1, so no load ratio ever exceeds the round-0 largest.
@@ -779,13 +772,14 @@ def solve_mwu(g: SignedGraph, eps: float,
     x_final[cand_ids] = x_raw_to_feasible(
         _minimal_primal(best_x, tri_edges, tri_of, starts), tri_edges)
     np.clip(x_final, 0.0, 1.0, out=x_final)
-    primal = FractionalCover.from_values(g, x_final.tolist())
+    primal = FractionalCover(tuple(x_final.tolist()),
+                             math.ldexp(total(wc * x_final[cand_ids]), -shift))
 
     y_full = np.zeros(len(all_edges))
     y_full[keep] = np.ldexp(best_y, -shift) * (1 - 1e-12)
-    dual = FractionalPacking.from_values(g, y_full.tolist())
-    return LpSolution(primal, dual, STATUS_EPS,
-                      (float(dual.objective), float(primal.objective)),
+    dual = FractionalPacking(tuple(y_full.tolist()),
+                             math.ldexp(total(best_y * (1 - 1e-12)), -shift))
+    return LpSolution(primal, dual, STATUS_EPS, (dual.objective, primal.objective),
                       eps=eps, rounds=rounds)
 
 

@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError, VerificationError
 from .graphs import (Clustering, EdgeCover, POSITIVE, SignedGraph, cc_cost,
-                     is_feasible_cover)
+                     is_feasible_cover, total)
 from .graphs import flip_edges  # noqa: F401  perfbench/tracing.py wraps this name
 from .rng import make_rng, spawn_seeds
 
@@ -136,6 +136,7 @@ def triplet_sums(config: TripletConfig):
 # Frozen reference tables for the charging argument: rows are triangle
 # sign classes, columns are cover-membership patterns for (uv, uw, vw).
 # "x" marks the one impossible column per row (an uncovered bad triangle).
+# Each ratio is its disagreement over its budget, 0/0 where the budget is 0.
 SIGN_ROWS = ((-1, -1, -1), (-1, -1, 1), (-1, 1, 1), (1, 1, 1))
 MEMBER_COLUMNS = ((False, False, False), (False, False, True),
                   (False, True, False), (True, False, False),
@@ -155,12 +156,6 @@ _REF_BUDGET = (
     (0, 0, 1, 1, 1, 2, 1, _F(41, 16)),
     (_EXCLUDED, 1, 1, 1, _F(1, 2), 2, 2, _F(33, 16)),
     (0, 1, 1, 1, 2, 2, 2, _F(21, 16)),
-)
-_REF_RATIO = (
-    (None, None, None, None, _F(3, 8), _F(3, 8), _F(3, 8), _F(3, 5)),
-    (None, None, _F(3, 2), _F(3, 2), _F(15, 16), _F(15, 16), _F(15, 16), _F(12, 41)),
-    (_EXCLUDED, _F(3, 2), _F(3, 2), _F(3, 2), _F(9, 8), _F(9, 16), _F(9, 16), _F(7, 11)),
-    (None, _F(3, 2), _F(3, 2), _F(3, 2), _F(15, 16), _F(15, 16), _F(15, 16), _F(6, 7)),
 )
 
 
@@ -197,73 +192,54 @@ def _member_label(member) -> str:
     return "".join("+" if m else "-" for m in member)
 
 
+def _checked_cell(ri: int, ci: int):
+    """``triplet_sums`` of one table cell, checked against the reference;
+    None for the excluded cell.  Raises VerificationError naming the cell."""
+    signs, member = SIGN_ROWS[ri], MEMBER_COLUMNS[ci]
+    cell = f"row {_sign_label(signs)} column {_member_label(member)}"
+    ref_d, ref_b = _REF_DISAGREEMENT[ri][ci], _REF_BUDGET[ri][ci]
+    config = TripletConfig(signs, member)
+    if config.is_uncovered_bad_triangle():
+        if ref_d != _EXCLUDED:
+            raise VerificationError(f"{cell}: expected an excluded cell")
+        return None
+    d_sum, b_sum, ratio = triplet_sums(config)
+    if d_sum != ref_d:
+        raise VerificationError(f"{cell}: disagreement sum {d_sum} != reference {ref_d}")
+    if b_sum != ref_b:
+        raise VerificationError(f"{cell}: budget sum {b_sum} != reference {ref_b}")
+    ref_ratio = None if ref_b == 0 else Fraction(ref_d) / ref_b
+    if ratio != ref_ratio:
+        raise VerificationError(f"{cell}: ratio {ratio} != reference {ref_ratio}")
+    if ratio is None:
+        if d_sum != 0:
+            raise VerificationError(f"{cell}: zero budget with nonzero disagreement {d_sum}")
+    elif ratio > Fraction(3, 2):
+        raise VerificationError(f"{cell}: ratio {ratio} exceeds 3/2")
+    return d_sum, b_sum, ratio
+
+
 def verify_charging_tables() -> dict:
     """Recompute the 4 x 8 disagreement/budget/ratio tables and audit them.
 
     Checks, in exact rational arithmetic: every cell matches its frozen
-    reference value; exactly one cell (the uncovered bad triangle) is
+    reference value, each ratio being the reference disagreement over the
+    reference budget; exactly one cell (the uncovered bad triangle) is
     excluded; every defined ratio is at most 3/2; 0/0 cells have both sums
     zero; and the single-edge bound (the edge into the pivot never
     disagrees more than its budget) holds for both membership cases.
 
-    Returns the recomputed tables both as exact fraction strings and
-    rendered to 4 significant figures.  Raises VerificationError naming
-    the offending cell on any mismatch.
+    Each cell is computed once.  Returns the recomputed tables both as
+    exact fraction strings and rendered to 4 significant figures, with the
+    count of cells that are not excluded and the largest ratio among them.
+    Raises VerificationError naming the offending cell on any mismatch.
     """
-    report = {
-        "rows": [_sign_label(s) for s in SIGN_ROWS],
-        "columns": [_member_label(m) for m in MEMBER_COLUMNS],
-        "disagreement": [], "budget": [], "ratio": [],
-        "disagreement_sig4": [], "budget_sig4": [], "ratio_sig4": [],
-    }
-    max_ratio = Fraction(3, 2)
-    excluded_cells = []
-    for ri, signs in enumerate(SIGN_ROWS):
-        d_row, b_row, r_row = [], [], []
-        d_sig, b_sig, r_sig = [], [], []
-        for ci, member in enumerate(MEMBER_COLUMNS):
-            cell = f"row {_sign_label(signs)} column {_member_label(member)}"
-            config = TripletConfig(signs, member)
-            if config.is_uncovered_bad_triangle():
-                excluded_cells.append((ri, ci))
-                if _REF_DISAGREEMENT[ri][ci] != _EXCLUDED:
-                    raise VerificationError(f"{cell}: expected an excluded cell")
-                for row, sig in ((d_row, d_sig), (b_row, b_sig), (r_row, r_sig)):
-                    row.append(_EXCLUDED)
-                    sig.append(_EXCLUDED)
-                continue
-            d_sum, b_sum, ratio = triplet_sums(config)
-            if d_sum != _REF_DISAGREEMENT[ri][ci]:
-                raise VerificationError(
-                    f"{cell}: disagreement sum {d_sum} != reference "
-                    f"{_REF_DISAGREEMENT[ri][ci]}")
-            if b_sum != _REF_BUDGET[ri][ci]:
-                raise VerificationError(
-                    f"{cell}: budget sum {b_sum} != reference {_REF_BUDGET[ri][ci]}")
-            if ratio != _REF_RATIO[ri][ci]:
-                raise VerificationError(
-                    f"{cell}: ratio {ratio} != reference {_REF_RATIO[ri][ci]}")
-            if ratio is None:
-                if d_sum != 0:
-                    raise VerificationError(
-                        f"{cell}: zero budget with nonzero disagreement {d_sum}")
-            elif ratio > max_ratio:
-                raise VerificationError(f"{cell}: ratio {ratio} exceeds 3/2")
-            d_row.append(str(d_sum))
-            b_row.append(str(b_sum))
-            r_row.append("0/0" if ratio is None else str(ratio))
-            d_sig.append(_sig4(d_sum))
-            b_sig.append(_sig4(b_sum))
-            r_sig.append("0/0" if ratio is None else _sig4(ratio))
-        report["disagreement"].append(d_row)
-        report["budget"].append(b_row)
-        report["ratio"].append(r_row)
-        report["disagreement_sig4"].append(d_sig)
-        report["budget_sig4"].append(b_sig)
-        report["ratio_sig4"].append(r_sig)
-    if len(excluded_cells) != 1:
-        raise VerificationError(
-            f"expected exactly one excluded cell, found {excluded_cells}")
+    grid = [[_checked_cell(ri, ci) for ci in range(len(MEMBER_COLUMNS))]
+            for ri in range(len(SIGN_ROWS))]
+    excluded = [(ri, ci) for ri, row in enumerate(grid)
+                for ci, cell in enumerate(row) if cell is None]
+    if len(excluded) != 1:
+        raise VerificationError(f"expected exactly one excluded cell, found {excluded}")
     # Single-edge bound: when the pivot is an endpoint the edge is always
     # removed, so its disagreement probability must not exceed its budget.
     for sign in (POSITIVE, -POSITIVE):
@@ -274,10 +250,19 @@ def verify_charging_tables() -> dict:
             if d_self > b_self:
                 raise VerificationError(
                     f"single-edge bound fails for sign {sign}, in_cover {in_cover}")
-    report["defined_cells"] = 31
-    report["max_defined_ratio"] = str(max(
-        v for row in _REF_RATIO for v in row
-        if isinstance(v, Fraction)))
+
+    def render(k: int, form) -> list:
+        return [[_EXCLUDED if cell is None else "0/0" if cell[k] is None
+                 else form(cell[k]) for cell in row] for row in grid]
+
+    report = {"rows": [_sign_label(s) for s in SIGN_ROWS],
+              "columns": [_member_label(m) for m in MEMBER_COLUMNS]}
+    for k, name in enumerate(("disagreement", "budget", "ratio")):
+        report[name] = render(k, str)
+        report[f"{name}_sig4"] = render(k, _sig4)
+    cells = [cell for row in grid for cell in row if cell is not None]
+    report["defined_cells"] = len(cells)
+    report["max_defined_ratio"] = str(max(c[2] for c in cells if c[2] is not None))
     return report
 
 
@@ -435,8 +420,8 @@ def pivot_trials(g: SignedGraph, algorithm: str, trials: int, seed: int,
         raise InputError(f"trials must be at least 1, got {trials}")
     sampler = _PivotSampler(g, algorithm, cover)
     costs = [float(sampler.run(s).disagreements) for s in spawn_seeds(seed, trials)]
-    mean = sum(costs) / trials
-    variance = sum((c - mean) ** 2 for c in costs) / max(trials - 1, 1)
+    mean = total(costs) / trials
+    variance = total((c - mean) ** 2 for c in costs) / max(trials - 1, 1)
     stderr = (variance / trials) ** 0.5
     return {
         "algorithm": algorithm,
@@ -488,7 +473,7 @@ def exhaustive_expected_disagreements(g: SignedGraph,
         nodes = [v for v in range(g.n) if mask & (1 << v)]
         if len(nodes) <= 1:
             return Fraction(0)
-        total = Fraction(0)
+        summed = Fraction(0)
         for pivot in nodes:
             always, coins = [], []
             for v in nodes:
@@ -516,8 +501,8 @@ def exhaustive_expected_disagreements(g: SignedGraph,
                 for v in members:
                     rest &= ~(1 << v)
                 pivot_total += weight * (round_cost(members, outside) + expect(rest))
-            total += pivot_total
-        return total / len(nodes)
+            summed += pivot_total
+        return summed / len(nodes)
 
     result = expect((1 << g.n) - 1)
     expect.cache_clear()

@@ -270,6 +270,17 @@ class TestPinnedRoundings:
         assert out.algorithm == "rand2" and out.threshold == r
         assert sorted(out.cover.edge_ids) == taken
 
+
+def refused_inputs(g):
+    """(x, message) pairs that every rounding refuses: exact zeros, float
+    zeros (checked within 1e-9) and an exact x one value short."""
+    short = (Fraction(1),) * (g.m - 1)
+    return [(FractionalCover.from_values(g, [Fraction(0)] * g.m), "infeasible"),
+            (FractionalCover.from_values(g, [0.0] * g.m), "infeasible"),
+            (FractionalCover(short, Fraction(g.m - 1)),
+             f"expected {g.m} edge values, got {g.m - 1}")]
+
+
 class TestRoundDeterministic:
     def test_gap4_optimal_half_takes_all_positives(self):
         g = gen_integrality_gap(4)
@@ -285,9 +296,9 @@ class TestRoundDeterministic:
 
     def test_infeasible_input_rejected(self):
         g = gen_figure2()
-        with pytest.raises(InputError, match="infeasible"):
-            round_deterministic(
-                g, FractionalCover.from_values(g, [Fraction(0)] * g.m))
+        for x, message in refused_inputs(g):
+            with pytest.raises(InputError, match=message):
+                round_deterministic(g, x)
 
     def test_random_suite_two_approximation_with_exact_optimum(self):
         for g in instance_suite(20, seed=29):
@@ -423,9 +434,9 @@ class TestDerandomizedSweep:
 
     def test_infeasible_input_rejected(self):
         g = gen_figure2()
-        with pytest.raises(InputError):
-            derandomized_sweep(
-                g, FractionalCover.from_values(g, [Fraction(0)] * g.m))
+        for x, message in refused_inputs(g):
+            with pytest.raises(InputError, match=message):
+                derandomized_sweep(g, x)
 
 
 class TestRoundingOutcome:

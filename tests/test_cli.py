@@ -1,11 +1,15 @@
+import hashlib
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from btt import EdgeCover, gen_figure2, gen_random, lp, solve_exact
+from btt import (EdgeCover, gen_figure2, gen_hardness_reduction, gen_random,
+                 gen_vc_reduction, lp, solve_exact)
 from btt.cli import _json_default, main
+from btt.generators import parse_2cnf
+from btt.graphs import format_edge_list
 from btt.pivot import pivot_trials, run_pivot
 from conftest import patch_fraction_simplex, stall_float_simplex
 
@@ -317,6 +321,69 @@ class TestInputErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error:") and fragment in err
+
+
+#: sha256 of ``btt verify --tables --hexagram``'s stdout.
+TABLES_HEXAGRAM_SHA256 = "90e41ae534f8c14755eacddd4b7db91c8c636809a66013dd29b6a956aee69f2d"
+
+
+class TestVerifyAndGenerators:
+    def test_tables_and_hexagram_report_is_pinned(self, capsys):
+        assert main(["verify", "--tables", "--hexagram"]) == 0
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLES_HEXAGRAM_SHA256
+        assert err == "[PASS] tables\n[PASS] hexagram\n"
+
+    @pytest.mark.parametrize("kind,nodes,edges,cover", [
+        ("cycle", 4, [(0, 1), (1, 2), (2, 3), (0, 3)], 2),
+        ("path", 4, [(0, 1), (1, 2), (2, 3)], 2),
+        ("star", 5, [(0, 1), (0, 2), (0, 3), (0, 4)], 1),
+        ("complete", 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 3),
+    ])
+    def test_vertex_cover_families(self, kind, nodes, edges, cover, tmp_path, capsys):
+        spec = f"vc:kind={kind},n=4"
+        assert main(["generate", "--gen", spec]) == 0
+        g = gen_vc_reduction(nodes, edges)
+        assert capsys.readouterr().out == format_edge_list(g)
+        body = run_cli(["solve", "--gen", spec, "--alg", "exact"], tmp_path / "vc.json")
+        assert body["exact"]["value"] == cover  # the minimum vertex cover
+
+    def test_gap_family(self, tmp_path):
+        body = run_cli(["solve", "--gen", "gap:n=5", "--alg", "lp-exact"], tmp_path / "lp.json")
+        assert body["n"] == 6 and body["m"] == 15
+        assert body["lp"]["objective"] == "5/2"  # n/2, against the integral n - 1
+        body = run_cli(["solve", "--gen", "gap:n=5", "--alg", "exact"], tmp_path / "exact.json")
+        assert body["exact"]["value"] == 4
+
+    def test_hardness_reduction_from_file(self, tmp_path):
+        text = "p cnf 1 2\n1 1 0\n1 -1 0\n"  # theorem mode: 4 occurrences
+        formula = tmp_path / "formula.cnf"
+        formula.write_text(text)
+        out = tmp_path / "g.txt"
+        spec = f"hardness:file={formula}"
+        assert main(["generate", "--gen", spec, "--out", str(out)]) == 0
+        g, gmap = gen_hardness_reduction(parse_2cnf(text))
+        assert out.read_text() == format_edge_list(g)
+        assert json.loads((tmp_path / "g.txt.map.json").read_text()) == \
+            json.loads(json.dumps(gmap.to_json()))
+        body = run_cli(["solve", "--gen", spec, "--alg", "exact"], tmp_path / "exact.json")
+        # 9 per variable plus one per clause; x1 = true satisfies both
+        assert body["exact"]["value"] == 9 * 1 + 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--gen", "fig2", "--alg", "det2"],
+        ["cluster", "--gen", "fig2", "--alg", "pivot", "--trials", "3"],
+    ], ids=["solve", "cluster"])
+    def test_timing_adds_wall_time_only(self, argv, tmp_path):
+        path = tmp_path / "out.json"  # the config records the --out path
+        plain = run_cli(argv, path)
+        first = path.read_bytes()
+        run_cli(argv, path)
+        assert path.read_bytes() == first
+        assert "wall_time_s" not in plain
+        timed = run_cli(argv + ["--timing"], path)
+        assert timed.pop("wall_time_s") >= 0
+        assert timed == plain
 
 
 class TestJsonEncoding:

@@ -51,3 +51,27 @@ class TestRandom:
         with pytest.raises(CapacityError, match=f"capped at {COMPLETE_NODE_BOUND}"):
             gen_random(20000, complete=complete)
         assert time.process_time() - started < 1.0
+
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_positive_count_is_exact(self, complete):
+        for seed in range(5):
+            g = gen_random(10, positive_count=12, complete=complete, seed=seed)
+            assert len(g.positive_edge_ids()) == 12
+
+    def test_positive_count_is_deterministic_per_seed(self):
+        def draw(seed):
+            return gen_random(10, positive_count=22, weights=("rational", 4, 3),
+                              seed=seed).edges
+
+        assert draw(7) == draw(7)
+        assert draw(7) != draw(8)
+
+    @pytest.mark.parametrize("count", [-1, 46])
+    def test_positive_count_out_of_range(self, count):
+        # a complete graph on 10 nodes has 45 pairs
+        with pytest.raises(InputError, match=f"positive_count {count} out of range for 45"):
+            gen_random(10, positive_count=count)
+
+    def test_positive_prob_and_count_are_exclusive(self):
+        with pytest.raises(InputError, match="not both"):
+            gen_random(10, positive_prob=0.5, positive_count=5)

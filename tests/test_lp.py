@@ -234,11 +234,14 @@ class TestChecksAgainstScalarLoop:
     def test_float_loads_add_in_triangle_order(self):
         # edge (1, 2) of weight 0.6 is the last edge of triangle 012 and the
         # first of 123 and 124; (0.1 + 0.2) + 0.3 rounds above 0.6, while
-        # (0.3 + 0.2) + 0.1 does not, so adding by triangle side would differ
+        # (0.3 + 0.2) + 0.1 does not, so adding by triangle side would differ;
+        # a Fraction among the floats keeps the order too
         g = SignedGraph(5, [(0, 1, 1), (0, 2, -1), (1, 2, 1, 0.6), (1, 3, 1),
                             (2, 3, -1), (1, 4, 1), (2, 4, -1)])
         assert len(g.bad_triangle_index()) == 3
-        for values, feasible in (([0.1, 0.2, 0.3], False), ([0.3, 0.2, 0.1], True)):
+        tenth = Fraction(1, 10)
+        for values, feasible in (([0.1, 0.2, 0.3], False), ([0.3, 0.2, 0.1], True),
+                                 ([tenth, 0.2, 0.3], False), ([0.3, 0.2, tenth], True)):
             y = FractionalPacking(tuple(values), 0)
             assert reference_packing_check(g, values) == feasible
             assert check_packing_feasibility(g, y) == feasible
@@ -426,17 +429,19 @@ class TestMwuWeightScale:
     weights below 1 up by one, so that tiny weights solve too."""
 
     def test_tiny_weights_give_the_unit_solution(self):
-        # at 2**-1070 a load ratio deg / w overflowed to inf
+        # at 2**-1070 a load ratio deg / w overflowed to inf; the objectives
+        # are totalled over the scaled weights, so the bounds scale exactly
+        # too (summed as subnormals, fig2's dual came out above its primal)
         two_triangles = complete_graph(4, lambda u, v: -1 if (u, v) in ((1, 2), (1, 3)) else 1)
-        for g in (two_triangles, gen_random(12, positive_prob=0.5, complete=True, seed=3)):
+        graphs = (two_triangles, gen_figure2(),
+                  gen_random(12, positive_prob=0.5, complete=True, seed=3))
+        for g in graphs:
             unit, tiny = solve_mwu(g, 0.1), solve_mwu(scaled_weights(g, -1070), 0.1)
             assert tiny.primal.values == unit.primal.values
             assert tiny.dual.values == tuple(math.ldexp(v, -1070) for v in unit.dual.values)
             assert tiny.rounds == unit.rounds
-            if g is two_triangles:
-                # the objectives sum subnormals, exactly so for x = (1, 0, ...)
-                assert unit.primal.values == (1.0,) + (0.0,) * 5
-                assert tiny.bounds == tuple(math.ldexp(b, -1070) for b in unit.bounds)
+            assert tiny.bounds == tuple(math.ldexp(b, -1070) for b in unit.bounds)
+            assert tiny.bounds[0] <= tiny.bounds[1]
 
     @pytest.mark.parametrize("k", [-10, 1000])
     def test_power_of_two_rescaling_is_exact(self, k):

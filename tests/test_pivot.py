@@ -8,6 +8,7 @@ from btt import (CapacityError, EdgeCover, InputError, SignedGraph,
                  gen_figure2, gen_random, inclusion_probability,
                  match_flip_pivot, solve_exact, standard_pivot, triplet_sums,
                  verify_charging_tables)
+from btt import pivot
 from btt.approx import round_deterministic, standard_three_approx
 from btt.graphs import cc_cost, complete_graph, flip_edges, is_feasible_cover
 from btt.pivot import (ALG_COVER_PIVOT, ALG_FLIP_PIVOT, ALG_STANDARD_PIVOT,
@@ -117,6 +118,23 @@ class TestChargingTables:
         assert report["budget"][2][7] == "33/16"
         assert report["ratio"][1][7] == "12/41"
         assert report["ratio"][2][7] == "7/11"
+
+    def test_wrong_reference_cell_is_named(self, monkeypatch):
+        budget = [list(row) for row in pivot._REF_BUDGET]
+        budget[1][7] = Fraction(5, 2)
+        monkeypatch.setattr(pivot, "_REF_BUDGET", tuple(map(tuple, budget)))
+        with pytest.raises(VerificationError,
+                           match=r"^row --\+ column \+\+\+: budget sum 41/16 != reference 5/2$"):
+            verify_charging_tables()
+
+    def test_changed_join_cell_is_named(self, monkeypatch):
+        # a positive cover edge joining with 1/2 instead of 1/4
+        monkeypatch.setitem(pivot._JOIN_TABLES[ALG_COVER_PIVOT], (True, True),
+                            Fraction(1, 2))
+        with pytest.raises(VerificationError,
+                           match=r"^row --\+ column -\+\+: disagreement sum 9/8 "
+                                 r"!= reference 15/16$"):
+            verify_charging_tables()
 
     def test_pivot_endpoint_edge_never_out_charges_budget(self):
         # the edge into the pivot is removed with certainty; its
@@ -470,14 +488,13 @@ class TestPivotKernel:
         assert trace.removed_per_round == (0,) * len(trace.pivot_order)
 
     def test_cover_checked_once_per_batch(self, monkeypatch):
-        import btt.pivot as pivot_mod
         calls = []
 
         def counting(g, cover):
             calls.append(1)
             return is_feasible_cover(g, cover)
 
-        monkeypatch.setattr(pivot_mod, "is_feasible_cover", counting)
+        monkeypatch.setattr(pivot, "is_feasible_cover", counting)
         g, f = fig2_with_cover()
         for algorithm in (ALG_COVER_PIVOT, ALG_FLIP_PIVOT):
             calls.clear()
