@@ -262,8 +262,11 @@ def exact_cc(g: SignedGraph, *,
         back_edges[e.v].append((e.u, e.sign, e.weight))
     singletons = Clustering.from_labels(list(range(g.n)))
     one_cluster = Clustering.from_labels([0] * g.n)
-    seeds = [(cc_cost(g, singletons), singletons),
-             (cc_cost(g, one_cluster), one_cluster)]
+    # cc_cost of the seeds: every positive edge crosses singletons and
+    # every negative edge lies inside one cluster
+    cols = g.edge_columns()
+    seeds = [(total(cols.weight[cols.positive]), singletons),
+             (total(cols.weight[~cols.positive]), one_cluster)]
     best, witness = min(seeds, key=lambda s: s[0])
     trail = [(0, best)]
     labels = [0] * g.n

@@ -394,13 +394,17 @@ def total(values) -> Weight:
     A float64 array is added by ``np.add.accumulate``, which adds in the
     same order; its first addition starts from the first value rather
     than from 0, so ``+ 0.0`` turns an all-(-0.0) total into 0.0, as
-    ``0 + -0.0`` does.  Any other array is added as its ``tolist()``, the
-    objects themselves for dtype object: a Python loop over a list is
-    faster than one over array elements.
+    ``0 + -0.0`` does; a total past float64's range is inf without
+    numpy's overflow warning, as ``sum()`` gives it.  Any other array is
+    added as its ``tolist()``, the objects themselves for dtype object: a
+    Python loop over a list is faster than one over array elements.
     """
     if isinstance(values, np.ndarray):
         if values.dtype == np.float64:
-            return float(np.add.accumulate(values)[-1]) + 0.0 if values.size else 0
+            if not values.size:
+                return 0
+            with np.errstate(over="ignore"):
+                return float(np.add.accumulate(values)[-1]) + 0.0
         values = values.tolist()
     return reduce(operator.add, values, 0)
 
@@ -418,7 +422,9 @@ def cc_cost(g: SignedGraph, clustering: Clustering) -> Weight:
             f"clustering labels {len(clustering.labels)} != node count {g.n}")
     cols = g.edge_columns()
     lab = np.array(clustering.labels, dtype=np.intp)
-    return total(cols.weight[(lab[cols.u] == lab[cols.v]) != cols.positive])
+    # compress selects a few thousand weights in about half the time of a
+    # boolean index
+    return total(cols.weight.compress((lab[cols.u] == lab[cols.v]) != cols.positive))
 
 
 def flip_edges(g: SignedGraph, edge_ids: Iterable[int]) -> SignedGraph:

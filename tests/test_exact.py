@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from btt import exact
-from btt import (CapacityError, EdgeCover, InputError, SignedGraph,
+from btt import (CapacityError, Clustering, EdgeCover, InputError, SignedGraph,
                  VerificationError, cc_cost, exact_btt, exact_btt_positive_only,
                  exact_cc, gen_figure2, gen_hexagram, gen_integrality_gap,
                  gen_random, gen_vc_reduction, is_feasible_cover, ratio_survey,
@@ -274,6 +274,21 @@ class TestExactCc:
         with pytest.raises(InputError, match="must be nonnegative"):
             exact_cc(gen_figure2(), node_budget=-1)
 
+    def test_seeds_are_priced_as_cc_cost(self):
+        # with no search nodes the budget error carries the cheaper seed:
+        # singletons pay the positive weights, one cluster the negative ones,
+        # each totalled in edge-id order as cc_cost totals them
+        third = Fraction(1, 3)
+        for sign in (1, -1):
+            g = SignedGraph(4, [(0, 1, 1, 0.1), (0, 2, -sign, 0.2), (1, 2, sign, 0.3),
+                                (2, 3, -1, 0.7), (1, 3, sign, third), (0, 3, 1, 0.6)])
+            seeds = (Clustering.from_labels(range(4)), Clustering.from_labels([0] * 4))
+            with pytest.raises(BudgetExceededError) as caught:
+                exact_cc(g, node_budget=0)
+            best = caught.value.bounds[1]
+            assert best == min(cc_cost(g, c) for c in seeds)
+            assert type(best) is float
+
 
 class TestSandwich:
     """The paper's chain, from the public solvers: packing <= LP <= cover
@@ -473,13 +488,11 @@ class TestWitnessRevalidationFailures:
                 solver(gen_figure2())
 
     def test_invalid_clustering_witness_raises_verification_error(self, monkeypatch):
-        calls = []
+        def off_by_one(g, clustering):
+            # the seeds are priced from the weight column, so cc_cost only
+            # re-checks the search's witness
+            return cc_cost(g, clustering) + 1
 
-        def off_after_seeding(g, clustering):
-            # the two seed clusterings are priced first; the re-check is third
-            calls.append(clustering)
-            return cc_cost(g, clustering) + (1 if len(calls) > 2 else 0)
-
-        monkeypatch.setattr(exact, "cc_cost", off_after_seeding)
+        monkeypatch.setattr(exact, "cc_cost", off_by_one)
         with pytest.raises(VerificationError, match="invalid witness"):
             exact_cc(gen_figure2())

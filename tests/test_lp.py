@@ -440,6 +440,8 @@ class TestMwuWeightScale:
             assert tiny.primal.values == unit.primal.values
             assert tiny.dual.values == tuple(math.ldexp(v, -1070) for v in unit.dual.values)
             assert tiny.rounds == unit.rounds
+            if g is two_triangles:
+                assert unit.primal.values == (1.0,) + (0.0,) * 5
             assert tiny.bounds == tuple(math.ldexp(b, -1070) for b in unit.bounds)
             assert tiny.bounds[0] <= tiny.bounds[1]
 

@@ -4,6 +4,7 @@ outputs that must not depend on the ``sum()`` rule of the running Python."""
 import functools
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -100,14 +101,23 @@ class TestTotal:
         mixed = total(np.array([1, Fraction(1, 2), 0.25], dtype=object))
         assert mixed == 1.75 and type(mixed) is float
 
-    # a total past float64's range is inf, as the loop's, with numpy's warning
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # a total past float64's range is inf, as the loop's, and warns nothing
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
     def test_floats_match_the_loop(self, values):
         want = left_to_right(values)
-        for got in (total(values), total(np.array(values, dtype=np.float64))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_all = (total(values), total(np.array(values, dtype=np.float64)))
+        for got in got_all:
             assert repr(got) == repr(want) and type(got) is type(want)
+
+    def test_overflow_gives_inf_without_a_warning(self):
+        values = [1.5e308, 1.5e308, -1.5e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_all = (total(values), total(np.array(values, dtype=np.float64)))
+        assert got_all == (math.inf, math.inf)
 
 
 #: Frozen float outputs that CPython 3.12's compensated ``sum()`` changed
