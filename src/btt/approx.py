@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, VerificationError
-from .graphs import (EdgeCover, POSITIVE, SignedGraph, is_feasible_cover,
+from .graphs import (EdgeColumns, EdgeCover, SignedGraph, is_feasible_cover,
                      json_value, total)
 from .lp import (FLOAT_POSITIVITY_TAU, FractionalCover, ceil_scaled,
                  check_fractional_feasibility, covers_scaled, floor_scaled,
@@ -85,7 +85,8 @@ class RoundingOutcome:
                 ratio = 1
             elif isinstance(lower_bound, (int, Fraction)):
                 if isinstance(num, float):  # float weights: sum them exactly
-                    num = sum(Fraction(g.edges[i].weight) for i in cover.edge_ids)
+                    weights = g.edge_columns().weight[sorted(cover.edge_ids)]
+                    num = sum(map(Fraction, weights.tolist()))
                 ratio = Fraction(num) / Fraction(lower_bound)
             else:
                 ratio = num / lower_bound
@@ -180,7 +181,7 @@ def krivelevich(g: SignedGraph) -> RoundingOutcome:
         cover.update(eid for eid, v in zip(alive, values) if v >= half)
         alive = [eid for eid, v in zip(alive, values) if 0 < v < half]
         if alive:
-            sub = SignedGraph(g.n, [g.edges[eid] for eid in alive])
+            sub = SignedGraph(g.n, EdgeColumns(*(c[alive] for c in g.edge_columns())))
             values = solve_exact(sub).primal.values
     return RoundingOutcome.create(g, cover, ALG_KRIVELEVICH, lower_bound=lp_value)
 
@@ -256,8 +257,9 @@ def round_randomized(g: SignedGraph, x: FractionalCover, seed: int,
 def expected_rounding_cost(g: SignedGraph, x: FractionalCover):
     """Exact expectation of the randomized-rounding cover cost."""
     x = x.clamped(g)
-    return total(e.weight * (min(1, 2 * v) if e.sign == POSITIVE else v)
-                 for e, v in zip(g.edges, x.values))
+    cols = g.edge_columns()
+    return total(w * (min(1, 2 * v) if positive else v) for w, positive, v
+                 in zip(cols.weight.tolist(), cols.positive.tolist(), x.values))
 
 
 def derandomized_sweep(g: SignedGraph, x: FractionalCover,
@@ -284,7 +286,7 @@ def derandomized_sweep(g: SignedGraph, x: FractionalCover,
     col = _rounding_input(g, x)
     tau, positive = col.tau, g.edge_columns().positive
     one = 1 if col.den is None else col.den
-    w_num, _ = scaled_integers([e.weight for e in g.edges], headroom=max(g.m, 1))
+    w_num, _ = scaled_integers(g.edge_columns().weight.tolist(), headroom=max(g.m, 1))
     # r = 0 takes every positive edge, plus (float mode) negative edges
     # already inside the tau inclusion slack
     running = w_num[positive | col.above(1 - tau, strict=True)].sum()

@@ -25,6 +25,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import __version__
 from .approx import (ALG_DETERMINISTIC, ALG_KRIVELEVICH, ALG_RANDOMIZED,
                      ALG_SWEEP, ALG_THREE_APPROX, derandomized_sweep,
@@ -56,6 +58,11 @@ RATIONAL_MODE_NODE_LIMIT = 50
 
 #: Accuracy of solve_mwu when --eps is not given.
 DEFAULT_EPS = 0.1
+
+#: Least magnitude that ``float()`` rounds past float64's range: halfway
+#: between the largest float, 2**1024 - 2**971, and 2**1024, where rounding
+#: half to even goes up.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 @dataclass(frozen=True)
@@ -267,14 +274,14 @@ def _load_graph(cfg: RunConfig) -> SignedGraph:
     if mode == "auto":
         mode = "rational" if g.n <= RATIONAL_MODE_NODE_LIMIT else "float"
     if mode == "float":
-        tuples = []
-        for e in g.edges:
-            try:
-                tuples.append((e.u, e.v, e.sign, float(e.weight)))
-            except OverflowError:
-                raise InputError(f"weight on edge ({e.u},{e.v}) is too large "
-                                 f"for --mode float") from None
-        g = SignedGraph(g.n, tuples, complete=g.complete)
+        cols = g.edge_columns()
+        try:
+            weight = cols.weight.astype(np.float64)
+        except OverflowError:
+            i = int(np.argmax(abs(cols.weight) >= _FLOAT_OVERFLOW))
+            raise InputError(f"weight on edge ({cols.u[i]},{cols.v[i]}) is too large "
+                             f"for --mode float") from None
+        g = SignedGraph(g.n, cols._replace(weight=weight), complete=g.complete)
     elif mode != "rational":
         raise InputError(f"mode must be rational, float or auto, got {mode!r}")
     return g

@@ -27,8 +27,9 @@ from fractions import Fraction
 
 from .errors import (BudgetExceededError, CapacityError, InputError,
                      VerificationError)
-from .graphs import (Clustering, EdgeCover, POSITIVE, SignedGraph, cc_cost,
-                     format_edge_list, is_feasible_cover, total)
+from .graphs import (Clustering, EdgeCover, SignedGraph, cc_cost,
+                     disagreement_cost, format_edge_list, is_feasible_cover,
+                     total)
 from .rng import spawn_seeds
 
 DEFAULT_BTT_TRIANGLE_BUDGET = 5000
@@ -85,7 +86,7 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
         raise CapacityError(
             f"{len(index)} bad triangles exceed the search budget {triangle_budget}")
     allowed_set = frozenset(allowed)
-    weights = [e.weight for e in g.edges]
+    weights = g.edge_columns().weight.tolist()
     if enumerate_cap is not None:
         weights = [Fraction(w) for w in weights]
     tri_mask, cheapest, edge_tri_mask = [], [], [0] * g.m
@@ -223,7 +224,8 @@ def exact_btt_positive_only(g: SignedGraph, *,
         return res
     found = _btt_search(
         g, allowed, triangle_budget=triangle_budget, node_budget=node_budget,
-        enumerate_cap=sum(Fraction(g.edges[i].weight) for i in res.witness.edge_ids),
+        enumerate_cap=sum(map(Fraction, g.edge_columns().weight[
+            sorted(res.witness.edge_ids)].tolist())),
         max_optima=enumerate_optima)
     return replace(res, optima=tuple(sorted(found.optima, key=sorted)),
                    optima_truncated=found.optima_truncated)
@@ -257,14 +259,14 @@ def exact_cc(g: SignedGraph, *,
         return ExactResult(0, Clustering((), 0), 0, 0, ((0, 0),))
     # Adjacency of finalised pairs: for node i, its weighted signed edges
     # to nodes j < i.
-    back_edges: list[list[tuple[int, int, object]]] = [[] for _ in range(g.n)]
-    for e in g.edges:
-        back_edges[e.v].append((e.u, e.sign, e.weight))
+    cols = g.edge_columns()
+    back_edges: list[list[tuple[int, bool, object]]] = [[] for _ in range(g.n)]
+    for u, v, positive, w in zip(*(c.tolist() for c in cols)):
+        back_edges[v].append((u, positive, w))
     singletons = Clustering.from_labels(list(range(g.n)))
     one_cluster = Clustering.from_labels([0] * g.n)
     # cc_cost of the seeds: every positive edge crosses singletons and
     # every negative edge lies inside one cluster
-    cols = g.edge_columns()
     seeds = [(total(cols.weight[cols.positive]), singletons),
              (total(cols.weight[~cols.positive]), one_cluster)]
     best, witness = min(seeds, key=lambda s: s[0])
@@ -283,11 +285,15 @@ def exact_cc(g: SignedGraph, *,
                 f"clustering search exceeded {node_budget} nodes",
                 (lower_bound if lower_bound is not None else 0, best))
         if i == g.n:
-            if cost < best:
-                best = cost
+            # the search adds ``cost`` in its own order; the incumbent is
+            # priced in edge-id order, as cc_cost adds it, so float weights
+            # give its cost to the last bit (exact weights give ``cost``)
+            price = disagreement_cost(cols, labels)
+            if price < best:
+                best = price
                 witness = Clustering.from_labels(labels)
-                trail.append((nodes, cost))
-                if lower_bound is not None and cost == lower_bound:
+                trail.append((nodes, price))
+                if lower_bound is not None and price == lower_bound:
                     done = True
             return
         # cost of putting node i into cluster c: negative edges inside,
@@ -295,9 +301,9 @@ def exact_cc(g: SignedGraph, *,
         pos_to = [0] * (k + 1)
         neg_to = [0] * (k + 1)
         pos_total = 0
-        for j, sign, w in back_edges[i]:
+        for j, positive, w in back_edges[i]:
             c = labels[j]
-            if sign == POSITIVE:
+            if positive:
                 pos_to[c] += w
                 pos_total += w
             else:

@@ -17,11 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+
+import numpy as np
 
 from .errors import CapacityError, InputError, VerificationError
-from .graphs import (COMPLETE_NODE_BOUND, EdgeCover, NEGATIVE, POSITIVE,
-                     SignedGraph, complete_graph)
+from .graphs import (COMPLETE_NODE_BOUND, EdgeColumns, EdgeCover, NEGATIVE,
+                     POSITIVE, SignedGraph, complete_graph)
 from .rng import make_rng
 
 GADGET_SCHEMA = "btt.gadget-map/1"
@@ -389,39 +391,39 @@ def gen_random(n: int, *, positive_prob: float | None = None,
     if positive_prob is None and positive_count is None:
         positive_prob = 0.5
     rng = make_rng(seed)
-    pairs = list(combinations(range(n), 2))
+    pairs = combinations(range(n), 2)
+    u, v = np.fromiter(chain.from_iterable(pairs), dtype=np.intp).reshape(-1, 2).T
     if not complete:
         if not (0 <= density <= 1):
             raise InputError(f"density must lie in [0,1], got {density}")
-        keep = rng.random(len(pairs)) < density
-        pairs = [p for p, k in zip(pairs, keep) if k]
+        keep = rng.random(len(u)) < density
+        u, v = u[keep], v[keep]
+    m = len(u)
     if positive_count is not None:
-        if not (0 <= positive_count <= len(pairs)):
+        if not (0 <= positive_count <= m):
             raise InputError(
-                f"positive_count {positive_count} out of range for {len(pairs)} pairs")
-        chosen = set(rng.choice(len(pairs), size=positive_count, replace=False).tolist())
-        signs = [POSITIVE if i in chosen else NEGATIVE for i in range(len(pairs))]
+                f"positive_count {positive_count} out of range for {m} pairs")
+        positive = np.zeros(m, dtype=bool)
+        positive[rng.choice(m, size=positive_count, replace=False)] = True
     else:
         if not (0 <= positive_prob <= 1):
             raise InputError(f"positive_prob must lie in [0,1], got {positive_prob}")
-        signs = [POSITIVE if x < positive_prob else NEGATIVE
-                 for x in rng.random(len(pairs))]
+        positive = rng.random(m) < positive_prob
     if weights == "unit":
-        weight_list = [1] * len(pairs)
+        weight_list = [1] * m
     elif isinstance(weights, tuple) and weights and weights[0] == "uniform":
         _, lo, hi = weights
         if not (0 <= lo <= hi < math.inf):
             raise InputError(f"uniform weights need finite 0 <= LO <= HI, got {lo}, {hi}")
-        weight_list = [float(x) for x in rng.uniform(lo, hi, len(pairs))]
+        weight_list = rng.uniform(lo, hi, m).tolist()
     elif isinstance(weights, tuple) and weights and weights[0] == "rational":
         _, max_num, max_den = weights
         if not (1 <= max_num < 2**63 and 1 <= max_den < 2**63):  # int64 draws
             raise InputError(f"rational weights need 1 <= NUM, DEN < 2**63, "
                              f"got {max_num}, {max_den}")
-        nums = rng.integers(1, max_num + 1, len(pairs))
-        dens = rng.integers(1, max_den + 1, len(pairs))
+        nums = rng.integers(1, max_num + 1, m)
+        dens = rng.integers(1, max_den + 1, m)
         weight_list = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
     else:
         raise InputError(f"unknown weight spec {weights!r}")
-    tuples = [(u, v, s, w) for (u, v), s, w in zip(pairs, signs, weight_list)]
-    return SignedGraph(n, tuples, complete=complete)
+    return SignedGraph(n, EdgeColumns(u, v, positive, weight_list), complete=complete)

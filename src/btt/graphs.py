@@ -28,13 +28,18 @@ exact-rational behaviour (required by the exact LP solver and the charging
 oracles), ``float`` weights trade exactness for speed.  Float weights must
 be finite.
 
-Beside the triangles, a graph caches its edges as numpy columns
-(``SignedGraph.edge_columns()``): endpoints u and v, a positive-sign mask,
-and one weight column, float64 when every weight is a Python float and an
-object array of the weights themselves otherwise.  ``cc_cost`` reads that
-column on every graph.  The pair-to-id map behind ``SignedGraph.edge_id``
-is built on its first call: the constructor checks duplicates with a set,
-and most graphs never look a pair up.
+A graph stores its edges as numpy columns
+(``SignedGraph.edge_columns()``, an ``EdgeColumns``): endpoints u < v, a
+positive-sign mask, and one weight column, float64 when every weight is a
+Python float and an object array of the weights themselves otherwise.
+The constructor and ``parse_edge_list`` build the columns and check them
+whole: node range, self-loops, signs, finite and nonnegative weights,
+duplicate pairs (one sort of the pair keys), the weights' common
+denominator and the ``complete`` edge count; an error still names the
+first faulty edge or line in input order.  Every reader in the package
+reads the columns.  ``SignedGraph.edges``, the ``Edge`` tuples, is a view
+built from the columns on first access and cached, and so is the
+pair-to-id map behind ``SignedGraph.edge_id``; most graphs build neither.
 
 Every total that can hold a float is added by ``total``, the package's one
 summation rule: left to right from int 0, in the values' own arithmetic.
@@ -47,10 +52,12 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations
+from functools import partial, reduce
+from itertools import (combinations, compress, count, islice, repeat,
+                       zip_longest)
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -98,11 +105,16 @@ class Edge(NamedTuple):
 
 
 class EdgeColumns(NamedTuple):
-    """The edges of a graph as numpy columns, indexed by edge id.
+    """The edges of a graph as numpy columns, indexed by edge id: the
+    storage of ``SignedGraph``.
 
+    ``u < v`` are the intp endpoints, ``positive`` the bool sign mask, and
     ``weight`` is float64 when every weight is a Python float, and an
-    object array of the weights otherwise, so that a ``total`` over int,
-    Fraction or mixed weights stays in Python arithmetic.
+    object array of the weights themselves otherwise, so that a ``total``
+    over int, Fraction or mixed weights stays in Python arithmetic.
+
+    Handed to the ``SignedGraph`` constructor, the fields may be any
+    sequences, endpoints in either order; the constructor checks them.
     """
 
     u: np.ndarray
@@ -118,104 +130,89 @@ class SignedGraph:
     iteration and tie-breaking in every downstream algorithm.
     """
 
-    __slots__ = ("n", "edges", "complete", "_pair_to_id", "_triangle_index",
-                 "_columns")
+    __slots__ = ("n", "complete", "_columns", "_edges", "_pair_to_id",
+                 "_triangle_index")
 
-    def __init__(self, n: int, edges: Iterable[tuple], complete: bool = False):
-        """Build a graph from ``(u, v, sign[, weight])`` tuples.
+    def __init__(self, n: int, edges: Iterable[tuple] | EdgeColumns,
+                 complete: bool = False):
+        """Build a graph from ``(u, v, sign[, weight])`` tuples, a 3-tuple
+        weighing 1, or from ``EdgeColumns`` (``positive`` gives the signs).
 
         Raises InputError on self-loops, duplicate pairs, bad signs,
         negative or non-finite weights, Fraction weights whose common
         denominator reaches 10 ** MAX_WEIGHT_DIGITS, out-of-range node ids,
-        or a ``complete`` flag that does not match the edge count.  The
-        message names the first faulty edge in input order.  Raises
-        CapacityError for more than MAX_NODES nodes.
+        tuples without 3 or 4 fields, or a ``complete`` flag that does not
+        match the edge count.  The message names the first faulty edge in
+        input order.  Raises CapacityError for more than MAX_NODES nodes.
+
+        The checks run on whole columns (see ``_checked_columns``).
         """
         if n < 0:
             raise InputError(f"node count must be nonnegative, got {n}")
         if n > MAX_NODES:
             raise CapacityError(f"graphs are capped at {MAX_NODES} nodes (asked {n})")
-        canonical: list[Edge] = []
-        append = canonical.append
-        new_tuple = tuple.__new__  # Edge(...) without its Python-level __new__
-        seen: set[tuple[int, int]] = set()
-        denominators: set[int] = set()
-        for item in edges:
-            if len(item) == 3:
-                u, v, sign = item
-                weight: Weight = 1
-            elif len(item) == 4:
-                u, v, sign, weight = item
-            else:
-                raise InputError(f"edge tuple must have 3 or 4 fields: {item!r}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise InputError(f"self-loop at node {u}")
-            if sign not in (POSITIVE, NEGATIVE):
-                raise InputError(f"sign must be +1 or -1, got {sign!r}")
-            kind = type(weight)
-            if kind is int:
-                negative = weight < 0
-            elif kind is float:
-                if not math.isfinite(weight):
-                    raise InputError(f"non-finite weight on edge ({u},{v}): {weight}")
-                negative = weight < 0
-            elif kind is Fraction:
-                # a Fraction's sign is its numerator's; Fraction < is slow
-                denominators.add(weight.denominator)
-                negative = weight.numerator < 0
-            else:  # bool, numpy scalars, subclasses of float or Fraction
-                if isinstance(weight, float) and not math.isfinite(weight):
-                    raise InputError(f"non-finite weight on edge ({u},{v}): {weight}")
-                if isinstance(weight, Fraction):
-                    denominators.add(weight.denominator)
-                negative = weight < 0
-            if negative:
-                raise InputError(f"negative weight on edge ({u},{v}): {weight}")
-            if u > v:
-                u, v = v, u
-            pair = (u, v)
-            if pair in seen:
-                raise InputError(f"duplicate edge {pair}")
-            seen.add(pair)
-            append(new_tuple(Edge, (u, v, sign, weight)))
+        if isinstance(edges, EdgeColumns):
+            u, v, positive, weight = edges
+            positive = np.array(positive, dtype=bool)  # a copy: no caller's array
+            sign, items, cut = None, (), 0
+        else:
+            items = list(edges)
+            cut, (u, v, sign, weight) = _tuple_columns(items)
+            positive = None
+        columns, denominators = _checked_columns(n, u, v, positive, sign, weight)
+        if cut < len(items):
+            raise InputError(f"edge tuple must have 3 or 4 fields: {items[cut]!r}")
         common = 1
         for d in denominators:
             common = math.lcm(common, d)
             if common >= _WEIGHT_LIMIT:
                 raise InputError(f"the weights' common denominator exceeds "
                                  f"{MAX_WEIGHT_DIGITS} digits")
-        if complete and len(canonical) != n * (n - 1) // 2:
+        m = len(columns.u)
+        if complete and m != n * (n - 1) // 2:
             raise InputError(
                 f"complete graph on {n} nodes needs {n * (n - 1) // 2} edges, "
-                f"got {len(canonical)}")
+                f"got {m}")
         self.n = n
-        self.edges: tuple[Edge, ...] = tuple(canonical)
         self.complete = complete
+        self._columns = columns
+        self._edges: tuple[Edge, ...] | None = None
         self._pair_to_id: dict[tuple[int, int], int] | None = None
         self._triangle_index: np.ndarray | None = None
-        self._columns: EdgeColumns | None = None
 
     # -- basic accessors ------------------------------------------------
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._columns.u)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as ``Edge`` tuples, indexed by edge id: a view of the
+        columns, built on first access and cached."""
+        if self._edges is None:
+            u, v, positive, weight = self._columns
+            sign = np.where(positive, POSITIVE, NEGATIVE)
+            self._edges = tuple(map(_new_edge, zip(
+                u.tolist(), v.tolist(), sign.tolist(), weight.tolist())))
+        return self._edges
 
     def edge_id(self, u: int, v: int) -> int | None:
         """Dense id of edge {u, v}, or None when the pair is absent.  The
         pair-to-id map is built on the first call."""
         if self._pair_to_id is None:
-            self._pair_to_id = {e.pair: i for i, e in enumerate(self.edges)}
+            cols = self._columns
+            self._pair_to_id = dict(zip(zip(cols.u.tolist(), cols.v.tolist()),
+                                        range(self.m)))
         return self._pair_to_id.get(_canon(u, v))
 
     def positive_edge_ids(self) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if e.sign == POSITIVE]
+        return self._columns.positive.nonzero()[0].tolist()
 
     def is_exact(self) -> bool:
         """True when every weight is an int or Fraction (rational mode)."""
-        return all(isinstance(e.weight, (int, Fraction)) for e in self.edges)
+        kinds = set(map(type, self._columns.weight.tolist()))
+        return all(issubclass(kind, (int, Fraction)) for kind in kinds)
 
     def check_edge_ids(self, edge_ids: Iterable[int]) -> None:
         m = self.m
@@ -224,15 +221,7 @@ class SignedGraph:
                 raise InputError(f"invalid edge id {eid} (graph has {m} edges)")
 
     def edge_columns(self) -> EdgeColumns:
-        """The edges as numpy columns, built on first use and cached."""
-        if self._columns is None:
-            u, v, sign, weight = (zip(*self.edges) if self.edges
-                                  else ((), (), (), ()))
-            kind = np.float64 if set(map(type, weight)) <= {float} else object
-            self._columns = EdgeColumns(
-                np.array(u, dtype=np.intp), np.array(v, dtype=np.intp),
-                np.array(sign, dtype=np.intp) == POSITIVE,
-                np.array(weight, dtype=kind))
+        """The edges as numpy columns: the graph's storage."""
         return self._columns
 
     def __repr__(self) -> str:
@@ -275,6 +264,111 @@ class SignedGraph:
             index.flags.writeable = False
             self._triangle_index = index
         return self._triangle_index
+
+
+_new_edge = partial(tuple.__new__, Edge)  # Edge(*fields) without its __new__
+
+_EDGE_WIDTHS = {3: True, 4: True}
+
+
+def _tuple_columns(items: list) -> tuple[int, list]:
+    """``(cut, [u, v, sign, weight])``: the columns of the edge tuples
+    before index ``cut``, the first tuple without 3 or 4 fields
+    (``len(items)`` when there is none); a 3-tuple weighs 1."""
+    widths = list(map(len, items))
+    cut = len(items)
+    if not set(widths) <= {3, 4}:
+        cut = list(map(_EDGE_WIDTHS.get, widths)).index(None)
+    columns = list(zip_longest(*items[:cut], fillvalue=1)) or [()] * 3
+    if len(columns) == 3:
+        columns.append((1,) * cut)
+    return cut, columns
+
+
+def _column(values) -> np.ndarray:
+    """``values`` as a numeric array, or as an object array when they are
+    not all numbers, so that comparisons are Python's."""
+    column = np.asarray(values)
+    if column.dtype.kind in "biuf" and column.ndim == 1:
+        return column
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def _weight_column(weight) -> tuple[np.ndarray, np.ndarray | None, set]:
+    """``(column, bad, denominators)`` of raw weights: the weight column of
+    ``EdgeColumns``, the mask of the weights that are negative or
+    non-finite (None when there are none), and the denominators of the
+    Fraction weights.  Only floats (numpy's float64 among them) can be
+    non-finite."""
+    if isinstance(weight, np.ndarray):
+        weight = weight.tolist()
+    m = len(weight)
+    kinds = set(map(type, weight))
+    if kinds <= {float}:
+        column = np.fromiter(weight, dtype=np.float64, count=m)
+        return column, ~((column >= 0) & (column < math.inf)), set()  # NaN fails both
+    column = np.fromiter(weight, dtype=object, count=m)
+    denominator = operator.attrgetter("denominator")
+    if kinds <= {int, Fraction}:
+        # a Fraction's sign is its numerator's; Fraction < is slow
+        numerator = operator.attrgetter("numerator")
+        bad = (np.fromiter(map(numerator, weight), dtype=object, count=m) < 0
+               if min(map(numerator, weight), default=0) < 0 else None)
+        return column, bad, set(map(denominator, weight)) if Fraction in kinds else set()
+    floats = np.fromiter(map(isinstance, weight, repeat(float)), dtype=bool, count=m)
+    fractions = np.fromiter(map(isinstance, weight, repeat(Fraction)), dtype=bool, count=m)
+    with np.errstate(invalid="ignore"):  # nan < 0 is False, as in Python
+        bad = column < 0
+    bad[floats] |= ~np.isfinite(column[floats].astype(np.float64))
+    return column, bad, set(map(denominator, column[fractions].tolist()))
+
+
+def _checked_columns(n: int, u, v, positive, sign, weight) -> tuple[EdgeColumns, set]:
+    """Check raw edge columns and return them as ``EdgeColumns``, each
+    pair in ``u < v`` order, with the Fraction weights' denominators.  The
+    signs are given either as a ``positive`` mask or as a ``sign`` column
+    (``positive`` None), whose entries must be +1 or -1.
+
+    Every check runs on whole columns, into one mask of the edges found
+    sound; a repeated pair is found by one stable sort of the pair keys
+    ``u * n + v``.  Raises InputError naming the first faulty edge in input
+    order, whose faults are tried in the order: out of range, self-loop,
+    bad sign, non-finite weight, negative weight, duplicate pair.
+    """
+    a, b = _column(u), _column(v)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    in_range = (lo >= 0) & (hi < n)  # False for a NaN
+    sound = in_range & (lo != hi)
+    if positive is None:
+        s = _column(sign)
+        positive = s == POSITIVE
+        sign_ok = positive | (s == NEGATIVE)
+        sound &= sign_ok
+    column, bad_weight, denominators = _weight_column(weight)
+    if bad_weight is not None:
+        sound &= ~bad_weight
+    # a pair out of range can share its key with another pair; that marks
+    # only the later of the two, which comes after the first fault anyway
+    key = lo * n + hi
+    order = key.argsort(kind="stable")
+    ordered = key[order]
+    sound[order[1:]] &= ordered[1:] != ordered[:-1]
+    i = int(sound.argmin()) if len(sound) else 0
+    if len(sound) and not sound[i]:
+        x, y, w = u[i], v[i], weight[i]
+        if not in_range[i]:
+            raise InputError(f"edge ({x},{y}) out of range for n={n}")
+        if lo[i] == hi[i]:
+            raise InputError(f"self-loop at node {x}")
+        if sign is not None and not sign_ok[i]:
+            raise InputError(f"sign must be +1 or -1, got {sign[i]!r}")
+        if isinstance(w, float) and not math.isfinite(w):
+            raise InputError(f"non-finite weight on edge ({x},{y}): {w}")
+        if bad_weight is not None and bad_weight[i]:
+            raise InputError(f"negative weight on edge ({x},{y}): {w}")
+        raise InputError(f"duplicate edge {_canon(x, y)}")
+    return (EdgeColumns(lo.astype(np.intp), hi.astype(np.intp), positive, column),
+            denominators)
 
 
 #: Wedges looked up per block by ``SignedGraph.bad_triangle_index``.
@@ -336,7 +430,7 @@ class EdgeCover:
     def from_ids(cls, g: SignedGraph, edge_ids: Iterable[int]) -> "EdgeCover":
         ids = frozenset(edge_ids)
         g.check_edge_ids(ids)
-        return cls(ids, total(g.edges[i].weight for i in sorted(ids)))
+        return cls(ids, total(g.edge_columns().weight[_id_array(sorted(ids))]))
 
     @classmethod
     def from_pairs(cls, g: SignedGraph, pairs: Iterable[tuple[int, int]]) -> "EdgeCover":
@@ -353,7 +447,13 @@ class EdgeCover:
         return len(self.edge_ids)
 
     def pairs(self, g: SignedGraph) -> list[tuple[int, int]]:
-        return sorted(g.edges[i].pair for i in self.edge_ids)
+        cols, ids = g.edge_columns(), _id_array(self.edge_ids)
+        return sorted(zip(cols.u[ids].tolist(), cols.v[ids].tolist()))
+
+
+def _id_array(ids) -> np.ndarray:
+    """A collection of edge ids as an intp array, in iteration order."""
+    return np.fromiter(ids, dtype=np.intp, count=len(ids))
 
 
 def is_feasible_cover(g: SignedGraph, cover: EdgeCover | Iterable[int]) -> bool:
@@ -362,7 +462,7 @@ def is_feasible_cover(g: SignedGraph, cover: EdgeCover | Iterable[int]) -> bool:
     ids = cover.edge_ids if isinstance(cover, EdgeCover) else frozenset(cover)
     g.check_edge_ids(ids)
     mask = np.zeros(g.m, dtype=bool)
-    mask[np.fromiter(ids, dtype=np.intp, count=len(ids))] = True
+    mask[_id_array(ids)] = True
     return bool(mask[g.bad_triangle_index()].any(axis=1).all())
 
 
@@ -376,13 +476,9 @@ class Clustering:
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "Clustering":
         """Normalise arbitrary labels to 0..k-1 in order of first appearance."""
-        remap: dict[int, int] = {}
-        normal = []
-        for lab in labels:
-            if lab not in remap:
-                remap[lab] = len(remap)
-            normal.append(remap[lab])
-        return cls(tuple(normal), len(remap))
+        first_seen = dict.fromkeys(labels)
+        remap = dict(zip(first_seen, range(len(first_seen))))
+        return cls(tuple(map(remap.__getitem__, labels)), len(remap))
 
 
 def total(values) -> Weight:
@@ -420,8 +516,13 @@ def cc_cost(g: SignedGraph, clustering: Clustering) -> Weight:
     if len(clustering.labels) != g.n:
         raise InputError(
             f"clustering labels {len(clustering.labels)} != node count {g.n}")
-    cols = g.edge_columns()
-    lab = np.array(clustering.labels, dtype=np.intp)
+    return disagreement_cost(g.edge_columns(), clustering.labels)
+
+
+def disagreement_cost(cols: EdgeColumns, labels: Sequence[int]) -> Weight:
+    """``cc_cost`` of per-node ``labels`` on the edge columns ``cols``,
+    without building a ``Clustering`` or checking the label count."""
+    lab = np.array(labels, dtype=np.intp)
     # compress selects a few thousand weights in about half the time of a
     # boolean index
     return total(cols.weight.compress((lab[cols.u] == lab[cols.v]) != cols.positive))
@@ -431,9 +532,10 @@ def flip_edges(g: SignedGraph, edge_ids: Iterable[int]) -> SignedGraph:
     """New graph with the signs of ``edge_ids`` inverted; weights preserved."""
     ids = frozenset(edge_ids)
     g.check_edge_ids(ids)
-    tuples = [(e.u, e.v, -e.sign if i in ids else e.sign, e.weight)
-              for i, e in enumerate(g.edges)]
-    return SignedGraph(g.n, tuples, complete=g.complete)
+    cols = g.edge_columns()
+    flipped = cols.positive.copy()
+    flipped[_id_array(ids)] ^= True
+    return SignedGraph(g.n, cols._replace(positive=flipped), complete=g.complete)
 
 
 def complete_graph(n: int, sign_of_pair) -> SignedGraph:
@@ -494,64 +596,112 @@ def _format_weight(w: Weight) -> str:
     return repr(w)
 
 
+#: Sign tokens of the edge-list format, to "is positive".
+_SIGN_TOKENS = {"+1": True, "1": True, "-1": False}
+
+#: A comment: ``#`` up to the next line boundary of ``str.splitlines``.
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+
 def parse_edge_list(text: str) -> SignedGraph:
     """Parse the line-oriented edge-list format.
 
     Header line ``n <count> [complete]``, then one ``u v s [w]`` line per
     edge with s in {+1, -1}; ``#`` starts a comment.  Weights parse as
     exact rationals (``3/2``, ``1.5`` and ``2`` are all exact).
+
+    The lines are split into rows of tokens by one ``map``, and the edge
+    rows are read as columns: one ``int`` map per endpoint, one lookup map
+    for the signs, one ``_parse_weight`` map for the weights; the graph is
+    built from ``EdgeColumns``.  The error names the first faulty line, as
+    a line-by-line reading would: on one line the header, field-count,
+    node-id, sign and weight checks come in that order, and the graph's
+    own checks come last.
     """
-    n = None
-    complete = False
-    tuples = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "n":
-            if n is not None:
-                raise InputError(f"line {lineno}: duplicate header")
-            if len(fields) not in (2, 3):
-                raise InputError(f"line {lineno}: header is 'n <count> [complete]'")
-            try:
-                n = int(fields[1])
-            except ValueError as exc:
-                raise InputError(f"line {lineno}: bad node count {fields[1]!r}") from exc
-            if len(fields) == 3:
-                if fields[2] != "complete":
-                    raise InputError(f"line {lineno}: unknown header flag {fields[2]!r}")
-                complete = True
-            continue
-        if n is None:
-            raise InputError(f"line {lineno}: edge before 'n' header")
-        if len(fields) not in (3, 4):
-            raise InputError(f"line {lineno}: edge line is 'u v s [w]'")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: bad node id") from exc
-        if fields[2] not in ("+1", "-1", "1"):
-            raise InputError(f"line {lineno}: sign must be +1 or -1, got {fields[2]!r}")
-        sign = POSITIVE if fields[2] in ("+1", "1") else NEGATIVE
-        if len(fields) == 4:
-            tuples.append((u, v, sign, _parse_weight(fields[3])))
-        else:
-            tuples.append((u, v, sign))
-    if n is None:
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    rows = list(filter(None, map(str.split, text.splitlines())))
+
+    def where(row: int) -> str:
+        """``line N`` of ``rows[row]``, for an error message."""
+        nonblank = compress(count(1), map(str.split, text.splitlines()))
+        return f"line {next(islice(nonblank, row, None))}"
+
+    if not rows:
         raise InputError("missing 'n <count>' header")
-    return SignedGraph(n, tuples, complete=complete)
+    header = rows.pop(0)
+    fault = _header_fault(header)
+    if fault:
+        raise InputError(f"{where(0)}: {fault}")
+    n, complete = int(header[1]), len(header) == 3
+    widths = list(map(len, rows))
+    heads = list(map(operator.itemgetter(0), rows))
+    fits = list(map(_EDGE_WIDTHS.get, widths))
+    # the rows before ``cut`` have 3 or 4 tokens and no second header
+    cut = min(heads.index("n") if "n" in heads else len(rows),
+              fits.index(None) if None in fits else len(rows))
+    u, bad_u = _ints(heads[:cut])
+    v, bad_v = _ints(list(map(operator.itemgetter(1), rows[:cut])))
+    positive = list(map(_SIGN_TOKENS.get, map(operator.itemgetter(2), rows[:cut])))
+    bad = min(cut, bad_u, bad_v, positive.index(None) if None in positive else cut)
+    four = list(map((4).__eq__, widths))
+    # raises on the first bad weight token, which is on a row before ``bad``
+    parsed = list(map(_parse_weight, map(operator.itemgetter(3), compress(rows[:bad], four))))
+    if bad < len(rows):
+        row = rows[bad]
+        if row[0] == "n":
+            fault = "duplicate header"
+        elif len(row) not in (3, 4):
+            fault = "edge line is 'u v s [w]'"
+        elif bad in (bad_u, bad_v):  # bad < cut here
+            fault = "bad node id"
+        else:
+            fault = f"sign must be +1 or -1, got {row[2]!r}"
+        raise InputError(f"{where(bad + 1)}: {fault}")
+    weight = np.ones(len(rows), dtype=object)
+    weight[four] = np.fromiter(parsed, dtype=object, count=len(parsed))
+    return SignedGraph(n, EdgeColumns(u, v, positive, weight), complete=complete)
+
+
+def _header_fault(fields: list[str]) -> str | None:
+    """What is wrong with the first nonblank line as the header, if any."""
+    if fields[0] != "n":
+        return "edge before 'n' header"
+    if len(fields) not in (2, 3):
+        return "header is 'n <count> [complete]'"
+    if _int_or_none(fields[1]) is None:
+        return f"bad node count {fields[1]!r}"
+    if len(fields) == 3 and fields[2] != "complete":
+        return f"unknown header flag {fields[2]!r}"
+    return None
+
+
+def _ints(tokens: list[str]) -> tuple[list, int]:
+    """``int()`` of every token, and the index of the first token that
+    ``int()`` refuses (``len(tokens)`` when none); a refused token gives
+    None."""
+    try:
+        return list(map(int, tokens)), len(tokens)
+    except ValueError:
+        values = list(map(_int_or_none, tokens))
+        return values, values.index(None)
+
+
+def _int_or_none(token: str) -> int | None:
+    try:
+        return int(token)
+    except ValueError:
+        return None
 
 
 def format_edge_list(g: SignedGraph) -> str:
-    lines = [f"n {g.n}" + (" complete" if g.complete else "")]
-    for e in g.edges:
-        sign = "+1" if e.sign == POSITIVE else "-1"
-        if e.weight == 1:
-            lines.append(f"{e.u} {e.v} {sign}")
-        else:
-            lines.append(f"{e.u} {e.v} {sign} {_format_weight(e.weight)}")
-    return "\n".join(lines) + "\n"
+    cols = g.edge_columns()
+    signs = map(("-1", "+1").__getitem__, cols.positive.tolist())
+    lines = [f"{u} {v} {s}" if w == 1 else f"{u} {v} {s} {_format_weight(w)}"
+             for u, v, s, w in zip(cols.u.tolist(), cols.v.tolist(), signs,
+                                   cols.weight.tolist())]
+    header = f"n {g.n}" + (" complete" if g.complete else "")
+    return "\n".join([header, *lines]) + "\n"
 
 
 # -- JSON export / import ------------------------------------------------
@@ -568,7 +718,8 @@ def graph_to_json(g: SignedGraph) -> dict:
         "schema": GRAPH_SCHEMA,
         "n": g.n,
         "complete": g.complete,
-        "edges": [[e.u, e.v, e.sign, json_value(e.weight)] for e in g.edges],
+        "edges": [[u, v, POSITIVE if p else NEGATIVE, json_value(w)]
+                  for u, v, p, w in zip(*(c.tolist() for c in g.edge_columns()))],
     }
 
 

@@ -118,9 +118,10 @@ class FractionalCover:
         vals = tuple(values)
         # Exact values keep an exact objective even when weights are floats,
         # and an exact sum starts at Fraction(0) so that m = 0 gives one too.
+        weights = g.edge_columns().weight.tolist()
         if any(isinstance(v, float) for v in vals):
-            return cls(vals, total(e.weight * x for e, x in zip(g.edges, vals)))
-        return cls(vals, sum((Fraction(e.weight) * x for e, x in zip(g.edges, vals)),
+            return cls(vals, total(w * x for w, x in zip(weights, vals)))
+        return cls(vals, sum((Fraction(w) * x for w, x in zip(weights, vals)),
                              Fraction(0)))
 
     def clamped(self, g: SignedGraph) -> "FractionalCover":
@@ -286,7 +287,7 @@ def check_packing_feasibility(g: SignedGraph, y: FractionalPacking, tol=0) -> bo
     index = g.bad_triangle_index()
     if len(vals) != len(index):
         raise InputError(f"expected {len(index)} triangle values, got {len(vals)}")
-    weights = [e.weight for e in g.edges]
+    weights = g.edge_columns().weight.tolist()
     caps = (weights if tol == 0 and not isinstance(tol, float)
             else [w + tol for w in weights])
     floats = _float_count(vals)
@@ -510,7 +511,7 @@ def solve_exact(g: SignedGraph,
         dual = FractionalPacking((), Fraction(0))
         return LpSolution(primal, dual, STATUS_EXACT, (Fraction(0), Fraction(0)),
                           pivots=())
-    weights = [Fraction(e.weight) for e in g.edges]
+    weights = list(map(Fraction, g.edge_columns().weight.tolist()))
     pivots = []
     certified = None
     try:

@@ -304,7 +304,8 @@ def join_probabilities(g: SignedGraph, algorithm: str,
     """Exact probability, per edge id, that a neighbour joins the pivot,
     by the rules in the module docstring."""
     table, ids = _join_rule(g, algorithm, cover)
-    return [table[e.sign == POSITIVE, i in ids] for i, e in enumerate(g.edges)]
+    return [table[positive, i in ids]
+            for i, positive in enumerate(g.edge_columns().positive.tolist())]
 
 
 class _PivotSampler:
@@ -454,18 +455,20 @@ def exhaustive_expected_disagreements(g: SignedGraph,
         raise CapacityError(f"exhaustive expectation oracle capped at "
                             f"{EXHAUSTIVE_NODE_CAP} nodes (n={g.n})")
     probs = join_probabilities(g, algorithm, cover)
+    positive = g.edge_columns().positive.tolist()
+    weights = list(map(Fraction, g.edge_columns().weight.tolist()))
 
     def round_cost(members: tuple[int, ...], outside: tuple[int, ...]) -> Fraction:
         cost = Fraction(0)
         for a, b in combinations(members, 2):
             eid = g.edge_id(a, b)
-            if eid is not None and g.edges[eid].sign != POSITIVE:
-                cost += Fraction(g.edges[eid].weight)
+            if eid is not None and not positive[eid]:
+                cost += weights[eid]
         for a in members:
             for b in outside:
                 eid = g.edge_id(a, b)
-                if eid is not None and g.edges[eid].sign == POSITIVE:
-                    cost += Fraction(g.edges[eid].weight)
+                if eid is not None and positive[eid]:
+                    cost += weights[eid]
         return cost
 
     @lru_cache(maxsize=None)

@@ -3,18 +3,23 @@
 Every oracle here deliberately avoids the code path it checks: triangle
 enumeration by scanning all node triples, minimum covers by subset
 enumeration, minimum clusterings by unpruned partition recursion, LP
-values through scipy, vertex covers by subset search.
+values through scipy, vertex covers by subset search, graph construction
+and edge-list parsing by the per-edge and per-line loops that
+``SignedGraph`` and ``parse_edge_list`` ran before they read columns.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from btt import Clustering, SignedGraph, cc_cost, gen_random, lp
-from btt.graphs import NEGATIVE, POSITIVE
+from btt.errors import CapacityError, InputError
+from btt.graphs import (MAX_NODES, MAX_WEIGHT_DIGITS, NEGATIVE, POSITIVE, Edge,
+                        _parse_weight)
 from btt.rng import spawn_seeds
 
 
@@ -29,6 +34,114 @@ def brute_force_bad_triples(g: SignedGraph) -> list[tuple[int, int, int]]:
         if sum(1 for eid in ids if g.edges[eid].sign != POSITIVE) == 1:
             out.append(ids)
     return out
+
+
+def reference_edges(n: int, edges, complete: bool = False) -> tuple[Edge, ...]:
+    """The ``Edge`` tuples ``SignedGraph(n, edges, complete)`` held when its
+    constructor checked and built one edge at a time, keeping each field
+    as given; raises what that loop raised, naming the first faulty edge."""
+    if n < 0:
+        raise InputError(f"node count must be nonnegative, got {n}")
+    if n > MAX_NODES:
+        raise CapacityError(f"graphs are capped at {MAX_NODES} nodes (asked {n})")
+    canonical = []
+    seen = set()
+    denominators = set()
+    for item in edges:
+        if len(item) == 3:
+            u, v, sign = item
+            weight = 1
+        elif len(item) == 4:
+            u, v, sign, weight = item
+        else:
+            raise InputError(f"edge tuple must have 3 or 4 fields: {item!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise InputError(f"self-loop at node {u}")
+        if sign not in (POSITIVE, NEGATIVE):
+            raise InputError(f"sign must be +1 or -1, got {sign!r}")
+        kind = type(weight)
+        if kind is int:
+            negative = weight < 0
+        elif kind is float:
+            if not math.isfinite(weight):
+                raise InputError(f"non-finite weight on edge ({u},{v}): {weight}")
+            negative = weight < 0
+        elif kind is Fraction:
+            denominators.add(weight.denominator)
+            negative = weight.numerator < 0
+        else:  # bool, numpy scalars, subclasses of float or Fraction
+            if isinstance(weight, float) and not math.isfinite(weight):
+                raise InputError(f"non-finite weight on edge ({u},{v}): {weight}")
+            if isinstance(weight, Fraction):
+                denominators.add(weight.denominator)
+            negative = weight < 0
+        if negative:
+            raise InputError(f"negative weight on edge ({u},{v}): {weight}")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise InputError(f"duplicate edge {(u, v)}")
+        seen.add((u, v))
+        canonical.append(Edge(u, v, sign, weight))
+    common = 1
+    for d in denominators:
+        common = math.lcm(common, d)
+        if common >= 10 ** MAX_WEIGHT_DIGITS:
+            raise InputError(f"the weights' common denominator exceeds "
+                             f"{MAX_WEIGHT_DIGITS} digits")
+    if complete and len(canonical) != n * (n - 1) // 2:
+        raise InputError(
+            f"complete graph on {n} nodes needs {n * (n - 1) // 2} edges, "
+            f"got {len(canonical)}")
+    return tuple(canonical)
+
+
+def reference_parse(text: str) -> tuple[int, tuple[Edge, ...], bool]:
+    """``(n, edges, complete)`` of an edge-list text read one line at a
+    time, the edges built by ``reference_edges``; raises what that reading
+    raised, naming the first faulty line."""
+    n = None
+    complete = False
+    tuples = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if fields[0] == "n":
+            if n is not None:
+                raise InputError(f"line {lineno}: duplicate header")
+            if len(fields) not in (2, 3):
+                raise InputError(f"line {lineno}: header is 'n <count> [complete]'")
+            try:
+                n = int(fields[1])
+            except ValueError as exc:
+                raise InputError(f"line {lineno}: bad node count {fields[1]!r}") from exc
+            if len(fields) == 3:
+                if fields[2] != "complete":
+                    raise InputError(f"line {lineno}: unknown header flag {fields[2]!r}")
+                complete = True
+            continue
+        if n is None:
+            raise InputError(f"line {lineno}: edge before 'n' header")
+        if len(fields) not in (3, 4):
+            raise InputError(f"line {lineno}: edge line is 'u v s [w]'")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: bad node id") from exc
+        if fields[2] not in ("+1", "-1", "1"):
+            raise InputError(f"line {lineno}: sign must be +1 or -1, got {fields[2]!r}")
+        sign = POSITIVE if fields[2] in ("+1", "1") else NEGATIVE
+        if len(fields) == 4:
+            tuples.append((u, v, sign, _parse_weight(fields[3])))
+        else:
+            tuples.append((u, v, sign))
+    if n is None:
+        raise InputError("missing 'n <count>' header")
+    return n, reference_edges(n, tuples, complete), complete
 
 
 def index_rows(g: SignedGraph) -> list[tuple[int, int, int]]:

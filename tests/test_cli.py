@@ -3,13 +3,15 @@ import json
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from btt import (EdgeCover, gen_figure2, gen_hardness_reduction, gen_random,
                  gen_vc_reduction, lp, solve_exact)
-from btt.cli import _json_default, main
+from btt.cli import RunConfig, _json_default, _load_graph, main
+from btt.errors import InputError
 from btt.generators import parse_2cnf
-from btt.graphs import format_edge_list
+from btt.graphs import format_edge_list, parse_edge_list
 from btt.pivot import pivot_trials, run_pivot
 from conftest import patch_fraction_simplex, stall_float_simplex
 
@@ -222,6 +224,36 @@ class TestInputErrors:
         assert main(argv + ["--mode", "float"]) == 2
         assert "edge (1,2) is too large for --mode float" in capsys.readouterr().err
         assert main(argv + ["--mode", "rational", "--out", str(tmp_path / "r.json")]) == 0
+
+    # 2**1024 - 2**970 is the least magnitude that float() rounds to inf
+    @pytest.mark.parametrize("weight,fits", [
+        (str(2**1024 - 2**970 - 1), True), (str(2**1024 - 2**970), False),
+        (f"{2**1025 - 2**971 - 1}/2", True), (f"{2**1025 - 2**971 + 1}/2", False)])
+    def test_float_mode_casts_the_weight_column(self, weight, fits, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_text(f"n 4\n0 1 +1 1/3\n2 0 -1 0.1\n1 2 +1 {weight}\n"
+                        f"0 3 +1 {2**1100}\n")
+        cfg = RunConfig(command="solve", input=str(path), mode="float")
+        if not fits:
+            with pytest.raises(InputError, match=r"edge \(1,2\) is too large"):
+                _load_graph(cfg)
+            return
+        with pytest.raises(InputError, match=r"edge \(0,3\) is too large"):
+            _load_graph(cfg)
+        path.write_text(path.read_text().rsplit("0 3", 1)[0])
+        g = _load_graph(cfg)
+        exact = parse_edge_list(path.read_text())
+        assert g.edge_columns().weight.dtype == np.float64
+        assert g.edges == tuple(e._replace(weight=float(e.weight)) for e in exact.edges)
+        assert g.edges[2].weight == 1.7976931348623157e308
+
+    def test_mixed_layout_input(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_text("# a triangle and a pendant edge\n\nn 4\n"
+                        "0 1 +1\n  1 2 -1 2  # weighted\n\n0 2 1\n2 3 -1 1.5\n")
+        out = run_cli(["solve", "--alg", "3approx", "--input", str(path)],
+                      tmp_path / "s.json")
+        assert (out["n"], out["m"], out["outcome"]["size"]) == (4, 4, 3)
 
     @pytest.mark.parametrize("weight", [
         "1/0", "nan", "inf", "1e99999999", "1e-1001", "2e1000",

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from dataclasses import replace
@@ -252,6 +253,19 @@ class TestExactCc:
             if g.n > 7:
                 continue
             assert exact_cc(g).value == brute_force_min_cc(g)
+
+    def test_float_weights_price_the_witness_in_edge_order(self):
+        # the search adds its incumbent's cost in search order; the witness
+        # must cost what cc_cost adds in edge-id order (48 of these 120
+        # graphs failed the re-check when the search-order sum was kept)
+        for n in (6, 7, 8):
+            for seed in range(40):
+                g = gen_random(n, complete=True, weights=("uniform", 0.5, 2.0), seed=seed)
+                res = exact_cc(g)
+                assert res.value == cc_cost(g, res.witness)
+                assert res.trail[-1][1] == res.value
+                if n < 8:
+                    assert math.isclose(res.value, brute_force_min_cc(g), rel_tol=1e-12)
 
     def test_lower_bound_early_exit_same_value(self):
         g = gen_figure2()

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from btt.graphs import (COMPLETE_NODE_BOUND, COVER_SCHEMA, MAX_NODES,
                         format_edge_list, graph_to_json, parse_edge_list,
                         _parse_weight)
 from conftest import (brute_force_bad_triples, index_rows, reference_cc_cost,
-                      triangle_nodes)
+                      reference_edges, reference_parse, triangle_nodes)
 
 FIG2_COVER_PAIRS = [(0, 2), (0, 4), (1, 5), (3, 5)]  # ac, ae, bf, df
 
@@ -119,6 +121,184 @@ class TestConstruction:
             complete_graph(COMPLETE_NODE_BOUND + 1, sign)
         assert calls == []  # refused before any pair is built
         assert complete_graph(3, sign).m == 3
+
+
+def outcome(build):
+    """``build()``, or the type and message of the error it raised."""
+    try:
+        return build()
+    except (InputError, CapacityError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_built_as_the_loop(g, edges):
+    """``g`` holds ``edges``, the oracle's ``Edge`` tuples, in the columns
+    the per-edge constructor gave: same values and weight objects, intp
+    endpoints, a bool sign mask, a float64 weight column exactly when
+    every weight is a Python float, and the same ``is_exact()``."""
+    assert g.edges == edges
+    assert [type(e.weight) for e in g.edges] == [type(e.weight) for e in edges]
+    cols = g.edge_columns()
+    assert cols.u.dtype == cols.v.dtype == np.intp
+    assert cols.positive.dtype == bool
+    floats = {type(e.weight) for e in edges} <= {float}
+    assert cols.weight.dtype == (np.float64 if floats else object)
+    assert g.is_exact() == all(isinstance(e.weight, (int, Fraction)) for e in edges)
+
+
+VALID_WEIGHTS = st.one_of(
+    st.just(None),  # a 3-tuple, weighing 1
+    st.integers(0, 9),
+    st.floats(0, 9),
+    st.fractions(0, 9, max_denominator=12),
+    st.booleans(),
+    st.integers(0, 9).map(np.int64),
+    st.floats(0, 9).map(np.float64))
+
+#: Faults injected into a valid edge list, each replacing one edge.
+FAULTS = ("self-loop", "duplicate", "reversed duplicate", "sign", "negative",
+          "nan", "inf", "out of range", "negative id", "loop out of range", "fields")
+
+
+@st.composite
+def edge_inputs(draw):
+    """``(n, edge tuples, complete)``: a valid graph of mixed weight kinds,
+    with at most two faults injected and a ``complete`` flag that may not
+    match its edge count."""
+    n = draw(st.integers(2, 7))
+    pairs = [p for p in combinations(range(n), 2) if draw(st.booleans())]
+    pairs = draw(st.permutations(pairs))
+    edges = []
+    for u, v in pairs:
+        if draw(st.booleans()):
+            u, v = v, u
+        sign = draw(st.sampled_from([1, -1]))
+        weight = draw(VALID_WEIGHTS)
+        edges.append((u, v, sign) if weight is None else (u, v, sign, weight))
+    for _ in range(draw(st.integers(0, 2))):
+        if not edges:
+            break
+        at = draw(st.integers(0, len(edges) - 1))
+        if len(edges[at]) < 3:
+            continue
+        u, v, sign, *rest = edges[at]
+        fault = draw(st.sampled_from(FAULTS))
+        edges[at] = {
+            "self-loop": (u, u, sign, *rest),
+            "duplicate": edges[0][:2] + (sign, *rest),
+            "reversed duplicate": edges[0][1::-1] + (sign, *rest),
+            "sign": (u, v, draw(st.sampled_from([0, 2, -2, 1.5, "+1"])), *rest),
+            "negative": (u, v, sign, draw(st.sampled_from(
+                [-1, -0.5, Fraction(-1, 3), np.int64(-2), np.float64(-1.5)]))),
+            "nan": (u, v, sign, draw(st.sampled_from([math.nan, np.float64("nan")]))),
+            "inf": (u, v, sign, draw(st.sampled_from([math.inf, -math.inf]))),
+            "out of range": (u, n, sign, *rest),
+            "negative id": (-1, v, sign, *rest),
+            "loop out of range": (n, n, sign, *rest),
+            "fields": draw(st.sampled_from([(u, v), (u, v, sign, 1, 1)])),
+        }[fault]
+    complete = draw(st.booleans())
+    return n, edges, complete
+
+
+class TestColumnarConstruction:
+    """The columnar constructor against the per-edge loop it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_inputs(), st.sampled_from([list, tuple, iter]))
+    def test_matches_the_loop(self, case, form):
+        n, edges, complete = case
+        want = outcome(lambda: reference_edges(n, edges, complete))
+        got = outcome(lambda: SignedGraph(n, form(edges), complete=complete))
+        if isinstance(want, tuple) and want and isinstance(want[0], type):
+            assert got == want
+        else:
+            assert_built_as_the_loop(got, want)
+
+    def test_generator_input(self):
+        edges = ((u, v, 1 if (u + v) % 2 else -1, Fraction(u + 1, v + 2))
+                 for u, v in combinations(range(5), 2))
+        assert_built_as_the_loop(SignedGraph(5, edges, complete=True), reference_edges(
+            5, [(u, v, 1 if (u + v) % 2 else -1, Fraction(u + 1, v + 2))
+                for u, v in combinations(range(5), 2)], True))
+
+    @pytest.mark.parametrize("weights", [
+        [1, 2, 3], [0.5, 1.0, 2.0], [Fraction(1, 2), Fraction(3), Fraction(5, 7)],
+        [1, 0.5, Fraction(1, 3)], [True, False, True],
+        [np.int64(2), np.float64(0.5), 1], [-0.0, 0.0, 1.5]])
+    def test_weight_kinds(self, weights):
+        edges = [(0, 1, 1, weights[0]), (2, 1, -1, weights[1]), (0, 2, 1, weights[2])]
+        assert_built_as_the_loop(SignedGraph(3, edges, complete=True),
+                                 reference_edges(3, edges, True))
+
+    @pytest.mark.parametrize("n,edges,complete", [
+        (3, [(0, 1, 1), (1, 1, 1)], False),  # self-loop
+        (3, [(0, 1, 1), (0, 1, -1)], False),  # duplicate
+        (3, [(0, 2, 1), (1, 0, 1), (2, 0, -1)], False),  # reversed duplicate
+        (3, [(0, 1, 1), (1, 2, 0)], False),  # bad sign
+        (3, [(0, 1, 1), (1, 2, "-1")], False),  # a sign that is not a number
+        (3, [(0, 1, 1, 2), (1, 2, 1, Fraction(-1, 2))], False),  # negative
+        (3, [(0, 1, 1, math.nan)], False),  # NaN
+        (3, [(0, 1, 1, 1.0), (0, 2, -1, math.inf)], False),  # inf
+        (3, [(0, 1, 1), (1, 3, 1)], False),  # out of range
+        (3, [(0, 1, 1), (-1, 2, 1)], False),  # negative id
+        (3, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (0, 1)], False),  # fields
+        (3, [(0, 1, 1), (0, 2, 1)], True),  # complete mismatch
+        (6, [(0, 1, 1, Fraction(1, 2**3300)), (2, 3, 1, Fraction(1, 3**2090)),
+             (4, 5, -1, Fraction(1, 5**1420)), (0, 2, 1, Fraction(1, 7**1180))],
+         False),  # common denominator
+        (MAX_NODES + 1, [], False),  # capacity
+        (-1, [], False),
+        (3, [(0, 9, 1), (2, 2, 1), (0, 1, 7)], False),  # the first of several
+        (3, [(0, 1, 1), (1, 0, 1, -1.0)], False),  # negative before duplicate
+        (3, [(2, 2, 5, math.nan)], False),  # self-loop before sign and weight
+        (3, [(0, 1, 1), (5, 5, 0)], False),  # range before self-loop
+    ])
+    def test_each_fault_names_the_first_faulty_edge(self, n, edges, complete):
+        want = outcome(lambda: reference_edges(n, edges, complete))
+        assert isinstance(want[0], type)
+        assert outcome(lambda: SignedGraph(n, edges, complete=complete)) == want
+
+    def test_columns_input_is_checked_as_tuples(self):
+        cols = graphs.EdgeColumns([0, 2, 1], [1, 1, 0], [True, False, True], [1, 2.5, 3])
+        want = outcome(lambda: reference_edges(3, [(0, 1, 1, 1), (2, 1, -1, 2.5),
+                                                   (1, 0, 1, 3)]))
+        assert outcome(lambda: SignedGraph(3, cols)) == want
+        mask = np.array([True, False])
+        g = SignedGraph(3, graphs.EdgeColumns([0, 2], [1, 1], mask, [1, 2]))
+        mask[:] = False  # the graph keeps a copy of the caller's array
+        assert [e.sign for e in g.edges] == [1, -1]
+
+    def test_library_readers_leave_the_edges_view_unbuilt(self):
+        from btt import (derandomized_sweep, exact_btt, exact_cc, krivelevich,
+                         round_deterministic, solve_exact, solve_mwu,
+                         standard_three_approx)
+        from btt.approx import outcome_to_json
+        from btt.lp import lp_solution_to_json
+        from btt.pivot import pivot_trials
+
+        g = gen_random(40, density=0.3, complete=False, weights=("uniform", 0.5, 2.0),
+                       seed=2)
+        three = standard_three_approx(g)
+        for alg in ("pivot", "cover-pivot", "flip-pivot"):
+            pivot_trials(g, alg, 2, 1, cover=three.cover)
+        outcome_to_json(g, three)
+        sol = solve_mwu(g, 0.2)
+        lp_solution_to_json(g, sol)
+        round_deterministic(g, sol.primal)
+        format_edge_list(g), graph_to_json(g), g.is_exact(), g.edge_id(0, 1)
+        flip_edges(g, three.cover.edge_ids)
+        assert g._edges is None
+        h = gen_random(8, weights=("rational", 4, 3), seed=3)
+        derandomized_sweep(h, solve_exact(h).primal)
+        krivelevich(h), exact_btt(h), exact_cc(h)
+        assert h._edges is None
+
+    def test_edges_view_is_built_once(self):
+        g = gen_random(6, weights=("uniform", 0.5, 2.0), seed=1)
+        assert g.edges is g.edges
+        assert g.edges[0] == (g.edge_columns().u[0], g.edge_columns().v[0],
+                              g.edges[0].sign, g.edge_columns().weight[0])
 
 
 class TestBadTriangles:
@@ -391,6 +571,16 @@ class TestClustering:
         assert c.labels == (0, 0, 1, 2)
         assert c.num_clusters == 3
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 400), max_size=60))
+    def test_matches_the_remap_loop(self, labels):
+        remap = {}
+        normal = []
+        for lab in labels:
+            if lab not in remap:
+                remap[lab] = len(remap)
+            normal.append(remap[lab])
+        assert Clustering.from_labels(labels) == Clustering(tuple(normal), len(remap))
 
 
 class TestEdgeListFormat:
@@ -463,6 +653,84 @@ class TestEdgeListFormat:
     def test_parse_errors(self, text, fragment):
         with pytest.raises(InputError, match=fragment):
             parse_edge_list(text)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts with comments, blank lines, 3- and 4-field lines,
+    the sign tokens 1, +1 and -1, header faults, huge-exponent weights and
+    a few faulty lines; the header is usually first.  Each odd choice is
+    made with a fixed small probability."""
+    rnd = draw(st.randoms(use_true_random=True))
+
+    def pick(usual, odd=(), p=0.05):
+        return rnd.choice(odd if odd and rnd.random() < p else usual)
+
+    def edge_line(u, v):
+        fields = [pick([str(x)], ["x", "1.5", "+2", "-1", "0_1", "\u0663", "-0", "6"])
+                  for x in (u, v)]
+        fields.append(pick(["+1", "-1", "1"], ["0", "+2", "x", "--1", "+1.0"]))
+        if rnd.random() < 0.5:
+            fields.append(pick(["1", "2", "0", "1.5", "3/2", "0.25", ".5", "1e-3",
+                                "0e99999999", "1.5193988476144449"],
+                               ["-1", "-0.5", "x", "1/0", "1e400", "1e99999999",
+                                "1e-99999999"]))
+        if rnd.random() < 0.03:  # a field too few or too many
+            fields = fields[:2] if rnd.random() < 0.5 else fields + ["7"]
+        comment = pick([""], ["  # note", "#", "# n 3", "\t#x y"], p=0.1)
+        return pick([" ", "\t", "  "]).join(fields) + comment
+
+    pairs = rnd.sample(list(combinations(range(6), 2)), rnd.randint(0, 12))
+    if rnd.random() < 0.1:  # a duplicate pair
+        pairs.insert(rnd.randint(0, len(pairs)), pick(pairs or [(0, 1)]))
+    lines = [edge_line(*(p if rnd.random() < 0.5 else p[::-1])) for p in pairs]
+    for _ in range(rnd.randint(0, 3)):
+        lines.insert(rnd.randint(0, len(lines)), pick(["", "   ", "# comment"]))
+    headers = (["n 6", "n 6", "n 6 complete", "n 7", "  n 6  ", "n 6 # header"],
+               ["n", "n x", "n 3 full", "n 3 complete extra", "n -1", "n 3",
+                "n 4 complete"])
+    if rnd.random() < 0.95:
+        at = 0 if rnd.random() < 0.9 else rnd.randint(0, len(lines))
+        lines.insert(at, pick(*headers, p=0.15))
+    if rnd.random() < 0.03:
+        lines.insert(rnd.randint(0, len(lines)), pick(headers[0]))
+    end = pick(["\n", "\r\n", "\n", "\x0b"])
+    return end.join(lines) + pick(["", end])
+
+
+class TestEdgeListOracle:
+    """``parse_edge_list`` against the line-by-line parser it replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(edge_list_texts())
+    def test_matches_the_line_parser(self, text):
+        want = outcome(lambda: reference_parse(text))
+        got = outcome(lambda: parse_edge_list(text))
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            n, edges, complete = want
+            assert (got.n, got.complete) == (n, complete)
+            assert_built_as_the_loop(got, edges)
+
+    @pytest.mark.parametrize("text", [
+        "", "# only a comment\n\n", "n 3\n0 1 +1\n1 2 -1 2\n0 2 1 3/2\n",
+        "n 3\n\n0 1 +1 # c\n   \n1 2 -1 1.5#c\n", "0 1 +1\nn 3\n", "n 3\nn 3\n",
+        "n 3 full\n", "n\n", "n x\n", "n 3\n0 1\n", "n 3\n0 1 +1 2 2\n",
+        "n 3\n0 x +1\n", "n 3\n0 1 +2\n", "n 3\n0 1 +1 x\n",
+        "n 3\n0 1 +1 1e99999999\n", "n 3\n0 1 +1 x\n1 2 +2\n",
+        "n 3\n0 1 +2\n1 2 +1 x\n", "n 3\n0 1 +1\n1 0 -1\n", "n 3\n0 3 +1\n",
+        "n 3 complete\n0 1 +1\n", "n 3\n1 1 +1 x\n", "n 3\n0 1 -1 -2\n",
+        "n 2\r\n0 1 -1 0.5\r\n", "n 3\x0b0 1 +1\x1c1 2 -1\u2028",
+        "n 3\n0 1 +1\nn 4\n0 x\n", "  \n\n n 2 \n"])
+    def test_texts(self, text):
+        want = outcome(lambda: reference_parse(text))
+        got = outcome(lambda: parse_edge_list(text))
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert (got.n, got.complete) == (want[0], want[2])
+            assert_built_as_the_loop(got, want[1])
 
 
 class TestJson:
