@@ -11,8 +11,9 @@ is written with sorted keys and wall time is only embedded when
 ``--timing`` is requested.  Exit codes: 0 ok, 2 input error, 3 capacity
 or convergence error, 4 verification failure.
 
-Environment: ``BTT_WORKERS`` sets the survey fan-out width, capped at the
-instance count and the CPU count.
+``--gen`` takes a generator spec ``NAME[:KEY=VALUE,...]``; ``GEN_SPEC_KEYS``
+is the one table of the generators and the keys each takes, and an
+unknown or repeated key is an input error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,65 +84,77 @@ class RunConfig:
     node_budget: int | None = None
 
     def to_json(self) -> dict:
-        return {"version": __version__, **asdict(self)}
+        return {"version": __version__, **vars(self)}
 
 
-GEN_SPEC_HELP = (
-    "generator spec NAME[:KEY=VALUE,...]; NAME and its keys: fig2, hexagram, "
-    "gap (n), random (n, p or count, complete=0|1 or density for a sparse "
-    "graph, seed, weights=unit|uniform:LO:HI|rational:NUM:DEN), vc "
-    "(kind=cycle|path|star|complete and n, or file), hardness (file, "
-    "mode=theorem|relaxed)")
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The ``RunConfig`` of a parsed command: each field its flag sets."""
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in fields(RunConfig) if hasattr(args, f.name)})
+
+
+#: The generators of ``--gen`` and the keys each takes, with their values.
+GEN_SPEC_KEYS = {
+    "fig2": {},
+    "hexagram": {},
+    "gap": {"n": "K"},
+    "random": {"n": "K", "p": "P", "count": "C", "complete": "0|1", "density": "D",
+               "seed": "S", "weights": "unit|uniform:LO:HI|rational:NUM:DEN"},
+    "vc": {"kind": "cycle|path|star|complete", "n": "K", "file": "PATH"},
+    "hardness": {"file": "PATH", "mode": "theorem|relaxed"},
+}
+
+GEN_SPEC_HELP = "generator spec NAME[:KEY=VALUE,...], one of: " + "; ".join(
+    f"{name}:{','.join(f'{k}={v}' for k, v in keys.items())}" if keys else name
+    for name, keys in GEN_SPEC_KEYS.items())
 
 
 def _parse_gen_spec(spec: str):
     """Split ``name[:key=value,...]`` into the name and its options.
 
-    The specs ``build_instance`` knows:
+    The name must be a generator of ``GEN_SPEC_KEYS`` and each key one of
+    its keys, given once; anything else is an InputError.  What
+    ``build_instance`` makes of them:
 
-    * ``fig2``, the six-node bad-cycle example, and ``hexagram``;
-    * ``gap:n=K``, the all-negative K-clique plus a positive apex;
-    * ``random:n=K`` with optional ``p=P`` or ``count=C`` (positive
-      edges), ``density=D`` (a sparse graph keeping each pair with
-      probability D; ``complete=0`` alone means D = 0.5, and ``complete=1``
-      with ``density`` is an error), ``seed=S``, and ``weights=unit``,
-      ``uniform:LO:HI`` (floats) or ``rational:NUM:DEN``;
-    * ``vc:kind=cycle|path|star|complete,n=K`` or ``vc:file=PATH`` (an
-      ``n <count>`` line, then ``u v`` lines), the vertex-cover reduction;
-    * ``hardness:file=PATH[,mode=theorem|relaxed]``, the 2CNF-deletion
-      reduction of a DIMACS-style 2CNF file.
+    * ``fig2`` is the six-node bad-cycle example;
+    * ``gap`` is the all-negative K-clique plus a positive apex;
+    * ``random`` needs ``n``; ``p`` or ``count`` fix the positive edges,
+      ``density`` asks for a sparse graph keeping each pair with that
+      probability (``complete=0`` alone means 0.5, and ``complete=1`` with
+      ``density`` is an error), and ``uniform`` weights are floats;
+    * ``vc`` is the vertex-cover reduction of a ``kind`` family of size
+      ``n``, or of a ``file`` (an ``n <count>`` line, then ``u v`` lines);
+    * ``hardness`` is the 2CNF-deletion reduction of a DIMACS-style 2CNF
+      ``file``, in ``mode`` theorem (the default) or relaxed.
     """
     name, _, rest = spec.partition(":")
+    if name not in GEN_SPEC_KEYS:
+        raise InputError(f"unknown generator {name!r}")
     kwargs: dict[str, str] = {}
-    if rest:
-        for item in rest.split(","):
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise InputError(f"bad generator option {item!r} in {spec!r}")
-            kwargs[key] = value
+    for item in rest.split(",") if rest else ():
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise InputError(f"bad generator option {item!r} in {spec!r}")
+        if key not in GEN_SPEC_KEYS[name]:
+            raise InputError(f"unknown option {key!r} for generator {name!r}")
+        if key in kwargs:
+            raise InputError(f"option {key!r} repeated for generator {name!r}")
+        kwargs[key] = value
     return name, kwargs
 
 
-def _int_opt(kwargs: dict, key: str, default=None) -> int | None:
+def _number_opt(kwargs: dict, key: str, kind: type, default=None):
+    """Option ``key`` read as ``kind`` (int or float), else ``default``;
+    InputError when it does not parse, or is absent with no default."""
     if key not in kwargs:
         if default is None:
             raise InputError(f"generator option {key!r} is required")
         return default
     try:
-        return int(kwargs[key])
+        return kind(kwargs[key])
     except ValueError as exc:
-        raise InputError(f"option {key!r} must be an integer") from exc
-
-
-def _float_opt(kwargs: dict, key: str, default=None) -> float | None:
-    if key not in kwargs:
-        if default is None:
-            raise InputError(f"generator option {key!r} is required")
-        return default
-    try:
-        return float(kwargs[key])
-    except ValueError as exc:
-        raise InputError(f"option {key!r} must be a number") from exc
+        what = "an integer" if kind is int else "a number"
+        raise InputError(f"option {key!r} must be {what}") from exc
 
 
 def _read_text(path: str) -> str:
@@ -221,7 +234,7 @@ def build_instance(spec: str):
     if name == "fig2":
         return gen_figure2(), None
     if name == "gap":
-        return gen_integrality_gap(_int_opt(kwargs, "n")), None
+        return gen_integrality_gap(_number_opt(kwargs, "n", int)), None
     if name == "hexagram":
         g, gmap = gen_hexagram()
         return g, gmap
@@ -229,38 +242,37 @@ def build_instance(spec: str):
         weights = kwargs.get("weights", "unit")
         if weights != "unit":
             kind, *numbers = weights.split(":")
-            parse = {"uniform": _float_opt, "rational": _int_opt}.get(kind)
-            if parse is None or len(numbers) != 2:
+            number = {"uniform": float, "rational": int}.get(kind)
+            if number is None or len(numbers) != 2:
                 raise InputError(f"unknown weight spec {weights!r}")
             names = ("LO", "HI") if kind == "uniform" else ("NUM", "DEN")
-            fields = dict(zip(names, numbers))
-            weights = (kind, *(parse(fields, name) for name in names))
+            values = dict(zip(names, numbers))
+            weights = (kind, *(_number_opt(values, name, number) for name in names))
         sparse = "density" in kwargs
         complete = kwargs.get("complete", "0" if sparse else "1") not in ("0", "false")
         if complete and sparse:
             raise InputError("density applies to sparse graphs; drop complete=1")
         return gen_random(
-            _int_opt(kwargs, "n"),
-            positive_prob=_float_opt(kwargs, "p") if "p" in kwargs else None,
-            positive_count=_int_opt(kwargs, "count", -1) if "count" in kwargs else None,
+            _number_opt(kwargs, "n", int),
+            positive_prob=_number_opt(kwargs, "p", float) if "p" in kwargs else None,
+            positive_count=_number_opt(kwargs, "count", int) if "count" in kwargs else None,
             complete=complete,
-            density=_float_opt(kwargs, "density", 0.5),
+            density=_number_opt(kwargs, "density", float, 0.5),
             weights=weights,
-            seed=_int_opt(kwargs, "seed", 0)), None
+            seed=_number_opt(kwargs, "seed", int, 0)), None
     if name == "vc":
         if "file" in kwargs:
             n, edges = _unsigned_from_file(kwargs["file"])
         else:
             n, edges = _unsigned_family(kwargs.get("kind", "cycle"),
-                                        _int_opt(kwargs, "n"))
+                                        _number_opt(kwargs, "n", int))
         return gen_vc_reduction(n, edges), None
-    if name == "hardness":
-        if "file" not in kwargs:
-            raise InputError("hardness spec needs file=<2cnf path>")
-        formula = parse_2cnf(_read_text(kwargs["file"]))
-        g, gmap = gen_hardness_reduction(formula, mode=kwargs.get("mode", "theorem"))
-        return g, gmap
-    raise InputError(f"unknown generator {name!r}")
+    # hardness, the last generator of GEN_SPEC_KEYS
+    if "file" not in kwargs:
+        raise InputError("hardness spec needs file=<2cnf path>")
+    formula = parse_2cnf(_read_text(kwargs["file"]))
+    g, gmap = gen_hardness_reduction(formula, mode=kwargs.get("mode", "theorem"))
+    return g, gmap
 
 
 def _load_graph(cfg: RunConfig) -> SignedGraph:
@@ -559,17 +571,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             if args.eps is not None and not 0 < args.eps < 1:
                 raise InputError(f"--eps must lie in (0,1), got {args.eps}")
-            cfg = RunConfig(
-                command="solve", alg=args.alg, input=args.input, gen=args.gen,
-                eps=args.eps, seed=args.seed, mode=args.mode, out=args.out,
-                triangle_budget=args.triangle_budget, node_budget=args.node_budget)
-            _write_outputs([(args.out, _render(cmd_solve(cfg, args.timing)))])
+            payload = cmd_solve(_run_config(args), args.timing)
+            _write_outputs([(args.out, _render(payload))])
         elif args.command == "cluster":
-            cfg = RunConfig(
-                command="cluster", alg=args.alg, input=args.input, gen=args.gen,
-                seed=args.seed, trials=args.trials, mode=args.mode,
-                out=args.out, cover=args.cover)
-            payload, csv = cmd_cluster(cfg, args.timing)
+            payload, csv = cmd_cluster(_run_config(args), args.timing)
             outputs = [(args.out, _render(payload))]
             if args.csv and csv is not None:
                 outputs.insert(0, (args.csv, csv))

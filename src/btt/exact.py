@@ -20,7 +20,6 @@ search.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -329,9 +328,8 @@ def exact_cc(g: SignedGraph, *,
 # -- cover-versus-clustering survey -----------------------------------------
 
 
-def _survey_one(job: tuple[int, int, SignedGraph]) -> dict:
-    """One survey row for the job (instance index, seed, graph)."""
-    index, seed, g = job
+def _survey_one(index: int, seed: int, g: SignedGraph) -> dict:
+    """One survey row for instance ``index``, built from ``seed``."""
     start = time.perf_counter()
     row: dict = {"instance": index, "seed": seed, "n": g.n}
     try:
@@ -357,16 +355,7 @@ def _survey_one(job: tuple[int, int, SignedGraph]) -> dict:
     return row
 
 
-def workers_from_env() -> int:
-    """Worker count for survey fan-out, from BTT_WORKERS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("BTT_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def ratio_survey(make_instance, count: int, seed: int, *,
-                 workers: int | None = None) -> dict:
+def ratio_survey(make_instance, count: int, seed: int) -> dict:
     """Compare minimum cover and minimum clustering costs over a seeded
     instance suite.
 
@@ -376,21 +365,10 @@ def ratio_survey(make_instance, count: int, seed: int, *,
     flagged as equality counterexample candidates, each with its edge
     list.  The searches run with their default budgets; an instance that
     exceeds one is recorded as that row's error and the survey continues.
-    ``workers`` (default ``BTT_WORKERS``) sets the process fan-out.
     """
     seeds = spawn_seeds(seed, count)
     graphs = [make_instance(s) for s in seeds]
-    # a fork pool starts every worker at once, so never ask for more than
-    # there are instances or CPUs
-    requested = workers_from_env() if workers is None else workers
-    nworkers = max(1, min(requested, count, os.cpu_count() or 1))
-    jobs = list(zip(range(count), seeds, graphs))
-    if nworkers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            rows = list(pool.map(_survey_one, jobs))
-    else:
-        rows = [_survey_one(job) for job in jobs]
+    rows = [_survey_one(i, s, g) for i, (s, g) in enumerate(zip(seeds, graphs))]
     violations = []
     candidates = []
     for row, g in zip(rows, graphs):

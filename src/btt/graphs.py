@@ -36,10 +36,12 @@ The constructor and ``parse_edge_list`` build the columns and check them
 whole: node range, self-loops, signs, finite and nonnegative weights,
 duplicate pairs (one sort of the pair keys), the weights' common
 denominator and the ``complete`` edge count; an error still names the
-first faulty edge or line in input order.  Every reader in the package
-reads the columns.  ``SignedGraph.edges``, the ``Edge`` tuples, is a view
-built from the columns on first access and cached, and so is the
-pair-to-id map behind ``SignedGraph.edge_id``; most graphs build neither.
+first faulty edge in input order.  A text that fails to parse is read
+once more, line by line, only to name its first faulty line.  Every
+reader in the package reads the columns.  ``SignedGraph.edges``, the
+``Edge`` tuples, is a view built from the columns on first access and
+cached, and so is the pair-to-id map behind ``SignedGraph.edge_id``;
+most graphs build neither.
 
 Every total that can hold a float is added by ``total``, the package's one
 summation rule: left to right from int 0, in the values' own arithmetic.
@@ -56,8 +58,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import (combinations, compress, count, islice, repeat,
-                       zip_longest)
+from itertools import combinations, compress, repeat, zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -610,57 +611,64 @@ def parse_edge_list(text: str) -> SignedGraph:
     edge with s in {+1, -1}; ``#`` starts a comment.  Weights parse as
     exact rationals (``3/2``, ``1.5`` and ``2`` are all exact).
 
-    The lines are split into rows of tokens by one ``map``, and the edge
-    rows are read as columns: one ``int`` map per endpoint, one lookup map
-    for the signs, one ``_parse_weight`` map for the weights; the graph is
-    built from ``EdgeColumns``.  The error names the first faulty line, as
-    a line-by-line reading would: on one line the header, field-count,
-    node-id, sign and weight checks come in that order, and the graph's
-    own checks come last.
+    A valid text is read straight into columns: the header is checked,
+    then that every edge row has 3 or 4 tokens, then one ``int`` map per
+    endpoint, one lookup map for the signs and one ``_parse_weight`` map
+    for the weights.  When a check or a map fails, ``_line_fault`` walks
+    the text once, line by line, and its error names the first faulty
+    line.  The graph's own checks come last.
     """
     if "#" in text:
         text = _COMMENT.sub("", text)
     rows = list(filter(None, map(str.split, text.splitlines())))
-
-    def where(row: int) -> str:
-        """``line N`` of ``rows[row]``, for an error message."""
-        nonblank = compress(count(1), map(str.split, text.splitlines()))
-        return f"line {next(islice(nonblank, row, None))}"
-
     if not rows:
         raise InputError("missing 'n <count>' header")
     header = rows.pop(0)
-    fault = _header_fault(header)
-    if fault:
-        raise InputError(f"{where(0)}: {fault}")
-    n, complete = int(header[1]), len(header) == 3
-    widths = list(map(len, rows))
-    heads = list(map(operator.itemgetter(0), rows))
-    fits = list(map(_EDGE_WIDTHS.get, widths))
-    # the rows before ``cut`` have 3 or 4 tokens and no second header
-    cut = min(heads.index("n") if "n" in heads else len(rows),
-              fits.index(None) if None in fits else len(rows))
-    u, bad_u = _ints(heads[:cut])
-    v, bad_v = _ints(list(map(operator.itemgetter(1), rows[:cut])))
-    positive = list(map(_SIGN_TOKENS.get, map(operator.itemgetter(2), rows[:cut])))
-    bad = min(cut, bad_u, bad_v, positive.index(None) if None in positive else cut)
-    four = list(map((4).__eq__, widths))
-    # raises on the first bad weight token, which is on a row before ``bad``
-    parsed = list(map(_parse_weight, map(operator.itemgetter(3), compress(rows[:bad], four))))
-    if bad < len(rows):
-        row = rows[bad]
-        if row[0] == "n":
-            fault = "duplicate header"
-        elif len(row) not in (3, 4):
-            fault = "edge line is 'u v s [w]'"
-        elif bad in (bad_u, bad_v):  # bad < cut here
-            fault = "bad node id"
-        else:
-            fault = f"sign must be +1 or -1, got {row[2]!r}"
-        raise InputError(f"{where(bad + 1)}: {fault}")
+    try:
+        if _header_fault(header) or not set(map(len, rows)) <= {3, 4}:
+            raise ValueError
+        u = list(map(int, map(operator.itemgetter(0), rows)))
+        v = list(map(int, map(operator.itemgetter(1), rows)))
+        positive = list(map(_SIGN_TOKENS.__getitem__, map(operator.itemgetter(2), rows)))
+        four = list(map((4).__eq__, map(len, rows)))
+        parsed = list(map(_parse_weight, map(operator.itemgetter(3), compress(rows, four))))
+    except (ValueError, KeyError, InputError):
+        raise _line_fault(text) from None
     weight = np.ones(len(rows), dtype=object)
     weight[four] = np.fromiter(parsed, dtype=object, count=len(parsed))
-    return SignedGraph(n, EdgeColumns(u, v, positive, weight), complete=complete)
+    return SignedGraph(int(header[1]), EdgeColumns(u, v, positive, weight),
+                       complete=len(header) == 3)
+
+
+def _line_fault(text: str) -> InputError:
+    """The error of the first faulty line of a comment-stripped edge-list
+    text.  A line's checks run in the order: header (first nonblank line
+    only), duplicate header, field count, node ids, sign, then weight,
+    whose error is ``_parse_weight``'s own."""
+    header = True
+    for lineno, fields in enumerate(map(str.split, text.splitlines()), start=1):
+        if not fields:
+            continue
+        if header:
+            fault, header = _header_fault(fields), False
+        elif fields[0] == "n":
+            fault = "duplicate header"
+        elif len(fields) not in (3, 4):
+            fault = "edge line is 'u v s [w]'"
+        elif None in (_int_or_none(fields[0]), _int_or_none(fields[1])):
+            fault = "bad node id"
+        elif fields[2] not in _SIGN_TOKENS:
+            fault = f"sign must be +1 or -1, got {fields[2]!r}"
+        else:
+            fault = None
+            if len(fields) == 4:
+                try:
+                    _parse_weight(fields[3])
+                except InputError as exc:
+                    return exc
+        if fault:
+            return InputError(f"line {lineno}: {fault}")
+    raise AssertionError("no faulty line in a text that failed to parse")
 
 
 def _header_fault(fields: list[str]) -> str | None:
@@ -674,17 +682,6 @@ def _header_fault(fields: list[str]) -> str | None:
     if len(fields) == 3 and fields[2] != "complete":
         return f"unknown header flag {fields[2]!r}"
     return None
-
-
-def _ints(tokens: list[str]) -> tuple[list, int]:
-    """``int()`` of every token, and the index of the first token that
-    ``int()`` refuses (``len(tokens)`` when none); a refused token gives
-    None."""
-    try:
-        return list(map(int, tokens)), len(tokens)
-    except ValueError:
-        values = list(map(_int_or_none, tokens))
-        return values, values.index(None)
 
 
 def _int_or_none(token: str) -> int | None:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -162,26 +163,9 @@ _REF_BUDGET = (
 def _sig4(value: Fraction) -> str:
     """Render a nonnegative rational to at most 4 significant figures
     (banker's rounding), trailing zeros stripped."""
-    if value == 0:
-        return "0"
-    exponent = 0
-    scaled = value
-    while scaled >= 10:
-        scaled /= 10
-        exponent += 1
-    while scaled < 1:
-        scaled *= 10
-        exponent -= 1
-    digits = 3 - exponent
-    quantum = Fraction(10) ** -digits
-    rounded = round(value / quantum) * quantum  # round() on Fraction is banker's
-    if digits <= 0:
-        return str(int(rounded))
-    scaled_int = int(rounded * 10 ** digits)
-    text = f"{scaled_int:0{digits + 1}d}"
-    whole, frac = text[:-digits], text[-digits:]
-    frac = frac.rstrip("0")
-    return whole if not frac else f"{whole}.{frac}"
+    with localcontext(Context(prec=4, rounding=ROUND_HALF_EVEN)):
+        quotient = Decimal(value.numerator) / Decimal(value.denominator)
+        return f"{quotient.normalize():f}"
 
 
 def _sign_label(signs) -> str:

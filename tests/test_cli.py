@@ -201,6 +201,18 @@ class TestInputErrors:
         assert main(argv) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec,fragment", [
+        ("random:n=5,sed=3", "unknown option 'sed' for generator 'random'"),
+        ("fig2:n=9", "unknown option 'n' for generator 'fig2'"),
+        ("random:n=5,seed=3,seed=4", "option 'seed' repeated for generator 'random'"),
+        ("gap:n=4,n=5", "option 'n' repeated for generator 'gap'"),
+    ])
+    def test_unknown_or_repeated_spec_key_exits_2(self, spec, fragment, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        assert main(["generate", "--gen", spec, "--out", str(out)]) == 2
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("alg", ["lp-exact", "lp-mwu", "det2"])
     @pytest.mark.parametrize("eps", ["2", "1", "0", "-0.5", "nan"])
     def test_eps_outside_unit_interval_exits_2(self, alg, eps, tmp_path, capsys):

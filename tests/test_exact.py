@@ -1,5 +1,4 @@
 import math
-import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -274,6 +273,10 @@ class TestExactCc:
         assert plain.value == primed.value == 4
         assert primed.nodes_explored <= plain.nodes_explored
 
+    def test_empty_graph(self):
+        res = exact_cc(SignedGraph(0, []))
+        assert (res.value, res.witness, res.nodes_explored) == (0, Clustering((), 0), 0)
+
     def test_node_cap(self):
         g = complete_graph(13, lambda u, v: 1)
         with pytest.raises(CapacityError):
@@ -389,49 +392,18 @@ class TestRatioSurvey:
         assert candidate["ratio"] == 2
         assert candidate["edge_list"] == format_edge_list(make(0))
 
-    def test_worker_fanout_matches_serial(self):
-        serial = ratio_survey(self.make_complete(5), 6, seed=12, workers=1)
-        parallel = ratio_survey(self.make_complete(5), 6, seed=12, workers=2)
-        strip = lambda rows: [(r["instance"], r["opt_cover"], r["opt_clustering"],
-                               r["ratio"]) for r in rows]
-        assert strip(serial["rows"]) == strip(parallel["rows"])
+    def test_bad_cycle_without_bad_triangle_has_no_ratio(self):
+        # a four-cycle with one negative edge: no bad triangle, so the cover
+        # optimum is 0, while every clustering disagrees on one edge
+        def make(seed):
+            return SignedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, -1)])
 
-    def test_fanout_width_capped_by_count_and_cpus(self, monkeypatch):
-        # records the width a pool would start with; no process is started
-        import concurrent.futures
-        widths = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                widths.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(exact.os, "cpu_count", lambda: 4)
-        make = self.make_complete(5)
-        ratio_survey(make, 3, seed=1, workers=5000)
-        ratio_survey(make, 6, seed=1, workers=5000)
-        monkeypatch.setenv("BTT_WORKERS", "5000")
-        ratio_survey(make, 2, seed=1)
-        assert widths == [3, 4, 2]
-        monkeypatch.setattr(exact.os, "cpu_count", lambda: None)
-        report = ratio_survey(make, 3, seed=1)
-        assert widths == [3, 4, 2] and len(report["rows"]) == 3
-
-    def test_workers_env_variable(self, monkeypatch):
-        from btt.exact import workers_from_env
-        monkeypatch.setenv("BTT_WORKERS", "3")
-        assert workers_from_env() == 3
-        monkeypatch.setenv("BTT_WORKERS", "junk")
-        assert workers_from_env() == 1
+        report = ratio_survey(make, 1, seed=0)
+        (row,) = report["rows"]
+        assert (row["opt_cover"], row["opt_clustering"], row["ratio"]) == (0, 1, None)
+        assert row["error"] == "ratio undefined: cover optimum 0, clustering optimum > 0"
+        assert report["violations"] == []
+        assert report["equality_counterexample_candidates"] == []
 
     def test_csv_rendering(self):
         report = ratio_survey(self.make_complete(5), 3, seed=6)

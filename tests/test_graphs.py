@@ -415,6 +415,11 @@ class TestFeasibleCover:
         cover = EdgeCover.from_pairs(g, FIG2_COVER_PAIRS)
         assert is_feasible_cover(g, cover)
 
+    def test_absent_pair_is_input_error(self):
+        g = SignedGraph(4, [(0, 1, 1), (1, 2, -1)])
+        with pytest.raises(InputError, match=r"no edge \(1, 3\) in graph"):
+            EdgeCover.from_pairs(g, [(1, 0), (3, 1)])
+
     def test_empty_cover_infeasible_when_triangles_exist(self):
         g = gen_figure2()
         assert not is_feasible_cover(g, EdgeCover(frozenset(), 0))
@@ -649,6 +654,10 @@ class TestEdgeListFormat:
         ("n 3 full\n", "flag"),
         ("n 3\nn 3\n", "duplicate header"),
         ("n 3\n0 1 +1 x\n", "weight"),
+        # the earlier line's fault wins: a bad weight before a bad sign,
+        # then a bad sign before a bad weight
+        ("n 3\n0 1 +1 x\n1 2 +2\n", r"^cannot parse weight 'x'$"),
+        ("n 3\n0 1 +2\n1 2 +1 x\n", r"^line 2: sign must be \+1 or -1, got '\+2'$"),
     ])
     def test_parse_errors(self, text, fragment):
         with pytest.raises(InputError, match=fragment):
