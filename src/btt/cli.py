@@ -121,9 +121,11 @@ def _parse_gen_spec(spec: str):
     * ``random`` needs ``n``; ``p`` or ``count`` fix the positive edges,
       ``density`` asks for a sparse graph keeping each pair with that
       probability (``complete=0`` alone means 0.5, and ``complete=1`` with
-      ``density`` is an error), and ``uniform`` weights are floats;
+      ``density`` is an error), ``complete`` is 0 or 1 (or false or true),
+      and ``uniform`` weights are floats;
     * ``vc`` is the vertex-cover reduction of a ``kind`` family of size
-      ``n``, or of a ``file`` (an ``n <count>`` line, then ``u v`` lines);
+      ``n``, or of a ``file`` alone (an ``n <count>`` line, then ``u v``
+      lines);
     * ``hardness`` is the 2CNF-deletion reduction of a DIMACS-style 2CNF
       ``file``, in ``mode`` theorem (the default) or relaxed.
     """
@@ -249,7 +251,10 @@ def build_instance(spec: str):
             values = dict(zip(names, numbers))
             weights = (kind, *(_number_opt(values, name, number) for name in names))
         sparse = "density" in kwargs
-        complete = kwargs.get("complete", "0" if sparse else "1") not in ("0", "false")
+        complete = {"0": False, "false": False, "1": True, "true": True}.get(
+            kwargs.get("complete", "0" if sparse else "1"))
+        if complete is None:
+            raise InputError(f"option 'complete' must be 0 or 1, got {kwargs['complete']!r}")
         if complete and sparse:
             raise InputError("density applies to sparse graphs; drop complete=1")
         return gen_random(
@@ -262,6 +267,8 @@ def build_instance(spec: str):
             seed=_number_opt(kwargs, "seed", int, 0)), None
     if name == "vc":
         if "file" in kwargs:
+            if len(kwargs) > 1:
+                raise InputError("vc takes file= alone, or kind= and n=")
             n, edges = _unsigned_from_file(kwargs["file"])
         else:
             n, edges = _unsigned_family(kwargs.get("kind", "cycle"),
@@ -454,6 +461,12 @@ def _verify_hexagram() -> dict:
 
 
 def _verify_survey(n: int, count: int, seed: int) -> dict:
+    # a survey of no graph, or of graphs too small for a bad triangle,
+    # would pass without checking anything
+    if count < 1:
+        raise InputError(f"--count must be at least 1, got {count}")
+    if n < 3:
+        raise InputError(f"--n must be at least 3, got {n}")
     _check_cc_node_cap(n)  # every row would be refused
 
     def make(instance_seed: int) -> SignedGraph:

@@ -1,15 +1,16 @@
 """Exact oracles: minimum bad-triangle covers, minimum-disagreement
 clusterings, and the cover-versus-clustering ratio survey.
 
-The cover search is a branch-and-bound over edges: branch on one edge of
-a currently uncovered bad triangle (include it or forbid it), prune with
-a greedy edge-disjoint packing bound.  The triangles are the rows of
-``g.bad_triangle_index()``, the package's one triangle form.  Each
-triangle is one bitmask of its allowed edges and each edge one bitmask of
-its triangles, so the bound and the branching choice are integer
-operations.  The incumbent starts as the edges of the root packing, which
-is maximal and so covers every triangle; recursion deeper than
-``MAX_BTT_DEPTH`` is refused as a CapacityError.
+The cover search is a branch-and-bound over edges: pick the uncovered bad
+triangle with the fewest open edges, branch on its open edge that lies in
+the most uncovered triangles (include it or forbid it; a triangle's last
+open edge is forced in), and prune with a greedy edge-disjoint packing
+bound.  The triangles are the rows of ``g.bad_triangle_index()``, the
+package's one triangle form.  Each triangle is one bitmask of its allowed
+edges and each edge one bitmask of its triangles, so the bound and the
+branching choice are integer operations.  The incumbent starts as the
+edges of the root packing, which is maximal and so covers every triangle;
+recursion deeper than ``MAX_BTT_DEPTH`` is refused as a CapacityError.
 
 The clustering search enumerates set partitions as restricted growth
 strings with incremental cost and incumbent pruning.  Both are desk-scale
@@ -67,9 +68,20 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     ``tri_mask[ti]`` holds triangle ti's allowed edges and
     ``edge_tri_mask[e]`` edge e's triangles; a node is (covered triangles,
     excluded edges).  The bound packs uncovered triangles greedily in index
-    order and adds each packed one's cheapest open edge.  The search
-    includes, then excludes, the lowest open edge of the uncovered triangle
-    with the fewest open edges (ties: lowest open edge, then index).
+    order and adds each packed one's cheapest open edge.  The search picks
+    the uncovered triangle with the fewest open edges (ties: lowest open
+    edge, then index) and branches on its busiest open edge, the one in
+    the most uncovered triangles (ties: lowest id): include it, then
+    exclude it.  When that triangle has one open edge, the edge is forced:
+    it is included and no exclude child is made, since that child would
+    leave the triangle with no open edge.
+
+    Any open edge of an uncovered triangle splits the covers that extend a
+    node into those that contain it and those that do not, and each part is
+    exactly one child's covers.  So the choice of edge changes only the
+    order and number of nodes, never which covers are reachable: the
+    optimum, the completeness of enumeration, the node budget and the
+    depth guard mean what they meant under any other open edge.
 
     Optimisation mode (enumerate_cap None) seeds the incumbent with the
     root packing's edges, a feasible cover: the packing is maximal, so
@@ -98,17 +110,19 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     full = (1 << len(index)) - 1
 
     def pack(covered: int, excluded: int):
-        """(bound, packed edges, branching edge), or None if a triangle has
-        no open edge; one walk over the uncovered triangles in index order.
+        """(bound, packed edges, branching edge, forced), or None if a
+        triangle has no open edge; one walk over the uncovered triangles in
+        index order.
 
-        The branching edge is the lowest open edge of the first triangle
-        with one open edge, or else of the triangle with the fewest open
-        edges (ties: lowest open edge, then index)."""
+        The chosen triangle is the first with one open edge, or else the
+        one with the fewest open edges (ties: lowest open edge, then
+        index).  The branching edge is its open edge in the most uncovered
+        triangles (ties: lowest id); it is forced when it is the only one."""
         bound = 0
         used = 0
         keep = ~excluded
-        remaining = full & ~covered
-        best_count, best_bit = 4, 0
+        uncovered = remaining = full & ~covered
+        best_count, best_bit, best_open = 4, 0, 0
         while remaining:
             low = remaining & -remaining
             remaining ^= low
@@ -120,16 +134,23 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
                 count = open_edges.bit_count()
                 lowest = open_edges & -open_edges
                 if count < best_count or (count == best_count and lowest < best_bit):
-                    best_count, best_bit = count, lowest
+                    best_count, best_bit, best_open = count, lowest, open_edges
             if not open_edges & used:
                 used |= open_edges
                 for bit, w in cheapest[ti]:
                     if bit & keep:
                         bound += w
                         break
-        return bound, used, best_bit.bit_length() - 1
+        branch, most = -1, -1
+        while best_open:
+            e = best_open.bit_length() - 1
+            best_open ^= 1 << e
+            hits = (edge_tri_mask[e] & uncovered).bit_count()
+            if hits >= most:
+                branch, most = e, hits
+        return bound, used, branch, best_count == 1
 
-    root_bound, seed, _ = pack(0, 0)
+    root_bound, seed, _, _ = pack(0, 0)
     nodes, truncated, trail, optima, included = 0, False, [], [], []
     best = best_cover = None
     if enumerate_cap is None:
@@ -150,7 +171,7 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
         packed = pack(covered, excluded)
         if packed is None:
             return
-        bound, _, branch = packed
+        bound, _, branch, forced = packed
         if enumerate_cap is None:
             if cost + bound >= best:
                 return
@@ -169,7 +190,8 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
         included.append(branch)
         dfs(covered | edge_tri_mask[branch], excluded, cost + weights[branch], depth + 1)
         included.pop()
-        dfs(covered, excluded | 1 << branch, cost, depth + 1)
+        if not forced:
+            dfs(covered, excluded | 1 << branch, cost, depth + 1)
 
     dfs(0, 0, 0, 0)
     if enumerate_cap is not None:

@@ -8,7 +8,7 @@ import pytest
 
 from btt import (EdgeCover, gen_figure2, gen_hardness_reduction, gen_random,
                  gen_vc_reduction, lp, solve_exact)
-from btt.cli import RunConfig, _json_default, _load_graph, main
+from btt.cli import RunConfig, _json_default, _load_graph, build_instance, main
 from btt.errors import InputError
 from btt.generators import parse_2cnf
 from btt.graphs import format_edge_list, parse_edge_list
@@ -213,8 +213,44 @@ class TestInputErrors:
         assert fragment in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec,fragment", [
+        # any value but 0 or false used to build the complete graph
+        ("random:n=5,complete=no", "option 'complete' must be 0 or 1, got 'no'"),
+        ("random:n=5,complete=x", "option 'complete' must be 0 or 1, got 'x'"),
+        # kind and n used to be ignored next to a file
+        ("vc:kind=star,n=30,file={file}", "vc takes file= alone"),
+        ("vc:n=30,file={file}", "vc takes file= alone"),
+    ])
+    def test_ignored_spec_value_exits_2(self, spec, fragment, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_text("n 3\n0 1\n1 2\n")
+        out = tmp_path / "g.txt"
+        argv = ["generate", "--gen", spec.format(file=path), "--out", str(out)]
+        assert main(argv) == 2
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec,complete", [
+        ("random:n=5,complete=0", False), ("random:n=5,complete=false", False),
+        ("random:n=5,complete=1", True), ("random:n=5,complete=true", True)])
+    def test_complete_takes_0_1_false_true(self, spec, complete):
+        g, _ = build_instance(spec)
+        assert g.edges == gen_random(5, complete=complete).edges
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["--count", "0"], "--count must be at least 1, got 0"),
+        (["--n", "2", "--count", "2"], "--n must be at least 3, got 2"),
+        (["--n", "0", "--count", "2"], "--n must be at least 3, got 0"),
+    ])
+    def test_vacuous_survey_exits_2(self, argv, fragment, capsys):
+        # no graph, or graphs too small for a bad triangle, used to PASS
+        assert main(["verify", "--survey"] + argv) == 2
+        captured = capsys.readouterr()
+        assert fragment in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("alg", ["lp-exact", "lp-mwu", "det2"])
-    @pytest.mark.parametrize("eps", ["2", "1", "0", "-0.5", "nan"])
+    @pytest.mark.parametrize("eps",["2", "1", "0", "-0.5", "nan"])
     def test_eps_outside_unit_interval_exits_2(self, alg, eps, tmp_path, capsys):
         # lp-exact never runs the MWU solver, so only the argument check
         # can catch its eps

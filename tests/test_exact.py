@@ -78,55 +78,47 @@ F = Fraction
 RATIONAL = ("rational", 4, 3)
 
 #: exact_btt's (graph, value, nodes_explored, witness ids, trail), frozen
-#: from the search before it moved to bitmasks.  The node count and the
-#: trail depend on the branching rule and the seed, so any change to
-#: either shows here.
+#: from the search that branches on the busiest open edge of the triangle
+#: with the fewest open edges.  The node count and the trail depend on the
+#: branching rule and the seed, so any change to either shows here.
 PINNED = {
     "fig2": (
         gen_figure2,
-        4, 49,
+        4, 11,
         [0, 2, 8, 13],
-        [(0, 12), (8, 7), (13, 6), (22, 5), (43, 4)]),
+        [(0, 12), (5, 4)]),
     "gap6": (
         lambda: gen_integrality_gap(6),
-        5, 203,
-        [0, 14, 17, 19, 20],
-        [(0, 9), (55, 8), (102, 7), (147, 6), (180, 5)]),
+        5, 11,
+        [5, 10, 14, 17, 18],
+        [(0, 9), (6, 5)]),
     "hexagram": (
         lambda: gen_hexagram()[0],
-        9, 179,
+        9, 61,
         [0, 5, 15, 21, 26, 34, 38, 43, 49],
-        [(0, 27), (14, 13), (21, 12), (40, 11), (139, 10), (170, 9)]),
+        [(0, 27), (13, 12), (20, 11), (33, 10), (52, 9)]),
     "unit9": (
         lambda: gen_random(9, complete=True, seed=1),
-        10, 295,
+        10, 137,
         [0, 3, 6, 11, 12, 16, 17, 19, 22, 24],
-        [(0, 24), (22, 21), (25, 20), (30, 19), (39, 18), (50, 17), (81, 16),
-         (102, 15), (125, 14), (166, 13), (195, 12), (232, 11), (285, 10)]),
+        [(0, 24), (13, 12), (97, 11), (122, 10)]),
     "unit10": (
         lambda: gen_random(10, complete=True, seed=2),
-        12, 1713,
-        [4, 6, 8, 9, 14, 16, 17, 19, 27, 35, 37, 42],
-        [(0, 27), (26, 25), (31, 24), (40, 23), (55, 22), (74, 21), (101, 20),
-         (166, 19), (229, 18), (306, 17), (353, 16), (494, 15), (789, 14),
-         (1194, 13), (1493, 12)]),
+        12, 180,
+        [6, 9, 14, 16, 17, 19, 24, 25, 29, 35, 42, 44],
+        [(0, 27), (13, 12)]),
     "rational9": (
         lambda: gen_random(9, complete=True, weights=RATIONAL, seed=3),
-        F(73, 6), 411,
+        F(73, 6), 177,
         [1, 2, 6, 10, 12, 17, 19, 20],
-        [(0, 38), (11, F(121, 6)), (16, F(115, 6)), (40, F(97, 6)),
-         (45, F(91, 6)), (76, F(79, 6)), (104, F(77, 6)), (374, F(38, 3)),
-         (397, F(73, 6))]),
+        [(0, 38), (10, F(91, 6)), (16, F(44, 3)), (23, F(85, 6)),
+         (37, F(83, 6)), (60, 13), (83, F(77, 6)), (167, F(73, 6))]),
     "rational10": (
         lambda: gen_random(10, complete=True, weights=RATIONAL, seed=3),
-        F(34, 3), 1951,
+        F(34, 3), 913,
         [0, 1, 5, 10, 14, 15, 19, 20, 21, 27, 28, 35, 41],
-        [(0, F(92, 3)), (18, F(49, 2)), (20, F(47, 2)), (29, F(137, 6)),
-         (31, F(131, 6)), (38, F(125, 6)), (47, F(41, 2)), (56, F(119, 6)),
-         (58, F(113, 6)), (61, F(107, 6)), (98, F(103, 6)), (122, F(101, 6)),
-         (186, F(33, 2)), (223, F(95, 6)), (247, F(31, 2)), (309, 15),
-         (346, F(43, 3)), (370, 14), (557, F(27, 2)), (599, 13),
-         (872, F(25, 2)), (914, 12), (1090, F(71, 6)), (1132, F(34, 3))]),
+        [(0, F(92, 3)), (13, F(29, 2)), (16, 14), (27, F(40, 3)), (187, 13),
+         (412, F(37, 3)), (434, F(71, 6)), (449, F(34, 3))]),
 }
 
 
@@ -155,13 +147,28 @@ class TestPinnedSearch:
             for solver in (exact_btt, exact_btt_positive_only):
                 assert solver(shuffled).value == solver(g).value
 
+    @staticmethod
+    def cycle_reduction(n):
+        return gen_vc_reduction(n, [(i, (i + 1) % n) for i in range(n)])
+
+    def test_long_cycle_reduction_is_solved(self):
+        # the lowest-edge rule ran past the depth guard here; branching on
+        # the busiest edge takes one node per triangle plus the root
+        res = exact_btt(self.cycle_reduction(800))
+        assert (res.value, res.nodes_explored) == (400, 801)
+
     def test_deep_search_fails_fast(self):
-        # covering the reduction of an 800-cycle takes more branchings than
-        # the recursion may nest; this used to end in RecursionError
-        n = 800
-        g = gen_vc_reduction(n, [(i, (i + 1) % n) for i in range(n)])
+        # covering the reduction of a 2,000-cycle (2,000 triangles, under
+        # the default triangle budget) takes more branchings than the
+        # recursion may nest; this used to end in RecursionError
         with pytest.raises(CapacityError, match=f"deeper than {exact.MAX_BTT_DEPTH}"):
-            exact_btt(g)
+            exact_btt(self.cycle_reduction(2000))
+
+    @pytest.mark.parametrize("seed, value", zip(range(100, 106), (21, 24, 28, 23, 28, 21)))
+    def test_complete_unit_fourteen_scales(self, seed, value):
+        # the lowest-edge rule took up to 354,853 nodes on these graphs
+        res = exact_btt(gen_random(14, complete=True, seed=seed), node_budget=20_000)
+        assert res.value == value
 
     @pytest.mark.parametrize("budget", ["triangle_budget", "node_budget"])
     def test_negative_budget_is_input_error(self, budget):
