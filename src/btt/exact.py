@@ -13,10 +13,21 @@ edges of the root packing, which is maximal and so covers every triangle;
 recursion deeper than ``MAX_BTT_DEPTH`` is refused as a CapacityError.
 
 The clustering search enumerates set partitions as restricted growth
-strings with incremental cost and incumbent pruning.  Both are desk-scale
-tools; budgets guard against runaway instances and witnesses are
-re-validated through the graph evaluators rather than trusted from the
-search.
+strings: nodes are placed in id order, each in a used cluster or a fresh
+one, and the cost of the pairs among placed nodes is carried along.  A
+choice is pruned when that cost plus a lower bound on the pairs not yet
+priced reaches the incumbent.  The unpriced pairs fall into two disjoint
+sets, so their bounds add: a later node pays for its pairs with the placed
+nodes at least what its cheapest cluster, used or fresh, would cost it,
+and the pairs among the later nodes pay at least a greedy edge-disjoint
+packing of the bad triangles on them.  Only subtrees none of whose
+clusterings could become the incumbent are cut, so the enumeration order,
+the witness and the trail values are those of the search without the
+bound; only the node counts fall.
+
+Both searches are desk-scale tools; budgets guard against runaway
+instances and witnesses are re-validated through the graph evaluators
+rather than trusted from the search.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add
 
 from .errors import (BudgetExceededError, CapacityError, InputError,
                      VerificationError)
@@ -260,16 +272,65 @@ def _check_cc_node_cap(n: int) -> None:
                             f"{DEFAULT_CC_NODE_CAP} nodes (n={n})")
 
 
+def _tail_packing(g: SignedGraph, weights: list) -> list:
+    """``tail[i]`` for i in 0..n: a lower bound on what any clustering
+    pays for the pairs among nodes i, i + 1, ...
+
+    It is a greedy edge-disjoint packing of the bad triangles on those
+    nodes, each packed triangle adding its cheapest weight: a clustering
+    disagrees on at least one edge of every bad triangle, and the packed
+    triangles share no edge.  The index is sorted by lowest node, so the
+    triangles on nodes >= i are a suffix of it; packing from the last row
+    back passes through every suffix, and one pass gives every i.
+    """
+    index = g.bad_triangle_index()
+    lowest = g.edge_columns().u[index[:, 0]].tolist()
+    tail = [0] * (g.n + 1)
+    bound = used = 0
+    for (ab, ac, bc), a in zip(reversed(index.tolist()), reversed(lowest)):
+        mask = 1 << ab | 1 << ac | 1 << bc
+        if not mask & used:
+            used |= mask
+            bound += min(weights[ab], weights[ac], weights[bc])
+        tail[a] = bound
+    for i in range(g.n - 1, -1, -1):
+        tail[i] = max(tail[i], tail[i + 1])
+    return tail
+
+
 def exact_cc(g: SignedGraph, *,
              node_budget: int = DEFAULT_CC_NODE_BUDGET,
              lower_bound=None) -> ExactResult:
     """Minimum-disagreement clustering by restricted-growth enumeration.
 
     Assigns nodes in id order to an existing cluster or a fresh one,
-    carrying the cost of finalised pairs and pruning on the incumbent.
+    carrying the cost of finalised pairs.  Placing node i in cluster c is
+    pruned when that cost plus a lower bound on the pairs still unpriced
+    reaches the incumbent.  Those pairs fall into two disjoint sets:
+
+    * a later node u and the nodes up to i: u will join a used cluster or
+      a fresh one, so it pays at least the least of those costs, its
+      positive weight to the placed nodes outside the cluster plus its
+      negative weight inside;
+    * two later nodes: at least ``_tail_packing``'s bound for node i + 1.
+
+    Each pair is in one set, so the two bounds add.  The bound is first
+    taken over the nodes before i, the same for every c, and only a choice
+    that passes it is priced with its pairs (i, u) as well.
+
+    A pruned subtree holds only clusterings that cost at least the
+    incumbent, and a clustering replaces the incumbent only when it costs
+    strictly less, so none of them could have been recorded: the order of
+    the leaves, the witness, the trail's values and the early exit below
+    are those of the search without the bound, and only node counts fall.
+    (With float weights this holds up to rounding, as it does for the
+    incumbent prune.)
+
     ``lower_bound`` (for instance a known minimum cover cost) allows early
-    exit once matched.  Graphs above ``DEFAULT_CC_NODE_CAP`` nodes are
-    refused with CapacityError before any search; a negative
+    exit once matched.  ``root_lower_bound``, and the lower bound that
+    BudgetExceededError carries, is the larger of ``lower_bound`` and the
+    packing bound of the whole graph.  Graphs above ``DEFAULT_CC_NODE_CAP``
+    nodes are refused with CapacityError before any search; a negative
     ``node_budget`` is an InputError.
     """
     if node_budget < 0:
@@ -278,34 +339,48 @@ def exact_cc(g: SignedGraph, *,
     _check_cc_node_cap(g.n)
     if g.n == 0:
         return ExactResult(0, Clustering((), 0), 0, 0, ((0, 0),))
-    # Adjacency of finalised pairs: for node i, its weighted signed edges
-    # to nodes j < i.
+    n = g.n
     cols = g.edge_columns()
-    back_edges: list[list[tuple[int, bool, object]]] = [[] for _ in range(g.n)]
-    for u, v, positive, w in zip(*(c.tolist() for c in cols)):
-        back_edges[v].append((u, positive, w))
-    singletons = Clustering.from_labels(list(range(g.n)))
-    one_cluster = Clustering.from_labels([0] * g.n)
+    weights = cols.weight.tolist()
+    # gain[j] and shift[j] list, for each node u > j in turn, what placing
+    # j in a cluster adds to u's positive weight towards placed nodes and
+    # to u's pull (negative minus positive weight) towards that cluster
+    gain = [[0] * (n - 1 - j) for j in range(n)]
+    shift = [[0] * (n - 1 - j) for j in range(n)]
+    for u, v, positive, w in zip(cols.u.tolist(), cols.v.tolist(),
+                                 cols.positive.tolist(), weights):
+        if positive:
+            gain[u][v - u - 1] = w
+            shift[u][v - u - 1] = -w
+        else:
+            shift[u][v - u - 1] = w
+    tail = _tail_packing(g, weights)
+    root_bound = tail[0] if lower_bound is None else max(lower_bound, tail[0])
+    singletons = Clustering.from_labels(list(range(n)))
+    one_cluster = Clustering.from_labels([0] * n)
     # cc_cost of the seeds: every positive edge crosses singletons and
     # every negative edge lies inside one cluster
     seeds = [(total(cols.weight[cols.positive]), singletons),
              (total(cols.weight[~cols.positive]), one_cluster)]
     best, witness = min(seeds, key=lambda s: s[0])
     trail = [(0, best)]
-    labels = [0] * g.n
+    labels = [0] * n
     nodes = 0
     done = best == lower_bound
 
-    def assign(i: int, k: int, cost):
+    def assign(i: int, cost, pos: list, pull: list):
+        # pos[u - i]: node u's positive weight towards the placed nodes;
+        # pull[c][u - i]: its negative minus positive weight towards
+        # cluster c, so u joins c at pos[u - i] + pull[c][u - i].  The last
+        # row is zero: it stands for a fresh cluster.
         nonlocal nodes, best, witness, done
         if done:
             return
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(
-                f"clustering search exceeded {node_budget} nodes",
-                (lower_bound if lower_bound is not None else 0, best))
-        if i == g.n:
+                f"clustering search exceeded {node_budget} nodes", (root_bound, best))
+        if i == n:
             # the search adds ``cost`` in its own order; the incumbent is
             # priced in edge-id order, as cc_cost adds it, so float weights
             # give its cost to the last bit (exact weights give ``cost``)
@@ -317,34 +392,34 @@ def exact_cc(g: SignedGraph, *,
                 if lower_bound is not None and price == lower_bound:
                     done = True
             return
-        # cost of putting node i into cluster c: negative edges inside,
-        # positive edges towards every other existing cluster
-        pos_to = [0] * (k + 1)
-        neg_to = [0] * (k + 1)
-        pos_total = 0
-        for j, positive, w in back_edges[i]:
-            c = labels[j]
-            if positive:
-                pos_to[c] += w
-                pos_total += w
-            else:
-                neg_to[c] += w
-        for c in range(k + 1):
-            added = (pos_total - pos_to[c]) + neg_to[c]
-            new_cost = cost + added
-            if new_cost >= best:
+        own = pos[0]
+        next_pos = [p + q for p, q in zip(pos[1:], gain[i])]
+        kept = [row[1:] for row in pull]
+        fresh = len(pull) - 1
+        # each later node joins its cheapest cluster, and the pairs among
+        # the later nodes are the packing's; ``floor`` leaves out the
+        # pairs (i, u), so it is one test for every choice of c
+        floor = total(map(add, pos[1:], map(min, *kept))) + tail[i + 1]
+        for c, row in enumerate(pull):
+            new_cost = cost + (own + row[0])
+            if new_cost + floor >= best:
+                continue
+            rows = kept.copy()
+            rows[c] = [p + q for p, q in zip(kept[c], shift[i])]
+            if c == fresh:
+                rows.append([0] * (n - 1 - i))
+            rest = total(map(add, next_pos, map(min, *rows))) + tail[i + 1]
+            if new_cost + rest >= best:
                 continue
             labels[i] = c
-            assign(i + 1, max(k, c + 1), new_cost)
+            assign(i + 1, new_cost, next_pos, rows)
         labels[i] = 0
 
-    labels[0] = 0
-    assign(1, 1, 0)
+    # node 0 opens cluster 0
+    assign(1, 0, gain[0], [shift[0], [0] * (n - 1)])
     if cc_cost(g, witness) != best:
         raise VerificationError("clustering search returned an invalid witness")
-    return ExactResult(best, witness, nodes,
-                       lower_bound if lower_bound is not None else 0,
-                       tuple(trail))
+    return ExactResult(best, witness, nodes, root_bound, tuple(trail))
 
 
 # -- cover-versus-clustering survey -----------------------------------------

@@ -2,10 +2,12 @@
 
 Every oracle here deliberately avoids the code path it checks: triangle
 enumeration by scanning all node triples, minimum covers by subset
-enumeration, minimum clusterings by unpruned partition recursion, LP
-values through scipy, vertex covers by subset search, graph construction
-and edge-list parsing by the per-edge and per-line loops that
-``SignedGraph`` and ``parse_edge_list`` ran before they read columns.
+enumeration, minimum clusterings by unpruned partition recursion and by
+the restricted-growth search that ``exact_cc`` ran before it bounded the
+unpriced pairs, LP values through scipy, vertex covers by subset search,
+graph construction and edge-list parsing by the per-edge and per-line
+loops that ``SignedGraph`` and ``parse_edge_list`` ran before they read
+columns.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from itertools import combinations
 import numpy as np
 
 from btt import Clustering, SignedGraph, cc_cost, gen_random, lp
-from btt.errors import CapacityError, InputError
+from btt.errors import (BudgetExceededError, CapacityError, InputError,
+                        VerificationError)
+from btt.exact import DEFAULT_CC_NODE_BUDGET, ExactResult, _check_cc_node_cap
 from btt.graphs import (MAX_NODES, MAX_WEIGHT_DIGITS, NEGATIVE, POSITIVE, Edge,
-                        _parse_weight)
+                        _parse_weight, disagreement_cost, total)
 from btt.rng import spawn_seeds
 
 
@@ -205,6 +209,89 @@ def brute_force_min_cc(g: SignedGraph):
         return 0
     rec(0, 0)
     return best[0]
+
+
+def reference_exact_cc(g: SignedGraph, *,
+                       node_budget: int = DEFAULT_CC_NODE_BUDGET,
+                       lower_bound=None) -> ExactResult:
+    """``exact_cc`` as it ran before it bounded the pairs not yet priced:
+    restricted-growth enumeration in node-id order that prunes on the
+    incumbent alone.  It visits every leaf the bounded search visits, in
+    the same order, so the two give the same value, witness and trail
+    values (the node counts differ)."""
+    if node_budget < 0:
+        raise InputError(
+            f"clustering node budget must be nonnegative, got {node_budget}")
+    _check_cc_node_cap(g.n)
+    if g.n == 0:
+        return ExactResult(0, Clustering((), 0), 0, 0, ((0, 0),))
+    # Adjacency of finalised pairs: for node i, its weighted signed edges
+    # to nodes j < i.
+    cols = g.edge_columns()
+    back_edges: list[list[tuple[int, bool, object]]] = [[] for _ in range(g.n)]
+    for u, v, positive, w in zip(*(c.tolist() for c in cols)):
+        back_edges[v].append((u, positive, w))
+    singletons = Clustering.from_labels(list(range(g.n)))
+    one_cluster = Clustering.from_labels([0] * g.n)
+    # cc_cost of the seeds: every positive edge crosses singletons and
+    # every negative edge lies inside one cluster
+    seeds = [(total(cols.weight[cols.positive]), singletons),
+             (total(cols.weight[~cols.positive]), one_cluster)]
+    best, witness = min(seeds, key=lambda s: s[0])
+    trail = [(0, best)]
+    labels = [0] * g.n
+    nodes = 0
+    done = best == lower_bound
+
+    def assign(i: int, k: int, cost):
+        nonlocal nodes, best, witness, done
+        if done:
+            return
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"clustering search exceeded {node_budget} nodes",
+                (lower_bound if lower_bound is not None else 0, best))
+        if i == g.n:
+            # the search adds ``cost`` in its own order; the incumbent is
+            # priced in edge-id order, as cc_cost adds it, so float weights
+            # give its cost to the last bit (exact weights give ``cost``)
+            price = disagreement_cost(cols, labels)
+            if price < best:
+                best = price
+                witness = Clustering.from_labels(labels)
+                trail.append((nodes, price))
+                if lower_bound is not None and price == lower_bound:
+                    done = True
+            return
+        # cost of putting node i into cluster c: negative edges inside,
+        # positive edges towards every other existing cluster
+        pos_to = [0] * (k + 1)
+        neg_to = [0] * (k + 1)
+        pos_total = 0
+        for j, positive, w in back_edges[i]:
+            c = labels[j]
+            if positive:
+                pos_to[c] += w
+                pos_total += w
+            else:
+                neg_to[c] += w
+        for c in range(k + 1):
+            added = (pos_total - pos_to[c]) + neg_to[c]
+            new_cost = cost + added
+            if new_cost >= best:
+                continue
+            labels[i] = c
+            assign(i + 1, max(k, c + 1), new_cost)
+        labels[i] = 0
+
+    labels[0] = 0
+    assign(1, 1, 0)
+    if cc_cost(g, witness) != best:
+        raise VerificationError("clustering search returned an invalid witness")
+    return ExactResult(best, witness, nodes,
+                       lower_bound if lower_bound is not None else 0,
+                       tuple(trail))
 
 
 def brute_force_vertex_cover(n: int, edges: list[tuple[int, int]]) -> int:

@@ -17,7 +17,8 @@ from btt.graphs import complete_graph, format_edge_list
 from btt.lp import greedy_maximal_packing
 from btt.rng import spawn_seeds
 from conftest import (brute_force_min_cc, brute_force_min_cover,
-                      brute_force_vertex_cover, instance_suite)
+                      brute_force_vertex_cover, instance_suite,
+                      reference_exact_cc)
 
 
 class TestExactBtt:
@@ -221,14 +222,16 @@ class TestPositiveOnly:
 
 
 #: exact_cc's (value, nodes_explored, witness labels) without a lower
-#: bound, frozen before its per-node cluster sums moved from dicts to
-#: lists; the search order must not change.
+#: bound, frozen from the search that prunes on the incumbent plus a
+#: bound on the unpriced pairs.  The search order must not change, so the
+#: values and labels are those of the search without the bound; the node
+#: counts are what the bound cuts.
 CC_PINNED = {
-    "fig2": (4, 21, [0, 0, 0, 0, 0, 0]),
-    "gap6": (5, 225, [0, 0, 1, 2, 3, 4, 0]),
-    "unit9": (10, 447, [0, 1, 0, 0, 0, 0, 0, 1, 0]),
-    "unit10": (12, 2949, [0, 1, 1, 0, 1, 0, 2, 1, 0, 0]),
-    "rational9": (F(73, 6), 142, [0, 0, 1, 1, 1, 1, 2, 0, 0]),
+    "fig2": (4, 2, [0, 0, 0, 0, 0, 0]),
+    "gap6": (5, 37, [0, 0, 1, 2, 3, 4, 0]),
+    "unit9": (10, 35, [0, 1, 0, 0, 0, 0, 0, 1, 0]),
+    "unit10": (12, 123, [0, 1, 1, 0, 1, 0, 2, 1, 0, 0]),
+    "rational9": (F(73, 6), 57, [0, 0, 1, 1, 1, 1, 2, 0, 0]),
 }
 
 class TestExactCc:
@@ -238,6 +241,52 @@ class TestExactCc:
         value, nodes, labels = CC_PINNED[name]
         assert (res.value, res.nodes_explored, list(res.witness.labels)) == \
             (value, nodes, labels)
+
+    def test_matches_the_search_without_the_bound(self):
+        # same value, witness and trail values as the incumbent-only
+        # search, with and without the cover optimum as lower bound; the
+        # sparse graphs include bad cycles with no bad triangle, where
+        # OPT_CC > OPT_BTT and the early exit never fires
+        above = 0
+        for n in range(6, 11):
+            for complete in (True, False):
+                for weights in ("unit", RATIONAL, ("uniform", 0.5, 2.0)):
+                    for seed in range(3):
+                        g = gen_random(n, complete=complete, density=0.5,
+                                       weights=weights, seed=seed)
+                        cover = exact_btt(g).value
+                        for bound in (None, cover):
+                            want = reference_exact_cc(g, lower_bound=bound)
+                            got = exact_cc(g, lower_bound=bound)
+                            assert got.value == want.value
+                            assert got.witness.labels == want.witness.labels
+                            assert [v for _, v in got.trail] == [v for _, v in want.trail]
+                            assert got.nodes_explored <= want.nodes_explored
+                        above += want.value > cover
+        assert above >= 10
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_complete_unit_twelve_scales(self, seed):
+        # the search without the bound takes 2,490-16,856 nodes here, over
+        # the budget on every one of these graphs
+        g = gen_random(12, positive_count=33, complete=True, seed=seed)
+        cover = exact_btt(g).value
+        res = exact_cc(g, lower_bound=cover, node_budget=2_000)
+        assert res.value == reference_exact_cc(g, lower_bound=cover).value
+
+    def test_reports_the_packing_bound(self):
+        # with no lower bound passed, the budget error and the result carry
+        # the search's own root bound; the incumbent is the cheaper seed
+        g = gen_integrality_gap(5)
+        with pytest.raises(BudgetExceededError) as caught:
+            exact_cc(g, node_budget=0)
+        low, best = caught.value.bounds
+        res = exact_cc(g)
+        assert 0 < low <= res.value == 4
+        assert best == 5
+        assert res.root_lower_bound == low
+        assert exact_cc(g, lower_bound=1).root_lower_bound == low
+        assert exact_cc(g, lower_bound=4).root_lower_bound == 4
 
     def test_figure2(self):
         g = gen_figure2()
