@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InputError, VerificationError
 from .graphs import (EdgeColumns, EdgeCover, SignedGraph, is_feasible_cover,
-                     json_value, total)
+                     json_value)
 from .lp import (FLOAT_POSITIVITY_TAU, FractionalCover, ceil_scaled,
                  check_fractional_feasibility, covers_scaled, floor_scaled,
                  greedy_maximal_packing, scaled_integers, solve_exact)
@@ -252,14 +252,6 @@ def round_randomized(g: SignedGraph, x: FractionalCover, seed: int,
     """
     r = float(make_rng(seed).random())
     return round_fixed_threshold(g, x, r, lower_bound=lower_bound, seed=seed)
-
-
-def expected_rounding_cost(g: SignedGraph, x: FractionalCover):
-    """Exact expectation of the randomized-rounding cover cost."""
-    x = x.clamped(g)
-    cols = g.edge_columns()
-    return total(w * (min(1, 2 * v) if positive else v) for w, positive, v
-                 in zip(cols.weight.tolist(), cols.positive.tolist(), x.values))
 
 
 def derandomized_sweep(g: SignedGraph, x: FractionalCover,

@@ -5,12 +5,18 @@ The cover search is a branch-and-bound over edges: pick the uncovered bad
 triangle with the fewest open edges, branch on its open edge that lies in
 the most uncovered triangles (include it or forbid it; a triangle's last
 open edge is forced in), and prune with a greedy edge-disjoint packing
-bound.  The triangles are the rows of ``g.bad_triangle_index()``, the
-package's one triangle form.  Each triangle is one bitmask of its allowed
-edges and each edge one bitmask of its triangles, so the bound and the
-branching choice are integer operations.  The incumbent starts as the
-edges of the root packing, which is maximal and so covers every triangle;
-recursion deeper than ``MAX_BTT_DEPTH`` is refused as a CapacityError.
+bound that packs the tightest triangles first.  The triangles are the rows
+of ``g.bad_triangle_index()``, the package's one triangle form, renumbered
+inside the search so that triangles on the least crowded edges come
+first; the bound packs, in that order, the triangles with one open edge,
+then those with two, then those with three.  Any edge-disjoint packing
+is a lower bound, so the order only decides how high it reaches.  Each
+triangle is one bitmask of its allowed edges and each edge one bitmask of
+its triangles, so the bound and the branching choice are integer
+operations.  The incumbent starts as the cheaper of two covers: the edges
+of the index-order root packing, which is maximal and so covers every
+triangle, and a greedy cover by uncovered triangles per unit weight.
+Recursion deeper than ``MAX_BTT_DEPTH`` is refused as a CapacityError.
 
 The clustering search enumerates set partitions as restricted growth
 strings: nodes are placed in id order, each in a used cluster or a fresh
@@ -32,6 +38,8 @@ rather than trusted from the search.
 
 from __future__ import annotations
 
+import heapq
+import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -72,21 +80,86 @@ class ExactResult:
     optima_truncated: bool = False
 
 
+def _greedy_cover(rows: list, weights: list) -> list[int]:
+    """A cover drawn from the edges in ``rows`` (each triangle's allowed
+    edge ids), in sorted id order.
+
+    It takes the edge with the most uncovered triangles per unit weight
+    (zero weight first, ties: lowest id) until every triangle is covered,
+    then drops each edge whose triangles all hold another chosen edge,
+    heaviest first (ties: lowest id).  Hit counts only fall, so a heap
+    entry whose count is stale is pushed back with its current count, and
+    one kept count per triangle tells which edges are redundant.
+    """
+    m = len(weights)
+    edge_rows = [[] for _ in range(m)]
+    for ti, ids in enumerate(rows):
+        for e in ids:
+            edge_rows[e].append(ti)
+    hits = [len(ts) for ts in edge_rows]
+
+    def entry(e: int) -> tuple:
+        w = weights[e]
+        return (-hits[e] / w if w else -math.inf), e, hits[e]
+
+    heap = [entry(e) for e in range(m) if hits[e]]
+    heapq.heapify(heap)
+    covered = bytearray(len(rows))
+    chosen = []
+    while heap:
+        _, e, count = heapq.heappop(heap)
+        if count != hits[e]:
+            if hits[e]:
+                heapq.heappush(heap, entry(e))
+            continue
+        chosen.append(e)
+        for ti in edge_rows[e]:
+            if not covered[ti]:
+                covered[ti] = 1
+                for f in rows[ti]:
+                    hits[f] -= 1
+    load = [0] * len(rows)
+    for e in chosen:
+        for ti in edge_rows[e]:
+            load[ti] += 1
+    cover = set(chosen)
+    for e in sorted(sorted(chosen), key=weights.__getitem__, reverse=True):
+        if all(load[ti] > 1 for ti in edge_rows[e]):
+            cover.discard(e)
+            for ti in edge_rows[e]:
+                load[ti] -= 1
+    return sorted(cover)
+
+
 def _btt_search(g: SignedGraph, allowed: list[int], *,
                 triangle_budget: int, node_budget: int,
                 enumerate_cap=None, max_optima: int = 10_000) -> ExactResult:
     """Shared branch-and-bound core over bitmasks.
 
-    ``tri_mask[ti]`` holds triangle ti's allowed edges and
-    ``edge_tri_mask[e]`` edge e's triangles; a node is (covered triangles,
-    excluded edges).  The bound packs uncovered triangles greedily in index
-    order and adds each packed one's cheapest open edge.  The search picks
-    the uncovered triangle with the fewest open edges (ties: lowest open
-    edge, then index) and branches on its busiest open edge, the one in
-    the most uncovered triangles (ties: lowest id): include it, then
-    exclude it.  When that triangle has one open edge, the edge is forced:
-    it is included and no exclude child is made, since that child would
-    leave the triangle with no open edge.
+    The search numbers the triangles by how crowded their allowed edges
+    are: the key is the sum, over a triangle's allowed edges, of the number
+    of triangles each lies in, and ties keep index order.  ``tri_mask[p]``
+    holds the allowed edges of the triangle at position p and
+    ``edge_tri_mask[e]`` the positions of edge e's triangles; a node is
+    (covered triangles, excluded edges).
+
+    The bound is an edge-disjoint packing of the uncovered triangles, each
+    packed triangle adding its cheapest open edge.  One walk in position
+    order packs each triangle with one open edge as it meets it and sets
+    the others aside; those with two open edges are packed next and those
+    with three last.  Every cover of the node's subtree takes an open edge
+    of each uncovered triangle, a different one for each packed triangle
+    since they share no edge, so any packing, in any order, is a lower
+    bound.  The order only decides how high it reaches: a triangle with
+    one open edge uses up a single edge, and a three-open triangle packed
+    early can block two disjoint tighter ones.
+
+    The search picks the uncovered triangle with the fewest open edges
+    (ties: lowest open edge, then position) and branches on its busiest
+    open edge, the one in the most uncovered triangles (ties: lowest id):
+    include it, then exclude it.  When that triangle has one open edge,
+    the edge is forced: it is included and no exclude child is made, since
+    that child would leave the triangle with no open edge.
 
     Any open edge of an uncovered triangle splits the covers that extend a
     node into those that contain it and those that do not, and each part is
@@ -95,14 +168,20 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     optimum, the completeness of enumeration, the node budget and the
     depth guard mean what they meant under any other open edge.
 
-    Optimisation mode (enumerate_cap None) seeds the incumbent with the
-    root packing's edges, a feasible cover: the packing is maximal, so
-    every triangle left out shares an allowed edge with a packed one.  With
-    every edge allowed that is the standard 3-approximation.  Enumeration
-    mode collects in ``optima`` every feasible cover of cost exactly
-    ``enumerate_cap``, the exact sum of an optimal witness's weights;
-    weights are Fractions there, so the prune does not depend on the order
-    edges are added in.  The witness returned is a frozenset of edge ids.
+    ``root_lower_bound``, and the lower bound that BudgetExceededError
+    carries, is the bound of the greedy packing in index order.  That
+    packing's edges form a feasible cover: the packing is maximal, so every
+    triangle left out shares an allowed edge with a packed one.  With every
+    edge allowed it is the standard 3-approximation.  Optimisation mode
+    (enumerate_cap None) seeds the incumbent with it, and then with
+    ``_greedy_cover`` when that is strictly cheaper; the trail records both
+    at node 0.  Enumeration mode collects in ``optima`` every irredundant
+    feasible cover of cost exactly ``enumerate_cap``, the exact sum of an
+    optimal witness's weights; with positive weights that is every optimal
+    cover, and with zero weights a listed cover may also keep a zero-weight
+    edge that later edges made redundant.  Weights are Fractions there, so
+    the prune does not depend on the order edges are added in.  The
+    witness returned is a frozenset of edge ids.
     """
     index = g.bad_triangle_index()
     if len(index) > triangle_budget:
@@ -112,47 +191,74 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     weights = g.edge_columns().weight.tolist()
     if enumerate_cap is not None:
         weights = [Fraction(w) for w in weights]
+    rows = [[e for e in t if e in allowed_set] for t in index.tolist()]
+    root_bound = seed = 0
+    for ids in rows:
+        mask = sum(1 << e for e in ids)
+        if not mask & seed:
+            seed |= mask
+            root_bound += min(weights[e] for e in ids)
+    crowding = [0] * g.m
+    for ids in rows:
+        for e in ids:
+            crowding[e] += 1
+    rows.sort(key=lambda ids: sum(crowding[e] for e in ids))
     tri_mask, cheapest, edge_tri_mask = [], [], [0] * g.m
-    for ti, t in enumerate(index.tolist()):
-        ids = sorted((e for e in t if e in allowed_set), key=weights.__getitem__)
+    for p, ids in enumerate(rows):
+        ids = sorted(ids, key=weights.__getitem__)
         tri_mask.append(sum(1 << e for e in ids))
         cheapest.append(tuple((1 << e, weights[e]) for e in ids))
         for e in ids:
-            edge_tri_mask[e] |= 1 << ti
-    full = (1 << len(index)) - 1
+            edge_tri_mask[e] |= 1 << p
+    full = (1 << len(rows)) - 1
 
     def pack(covered: int, excluded: int):
-        """(bound, packed edges, branching edge, forced), or None if a
-        triangle has no open edge; one walk over the uncovered triangles in
-        index order.
+        """(bound, branching edge, forced), or None if a triangle has no
+        open edge; one walk over the uncovered triangles in position order,
+        then one over the triangles it set aside.
 
         The chosen triangle is the first with one open edge, or else the
         one with the fewest open edges (ties: lowest open edge, then
-        index).  The branching edge is its open edge in the most uncovered
-        triangles (ties: lowest id); it is forced when it is the only one."""
-        bound = 0
-        used = 0
+        position).  The branching edge is its open edge in the most
+        uncovered triangles (ties: lowest id); it is forced when it is the
+        only one."""
+        bound = used = 0
         keep = ~excluded
         uncovered = remaining = full & ~covered
-        best_count, best_bit, best_open = 4, 0, 0
+        # ``below`` masks the edges under the chosen triangle's lowest
+        # open edge, so a triangle with as many open edges wins the tie
+        # when it has an open edge there
+        best_count, best_open, below = 4, 0, 0
+        # positions of the triangles with two and with three open edges
+        loose = ([], [])
         while remaining:
             low = remaining & -remaining
             remaining ^= low
-            ti = low.bit_length() - 1
-            open_edges = tri_mask[ti] & keep
+            p = low.bit_length() - 1
+            open_edges = tri_mask[p] & keep
             if not open_edges:
                 return None
+            count = open_edges.bit_count()
+            if count > 1:
+                if count < best_count or (count == best_count and open_edges & below):
+                    best_count, best_open = count, open_edges
+                    below = (open_edges & -open_edges) - 1
+                loose[count - 2].append(p)
+                continue
             if best_count > 1:
-                count = open_edges.bit_count()
-                lowest = open_edges & -open_edges
-                if count < best_count or (count == best_count and lowest < best_bit):
-                    best_count, best_bit, best_open = count, lowest, open_edges
+                best_count, best_open = 1, open_edges
             if not open_edges & used:
                 used |= open_edges
-                for bit, w in cheapest[ti]:
-                    if bit & keep:
-                        bound += w
-                        break
+                bound += weights[open_edges.bit_length() - 1]
+        for group in loose:
+            for p in group:
+                open_edges = tri_mask[p] & keep
+                if not open_edges & used:
+                    used |= open_edges
+                    for bit, w in cheapest[p]:
+                        if bit & open_edges:
+                            bound += w
+                            break
         branch, most = -1, -1
         while best_open:
             e = best_open.bit_length() - 1
@@ -160,9 +266,8 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
             hits = (edge_tri_mask[e] & uncovered).bit_count()
             if hits >= most:
                 branch, most = e, hits
-        return bound, used, branch, best_count == 1
+        return bound, branch, best_count == 1
 
-    root_bound, seed, _, _ = pack(0, 0)
     nodes, truncated, trail, optima, included = 0, False, [], [], []
     best = best_cover = None
     if enumerate_cap is None:
@@ -171,6 +276,11 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
         best_cover = [e for e in range(g.m) if seed >> e & 1]
         best = total(weights[e] for e in best_cover)
         trail.append((0, best))
+        greedy = _greedy_cover(rows, weights)
+        value = total(weights[e] for e in greedy)
+        if value < best:
+            best, best_cover = value, greedy
+            trail.append((0, best))
 
     def dfs(covered: int, excluded: int, cost, depth: int) -> None:
         nonlocal nodes, best, best_cover, truncated
@@ -183,7 +293,7 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
         packed = pack(covered, excluded)
         if packed is None:
             return
-        bound, _, branch, forced = packed
+        bound, branch, forced = packed
         if enumerate_cap is None:
             if cost + bound >= best:
                 return
@@ -246,9 +356,11 @@ def exact_btt_positive_only(g: SignedGraph, *,
     """Minimum cover drawn from positive edges only.
 
     Always feasible: every bad triangle has two positive edges.  With
-    ``enumerate_optima`` set, a second pass collects all optimal covers up
-    to that count cap (exact search, so the list is complete unless the
-    ``optima_truncated`` flag is set).
+    ``enumerate_optima`` set, a second pass collects all irredundant
+    optimal covers up to that count cap (exact search, so the list is
+    complete unless the ``optima_truncated`` flag is set).  With positive
+    weights every optimal cover is irredundant; with zero weights the list
+    may also hold covers that keep a redundant zero-weight edge.
     """
     allowed = g.positive_edge_ids()
     res = _min_cover(g, allowed, "positive-only search",

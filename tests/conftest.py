@@ -2,9 +2,10 @@
 
 Every oracle here deliberately avoids the code path it checks: triangle
 enumeration by scanning all node triples, minimum covers by subset
-enumeration, minimum clusterings by unpruned partition recursion and by
-the restricted-growth search that ``exact_cc`` ran before it bounded the
-unpriced pairs, LP values through scipy, vertex covers by subset search,
+enumeration and by the branch-and-bound that ``exact_btt`` ran before it
+reordered its packing bound and seeded a greedy incumbent, minimum
+clusterings by unpruned partition recursion and by the restricted-growth
+search that ``exact_cc`` ran before it bounded the unpriced pairs, LP values through scipy, vertex covers by subset search,
 graph construction and edge-list parsing by the per-edge and per-line
 loops that ``SignedGraph`` and ``parse_edge_list`` ran before they read
 columns.
@@ -21,7 +22,9 @@ import numpy as np
 from btt import Clustering, SignedGraph, cc_cost, gen_random, lp
 from btt.errors import (BudgetExceededError, CapacityError, InputError,
                         VerificationError)
-from btt.exact import DEFAULT_CC_NODE_BUDGET, ExactResult, _check_cc_node_cap
+from btt.exact import (DEFAULT_BTT_NODE_BUDGET, DEFAULT_BTT_TRIANGLE_BUDGET,
+                       DEFAULT_CC_NODE_BUDGET, MAX_BTT_DEPTH, ExactResult,
+                       _check_cc_node_cap)
 from btt.graphs import (MAX_NODES, MAX_WEIGHT_DIGITS, NEGATIVE, POSITIVE, Edge,
                         _parse_weight, disagreement_cost, total)
 from btt.rng import spawn_seeds
@@ -190,6 +193,125 @@ def brute_force_min_cover(g: SignedGraph):
     return best
 
 
+def reference_btt_search(g: SignedGraph, allowed: list[int], *,
+                         triangle_budget: int = DEFAULT_BTT_TRIANGLE_BUDGET,
+                         node_budget: int = DEFAULT_BTT_NODE_BUDGET,
+                         enumerate_cap=None, max_optima: int = 10_000) -> ExactResult:
+    """The cover search behind ``exact_btt`` as it ran before it packed the
+    tightest triangles first and seeded the incumbent with a greedy cover:
+    the bound packs the uncovered triangles in index order, and the
+    incumbent starts as the root packing's edges.  It branches on the
+    busiest open edge of the triangle with the fewest open edges, as the
+    search does now, so the two reach the same covers and the same
+    optimum value; the witness, the trail and the node counts may
+    differ."""
+    index = g.bad_triangle_index()
+    if len(index) > triangle_budget:
+        raise CapacityError(
+            f"{len(index)} bad triangles exceed the search budget {triangle_budget}")
+    allowed_set = frozenset(allowed)
+    weights = g.edge_columns().weight.tolist()
+    if enumerate_cap is not None:
+        weights = [Fraction(w) for w in weights]
+    tri_mask, cheapest, edge_tri_mask = [], [], [0] * g.m
+    for ti, t in enumerate(index.tolist()):
+        ids = sorted((e for e in t if e in allowed_set), key=weights.__getitem__)
+        tri_mask.append(sum(1 << e for e in ids))
+        cheapest.append(tuple((1 << e, weights[e]) for e in ids))
+        for e in ids:
+            edge_tri_mask[e] |= 1 << ti
+    full = (1 << len(index)) - 1
+
+    def pack(covered: int, excluded: int):
+        """(bound, packed edges, branching edge, forced), or None if a
+        triangle has no open edge; one walk over the uncovered triangles in
+        index order.
+
+        The chosen triangle is the first with one open edge, or else the
+        one with the fewest open edges (ties: lowest open edge, then
+        index).  The branching edge is its open edge in the most uncovered
+        triangles (ties: lowest id); it is forced when it is the only one."""
+        bound = 0
+        used = 0
+        keep = ~excluded
+        uncovered = remaining = full & ~covered
+        best_count, best_bit, best_open = 4, 0, 0
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            ti = low.bit_length() - 1
+            open_edges = tri_mask[ti] & keep
+            if not open_edges:
+                return None
+            if best_count > 1:
+                count = open_edges.bit_count()
+                lowest = open_edges & -open_edges
+                if count < best_count or (count == best_count and lowest < best_bit):
+                    best_count, best_bit, best_open = count, lowest, open_edges
+            if not open_edges & used:
+                used |= open_edges
+                for bit, w in cheapest[ti]:
+                    if bit & keep:
+                        bound += w
+                        break
+        branch, most = -1, -1
+        while best_open:
+            e = best_open.bit_length() - 1
+            best_open ^= 1 << e
+            hits = (edge_tri_mask[e] & uncovered).bit_count()
+            if hits >= most:
+                branch, most = e, hits
+        return bound, used, branch, best_count == 1
+
+    root_bound, seed, _, _ = pack(0, 0)
+    nodes, truncated, trail, optima, included = 0, False, [], [], []
+    best = best_cover = None
+    if enumerate_cap is None:
+        # Costs are totalled in sorted-id order, so float weights give the
+        # witness's cost to the last bit.
+        best_cover = [e for e in range(g.m) if seed >> e & 1]
+        best = total(weights[e] for e in best_cover)
+        trail.append((0, best))
+
+    def dfs(covered: int, excluded: int, cost, depth: int) -> None:
+        nonlocal nodes, best, best_cover, truncated
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"cover search exceeded {node_budget} nodes", (root_bound, best))
+        if depth > MAX_BTT_DEPTH:
+            raise CapacityError(f"cover search deeper than {MAX_BTT_DEPTH} branchings")
+        packed = pack(covered, excluded)
+        if packed is None:
+            return
+        bound, _, branch, forced = packed
+        if enumerate_cap is None:
+            if cost + bound >= best:
+                return
+        elif cost + bound > enumerate_cap:
+            return
+        if covered == full:
+            if enumerate_cap is None:
+                best_cover = sorted(included)
+                best = total(weights[e] for e in best_cover)
+                trail.append((nodes, best))
+            elif len(optima) < max_optima:
+                optima.append(frozenset(included))
+            else:
+                truncated = True
+            return
+        included.append(branch)
+        dfs(covered | edge_tri_mask[branch], excluded, cost + weights[branch], depth + 1)
+        included.pop()
+        if not forced:
+            dfs(covered, excluded | 1 << branch, cost, depth + 1)
+
+    dfs(0, 0, 0, 0)
+    if enumerate_cap is not None:
+        return ExactResult(None, None, nodes, root_bound, (), tuple(optima), truncated)
+    return ExactResult(best, frozenset(best_cover), nodes, root_bound, tuple(trail))
+
+
 def brute_force_min_cc(g: SignedGraph):
     """Minimum disagreements by unpruned partition recursion (n <= 8)."""
     best = [None]
@@ -292,6 +414,16 @@ def reference_exact_cc(g: SignedGraph, *,
     return ExactResult(best, witness, nodes,
                        lower_bound if lower_bound is not None else 0,
                        tuple(trail))
+
+
+def expected_rounding_cost(g: SignedGraph, x: lp.FractionalCover):
+    """Exact expectation of the randomized-rounding cover cost: each
+    negative edge is taken with probability x_e and each positive one with
+    min(1, 2 x_e)."""
+    x = x.clamped(g)
+    cols = g.edge_columns()
+    return total(w * (min(1, 2 * v) if positive else v) for w, positive, v
+                 in zip(cols.weight.tolist(), cols.positive.tolist(), x.values))
 
 
 def brute_force_vertex_cover(n: int, edges: list[tuple[int, int]]) -> int:

@@ -13,12 +13,12 @@ from btt import (InputError, SignedGraph, VerificationError,
                  round_deterministic,
                  round_fixed_threshold, round_randomized, solve_exact,
                  solve_mwu, standard_three_approx)
-from btt.approx import (RoundingOutcome, expected_rounding_cost,
-                        outcome_to_json)
+from btt.approx import RoundingOutcome, outcome_to_json
 from btt.graphs import EdgeCover, POSITIVE, complete_graph
 from btt.lp import FractionalCover
 from btt.rng import spawn_seeds
-from conftest import instance_suite, stall_float_simplex
+from conftest import (expected_rounding_cost, instance_suite,
+                      stall_float_simplex)
 
 SINGLE_BAD_TRIANGLE = [(0, 1, 1), (0, 2, 1), (1, 2, -1)]
 

@@ -18,7 +18,7 @@ from btt.lp import greedy_maximal_packing
 from btt.rng import spawn_seeds
 from conftest import (brute_force_min_cc, brute_force_min_cover,
                       brute_force_vertex_cover, instance_suite,
-                      reference_exact_cc)
+                      reference_btt_search, reference_exact_cc)
 
 
 class TestExactBtt:
@@ -62,9 +62,9 @@ class TestExactBtt:
             exact_btt(gen_figure2(), triangle_budget=2)
 
     def test_node_budget_carries_bounds(self):
-        g = gen_random(9, positive_prob=0.5, complete=True, seed=1)
+        g = gen_random(11, positive_prob=0.5, complete=True, seed=0)
         with pytest.raises(BudgetExceededError) as err:
-            exact_btt(g, node_budget=3)
+            exact_btt(g, node_budget=30)
         lower, upper = err.value.bounds
         assert lower <= exact_btt(g).value <= upper
 
@@ -80,46 +80,46 @@ RATIONAL = ("rational", 4, 3)
 
 #: exact_btt's (graph, value, nodes_explored, witness ids, trail), frozen
 #: from the search that branches on the busiest open edge of the triangle
-#: with the fewest open edges.  The node count and the trail depend on the
-#: branching rule and the seed, so any change to either shows here.
+#: with the fewest open edges, packs the tightest triangles first and
+#: starts from the cheaper of the 3-approximation and the greedy cover.
+#: The node count and the trail depend on the branching rule, the packing
+#: order and the seeds, so any change to one of them shows here.
 PINNED = {
     "fig2": (
         gen_figure2,
-        4, 11,
+        4, 1,
         [0, 2, 8, 13],
-        [(0, 12), (5, 4)]),
+        [(0, 12), (0, 4)]),
     "gap6": (
         lambda: gen_integrality_gap(6),
-        5, 11,
+        5, 9,
         [5, 10, 14, 17, 18],
-        [(0, 9), (6, 5)]),
+        [(0, 9), (0, 5)]),
     "hexagram": (
         lambda: gen_hexagram()[0],
-        9, 61,
+        9, 43,
         [0, 5, 15, 21, 26, 34, 38, 43, 49],
-        [(0, 27), (13, 12), (20, 11), (33, 10), (52, 9)]),
+        [(0, 27), (0, 11), (15, 10), (34, 9)]),
     "unit9": (
         lambda: gen_random(9, complete=True, seed=1),
-        10, 137,
+        10, 1,
         [0, 3, 6, 11, 12, 16, 17, 19, 22, 24],
-        [(0, 24), (13, 12), (97, 11), (122, 10)]),
+        [(0, 24), (0, 10)]),
     "unit10": (
         lambda: gen_random(10, complete=True, seed=2),
-        12, 180,
-        [6, 9, 14, 16, 17, 19, 24, 25, 29, 35, 42, 44],
-        [(0, 27), (13, 12)]),
+        12, 21,
+        [6, 8, 9, 14, 16, 17, 19, 25, 27, 35, 37, 42],
+        [(0, 27), (0, 12)]),
     "rational9": (
         lambda: gen_random(9, complete=True, weights=RATIONAL, seed=3),
-        F(73, 6), 177,
+        F(73, 6), 213,
         [1, 2, 6, 10, 12, 17, 19, 20],
-        [(0, 38), (10, F(91, 6)), (16, F(44, 3)), (23, F(85, 6)),
-         (37, F(83, 6)), (60, 13), (83, F(77, 6)), (167, F(73, 6))]),
+        [(0, 38), (0, F(83, 6)), (63, 13), (90, F(77, 6)), (200, F(73, 6))]),
     "rational10": (
         lambda: gen_random(10, complete=True, weights=RATIONAL, seed=3),
-        F(34, 3), 913,
+        F(34, 3), 638,
         [0, 1, 5, 10, 14, 15, 19, 20, 21, 27, 28, 35, 41],
-        [(0, F(92, 3)), (13, F(29, 2)), (16, 14), (27, F(40, 3)), (187, 13),
-         (412, F(37, 3)), (434, F(71, 6)), (449, F(34, 3))]),
+        [(0, F(92, 3)), (0, F(34, 3))]),
 }
 
 
@@ -153,22 +153,29 @@ class TestPinnedSearch:
         return gen_vc_reduction(n, [(i, (i + 1) % n) for i in range(n)])
 
     def test_long_cycle_reduction_is_solved(self):
-        # the lowest-edge rule ran past the depth guard here; branching on
-        # the busiest edge takes one node per triangle plus the root
+        # the lowest-edge rule ran past the depth guard here, and branching
+        # on the busiest edge took one node per triangle plus the root; the
+        # greedy cover meets the root bound, so the root closes the search
         res = exact_btt(self.cycle_reduction(800))
-        assert (res.value, res.nodes_explored) == (400, 801)
+        assert (res.value, res.nodes_explored) == (400, 1)
 
     def test_deep_search_fails_fast(self):
-        # covering the reduction of a 2,000-cycle (2,000 triangles, under
-        # the default triangle budget) takes more branchings than the
-        # recursion may nest; this used to end in RecursionError
+        # 210 disjoint copies of the integrality-gap graph on 5 + 1 nodes
+        # (2,100 triangles, under the default triangle budget): the bound
+        # stays below the incumbent along the first dive, which takes more
+        # branchings than the recursion may nest; this used to end in
+        # RecursionError
+        gap = gen_integrality_gap(5)
+        edges = [(e.u + gap.n * k, e.v + gap.n * k, e.sign, e.weight)
+                 for k in range(210) for e in gap.edges]
         with pytest.raises(CapacityError, match=f"deeper than {exact.MAX_BTT_DEPTH}"):
-            exact_btt(self.cycle_reduction(2000))
+            exact_btt(SignedGraph(gap.n * 210, edges))
 
     @pytest.mark.parametrize("seed, value", zip(range(100, 106), (21, 24, 28, 23, 28, 21)))
     def test_complete_unit_fourteen_scales(self, seed, value):
-        # the lowest-edge rule took up to 354,853 nodes on these graphs
-        res = exact_btt(gen_random(14, complete=True, seed=seed), node_budget=20_000)
+        # the lowest-edge rule took up to 354,853 nodes on these graphs, and
+        # the index-order packing from the 3-approximation up to 5,218
+        res = exact_btt(gen_random(14, complete=True, seed=seed), node_budget=2_000)
         assert res.value == value
 
     @pytest.mark.parametrize("budget", ["triangle_budget", "node_budget"])
@@ -177,6 +184,51 @@ class TestPinnedSearch:
             for solver in (exact_btt, exact_btt_positive_only):
                 with pytest.raises(InputError, match="must be nonnegative"):
                     solver(g, **{budget: -1})
+
+
+class TestAgainstTheIndexOrderSearch:
+    @staticmethod
+    def graphs():
+        for n in range(6, 12):
+            for complete in (True, False):
+                for weights in ("unit", RATIONAL, ("uniform", 0.5, 2.0), "zero"):
+                    for seed in range(2):
+                        g = gen_random(n, complete=complete, density=0.5,
+                                       weights=RATIONAL if weights == "zero" else weights,
+                                       seed=seed)
+                        if weights == "zero":
+                            g = SignedGraph(g.n, [(e.u, e.v, e.sign, e.weight if i % 2 else 0)
+                                                  for i, e in enumerate(g.edges)])
+                        yield g
+
+    @staticmethod
+    def irredundant(g, covers):
+        """The covers each of whose edges is the only cover edge of some
+        bad triangle."""
+        rows = [set(t) for t in g.bad_triangle_index().tolist()]
+        return {c for c in covers
+                if all(any(t & c == {e} for t in rows if e in t) for e in c)}
+
+    def test_same_optima(self):
+        # the search before the packing order and the greedy incumbent
+        # changed is the oracle: the same optimum values, unrestricted and
+        # positive-only, and the same optimal positive-only covers.  With
+        # zero weights a listed cover may keep a zero-weight edge that later
+        # edges made redundant, and which ones depends on the branching
+        # order; every irredundant optimum is listed in any order.
+        for g in self.graphs():
+            assert exact_btt(g).value == reference_btt_search(g, list(range(g.m))).value
+            positive = g.positive_edge_ids()
+            want = reference_btt_search(g, positive)
+            got = exact_btt_positive_only(g, enumerate_optima=10_000)
+            assert got.value == want.value
+            cap = sum(Fraction(g.edges[e].weight) for e in want.witness)
+            listed = reference_btt_search(g, positive, enumerate_cap=cap)
+            assert not (got.optima_truncated or listed.optima_truncated)
+            if all(e.weight for e in g.edges):
+                assert set(got.optima) == set(listed.optima)
+            else:
+                assert self.irredundant(g, got.optima) == self.irredundant(g, listed.optima)
 
 
 class TestPositiveOnly:
