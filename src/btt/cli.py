@@ -345,12 +345,8 @@ def cmd_solve(cfg: RunConfig, timing: bool) -> dict:
     elif cfg.alg == "lp-mwu":
         body["lp"] = lp_solution_to_json(g, _solve_mwu(g, cfg))
     elif cfg.alg == "exact":
-        budgets = {}
-        if cfg.triangle_budget is not None:
-            budgets["triangle_budget"] = cfg.triangle_budget
-        if cfg.node_budget is not None:
-            budgets["node_budget"] = cfg.node_budget
-        res = exact_btt(g, **budgets)
+        res = exact_btt(g, triangle_budget=cfg.triangle_budget,
+                        node_budget=cfg.node_budget)
         body["exact"] = {
             "value": json_value(res.value),
             "cover_edge_ids": sorted(res.witness.edge_ids),
@@ -547,7 +543,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(solve, SOLVE_ALGS)
     solve.add_argument("--eps", type=float, help="accuracy for lp-mwu and float-mode rounding")
     solve.add_argument("--triangle-budget", type=int)
-    solve.add_argument("--node-budget", type=int)
+    solve.add_argument("--node-budget", type=int,
+                       help="default: derived from the bad-triangle count")
 
     cluster = subs.add_parser("cluster", help="run a pivot transformation")
     _add_common(cluster, CLUSTER_ALGS)

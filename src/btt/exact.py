@@ -16,7 +16,6 @@ its triangles, so the bound and the branching choice are integer
 operations.  The incumbent starts as the cheaper of two covers: the edges
 of the index-order root packing, which is maximal and so covers every
 triangle, and a greedy cover by uncovered triangles per unit weight.
-Recursion deeper than ``MAX_BTT_DEPTH`` is refused as a CapacityError.
 
 The clustering search enumerates set partitions as restricted growth
 strings: nodes are placed in id order, each in a used cluster or a fresh
@@ -31,9 +30,15 @@ clusterings could become the incumbent are cut, so the enumeration order,
 the witness and the trail values are those of the search without the
 bound; only the node counts fall.
 
-Both searches are desk-scale tools; budgets guard against runaway
-instances and witnesses are re-validated through the graph evaluators
-rather than trusted from the search.
+Both searches are desk-scale tools, with guards set from the input and
+from measurement.  The cover search refuses more than
+``DEFAULT_BTT_TRIANGLE_BUDGET`` bad triangles and recursion deeper than
+``MAX_BTT_DEPTH``, and by default explores at most ``BTT_NODE_WORK // T``
+nodes for T bad triangles, since a node's cost grows with T.  The
+clustering search refuses graphs on more than ``DEFAULT_CC_NODE_CAP``
+nodes, the largest size whose worst measured run stayed under a second.
+Witnesses are re-validated through the graph evaluators rather than
+trusted from the search.
 """
 
 from __future__ import annotations
@@ -53,8 +58,13 @@ from .graphs import (Clustering, EdgeCover, SignedGraph, cc_cost,
 from .rng import spawn_seeds
 
 DEFAULT_BTT_TRIANGLE_BUDGET = 5000
-DEFAULT_BTT_NODE_BUDGET = 5_000_000
-DEFAULT_CC_NODE_CAP = 12
+#: The cover search's default node budget is this over the bad-triangle
+#: count T: a node's cost grows with T, as ``pack`` walks the uncovered
+#: triangles, so the budget bounds time (5-15 s of CPU at T = 334-4,750).
+BTT_NODE_WORK = 50_000_000
+#: Largest graph the clustering search takes: its worst measured run took
+#: 0.68 s at 15 nodes and 7.5 s at 16.
+DEFAULT_CC_NODE_CAP = 15
 DEFAULT_CC_NODE_BUDGET = 50_000_000
 #: Deepest branching the recursive cover search takes before it raises
 #: CapacityError; kept well below CPython's default recursion limit (1000)
@@ -132,7 +142,7 @@ def _greedy_cover(rows: list, weights: list) -> list[int]:
 
 
 def _btt_search(g: SignedGraph, allowed: list[int], *,
-                triangle_budget: int, node_budget: int,
+                triangle_budget: int | None = None, node_budget: int | None = None,
                 enumerate_cap=None, max_optima: int = 10_000) -> ExactResult:
     """Shared branch-and-bound core over bitmasks.
 
@@ -177,16 +187,21 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     ``_greedy_cover`` when that is strictly cheaper; the trail records both
     at node 0.  Enumeration mode collects in ``optima`` every irredundant
     feasible cover of cost exactly ``enumerate_cap``, the exact sum of an
-    optimal witness's weights; with positive weights that is every optimal
-    cover, and with zero weights a listed cover may also keep a zero-weight
-    edge that later edges made redundant.  Weights are Fractions there, so
-    the prune does not depend on the order edges are added in.  The
-    witness returned is a frozenset of edge ids.
+    optimal witness's weights.  Each such cover is one leaf, since an
+    irredundant cover holds no smaller one; a leaf is listed only when each
+    of its edges is the one cover edge of some triangle, which leaves out
+    covers that keep a zero-weight edge made redundant by later edges.
+    Weights are Fractions there, so the prune does not depend on the order
+    edges are added in.  The witness returned is a frozenset of edge ids.
     """
     index = g.bad_triangle_index()
+    if triangle_budget is None:
+        triangle_budget = DEFAULT_BTT_TRIANGLE_BUDGET
     if len(index) > triangle_budget:
         raise CapacityError(
             f"{len(index)} bad triangles exceed the search budget {triangle_budget}")
+    if node_budget is None:
+        node_budget = BTT_NODE_WORK // max(len(index), 1)
     allowed_set = frozenset(allowed)
     weights = g.edge_columns().weight.tolist()
     if enumerate_cap is not None:
@@ -287,7 +302,8 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(
-                f"cover search exceeded {node_budget} nodes", (root_bound, best))
+                f"cover search exceeded its budget of {node_budget} nodes "
+                f"for {len(rows)} bad triangles", (root_bound, best))
         if depth > MAX_BTT_DEPTH:
             raise CapacityError(f"cover search deeper than {MAX_BTT_DEPTH} branchings")
         packed = pack(covered, excluded)
@@ -304,10 +320,16 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
                 best_cover = sorted(included)
                 best = total(weights[e] for e in best_cover)
                 trail.append((nodes, best))
-            elif len(optima) < max_optima:
-                optima.append(frozenset(included))
             else:
-                truncated = True
+                seen = twice = 0
+                for e in included:
+                    twice |= seen & edge_tri_mask[e]
+                    seen |= edge_tri_mask[e]
+                if all(edge_tri_mask[e] & ~twice for e in included):
+                    if len(optima) < max_optima:
+                        optima.append(frozenset(included))
+                    else:
+                        truncated = True
             return
         included.append(branch)
         dfs(covered | edge_tri_mask[branch], excluded, cost + weights[branch], depth + 1)
@@ -321,55 +343,51 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     return ExactResult(best, frozenset(best_cover), nodes, root_bound, tuple(trail))
 
 
-def _min_cover(g: SignedGraph, allowed: list[int], search: str, *,
-               triangle_budget: int, node_budget: int) -> ExactResult:
+def _min_cover(g: SignedGraph, allowed: list[int], search: str,
+               **budgets) -> ExactResult:
     """Minimum cover drawn from ``allowed``, its witness re-validated."""
-    if min(triangle_budget, node_budget) < 0:
-        raise InputError(f"search budgets must be nonnegative: triangle budget "
-                         f"{triangle_budget}, node budget {node_budget}")
     if not len(g.bad_triangle_index()):
         return ExactResult(0, EdgeCover(frozenset(), 0), 0, 0, ((0, 0),))
-    res = _btt_search(
-        g, allowed, triangle_budget=triangle_budget, node_budget=node_budget)
+    res = _btt_search(g, allowed, **budgets)
     cover = EdgeCover.from_ids(g, res.witness)
     if not is_feasible_cover(g, cover) or cover.cost != res.value:
         raise VerificationError(f"{search} returned an invalid witness")
     return replace(res, witness=cover)
 
 
-def exact_btt(g: SignedGraph, *,
-              triangle_budget: int = DEFAULT_BTT_TRIANGLE_BUDGET,
-              node_budget: int = DEFAULT_BTT_NODE_BUDGET) -> ExactResult:
+def exact_btt(g: SignedGraph, *, triangle_budget: int | None = None,
+              node_budget: int | None = None) -> ExactResult:
     """Minimum-weight feasible bad-triangle cover, branch-and-bound.
 
-    Raises CapacityError when the triangle count exceeds the budget and
-    BudgetExceededError (with best bounds) when the node budget runs out.
+    Raises CapacityError when the bad-triangle count T exceeds
+    ``triangle_budget`` (default ``DEFAULT_BTT_TRIANGLE_BUDGET``), and
+    BudgetExceededError, with the best bounds, when the search explores
+    more than ``node_budget`` nodes (default ``BTT_NODE_WORK // T``).  A
+    negative budget is an InputError.
     """
+    if any(b is not None and b < 0 for b in (triangle_budget, node_budget)):
+        raise InputError(f"search budgets must be nonnegative: triangle budget "
+                         f"{triangle_budget}, node budget {node_budget}")
     return _min_cover(g, list(range(g.m)), "cover search",
                       triangle_budget=triangle_budget, node_budget=node_budget)
 
 
 def exact_btt_positive_only(g: SignedGraph, *,
-                            triangle_budget: int = DEFAULT_BTT_TRIANGLE_BUDGET,
-                            node_budget: int = DEFAULT_BTT_NODE_BUDGET,
                             enumerate_optima: int | None = None) -> ExactResult:
-    """Minimum cover drawn from positive edges only.
+    """Minimum cover drawn from positive edges only, with ``exact_btt``'s
+    default budgets.
 
     Always feasible: every bad triangle has two positive edges.  With
     ``enumerate_optima`` set, a second pass collects all irredundant
     optimal covers up to that count cap (exact search, so the list is
-    complete unless the ``optima_truncated`` flag is set).  With positive
-    weights every optimal cover is irredundant; with zero weights the list
-    may also hold covers that keep a redundant zero-weight edge.
+    complete unless the ``optima_truncated`` flag is set).
     """
     allowed = g.positive_edge_ids()
-    res = _min_cover(g, allowed, "positive-only search",
-                     triangle_budget=triangle_budget, node_budget=node_budget)
+    res = _min_cover(g, allowed, "positive-only search")
     if enumerate_optima is None:
         return res
     found = _btt_search(
-        g, allowed, triangle_budget=triangle_budget, node_budget=node_budget,
-        enumerate_cap=sum(map(Fraction, g.edge_columns().weight[
+        g, allowed, enumerate_cap=sum(map(Fraction, g.edge_columns().weight[
             sorted(res.witness.edge_ids)].tolist())),
         max_optima=enumerate_optima)
     return replace(res, optima=tuple(sorted(found.optima, key=sorted)),
@@ -410,9 +428,7 @@ def _tail_packing(g: SignedGraph, weights: list) -> list:
     return tail
 
 
-def exact_cc(g: SignedGraph, *,
-             node_budget: int = DEFAULT_CC_NODE_BUDGET,
-             lower_bound=None) -> ExactResult:
+def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
     """Minimum-disagreement clustering by restricted-growth enumeration.
 
     Assigns nodes in id order to an existing cluster or a fresh one,
@@ -442,13 +458,12 @@ def exact_cc(g: SignedGraph, *,
     exit once matched.  ``root_lower_bound``, and the lower bound that
     BudgetExceededError carries, is the larger of ``lower_bound`` and the
     packing bound of the whole graph.  Graphs above ``DEFAULT_CC_NODE_CAP``
-    nodes are refused with CapacityError before any search; a negative
-    ``node_budget`` is an InputError.
+    nodes are refused with CapacityError before any search, and a search
+    past ``DEFAULT_CC_NODE_BUDGET`` nodes raises BudgetExceededError; both
+    constants are read at call time.
     """
-    if node_budget < 0:
-        raise InputError(
-            f"clustering node budget must be nonnegative, got {node_budget}")
     _check_cc_node_cap(g.n)
+    node_budget = DEFAULT_CC_NODE_BUDGET
     if g.n == 0:
         return ExactResult(0, Clustering((), 0), 0, 0, ((0, 0),))
     n = g.n

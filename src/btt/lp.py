@@ -96,8 +96,8 @@ _MWU_RATIO_LIMIT = 2.0**1000
 #: time: at T = 33k, reading the whole index at once held 3.8 MB more.
 _PACKING_BLOCK = 8192
 
-#: Default cap on the number of LP constraints (bad triangles) accepted by
-#: the exact solver.
+#: Cap on the number of LP constraints (bad triangles) accepted by the
+#: exact solver.
 DEFAULT_EXACT_TRIANGLE_BOUND = 50_000
 
 STATUS_EXACT = "exact-optimal"
@@ -478,8 +478,7 @@ def _limit_denominator(v: float) -> Fraction:
     return Fraction(p0 + k * p1, q0 + k * q1)
 
 
-def solve_exact(g: SignedGraph,
-                max_triangles: int = DEFAULT_EXACT_TRIANGLE_BOUND) -> LpSolution:
+def solve_exact(g: SignedGraph) -> LpSolution:
     """Exact-rational optimum of the cover LP with a dual certificate.
 
     :func:`_packing_simplex` runs first on float weights.  Its x and y are
@@ -496,16 +495,17 @@ def solve_exact(g: SignedGraph,
     records the pivots of each pass run.
 
     Raises CapacityError when the bad-triangle count exceeds
-    ``max_triangles`` or a run reaches its pivot cap; use
-    :func:`solve_mwu` there.  Raises VerificationError if the exact run
-    finds no optimum or fails the check: the packing LP is bounded, so
-    either is a bug.
+    ``DEFAULT_EXACT_TRIANGLE_BOUND`` (read at call time) or a run reaches
+    its pivot cap; use :func:`solve_mwu` there.  Raises VerificationError
+    if the exact run finds no optimum or fails the check: the packing LP
+    is bounded, so either is a bug.
     """
     index = g.bad_triangle_index()
-    if len(index) > max_triangles:
+    if len(index) > DEFAULT_EXACT_TRIANGLE_BOUND:
         raise CapacityError(
             f"{len(index)} bad triangles exceed the exact-solver bound "
-            f"{max_triangles}; use solve_mwu for an approximate solution")
+            f"{DEFAULT_EXACT_TRIANGLE_BOUND}; use solve_mwu for an approximate "
+            "solution")
     if not len(index):
         primal = FractionalCover.from_values(g, [Fraction(0)] * g.m)
         dual = FractionalPacking((), Fraction(0))
@@ -640,8 +640,7 @@ def _minimal_primal(x: np.ndarray, tri_edges: np.ndarray, tri_of: np.ndarray,
     return x
 
 
-def solve_mwu(g: SignedGraph, eps: float,
-              max_iterations: int | None = None) -> LpSolution:
+def solve_mwu(g: SignedGraph, eps: float) -> LpSolution:
     """(1+eps)-approximate cover-LP solve by multiplicative weights.
 
     Phased width-1 scheme on the triangle constraints in the style of
@@ -672,10 +671,9 @@ def solve_mwu(g: SignedGraph, eps: float,
     value, primal value)`` and the number of rounds run.  Raises
     CapacityError when a load ratio would reach ``_MWU_RATIO_LIMIT``, and
     ConvergenceError carrying the best bounds and the rounds run if the
-    iteration cap is hit first.  The default cap is the round bound proven
-    in :func:`_mwu_iteration_cap` for the global candidates,
-    O(log T / eps^2) plus a term in the weight spread; it holds for the
-    local ones too, so only a smaller ``max_iterations`` can trip it.
+    iteration cap is hit first.  The cap is the round bound proven in
+    :func:`_mwu_iteration_cap` for the global candidates, O(log T / eps^2)
+    plus a term in the weight spread; it holds for the local ones too.
     """
     if not (0 < eps < 1):
         raise InputError(f"eps must lie in (0,1), got {eps}")
@@ -731,13 +729,10 @@ def solve_mwu(g: SignedGraph, eps: float,
             "solve_mwu's float arithmetic; use solve_exact")
 
     eta = eps / 4.0
-    if max_iterations is not None:
-        cap = max_iterations
-    else:
-        # Covering each triangle by its cheapest edge bounds OPT; the
-        # round-0 dual is T / mu_0.
-        start_gap = float(wc[tri_edges].min(axis=1).sum()) * mu_0 / nt
-        cap = _mwu_iteration_cap(nt, eps, start_gap)
+    # Covering each triangle by its cheapest edge bounds OPT; the round-0
+    # dual is T / mu_0.
+    start_gap = float(wc[tri_edges].min(axis=1).sum()) * mu_0 / nt
+    cap = _mwu_iteration_cap(nt, eps, start_gap)
 
     x_raw = np.zeros(k)
     best_primal = math.inf

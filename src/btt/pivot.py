@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -160,14 +159,6 @@ _REF_BUDGET = (
 )
 
 
-def _sig4(value: Fraction) -> str:
-    """Render a nonnegative rational to at most 4 significant figures
-    (banker's rounding), trailing zeros stripped."""
-    with localcontext(Context(prec=4, rounding=ROUND_HALF_EVEN)):
-        quotient = Decimal(value.numerator) / Decimal(value.denominator)
-        return f"{quotient.normalize():f}"
-
-
 def _sign_label(signs) -> str:
     return "".join("+" if s == POSITIVE else "-" for s in signs)
 
@@ -213,9 +204,9 @@ def verify_charging_tables() -> dict:
     zero; and the single-edge bound (the edge into the pivot never
     disagrees more than its budget) holds for both membership cases.
 
-    Each cell is computed once.  Returns the recomputed tables both as
-    exact fraction strings and rendered to 4 significant figures, with the
-    count of cells that are not excluded and the largest ratio among them.
+    Each cell is computed once.  Returns the recomputed tables as exact
+    fraction strings, with the count of cells that are not excluded and
+    the largest ratio among them.
     Raises VerificationError naming the offending cell on any mismatch.
     """
     grid = [[_checked_cell(ri, ci) for ci in range(len(MEMBER_COLUMNS))]
@@ -235,15 +226,11 @@ def verify_charging_tables() -> dict:
                 raise VerificationError(
                     f"single-edge bound fails for sign {sign}, in_cover {in_cover}")
 
-    def render(k: int, form) -> list:
-        return [[_EXCLUDED if cell is None else "0/0" if cell[k] is None
-                 else form(cell[k]) for cell in row] for row in grid]
-
     report = {"rows": [_sign_label(s) for s in SIGN_ROWS],
               "columns": [_member_label(m) for m in MEMBER_COLUMNS]}
     for k, name in enumerate(("disagreement", "budget", "ratio")):
-        report[name] = render(k, str)
-        report[f"{name}_sig4"] = render(k, _sig4)
+        report[name] = [[_EXCLUDED if cell is None else "0/0" if cell[k] is None
+                         else str(cell[k]) for cell in row] for row in grid]
     cells = [cell for row in grid for cell in row if cell is not None]
     report["defined_cells"] = len(cells)
     report["max_defined_ratio"] = str(max(c[2] for c in cells if c[2] is not None))

@@ -22,9 +22,8 @@ import numpy as np
 from btt import Clustering, SignedGraph, cc_cost, gen_random, lp
 from btt.errors import (BudgetExceededError, CapacityError, InputError,
                         VerificationError)
-from btt.exact import (DEFAULT_BTT_NODE_BUDGET, DEFAULT_BTT_TRIANGLE_BUDGET,
-                       DEFAULT_CC_NODE_BUDGET, MAX_BTT_DEPTH, ExactResult,
-                       _check_cc_node_cap)
+from btt.exact import (DEFAULT_BTT_TRIANGLE_BUDGET, DEFAULT_CC_NODE_BUDGET,
+                       MAX_BTT_DEPTH, ExactResult, _check_cc_node_cap)
 from btt.graphs import (MAX_NODES, MAX_WEIGHT_DIGITS, NEGATIVE, POSITIVE, Edge,
                         _parse_weight, disagreement_cost, total)
 from btt.rng import spawn_seeds
@@ -195,7 +194,7 @@ def brute_force_min_cover(g: SignedGraph):
 
 def reference_btt_search(g: SignedGraph, allowed: list[int], *,
                          triangle_budget: int = DEFAULT_BTT_TRIANGLE_BUDGET,
-                         node_budget: int = DEFAULT_BTT_NODE_BUDGET,
+                         node_budget: int = 5_000_000,
                          enumerate_cap=None, max_optima: int = 10_000) -> ExactResult:
     """The cover search behind ``exact_btt`` as it ran before it packed the
     tightest triangles first and seeded the incumbent with a greedy cover:

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from btt import (EdgeCover, gen_figure2, gen_hardness_reduction, gen_random,
-                 gen_vc_reduction, lp, solve_exact)
+from btt import (EdgeCover, exact, gen_figure2, gen_hardness_reduction,
+                 gen_random, gen_vc_reduction, lp, solve_exact)
 from btt.cli import RunConfig, _json_default, _load_graph, build_instance, main
 from btt.errors import InputError
 from btt.generators import parse_2cnf
@@ -349,10 +349,15 @@ class TestInputErrors:
         assert captured.out == ""
 
     def test_survey_past_the_clustering_node_cap_exits_3(self, capsys):
+        cap = exact.DEFAULT_CC_NODE_CAP
         started = time.process_time()
-        assert main(["verify", "--survey", "--n", "13", "--count", "2"]) == 3
+        assert main(["verify", "--survey", "--n", str(cap + 1), "--count", "2"]) == 3
         assert time.process_time() - started < 0.1
-        assert "capped at 12 nodes" in capsys.readouterr().err
+        assert f"capped at {cap} nodes" in capsys.readouterr().err
+
+    def test_survey_at_fourteen_nodes_passes(self, capsys):
+        assert main(["verify", "--survey", "--n", "14", "--count", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
 
     def test_node_count_past_the_pair_keys_exits_3(self, tmp_path, capsys):
         path = tmp_path / "graph.txt"

@@ -68,6 +68,18 @@ class TestExactBtt:
         lower, upper = err.value.bounds
         assert lower <= exact_btt(g).value <= upper
 
+    def test_default_node_budget_scales_with_the_triangle_count(self, monkeypatch):
+        # 71 bad triangles, solved in 348 nodes; the default budget is the
+        # work allowance over the triangle count, rounded down
+        g = gen_random(11, positive_prob=0.5, complete=True, seed=0)
+        assert len(g.bad_triangle_index()) == 71
+        monkeypatch.setattr(exact, "BTT_NODE_WORK", 71 * 30 + 70)
+        with pytest.raises(BudgetExceededError,
+                           match="^cover search exceeded its budget of 30 nodes "
+                                 "for 71 bad triangles$"):
+            exact_btt(g)
+        assert exact_btt(g, node_budget=348).value == 17
+
     def test_incumbent_trail_is_decreasing(self):
         res = exact_btt(gen_figure2())
         values = [v for _, v in res.trail]
@@ -181,9 +193,8 @@ class TestPinnedSearch:
     @pytest.mark.parametrize("budget", ["triangle_budget", "node_budget"])
     def test_negative_budget_is_input_error(self, budget):
         for g in (gen_figure2(), complete_graph(4, lambda u, v: 1)):
-            for solver in (exact_btt, exact_btt_positive_only):
-                with pytest.raises(InputError, match="must be nonnegative"):
-                    solver(g, **{budget: -1})
+            with pytest.raises(InputError, match="must be nonnegative"):
+                exact_btt(g, **{budget: -1})
 
 
 class TestAgainstTheIndexOrderSearch:
@@ -213,9 +224,10 @@ class TestAgainstTheIndexOrderSearch:
         # the search before the packing order and the greedy incumbent
         # changed is the oracle: the same optimum values, unrestricted and
         # positive-only, and the same optimal positive-only covers.  With
-        # zero weights a listed cover may keep a zero-weight edge that later
-        # edges made redundant, and which ones depends on the branching
-        # order; every irredundant optimum is listed in any order.
+        # zero weights the oracle may also list a cover that keeps a
+        # zero-weight edge made redundant by later edges, which depends on
+        # its branching order; the search lists exactly the irredundant
+        # optima.
         for g in self.graphs():
             assert exact_btt(g).value == reference_btt_search(g, list(range(g.m))).value
             positive = g.positive_edge_ids()
@@ -228,7 +240,7 @@ class TestAgainstTheIndexOrderSearch:
             if all(e.weight for e in g.edges):
                 assert set(got.optima) == set(listed.optima)
             else:
-                assert self.irredundant(g, got.optima) == self.irredundant(g, listed.optima)
+                assert set(got.optima) == self.irredundant(g, listed.optima)
 
 
 class TestPositiveOnly:
@@ -318,20 +330,23 @@ class TestExactCc:
         assert above >= 10
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_complete_unit_twelve_scales(self, seed):
+    def test_complete_unit_twelve_scales(self, seed, monkeypatch):
         # the search without the bound takes 2,490-16,856 nodes here, over
         # the budget on every one of these graphs
         g = gen_random(12, positive_count=33, complete=True, seed=seed)
         cover = exact_btt(g).value
-        res = exact_cc(g, lower_bound=cover, node_budget=2_000)
+        monkeypatch.setattr(exact, "DEFAULT_CC_NODE_BUDGET", 2_000)
+        res = exact_cc(g, lower_bound=cover)
         assert res.value == reference_exact_cc(g, lower_bound=cover).value
 
-    def test_reports_the_packing_bound(self):
+    def test_reports_the_packing_bound(self, monkeypatch):
         # with no lower bound passed, the budget error and the result carry
         # the search's own root bound; the incumbent is the cheaper seed
         g = gen_integrality_gap(5)
-        with pytest.raises(BudgetExceededError) as caught:
-            exact_cc(g, node_budget=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(exact, "DEFAULT_CC_NODE_BUDGET", 0)
+            with pytest.raises(BudgetExceededError) as caught:
+                exact_cc(g)
         low, best = caught.value.bounds
         res = exact_cc(g)
         assert 0 < low <= res.value == 4
@@ -386,20 +401,18 @@ class TestExactCc:
         assert (res.value, res.witness, res.nodes_explored) == (0, Clustering((), 0), 0)
 
     def test_node_cap(self):
-        g = complete_graph(13, lambda u, v: 1)
-        with pytest.raises(CapacityError):
+        cap = exact.DEFAULT_CC_NODE_CAP
+        exact_cc(complete_graph(cap, lambda u, v: 1))
+        with pytest.raises(CapacityError, match=f"capped at {cap} nodes"):
+            exact_cc(complete_graph(cap + 1, lambda u, v: 1))
+
+    def test_node_budget(self, monkeypatch):
+        g = gen_random(9, positive_prob=0.5, complete=True, seed=2)
+        monkeypatch.setattr(exact, "DEFAULT_CC_NODE_BUDGET", 3)
+        with pytest.raises(BudgetExceededError, match="exceeded 3 nodes"):
             exact_cc(g)
 
-    def test_node_budget(self):
-        g = gen_random(9, positive_prob=0.5, complete=True, seed=2)
-        with pytest.raises(BudgetExceededError):
-            exact_cc(g, node_budget=3)
-
-    def test_negative_node_budget_is_input_error(self):
-        with pytest.raises(InputError, match="must be nonnegative"):
-            exact_cc(gen_figure2(), node_budget=-1)
-
-    def test_seeds_are_priced_as_cc_cost(self):
+    def test_seeds_are_priced_as_cc_cost(self, monkeypatch):
         # with no search nodes the budget error carries the cheaper seed:
         # singletons pay the positive weights, one cluster the negative ones,
         # each totalled in edge-id order as cc_cost totals them
@@ -408,8 +421,9 @@ class TestExactCc:
             g = SignedGraph(4, [(0, 1, 1, 0.1), (0, 2, -sign, 0.2), (1, 2, sign, 0.3),
                                 (2, 3, -1, 0.7), (1, 3, sign, third), (0, 3, 1, 0.6)])
             seeds = (Clustering.from_labels(range(4)), Clustering.from_labels([0] * 4))
+            monkeypatch.setattr(exact, "DEFAULT_CC_NODE_BUDGET", 0)
             with pytest.raises(BudgetExceededError) as caught:
-                exact_cc(g, node_budget=0)
+                exact_cc(g)
             best = caught.value.bounds[1]
             assert best == min(cc_cost(g, c) for c in seeds)
             assert type(best) is float
@@ -461,11 +475,12 @@ class TestRatioSurvey:
 
     def test_budget_error_recorded_and_survey_continues(self):
         calls = []
+        past_cap = exact.DEFAULT_CC_NODE_CAP + 1
 
         def make(seed):
             calls.append(seed)
             if len(calls) == 2:
-                return complete_graph(14, lambda u, v: 1 if (u + v) % 2 else -1)
+                return complete_graph(past_cap, lambda u, v: 1 if (u + v) % 2 else -1)
             return gen_random(5, positive_prob=0.5, complete=True, seed=seed)
 
         report = ratio_survey(make, 4, seed=3)
@@ -479,11 +494,12 @@ class TestRatioSurvey:
         def refuse(g, **kwargs):
             raise AssertionError(f"search started on n={g.n}")
 
-        big = complete_graph(14, lambda u, v: 1 if (u + v) % 2 else -1)
+        cap = exact.DEFAULT_CC_NODE_CAP
+        big = complete_graph(cap + 1, lambda u, v: 1 if (u + v) % 2 else -1)
         monkeypatch.setattr(exact_mod, "exact_btt", refuse)
         report = ratio_survey(lambda seed: big, 1, seed=0)
         (row,) = report["rows"]
-        assert "capped at 12 nodes" in row["error"]
+        assert f"capped at {cap} nodes" in row["error"]
 
     def test_out_of_band_ratio_flagged_and_serialised(self):
         # a bad triangle plus a disjoint bad four-cycle: minimum cover 1,

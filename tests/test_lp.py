@@ -306,9 +306,10 @@ class TestExactSolver:
         g = gen_figure2()
         assert solve_exact(g).primal.values == solve_exact(g).primal.values
 
-    def test_capacity_error_advises_mwu(self):
+    def test_capacity_error_advises_mwu(self, monkeypatch):
+        monkeypatch.setattr(lp, "DEFAULT_EXACT_TRIANGLE_BOUND", 3)
         with pytest.raises(CapacityError, match="solve_mwu"):
-            solve_exact(gen_figure2(), max_triangles=3)
+            solve_exact(gen_figure2())
 
     def test_zero_weight_edges(self):
         g = SignedGraph(3, [(0, 1, 1), (0, 2, 1), (1, 2, -1, 0)])
@@ -394,10 +395,11 @@ class TestMwuSolver:
             with pytest.raises(InputError):
                 solve_mwu(g, eps)
 
-    def test_iteration_cap_raises_with_bounds(self):
+    def test_iteration_cap_raises_with_bounds(self, monkeypatch):
         g = gen_random(12, positive_prob=0.5, complete=True, seed=3)
+        monkeypatch.setattr(lp, "_mwu_iteration_cap", lambda *args: 2)
         with pytest.raises(ConvergenceError) as err:
-            solve_mwu(g, 0.01, max_iterations=2)
+            solve_mwu(g, 0.01)
         lower, upper = err.value.bounds
         assert lower <= float(solve_exact(g).value)
 
@@ -407,13 +409,14 @@ class TestMwuSolver:
         assert sol.value == 0
         assert check_fractional_feasibility(g, sol.primal, tol=1e-9)
 
-    def test_rounds_are_recorded(self):
+    def test_rounds_are_recorded(self, monkeypatch):
         g = gen_random(12, positive_prob=0.5, complete=True, seed=3)
         assert solve_exact(g).rounds is None
         assert solve_mwu(complete_graph(4, lambda u, v: 1), 0.1).rounds == 0
         assert 1 <= solve_mwu(g, 0.1).rounds
+        monkeypatch.setattr(lp, "_mwu_iteration_cap", lambda *args: 2)
         with pytest.raises(ConvergenceError) as err:
-            solve_mwu(g, 0.01, max_iterations=2)
+            solve_mwu(g, 0.01)
         assert err.value.rounds == 2
 
 
@@ -446,15 +449,16 @@ class TestMwuWeightScale:
             assert tiny.bounds[0] <= tiny.bounds[1]
 
     @pytest.mark.parametrize("k", [-10, 1000])
-    def test_power_of_two_rescaling_is_exact(self, k):
+    def test_power_of_two_rescaling_is_exact(self, k, monkeypatch):
         g = gen_random(30, positive_prob=0.5, complete=True, seed=1)
         unit, scaled = solve_mwu(g, 0.1), solve_mwu(scaled_weights(g, k), 0.1)
         assert scaled.primal.values == unit.primal.values
         assert scaled.bounds == tuple(math.ldexp(b, k) for b in unit.bounds)
+        monkeypatch.setattr(lp, "_mwu_iteration_cap", lambda *args: 3)
         with pytest.raises(ConvergenceError) as unit_err:
-            solve_mwu(g, 0.01, max_iterations=3)
+            solve_mwu(g, 0.01)
         with pytest.raises(ConvergenceError) as scaled_err:
-            solve_mwu(scaled_weights(g, k), 0.01, max_iterations=3)
+            solve_mwu(scaled_weights(g, k), 0.01)
         assert scaled_err.value.bounds == tuple(math.ldexp(b, k)
                                                 for b in unit_err.value.bounds)
 

@@ -89,27 +89,6 @@ class TestChargingTables:
         assert report["defined_cells"] == 31
         assert report["max_defined_ratio"] == "3/2"
 
-    def test_rendered_tables_match_published_form(self):
-        report = verify_charging_tables()
-        assert report["disagreement_sig4"] == [
-            ["0", "0", "0", "0", "0.5625", "0.5625", "0.5625", "1.688"],
-            ["0", "0", "1.5", "1.5", "0.9375", "1.875", "0.9375", "0.75"],
-            ["x", "1.5", "1.5", "1.5", "0.5625", "1.125", "1.125", "1.312"],
-            ["0", "1.5", "1.5", "1.5", "1.875", "1.875", "1.875", "1.125"],
-        ]
-        assert report["budget_sig4"] == [
-            ["0", "0", "0", "0", "1.5", "1.5", "1.5", "2.812"],
-            ["0", "0", "1", "1", "1", "2", "1", "2.562"],
-            ["x", "1", "1", "1", "0.5", "2", "2", "2.062"],
-            ["0", "1", "1", "1", "2", "2", "2", "1.312"],
-        ]
-        assert report["ratio_sig4"] == [
-            ["0/0", "0/0", "0/0", "0/0", "0.375", "0.375", "0.375", "0.6"],
-            ["0/0", "0/0", "1.5", "1.5", "0.9375", "0.9375", "0.9375", "0.2927"],
-            ["x", "1.5", "1.5", "1.5", "1.125", "0.5625", "0.5625", "0.6364"],
-            ["0/0", "1.5", "1.5", "1.5", "0.9375", "0.9375", "0.9375", "0.8571"],
-        ]
-
     def test_exact_fraction_cells(self):
         report = verify_charging_tables()
         assert report["disagreement"][0][7] == "27/16"
