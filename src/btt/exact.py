@@ -12,10 +12,20 @@ first; the bound packs, in that order, the triangles with one open edge,
 then those with two, then those with three.  Any edge-disjoint packing
 is a lower bound, so the order only decides how high it reaches.  Each
 triangle is one bitmask of its allowed edges and each edge one bitmask of
-its triangles, so the bound and the branching choice are integer
-operations.  The incumbent starts as the cheaper of two covers: the edges
-of the index-order root packing, which is maximal and so covers every
-triangle, and a greedy cover by uncovered triangles per unit weight.
+its triangles, and a search node carries the uncovered triangles as three
+bitmasks, one per number of open edges, so the bound and the branching
+choice are integer operations.  The packing stops as soon as it prunes:
+its bound only grows, and rounded float addition is monotone, so a
+partial bound prunes only when the full one would.  The incumbent starts
+as the cheaper of two covers: the edges of the index-order root packing,
+which is maximal and so covers every triangle, and a greedy cover by
+uncovered triangles per unit weight.
+
+On exact weights, ints and Fractions, both searches add and compare
+integer numerators over the weights' common denominator, which decides
+as Fractions would; float weights are searched as they are.  Every number
+an oracle reports is computed from the weights themselves, so it keeps
+their kind: an int-weight optimum is an int, not a Fraction.
 
 The clustering search enumerates set partitions as restricted growth
 strings: nodes are placed in id order, each in a used cluster or a fresh
@@ -55,16 +65,18 @@ from .errors import (BudgetExceededError, CapacityError, InputError,
 from .graphs import (Clustering, EdgeCover, SignedGraph, cc_cost,
                      disagreement_cost, format_edge_list, is_feasible_cover,
                      total)
+from .lp import floor_scaled, scaled_integers
 from .rng import spawn_seeds
 
 DEFAULT_BTT_TRIANGLE_BUDGET = 5000
 #: The cover search's default node budget is this over the bad-triangle
-#: count T: a node's cost grows with T, as ``pack`` walks the uncovered
-#: triangles, so the budget bounds time (5-15 s of CPU at T = 334-4,750).
+#: count T: a node's cost grows with T, as its packing walks the uncovered
+#: triangles, so the budget bounds time (1.4-3.2 s of CPU at T =
+#: 334-4,750, complete unit graphs on 18-44 nodes).
 BTT_NODE_WORK = 50_000_000
 #: Largest graph the clustering search takes: its worst measured run took
-#: 0.68 s at 15 nodes and 7.5 s at 16.
-DEFAULT_CC_NODE_CAP = 15
+#: 0.42 s at 17 nodes, and 0.93-1.15 s at 18.
+DEFAULT_CC_NODE_CAP = 17
 DEFAULT_CC_NODE_BUDGET = 50_000_000
 #: Deepest branching the recursive cover search takes before it raises
 #: CapacityError; kept well below CPython's default recursion limit (1000)
@@ -141,6 +153,16 @@ def _greedy_cover(rows: list, weights: list) -> list[int]:
     return sorted(cover)
 
 
+def _integer_weights(weights: list) -> tuple[list, int]:
+    """``(nums, den)``: exact ``weights`` as integer numerators over their
+    least common denominator, so that an exact search adds and compares
+    ints; ``weights`` itself, over 1, when every weight is an int."""
+    if all(type(w) is int for w in weights):
+        return weights, 1
+    nums, den = scaled_integers(weights)
+    return nums.tolist(), den
+
+
 def _btt_search(g: SignedGraph, allowed: list[int], *,
                 triangle_budget: int | None = None, node_budget: int | None = None,
                 enumerate_cap=None, max_optima: int = 10_000) -> ExactResult:
@@ -150,26 +172,41 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     are: the key is the sum, over a triangle's allowed edges, of the number
     of triangles each lies in, and ties keep index order.  ``tri_mask[p]``
     holds the allowed edges of the triangle at position p and
-    ``edge_tri_mask[e]`` the positions of edge e's triangles; a node is
-    (covered triangles, excluded edges).
+    ``edge_tri_mask[e]`` the positions of edge e's triangles.  A node is
+    its excluded edges and three position bitmasks, the classes of the
+    uncovered triangles with one, two and three open edges; every row has
+    two or three allowed edges, so the root starts from their counts.
+    Including an edge drops its triangles from every class; excluding one
+    moves its uncovered triangles down a class, which never empties a
+    triangle, because an edge is excluded only when no triangle has one
+    open edge.  So a node with no uncovered triangle is a leaf, and every
+    other node has an open edge in each uncovered triangle.
 
     The bound is an edge-disjoint packing of the uncovered triangles, each
-    packed triangle adding its cheapest open edge.  One walk in position
-    order packs each triangle with one open edge as it meets it and sets
-    the others aside; those with two open edges are packed next and those
-    with three last.  Every cover of the node's subtree takes an open edge
-    of each uncovered triangle, a different one for each packed triangle
-    since they share no edge, so any packing, in any order, is a lower
-    bound.  The order only decides how high it reaches: a triangle with
-    one open edge uses up a single edge, and a three-open triangle packed
-    early can block two disjoint tighter ones.
+    packed triangle adding its cheapest open edge, in the order of the
+    classes: the one-open class, then the two-open and the three-open one,
+    each in position order.  Every cover of the node's subtree takes an
+    open edge of each uncovered triangle, a different one for each packed
+    triangle since they share no edge, so any packing, in any order, is a
+    lower bound.  The order only decides how high it reaches: a triangle
+    with one open edge uses up a single edge, and a three-open triangle
+    packed early can block two disjoint tighter ones.  A triangle is
+    packed unless it shares an open edge with one packed before it, so
+    each packed triangle adds the triangles on its open edges to
+    ``blocked`` and the walk visits only the triangles it packs.  It stops
+    as soon as ``cost + bound`` prunes.  The bound only grows, by
+    nonnegative terms, and rounded float addition is monotone, so a
+    partial bound prunes only when the whole one would: the decisions are
+    those of the full walk.  A leaf is tested with a bound of 0.
 
-    The search picks the uncovered triangle with the fewest open edges
-    (ties: lowest open edge, then position) and branches on its busiest
-    open edge, the one in the most uncovered triangles (ties: lowest id):
-    include it, then exclude it.  When that triangle has one open edge,
-    the edge is forced: it is included and no exclude child is made, since
-    that child would leave the triangle with no open edge.
+    The search picks the first triangle of the one-open class, or else the
+    triangle of the smallest class with the lowest open edge (ties:
+    position): the first open edge, in id order, that lies in a triangle
+    of that class, and the first such triangle.  It branches on that
+    triangle's busiest open edge, the one in the most uncovered triangles
+    (ties: lowest id): include it, then exclude it.  When the triangle has
+    one open edge, the edge is forced: it is included and no exclude child
+    is made, since that child would leave the triangle with no open edge.
 
     Any open edge of an uncovered triangle splits the covers that extend a
     node into those that contain it and those that do not, and each part is
@@ -177,6 +214,15 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     order and number of nodes, never which covers are reachable: the
     optimum, the completeness of enumeration, the node budget and the
     depth guard mean what they meant under any other open edge.
+
+    On exact weights (every weight an int or a Fraction), and always in
+    enumeration mode, the search adds and compares ``_integer_weights``,
+    numerators over the weights' common denominator, and so decides as it
+    would on Fractions.  Float weights are searched as they are, since an
+    exact comparison would change their prunes.  Every reported number is
+    computed from the weights themselves, so it keeps their kind: the
+    value and the trail are the ``total`` of the witness's weights in
+    sorted-id order, and an int-weight cover costs an int.
 
     ``root_lower_bound``, and the lower bound that BudgetExceededError
     carries, is the bound of the greedy packing in index order.  That
@@ -187,12 +233,12 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     ``_greedy_cover`` when that is strictly cheaper; the trail records both
     at node 0.  Enumeration mode collects in ``optima`` every irredundant
     feasible cover of cost exactly ``enumerate_cap``, the exact sum of an
-    optimal witness's weights.  Each such cover is one leaf, since an
-    irredundant cover holds no smaller one; a leaf is listed only when each
-    of its edges is the one cover edge of some triangle, which leaves out
-    covers that keep a zero-weight edge made redundant by later edges.
-    Weights are Fractions there, so the prune does not depend on the order
-    edges are added in.  The witness returned is a frozenset of edge ids.
+    optimal witness's weights, and reports its root bound as a Fraction.
+    Each such cover is one leaf, since an irredundant cover holds no
+    smaller one; a leaf is listed only when each of its edges is the one
+    cover edge of some triangle, which leaves out covers that keep a
+    zero-weight edge made redundant by later edges.  The witness returned
+    is a frozenset of edge ids.
     """
     index = g.bad_triangle_index()
     if triangle_budget is None:
@@ -202,103 +248,61 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
             f"{len(index)} bad triangles exceed the search budget {triangle_budget}")
     if node_budget is None:
         node_budget = BTT_NODE_WORK // max(len(index), 1)
+    enumerating = enumerate_cap is not None
     allowed_set = frozenset(allowed)
     weights = g.edge_columns().weight.tolist()
-    if enumerate_cap is not None:
-        weights = [Fraction(w) for w in weights]
+    search, den = (_integer_weights(weights) if enumerating or g.is_exact()
+                   else (weights, 1))
     rows = [[e for e in t if e in allowed_set] for t in index.tolist()]
+    # enumeration reports its root bound as the exact sum it searches with
+    priced = search if enumerating else weights
     root_bound = seed = 0
     for ids in rows:
         mask = sum(1 << e for e in ids)
         if not mask & seed:
             seed |= mask
-            root_bound += min(weights[e] for e in ids)
+            root_bound += min(priced[e] for e in ids)
+    if enumerating:
+        root_bound = Fraction(root_bound, den)
     crowding = [0] * g.m
     for ids in rows:
         for e in ids:
             crowding[e] += 1
     rows.sort(key=lambda ids: sum(crowding[e] for e in ids))
-    tri_mask, cheapest, edge_tri_mask = [], [], [0] * g.m
+    tri_mask, edge_tri_mask = [], [0] * g.m
+    classes = [0, 0, 0, 0]
     for p, ids in enumerate(rows):
-        ids = sorted(ids, key=weights.__getitem__)
         tri_mask.append(sum(1 << e for e in ids))
-        cheapest.append(tuple((1 << e, weights[e]) for e in ids))
+        classes[len(ids)] |= 1 << p
         for e in ids:
             edge_tri_mask[e] |= 1 << p
-    full = (1 << len(rows)) - 1
-
-    def pack(covered: int, excluded: int):
-        """(bound, branching edge, forced), or None if a triangle has no
-        open edge; one walk over the uncovered triangles in position order,
-        then one over the triangles it set aside.
-
-        The chosen triangle is the first with one open edge, or else the
-        one with the fewest open edges (ties: lowest open edge, then
-        position).  The branching edge is its open edge in the most
-        uncovered triangles (ties: lowest id); it is forced when it is the
-        only one."""
-        bound = used = 0
-        keep = ~excluded
-        uncovered = remaining = full & ~covered
-        # ``below`` masks the edges under the chosen triangle's lowest
-        # open edge, so a triangle with as many open edges wins the tie
-        # when it has an open edge there
-        best_count, best_open, below = 4, 0, 0
-        # positions of the triangles with two and with three open edges
-        loose = ([], [])
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            p = low.bit_length() - 1
-            open_edges = tri_mask[p] & keep
-            if not open_edges:
-                return None
-            count = open_edges.bit_count()
-            if count > 1:
-                if count < best_count or (count == best_count and open_edges & below):
-                    best_count, best_open = count, open_edges
-                    below = (open_edges & -open_edges) - 1
-                loose[count - 2].append(p)
-                continue
-            if best_count > 1:
-                best_count, best_open = 1, open_edges
-            if not open_edges & used:
-                used |= open_edges
-                bound += weights[open_edges.bit_length() - 1]
-        for group in loose:
-            for p in group:
-                open_edges = tri_mask[p] & keep
-                if not open_edges & used:
-                    used |= open_edges
-                    for bit, w in cheapest[p]:
-                        if bit & open_edges:
-                            bound += w
-                            break
-        branch, most = -1, -1
-        while best_open:
-            e = best_open.bit_length() - 1
-            best_open ^= 1 << e
-            hits = (edge_tri_mask[e] & uncovered).bit_count()
-            if hits >= most:
-                branch, most = e, hits
-        return bound, branch, best_count == 1
+    # the allowed edges that lie in a triangle
+    triangle_edges = sum(1 << e for e in range(g.m) if edge_tri_mask[e])
+    # each triangle's allowed edges, cheapest first, with their triangles
+    cheapest = [tuple((1 << e, search[e], edge_tri_mask[e])
+                      for e in sorted(ids, key=search.__getitem__)) for ids in rows]
 
     nodes, truncated, trail, optima, included = 0, False, [], [], []
     best = best_cover = None
-    if enumerate_cap is None:
+    if enumerating:
+        # integer costs: pruning ``cost > enumerate_cap`` is ``>= limit``
+        limit = floor_scaled(enumerate_cap, den) + 1
+    else:
         # Costs are totalled in sorted-id order, so float weights give the
         # witness's cost to the last bit.
         best_cover = [e for e in range(g.m) if seed >> e & 1]
+        limit = total(search[e] for e in best_cover)
         best = total(weights[e] for e in best_cover)
         trail.append((0, best))
         greedy = _greedy_cover(rows, weights)
-        value = total(weights[e] for e in greedy)
-        if value < best:
-            best, best_cover = value, greedy
+        value = total(search[e] for e in greedy)
+        if value < limit:
+            limit, best_cover = value, greedy
+            best = total(weights[e] for e in greedy)
             trail.append((0, best))
 
-    def dfs(covered: int, excluded: int, cost, depth: int) -> None:
-        nonlocal nodes, best, best_cover, truncated
+    def dfs(one: int, two: int, three: int, excluded: int, cost, depth: int) -> None:
+        nonlocal nodes, best, best_cover, limit, truncated
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(
@@ -306,21 +310,10 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
                 f"for {len(rows)} bad triangles", (root_bound, best))
         if depth > MAX_BTT_DEPTH:
             raise CapacityError(f"cover search deeper than {MAX_BTT_DEPTH} branchings")
-        packed = pack(covered, excluded)
-        if packed is None:
-            return
-        bound, branch, forced = packed
-        if enumerate_cap is None:
-            if cost + bound >= best:
+        if not (one or two or three):
+            if cost >= limit:
                 return
-        elif cost + bound > enumerate_cap:
-            return
-        if covered == full:
-            if enumerate_cap is None:
-                best_cover = sorted(included)
-                best = total(weights[e] for e in best_cover)
-                trail.append((nodes, best))
-            else:
+            if enumerating:
                 seen = twice = 0
                 for e in included:
                     twice |= seen & edge_tri_mask[e]
@@ -330,15 +323,61 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
                         optima.append(frozenset(included))
                     else:
                         truncated = True
+            else:
+                best_cover = sorted(included)
+                limit = total(search[e] for e in best_cover)
+                best = total(weights[e] for e in best_cover)
+                trail.append((nodes, best))
             return
+        keep = ~excluded
+        bound = blocked = 0
+        for rest in (one, two, three):
+            rest &= ~blocked
+            while rest:
+                p = (rest & -rest).bit_length() - 1
+                open_edges = tri_mask[p] & keep
+                w = None
+                for bit, weight, tris in cheapest[p]:
+                    if bit & open_edges:
+                        if w is None:
+                            w = weight
+                        blocked |= tris
+                bound += w
+                if cost + bound >= limit:
+                    return
+                rest &= ~blocked
+        if one:
+            p = (one & -one).bit_length() - 1
+            branch = (tri_mask[p] & keep).bit_length() - 1
+        else:
+            group = two or three
+            edges = triangle_edges & keep
+            while True:
+                low = edges & -edges
+                tris = edge_tri_mask[low.bit_length() - 1] & group
+                if tris:
+                    break
+                edges ^= low
+            chosen = tri_mask[(tris & -tris).bit_length() - 1] & keep
+            uncovered = two | three
+            branch, most = -1, -1
+            while chosen:
+                e = chosen.bit_length() - 1
+                chosen ^= 1 << e
+                hits = (edge_tri_mask[e] & uncovered).bit_count()
+                if hits >= most:
+                    branch, most = e, hits
+        mask = edge_tri_mask[branch]
         included.append(branch)
-        dfs(covered | edge_tri_mask[branch], excluded, cost + weights[branch], depth + 1)
+        dfs(one & ~mask, two & ~mask, three & ~mask, excluded,
+            cost + search[branch], depth + 1)
         included.pop()
-        if not forced:
-            dfs(covered, excluded | 1 << branch, cost, depth + 1)
+        if not one:
+            dfs(two & mask, two & ~mask | three & mask, three & ~mask,
+                excluded | 1 << branch, cost, depth + 1)
 
-    dfs(0, 0, 0, 0)
-    if enumerate_cap is not None:
+    dfs(classes[1], classes[2], classes[3], 0, 0, 0)
+    if enumerating:
         return ExactResult(None, None, nodes, root_bound, (), tuple(optima), truncated)
     return ExactResult(best, frozenset(best_cover), nodes, root_bound, tuple(trail))
 
@@ -387,7 +426,7 @@ def exact_btt_positive_only(g: SignedGraph, *,
     if enumerate_optima is None:
         return res
     found = _btt_search(
-        g, allowed, enumerate_cap=sum(map(Fraction, g.edge_columns().weight[
+        g, allowed, enumerate_cap=total(map(Fraction, g.edge_columns().weight[
             sorted(res.witness.edge_ids)].tolist())),
         max_optima=enumerate_optima)
     return replace(res, optima=tuple(sorted(found.optima, key=sorted)),
@@ -454,6 +493,14 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
     (With float weights this holds up to rounding, as it does for the
     incumbent prune.)
 
+    On exact weights the search adds and compares ``_integer_weights``,
+    numerators over the weights' common denominator, against ``limit``,
+    the incumbent's cost scaled the same way; float weights are searched
+    as they are.  A leaf is priced by ``disagreement_cost`` on the weight
+    column, and the seeds, the trail and the packing part of the root
+    bound are computed from the weights themselves, so each keeps their
+    kind.
+
     ``lower_bound`` (for instance a known minimum cover cost) allows early
     exit once matched.  ``root_lower_bound``, and the lower bound that
     BudgetExceededError carries, is the larger of ``lower_bound`` and the
@@ -469,20 +516,25 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
     n = g.n
     cols = g.edge_columns()
     weights = cols.weight.tolist()
+    exact = g.is_exact()
+    search, den = _integer_weights(weights) if exact else (weights, 1)
     # gain[j] and shift[j] list, for each node u > j in turn, what placing
     # j in a cluster adds to u's positive weight towards placed nodes and
     # to u's pull (negative minus positive weight) towards that cluster
     gain = [[0] * (n - 1 - j) for j in range(n)]
     shift = [[0] * (n - 1 - j) for j in range(n)]
     for u, v, positive, w in zip(cols.u.tolist(), cols.v.tolist(),
-                                 cols.positive.tolist(), weights):
+                                 cols.positive.tolist(), search):
         if positive:
             gain[u][v - u - 1] = w
             shift[u][v - u - 1] = -w
         else:
             shift[u][v - u - 1] = w
-    tail = _tail_packing(g, weights)
-    root_bound = tail[0] if lower_bound is None else max(lower_bound, tail[0])
+    tail = _tail_packing(g, search)
+    # the reported bound is a sum of the weights themselves, in their kind
+    # (``search`` is ``weights`` on float and on int weights)
+    low = tail[0] if search is weights else _tail_packing(g, weights)[0]
+    root_bound = low if lower_bound is None else max(lower_bound, low)
     singletons = Clustering.from_labels(list(range(n)))
     one_cluster = Clustering.from_labels([0] * n)
     # cc_cost of the seeds: every positive edge crosses singletons and
@@ -490,6 +542,8 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
     seeds = [(total(cols.weight[cols.positive]), singletons),
              (total(cols.weight[~cols.positive]), one_cluster)]
     best, witness = min(seeds, key=lambda s: s[0])
+    # the search prunes on ``limit``, the incumbent's cost in ``search``
+    limit = floor_scaled(best, den) if exact else best
     trail = [(0, best)]
     labels = [0] * n
     nodes = 0
@@ -500,7 +554,7 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
         # pull[c][u - i]: its negative minus positive weight towards
         # cluster c, so u joins c at pos[u - i] + pull[c][u - i].  The last
         # row is zero: it stands for a fresh cluster.
-        nonlocal nodes, best, witness, done
+        nonlocal nodes, best, limit, witness, done
         if done:
             return
         nodes += 1
@@ -514,6 +568,7 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
             price = disagreement_cost(cols, labels)
             if price < best:
                 best = price
+                limit = floor_scaled(price, den) if exact else price
                 witness = Clustering.from_labels(labels)
                 trail.append((nodes, price))
                 if lower_bound is not None and price == lower_bound:
@@ -529,14 +584,14 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
         floor = total(map(add, pos[1:], map(min, *kept))) + tail[i + 1]
         for c, row in enumerate(pull):
             new_cost = cost + (own + row[0])
-            if new_cost + floor >= best:
+            if new_cost + floor >= limit:
                 continue
             rows = kept.copy()
             rows[c] = [p + q for p, q in zip(kept[c], shift[i])]
             if c == fresh:
                 rows.append([0] * (n - 1 - i))
             rest = total(map(add, next_pos, map(min, *rows))) + tail[i + 1]
-            if new_cost + rest >= best:
+            if new_cost + rest >= limit:
                 continue
             labels[i] = c
             assign(i + 1, new_cost, next_pos, rows)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -557,6 +558,51 @@ class TestFloatWeights:
             g = gen_random(n, weights=("uniform", 0.5, 2.0), seed=seed)
             res = exact_btt_positive_only(g, enumerate_optima=50)
             assert res.witness.edge_ids in res.optima
+
+
+#: SHA-256 of the exact oracles' results on a seeded suite, frozen from
+#: the searches that added Fraction weights and walked every uncovered
+#: triangle at each node.  Each result enters as the ``repr`` of its value,
+#: witness, node count, root bound, trail and optima, so the digest pins
+#: number kinds as well as values.
+FROZEN_DIGEST = "43ad5f9260a646befa8b922535e80ca6bbfe687c019257adaf2af882dd406b4a"
+
+
+class TestFrozenOutputs:
+    @staticmethod
+    def summary(res) -> str:
+        w = res.witness
+        witness = sorted(w.edge_ids) if isinstance(w, EdgeCover) else list(w.labels)
+        optima = None if res.optima is None else [sorted(o) for o in res.optima]
+        return repr((res.value, witness, res.nodes_explored, res.root_lower_bound,
+                     res.trail, optima, res.optima_truncated))
+
+    def test_digest_is_unchanged(self):
+        digest = hashlib.sha256()
+        for n in range(6, 12):
+            for complete in (True, False):
+                for weights in ("unit", RATIONAL, ("uniform", 0.5, 2.0)):
+                    for seed in range(3):
+                        g = gen_random(n, complete=complete, density=0.5,
+                                       weights=weights, seed=seed)
+                        cover = exact_btt(g)
+                        for res in (cover, exact_btt_positive_only(g, enumerate_optima=16),
+                                    exact_cc(g), exact_cc(g, lower_bound=cover.value)):
+                            digest.update(self.summary(res).encode() + b"\n")
+        assert digest.hexdigest() == FROZEN_DIGEST
+
+    def test_reported_numbers_keep_the_weights_kind(self):
+        # the searches compare integer numerators, but an int-weight cover
+        # still costs an int, and a JSON output writes 1 rather than "1"
+        g = SignedGraph(3, [(0, 1, 1, 2), (1, 2, 1, F(3, 2)), (0, 2, -1, 1)])
+        res = exact_btt(g)
+        assert repr((res.value, res.root_lower_bound, res.trail)) == \
+            "(1, 1, ((0, Fraction(9, 2)), (0, 1)))"
+        cc = exact_cc(g, lower_bound=1)
+        assert repr((cc.value, cc.root_lower_bound, cc.trail)) == "(1, 1, ((0, 1),))"
+        with pytest.raises(BudgetExceededError) as caught:
+            exact_btt(g, node_budget=0)
+        assert repr(caught.value.bounds) == "(1, 1)"
 
 
 class TestWitnessIntegrity:
