@@ -37,8 +37,14 @@ nodes at least what its cheapest cluster, used or fresh, would cost it,
 and the pairs among the later nodes pay at least a greedy edge-disjoint
 packing of the bad triangles on them.  Only subtrees none of whose
 clusterings could become the incumbent are cut, so the enumeration order,
-the witness and the trail values are those of the search without the
-bound; only the node counts fall.
+the witness and the value are those of the search without the bound.
+Given a lower bound on the optimum, such as the minimum cover cost, the
+search looks first for a clustering at that bound: it sets aside, in
+order, the choices whose bound exceeds it, and searches them only when
+no clustering meets it.  The witness and value are again those of the
+search without either bound, and the node counts fall; the trail of a
+search that meets its bound leaves out the costlier incumbents met on
+the way.
 
 Both searches are desk-scale tools, with guards set from the input and
 from measurement.  The cover search refuses more than
@@ -58,7 +64,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 
 from .errors import (BudgetExceededError, CapacityError, InputError,
                      VerificationError)
@@ -88,9 +94,12 @@ MAX_BTT_DEPTH = 800
 class ExactResult:
     """An exact optimum with its witness and a summary of the search.
 
-    ``trail`` records incumbent improvements as (nodes_explored, value)
-    pairs; together with ``root_lower_bound`` it documents why the final
-    value is optimal.  ``optima`` is populated only by enumeration runs.
+    ``trail`` records the seed incumbents at node 0 and then each
+    incumbent improvement as (nodes_explored, value) pairs; together with
+    ``root_lower_bound`` it documents why the final value is optimal.  A
+    clustering search given a ``lower_bound`` that it meets records only
+    the clustering at the bound after its seed (see ``exact_cc``).
+    ``optima`` is populated only by enumeration runs.
     """
 
     value: object
@@ -253,12 +262,14 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     weights = g.edge_columns().weight.tolist()
     search, den = (_integer_weights(weights) if enumerating or g.is_exact()
                    else (weights, 1))
-    rows = [[e for e in t if e in allowed_set] for t in index.tolist()]
+    rows = index.tolist()
+    if len(allowed_set) < g.m:
+        rows = [[e for e in t if e in allowed_set] for t in rows]
+    masks = [sum(1 << e for e in ids) for ids in rows]
     # enumeration reports its root bound as the exact sum it searches with
     priced = search if enumerating else weights
     root_bound = seed = 0
-    for ids in rows:
-        mask = sum(1 << e for e in ids)
+    for ids, mask in zip(rows, masks):
         if not mask & seed:
             seed |= mask
             root_bound += min(priced[e] for e in ids)
@@ -268,19 +279,21 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     for ids in rows:
         for e in ids:
             crowding[e] += 1
-    rows.sort(key=lambda ids: sum(crowding[e] for e in ids))
-    tri_mask, edge_tri_mask = [], [0] * g.m
+    order = sorted(range(len(rows)), key=lambda t: sum(crowding[e] for e in rows[t]))
+    rows = [rows[t] for t in order]
+    tri_mask = [masks[t] for t in order]
+    edge_tri_mask = [0] * g.m
     classes = [0, 0, 0, 0]
     for p, ids in enumerate(rows):
-        tri_mask.append(sum(1 << e for e in ids))
         classes[len(ids)] |= 1 << p
         for e in ids:
             edge_tri_mask[e] |= 1 << p
     # the allowed edges that lie in a triangle
     triangle_edges = sum(1 << e for e in range(g.m) if edge_tri_mask[e])
     # each triangle's allowed edges, cheapest first, with their triangles
-    cheapest = [tuple((1 << e, search[e], edge_tri_mask[e])
-                      for e in sorted(ids, key=search.__getitem__)) for ids in rows]
+    entries = [(1 << e, search[e], edge_tri_mask[e]) for e in range(g.m)]
+    cheapest = [tuple(sorted(map(entries.__getitem__, ids), key=itemgetter(1)))
+                for ids in rows]
 
     nodes, truncated, trail, optima, included = 0, False, [], [], []
     best = best_cover = None
@@ -488,10 +501,10 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
     A pruned subtree holds only clusterings that cost at least the
     incumbent, and a clustering replaces the incumbent only when it costs
     strictly less, so none of them could have been recorded: the order of
-    the leaves, the witness, the trail's values and the early exit below
-    are those of the search without the bound, and only node counts fall.
-    (With float weights this holds up to rounding, as it does for the
-    incumbent prune.)
+    the leaves, the witness and the value are those of the search without
+    the bound, and so are the trail's values when no ``lower_bound`` is
+    given.  (With float weights this holds up to rounding, as it does for
+    the incumbent prune.)
 
     On exact weights the search adds and compares ``_integer_weights``,
     numerators over the weights' common denominator, against ``limit``,
@@ -501,12 +514,42 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
     bound are computed from the weights themselves, so each keeps their
     kind.
 
-    ``lower_bound`` (for instance a known minimum cover cost) allows early
-    exit once matched.  ``root_lower_bound``, and the lower bound that
-    BudgetExceededError carries, is the larger of ``lower_bound`` and the
-    packing bound of the whole graph.  Graphs above ``DEFAULT_CC_NODE_CAP``
-    nodes are refused with CapacityError before any search, and a search
-    past ``DEFAULT_CC_NODE_BUDGET`` nodes raises BudgetExceededError; both
+    ``lower_bound`` L, for instance the minimum cover cost, which no
+    clustering undercuts, must not exceed the optimum.  The search trusts
+    it: a bound above the optimum can end the search at a clustering that
+    is not optimal.  Given L, the search runs bound-first, in up to two
+    passes over one enumeration:
+
+    * the first prunes on the incumbent as above, but sets aside, in
+      search order, each choice whose bound exceeds L (on exact weights,
+      reaches ``floor_scaled(L, den) + 1``; on float weights, exceeds L by
+      more than m ulps of the total weight, room for the rounding of a
+      search-order sum), and it stops at the first clustering priced L;
+    * the second runs only when the first did not stop, and searches the
+      choices set aside, in the order they were set aside, against the
+      incumbent alone.
+
+    The witness and value stay those of the search without L.  That
+    search's incumbent stays above L until it finds a clustering priced
+    L, so it never prunes a subtree holding one and returns the first in
+    search order.  The first pass visits the clusterings in the same
+    order and sets aside only subtrees whose clusterings all cost more
+    than L, so it stops at that same clustering, having visited no node
+    the other search skips.  When the optimum exceeds L the first pass
+    records nothing, and the second visits the subtrees set aside in the
+    other search's order and under the same incumbents, so the two passes
+    together visit exactly its nodes.  (On float weights, again up to
+    rounding.)  ``nodes_explored`` and the node
+    budget count both passes.  The trail holds the cheaper seed at node 0
+    and then what the passes record, node counts running on across both;
+    a search that meets L records only the clustering priced L, not the
+    costlier incumbents the search without L would pass on its way.
+
+    ``root_lower_bound``, and the lower bound that BudgetExceededError
+    carries, is the larger of ``lower_bound`` and the packing bound of the
+    whole graph.  Graphs above ``DEFAULT_CC_NODE_CAP`` nodes are refused
+    with CapacityError before any search, and a search past
+    ``DEFAULT_CC_NODE_BUDGET`` nodes raises BudgetExceededError; both
     constants are read at call time.
     """
     _check_cc_node_cap(g.n)
@@ -542,19 +585,28 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
     seeds = [(total(cols.weight[cols.positive]), singletons),
              (total(cols.weight[~cols.positive]), one_cluster)]
     best, witness = min(seeds, key=lambda s: s[0])
-    # the search prunes on ``limit``, the incumbent's cost in ``search``
-    limit = floor_scaled(best, den) if exact else best
+    # the search prunes a choice whose bound reaches ``limit``, the
+    # incumbent's cost in ``search``, and sets aside one whose bound
+    # reaches ``cut``: ``limit`` itself, or just above ``lower_bound``
+    # while the incumbent costs more
+    limit = cut = floor_scaled(best, den) if exact else best
     trail = [(0, best)]
     labels = [0] * n
     nodes = 0
     done = best == lower_bound
+    if lower_bound is not None and not done:
+        # float sums in search order may exceed a clustering's edge-order
+        # price by rounding; the slack keeps one priced at the bound
+        cut = min(limit, floor_scaled(lower_bound, den) + 1 if exact
+                  else lower_bound + g.m * math.ulp(total(weights)))
+    later = []
 
     def assign(i: int, cost, pos: list, pull: list):
         # pos[u - i]: node u's positive weight towards the placed nodes;
         # pull[c][u - i]: its negative minus positive weight towards
         # cluster c, so u joins c at pos[u - i] + pull[c][u - i].  The last
         # row is zero: it stands for a fresh cluster.
-        nonlocal nodes, best, limit, witness, done
+        nonlocal nodes, best, limit, cut, witness, done
         if done:
             return
         nodes += 1
@@ -569,11 +621,16 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
             if price < best:
                 best = price
                 limit = floor_scaled(price, den) if exact else price
+                cut = min(cut, limit)
                 witness = Clustering.from_labels(labels)
                 trail.append((nodes, price))
                 if lower_bound is not None and price == lower_bound:
                     done = True
             return
+        branch(i, cost, pos, pull, range(len(pull)))
+
+    def branch(i: int, cost, pos: list, pull: list, choices) -> None:
+        # place node i in each cluster c of ``choices``
         own = pos[0]
         next_pos = [p + q for p, q in zip(pos[1:], gain[i])]
         kept = [row[1:] for row in pull]
@@ -582,23 +639,33 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
         # the later nodes are the packing's; ``floor`` leaves out the
         # pairs (i, u), so it is one test for every choice of c
         floor = total(map(add, pos[1:], map(min, *kept))) + tail[i + 1]
-        for c, row in enumerate(pull):
-            new_cost = cost + (own + row[0])
-            if new_cost + floor >= limit:
-                continue
-            rows = kept.copy()
-            rows[c] = [p + q for p, q in zip(kept[c], shift[i])]
-            if c == fresh:
-                rows.append([0] * (n - 1 - i))
-            rest = total(map(add, next_pos, map(min, *rows))) + tail[i + 1]
-            if new_cost + rest >= limit:
-                continue
-            labels[i] = c
-            assign(i + 1, new_cost, next_pos, rows)
+        for c in choices:
+            new_cost = cost + (own + pull[c][0])
+            bound = new_cost + floor
+            if bound < cut:
+                rows = kept.copy()
+                rows[c] = [p + q for p, q in zip(kept[c], shift[i])]
+                if c == fresh:
+                    rows.append([0] * (n - 1 - i))
+                rest = total(map(add, next_pos, map(min, *rows))) + tail[i + 1]
+                bound = new_cost + rest
+                if bound < cut:
+                    labels[i] = c
+                    assign(i + 1, new_cost, next_pos, rows)
+                    continue
+            if bound < limit:
+                later.append((labels[:i], i, cost, pos, pull, c))
         labels[i] = 0
 
     # node 0 opens cluster 0
     assign(1, 0, gain[0], [shift[0], [0] * (n - 1)])
+    # the choices set aside, in search order, against the incumbent alone
+    cut = limit
+    for prefix, i, cost, pos, pull, c in later:
+        if done:
+            break
+        labels[:i] = prefix
+        branch(i, cost, pos, pull, (c,))
     if cc_cost(g, witness) != best:
         raise VerificationError("clustering search returned an invalid witness")
     return ExactResult(best, witness, nodes, root_bound, tuple(trail))

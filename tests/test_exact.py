@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -299,6 +300,18 @@ CC_PINNED = {
     "rational9": (F(73, 6), 57, [0, 0, 1, 1, 1, 1, 2, 0, 0]),
 }
 
+
+def trail_values(res) -> list:
+    return [v for _, v in res.trail]
+
+
+def met_bound_trail(unprimed) -> list:
+    """The trail values of a primed search that meets its bound: the seed,
+    then the optimum unless the seed is it."""
+    values = trail_values(unprimed)
+    return values[:1] + values[1:][-1:]
+
+
 class TestExactCc:
     @pytest.mark.parametrize("name", sorted(CC_PINNED))
     def test_search_is_unchanged(self, name):
@@ -308,10 +321,12 @@ class TestExactCc:
             (value, nodes, labels)
 
     def test_matches_the_search_without_the_bound(self):
-        # same value, witness and trail values as the incumbent-only
-        # search, with and without the cover optimum as lower bound; the
-        # sparse graphs include bad cycles with no bad triangle, where
-        # OPT_CC > OPT_BTT and the early exit never fires
+        # same value and witness as the incumbent-only search, with and
+        # without the cover optimum as lower bound; the sparse graphs
+        # include bad cycles with no bad triangle, where OPT_CC > OPT_BTT
+        # and the early exit never fires.  A primed search that meets its
+        # bound records only the seed and the optimum; otherwise its trail
+        # values are the reference's
         above = 0
         for n in range(6, 11):
             for complete in (True, False):
@@ -325,10 +340,64 @@ class TestExactCc:
                             got = exact_cc(g, lower_bound=bound)
                             assert got.value == want.value
                             assert got.witness.labels == want.witness.labels
-                            assert [v for _, v in got.trail] == [v for _, v in want.trail]
+                            if bound is not None and got.value == bound:
+                                assert trail_values(got) == met_bound_trail(want)
+                            else:
+                                assert trail_values(got) == trail_values(want)
                             assert got.nodes_explored <= want.nodes_explored
                         above += want.value > cover
         assert above >= 10
+
+    def test_every_k5_sign_pattern(self):
+        # the cover optimum as bound leaves value and witness alone and
+        # never adds nodes; where it is met, the trail is the seed and the
+        # optimum
+        pairs = list(itertools.combinations(range(5), 2))
+        for pattern in range(1 << len(pairs)):
+            g = SignedGraph(5, [(u, v, 1 if pattern >> k & 1 else -1)
+                                for k, (u, v) in enumerate(pairs)])
+            cover = exact_btt(g).value
+            plain = exact_cc(g)
+            primed = exact_cc(g, lower_bound=cover)
+            assert (primed.value, primed.witness) == (plain.value, plain.witness)
+            assert primed.nodes_explored <= plain.nodes_explored
+            if primed.value == cover:
+                assert trail_values(primed) == met_bound_trail(plain)
+
+    def test_bound_below_the_optimum_falls_back(self):
+        # sparse graphs with bad cycles and no bad triangle on them, where
+        # OPT_CC > OPT_BTT: the choices set aside above the bound are
+        # searched in order, so the primed search visits exactly the nodes
+        # of the unprimed one and records the same incumbents
+        fallbacks = 0
+        for n in range(6, 10):
+            for weights in ("unit", RATIONAL):
+                for seed in range(6):
+                    g = gen_random(n, complete=False, density=0.5,
+                                   weights=weights, seed=seed)
+                    cover = exact_btt(g).value
+                    plain = exact_cc(g)
+                    if plain.value == cover:
+                        continue
+                    fallbacks += 1
+                    primed = exact_cc(g, lower_bound=cover)
+                    assert (primed.value, primed.witness) == (plain.value, plain.witness)
+                    assert trail_values(primed) == trail_values(plain)
+                    assert primed.nodes_explored == plain.nodes_explored
+        assert fallbacks >= 10
+
+    def test_float_weights_keep_value_and_witness(self):
+        for n in range(6, 10):
+            for complete in (True, False):
+                for seed in range(8):
+                    g = gen_random(n, complete=complete, density=0.5,
+                                   weights=("uniform", 0.5, 2.0), seed=seed)
+                    cover = exact_btt(g).value
+                    plain = exact_cc(g)
+                    primed = exact_cc(g, lower_bound=cover)
+                    assert (primed.value, primed.witness) == (plain.value, plain.witness)
+                    if primed.value == cover:
+                        assert trail_values(primed) == met_bound_trail(plain)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_complete_unit_twelve_scales(self, seed, monkeypatch):
@@ -560,12 +629,20 @@ class TestFloatWeights:
             assert res.witness.edge_ids in res.optima
 
 
-#: SHA-256 of the exact oracles' results on a seeded suite, frozen from
+#: SHA-256 digests of the exact oracles' results on a seeded suite, one per
+#: oracle family.  Each result enters as the ``repr`` of its value, witness,
+#: node count, root bound, trail and optima, so a digest pins number kinds
+#: as well as values.  The cover oracles (``exact_btt`` and positive-only
+#: enumeration) and the clustering search without a bound are frozen from
 #: the searches that added Fraction weights and walked every uncovered
-#: triangle at each node.  Each result enters as the ``repr`` of its value,
-#: witness, node count, root bound, trail and optima, so the digest pins
-#: number kinds as well as values.
-FROZEN_DIGEST = "43ad5f9260a646befa8b922535e80ca6bbfe687c019257adaf2af882dd406b4a"
+#: triangle at each node; the clustering search primed with the cover
+#: optimum is frozen from the bound-first search, whose trail leaves out
+#: the incumbents above a bound it meets and whose node counts fall.
+FROZEN_DIGESTS = {
+    "covers": "b4b9fe6c23eeae4f56c53ffee0f2c9425841562978abd2c30756cda20c81b12c",
+    "clustering": "ad626071dbff3ac2c3df4b53e8a87fc707ab650317d0dfd52ebac09bb64fb5b4",
+    "primed clustering": "1348e2a433034321b0267d08fffee298dc5b49af8d78d449bfa6fb3968534494",
+}
 
 
 class TestFrozenOutputs:
@@ -578,7 +655,7 @@ class TestFrozenOutputs:
                      res.trail, optima, res.optima_truncated))
 
     def test_digest_is_unchanged(self):
-        digest = hashlib.sha256()
+        digests = {name: hashlib.sha256() for name in FROZEN_DIGESTS}
         for n in range(6, 12):
             for complete in (True, False):
                 for weights in ("unit", RATIONAL, ("uniform", 0.5, 2.0)):
@@ -586,10 +663,13 @@ class TestFrozenOutputs:
                         g = gen_random(n, complete=complete, density=0.5,
                                        weights=weights, seed=seed)
                         cover = exact_btt(g)
-                        for res in (cover, exact_btt_positive_only(g, enumerate_optima=16),
-                                    exact_cc(g), exact_cc(g, lower_bound=cover.value)):
-                            digest.update(self.summary(res).encode() + b"\n")
-        assert digest.hexdigest() == FROZEN_DIGEST
+                        for name, res in (
+                                ("covers", cover),
+                                ("covers", exact_btt_positive_only(g, enumerate_optima=16)),
+                                ("clustering", exact_cc(g)),
+                                ("primed clustering", exact_cc(g, lower_bound=cover.value))):
+                            digests[name].update(self.summary(res).encode() + b"\n")
+        assert {name: d.hexdigest() for name, d in digests.items()} == FROZEN_DIGESTS
 
     def test_reported_numbers_keep_the_weights_kind(self):
         # the searches compare integer numerators, but an int-weight cover
