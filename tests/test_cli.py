@@ -478,3 +478,151 @@ class TestJsonEncoding:
     def test_unknown_types_are_refused(self):
         with pytest.raises(TypeError, match="not JSON serialisable"):
             _json_default(object())
+
+
+#: The generator specs every ``solve --alg`` runs on in the golden matrix.
+GOLDEN_GRAPHS = ("fig2", "gap:n=5", "random:n=10,weights=rational:4:3,seed=1")
+#: A float graph for the algorithms that take ``--mode float``; lp-exact,
+#: kriv and exact are left off, since the Fraction simplex and the cover
+#: search cannot finish on it.
+GOLDEN_FLOAT_GRAPH = "random:n=30,weights=uniform:0.5:2,seed=1"
+GOLDEN_FLOAT_ALGS = ("3approx", "det2", "rand2", "sweep2", "lp-mwu")
+GOLDEN_GENERATE = ("fig2", "hexagram --json-graph", "gap:n=5",
+                   "random:n=10,weights=rational:4:3,seed=1",
+                   "random:n=12,density=0.3,weights=uniform:0.5:2,seed=2",
+                   "vc:kind=cycle,n=5", "hardness:file=../formula.cnf")
+
+
+def golden_commands() -> list[str]:
+    """The golden matrix: every command runs in an empty directory below
+    the one holding its inputs, ``cover-<spec>.json`` (a det2 solve
+    result) and ``formula.cnf``, and writes its outputs there."""
+    from btt.cli import CLUSTER_ALGS, SOLVE_ALGS
+    commands = [f"solve --alg {alg} --gen {spec}"
+                for spec in GOLDEN_GRAPHS for alg in SOLVE_ALGS]
+    commands += [f"solve --alg {alg} --mode float --gen {GOLDEN_FLOAT_GRAPH}"
+                 for alg in GOLDEN_FLOAT_ALGS]
+    for i, spec in enumerate(GOLDEN_GRAPHS[::2]):
+        for alg in CLUSTER_ALGS:
+            cover = "" if alg == "pivot" else f" --cover ../cover-{i}.json"
+            commands.append(f"cluster --alg {alg} --gen {spec} --trials 2 "
+                            f"--seed 4 --csv trials.csv{cover}")
+    commands += ["verify --tables --hexagram", "verify --survey --n 8 --count 4"]
+    commands += [f"generate --gen {spec}" for spec in GOLDEN_GENERATE]
+    return commands
+
+
+#: SHA-256 of each golden command's outputs, frozen when the matrix was
+#: added; a change that alters an output on purpose re-freezes only that
+#: command.
+GOLDEN_DIGESTS = {
+    "solve --alg 3approx --gen fig2":
+        "4670ea75ca9ee3303b242aec53bff06873d4c5692f1701b6dc93e576ebe844f0",
+    "solve --alg kriv --gen fig2":
+        "20143473fdf2e2551cb809b2a18919f064872da7253e97a1c464d565ba587dd2",
+    "solve --alg det2 --gen fig2":
+        "079d6d8da44ffec0d7432b75af56facf9025c550428fd6447015117c4c92689d",
+    "solve --alg rand2 --gen fig2":
+        "650b5fb1e498292ab2a3a6a375b9e606605a0aae88ee4e237aa37a4f1a3a1a14",
+    "solve --alg sweep2 --gen fig2":
+        "4ec12bf7ca9504a908757127513947539093e732842174a2525ee3d63f477e37",
+    "solve --alg exact --gen fig2":
+        "cd8e1ea25e51aa8d6a227c7e9ea1220b9f6663f991618e8159f0a0fe74b3171a",
+    "solve --alg lp-exact --gen fig2":
+        "7bcb6027f84ea39f2ae583194a8ed8d5a1b614ca5c66194f7a5b13bb5fc3ab7f",
+    "solve --alg lp-mwu --gen fig2":
+        "56cb44de4c76a43a4a73afe41bbd5f912e121887af86b1a1b54eb70e14ae9d3f",
+    "solve --alg 3approx --gen gap:n=5":
+        "33bc7dc00473bb82cce0e43a2e0b665e9567c41f1c8ce4e344cc658311e88e1c",
+    "solve --alg kriv --gen gap:n=5":
+        "acb5e15bdb0298c2a941c3aa93d22ba9cb9be0765d29e0599ada46b1ba9c4601",
+    "solve --alg det2 --gen gap:n=5":
+        "49b0cfaf06f4d22a6b0403f216ffac15be939b7a965dfb6d0de7ac35382b1026",
+    "solve --alg rand2 --gen gap:n=5":
+        "32555c1599842644ceda9a5fcaa3c5e1a156f9d05a3b9f2b99dcee2690205449",
+    "solve --alg sweep2 --gen gap:n=5":
+        "d692207d8c1fec713b938bc24f1a434af3af47c807b9cc734e0690574f279fa8",
+    "solve --alg exact --gen gap:n=5":
+        "50eb7592568bc9677f4256befdffd9bc802f267e5937e787e8de69747afc11a7",
+    "solve --alg lp-exact --gen gap:n=5":
+        "9e9ccf1bc5ce5c7e1d9430900366edbf2d7e7e0e30270d5cab99253b3c55e26c",
+    "solve --alg lp-mwu --gen gap:n=5":
+        "e99cdd0b80100baf7be3e62798447e035b56f9f01d54ed261486241e5b2e444f",
+    "solve --alg 3approx --gen random:n=10,weights=rational:4:3,seed=1":
+        "f3f2f68ad82ccf26506bc15071f78895a707c2f7a62440755bef348b8762d864",
+    "solve --alg kriv --gen random:n=10,weights=rational:4:3,seed=1":
+        "f5dfc7045997048f6a5e8dd897ee3fc23148d9ebdb860d68fb8e263fb85d1f04",
+    "solve --alg det2 --gen random:n=10,weights=rational:4:3,seed=1":
+        "2faf126a6eff285e24cdfbb4914f0091cf3704c30eb3b17c87210b72ef5a41d2",
+    "solve --alg rand2 --gen random:n=10,weights=rational:4:3,seed=1":
+        "4ceb5cfb3740aff8f991b89413717665e0818f5f15a0e886a6d56da34ee856ca",
+    "solve --alg sweep2 --gen random:n=10,weights=rational:4:3,seed=1":
+        "0e11a3d6eaea08351c0511d353158fe8f69339389b0cf6cdec3faad041fed7fd",
+    "solve --alg exact --gen random:n=10,weights=rational:4:3,seed=1":
+        "e6f7f73e81f293629d94c4799151723dc47347af3c979db4940ebc77ed9ef8f0",
+    "solve --alg lp-exact --gen random:n=10,weights=rational:4:3,seed=1":
+        "274900c9d73bf52a4b28d03b2375525a4d319cb256f3f764c7aa016d0fe11e87",
+    "solve --alg lp-mwu --gen random:n=10,weights=rational:4:3,seed=1":
+        "07301756ebf889e6cc393edd153f73e8f76f1330a7b12f2875e6432fb4e758d4",
+    "solve --alg 3approx --mode float --gen random:n=30,weights=uniform:0.5:2,seed=1":
+        "cd22d2dc2fb95573979506fb8a66629c4feb544ef5ebc522c4d434b1e227a513",
+    "solve --alg det2 --mode float --gen random:n=30,weights=uniform:0.5:2,seed=1":
+        "36f1a77a363b8436d1f17a079fde6cd6ee1ba608868cc55b9276654739741b36",
+    "solve --alg rand2 --mode float --gen random:n=30,weights=uniform:0.5:2,seed=1":
+        "b20db56f4b495c6f460aed1875a6a7ace6a6d3590111c7fdd71e2272577cd4de",
+    "solve --alg sweep2 --mode float --gen random:n=30,weights=uniform:0.5:2,seed=1":
+        "993d3ca7932533d9f745224e89e1f3fb2d76697d7f566bcb15fd335c8aa2e046",
+    "solve --alg lp-mwu --mode float --gen random:n=30,weights=uniform:0.5:2,seed=1":
+        "a7a7245b0e4cda95a6d15c6c4e53e1ece82507a483f406431d18ef6c23efc0ee",
+    "cluster --alg pivot --gen fig2 --trials 2 --seed 4 --csv trials.csv":
+        "fe2ced18a9336430f9a891235065435e7dcdd7e465eaa5b87a7a80fe8e2c392c",
+    "cluster --alg cover-pivot --gen fig2 --trials 2 --seed 4 --csv trials.csv --cover ../cover-0.json":
+        "c23e2e405df572715a680ca9792fd920bdeacd07f4db931a93f0ca4c976af59e",
+    "cluster --alg flip-pivot --gen fig2 --trials 2 --seed 4 --csv trials.csv --cover ../cover-0.json":
+        "d6e82a60ba5e2e2eb6a95f95cdf7b46f1df58149b8e0abc1d99523a4b57054ba",
+    "cluster --alg pivot --gen random:n=10,weights=rational:4:3,seed=1 --trials 2 --seed 4 --csv trials.csv":
+        "33b2cf9a71b92e94a60662940d77482e29d372458cb5484672ce400eed8c4e3d",
+    "cluster --alg cover-pivot --gen random:n=10,weights=rational:4:3,seed=1 --trials 2 --seed 4 --csv trials.csv --cover ../cover-1.json":
+        "cacbc390db9a170898bcac66972a276d8ca624362eaf1ea2be3dcc179a73754a",
+    "cluster --alg flip-pivot --gen random:n=10,weights=rational:4:3,seed=1 --trials 2 --seed 4 --csv trials.csv --cover ../cover-1.json":
+        "134c247413b32962e761d111ce8a1100132d9b03d12de0dd02a907ba0cd42088",
+    "verify --tables --hexagram":
+        "96917b1608a864b0f6796e1152388dcd5ab5d9ca892c7f349f7e6837624f88fd",
+    "verify --survey --n 8 --count 4":
+        "4c3b315713778b7f04cac14ca94695890054817ba196829117262869c7b67d4a",
+    "generate --gen fig2":
+        "46e91a511adbb58d3648111af52c075b3a0cf1a13a1fc35694b7733e07b3c6b0",
+    "generate --gen hexagram --json-graph":
+        "770caf8dd5094439b573aca7900ad8ebf6e1be2d39ccdfe25f9c8a61270271b5",
+    "generate --gen gap:n=5":
+        "ef9f2e777bbe39a314270380e9badc6fe9918b07e63098537a7b9f7888b7ee7d",
+    "generate --gen random:n=10,weights=rational:4:3,seed=1":
+        "6ce2aaf309999439a415989d5830d7d76b6d7e69de981132ff93b7855912fbd1",
+    "generate --gen random:n=12,density=0.3,weights=uniform:0.5:2,seed=2":
+        "736b3943badc931bc952de550e13a50f099dd560c20cf2b31b5087eb50c89f2d",
+    "generate --gen vc:kind=cycle,n=5":
+        "36574adc290eacc8f031495e3b4e516df0c8685afdae0356bf1f74bcb2a29011",
+    "generate --gen hardness:file=../formula.cnf":
+        "063a037bf068c59a3e122cf6fe410acbedc0143e7a1194d842c21269957eb9f8",
+}
+
+
+class TestGoldenOutputs:
+    def test_every_command_output_is_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for i, spec in enumerate(GOLDEN_GRAPHS[::2]):
+            assert main(["solve", "--alg", "det2", "--gen", spec,
+                         "--out", f"cover-{i}.json"]) == 0
+        (tmp_path / "formula.cnf").write_text("p cnf 1 2\n1 1 0\n1 -1 0\n")
+        work = tmp_path / "run"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        digests = {}
+        for command in golden_commands():
+            assert main(command.split() + ["--out", "out"]) == 0, command
+            digest = hashlib.sha256()
+            for path in sorted(work.iterdir()):
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+                path.unlink()
+            digests[command] = digest.hexdigest()
+        assert digests == GOLDEN_DIGESTS
