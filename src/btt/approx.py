@@ -15,13 +15,13 @@ Four families:
 The roundings check, clamp and set the float slack tau of their input x
 in one place, ``_rounding_input``, once per call.  An exact x (ints and
 Fractions) comes back as integer numerators over its common denominator D
-(``lp.scaled_integers``: int64 while 3 x max(D, |num|) < 2**63, else
+(``graphs.scaled_integers``: int64 while 3 x max(D, |num|) < 2**63, else
 Python ints), so det2 and the threshold rule compare integers with
 thresholds that are computed from r in r's own arithmetic and then scaled
 by D (rounded up for >=, down for >).  The
 sweep groups its breakpoints (2 num and D - num) with ``np.unique`` and
-sums costs as integer numerators over the weights' common denominator
-(int64 while m x max(D, |num|) < 2**63).  An x holding a float is read as
+sums costs on the graph's cached ``weight_numerators()``, the weights as
+integers over their common denominator.  An x holding a float is read as
 float64 and keeps float thresholds.
 Every algorithm returns a :class:`RoundingOutcome` whose cover is
 re-checked for feasibility at construction.
@@ -37,10 +37,10 @@ import numpy as np
 
 from .errors import InputError, VerificationError
 from .graphs import (EdgeColumns, EdgeCover, SignedGraph, is_feasible_cover,
-                     json_value)
+                     json_value, scaled_integers)
 from .lp import (FLOAT_POSITIVITY_TAU, FractionalCover, ceil_scaled,
                  check_fractional_feasibility, covers_scaled, floor_scaled,
-                 greedy_maximal_packing, scaled_integers, solve_exact)
+                 greedy_maximal_packing, solve_exact)
 from .rng import make_rng
 
 ALG_THREE_APPROX = "3approx"
@@ -85,8 +85,8 @@ class RoundingOutcome:
                 ratio = 1
             elif isinstance(lower_bound, (int, Fraction)):
                 if isinstance(num, float):  # float weights: sum them exactly
-                    weights = g.edge_columns().weight[sorted(cover.edge_ids)]
-                    num = sum(map(Fraction, weights.tolist()))
+                    w_num, den = g.weight_numerators()
+                    num = Fraction(sum(w_num[sorted(cover.edge_ids)].tolist()), den)
                 ratio = Fraction(num) / Fraction(lower_bound)
             else:
                 ratio = num / lower_bound
@@ -98,8 +98,8 @@ class _Column(NamedTuple):
     """A checked fractional cover, clamped into [0, 1], as one column.
 
     Exact values come as integer numerators ``values`` over ``den`` (see
-    ``lp.scaled_integers``) with ``tau = 0``; values holding a float come as
-    float64 with ``den = None`` and ``tau = FLOAT_POSITIVITY_TAU``.
+    ``graphs.scaled_integers``) with ``tau = 0``; values holding a float
+    come as float64 with ``den = None`` and ``tau = FLOAT_POSITIVITY_TAU``.
     """
 
     values: np.ndarray
@@ -278,7 +278,7 @@ def derandomized_sweep(g: SignedGraph, x: FractionalCover,
     col = _rounding_input(g, x)
     tau, positive = col.tau, g.edge_columns().positive
     one = 1 if col.den is None else col.den
-    w_num, _ = scaled_integers(g.edge_columns().weight.tolist(), headroom=max(g.m, 1))
+    w_num, _ = g.weight_numerators()
     # r = 0 takes every positive edge, plus (float mode) negative edges
     # already inside the tau inclusion slack
     running = w_num[positive | col.above(1 - tau, strict=True)].sum()

@@ -238,8 +238,7 @@ def build_instance(spec: str):
     if name == "gap":
         return gen_integrality_gap(_number_opt(kwargs, "n", int)), None
     if name == "hexagram":
-        g, gmap = gen_hexagram()
-        return g, gmap
+        return gen_hexagram()
     if name == "random":
         weights = kwargs.get("weights", "unit")
         if weights != "unit":
@@ -278,8 +277,7 @@ def build_instance(spec: str):
     if "file" not in kwargs:
         raise InputError("hardness spec needs file=<2cnf path>")
     formula = parse_2cnf(_read_text(kwargs["file"]))
-    g, gmap = gen_hardness_reduction(formula, mode=kwargs.get("mode", "theorem"))
-    return g, gmap
+    return gen_hardness_reduction(formula, mode=kwargs.get("mode", "theorem"))
 
 
 def _load_graph(cfg: RunConfig) -> SignedGraph:
@@ -550,7 +548,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(cluster, CLUSTER_ALGS)
     cluster.add_argument("--cover", help="cover file or solve result ('-' for stdin)")
     cluster.add_argument("--trials", type=int, default=1)
-    cluster.add_argument("--csv", help="write per-trial CSV here")
+    cluster.add_argument("--csv", help="write per-trial CSV here (needs --trials > 1)")
 
     verify = subs.add_parser("verify", help="run certificate suites")
     verify.add_argument("--tables", action="store_true",
@@ -562,7 +560,7 @@ def make_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, default=8)
     verify.add_argument("--count", type=int, default=50)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--csv", help="write survey rows as CSV here")
+    verify.add_argument("--csv", help="write survey rows as CSV here (needs --survey)")
     verify.add_argument("--out", help="report file (default stdout)")
 
     gen = subs.add_parser("generate", help="emit an instance as an edge list")
@@ -584,12 +582,16 @@ def main(argv: list[str] | None = None) -> int:
             payload = cmd_solve(_run_config(args), args.timing)
             _write_outputs([(args.out, _render(payload))])
         elif args.command == "cluster":
+            if args.csv and args.trials == 1:
+                raise InputError("--csv writes per-trial rows: it needs --trials 2 or more")
             payload, csv = cmd_cluster(_run_config(args), args.timing)
             outputs = [(args.out, _render(payload))]
-            if args.csv and csv is not None:
+            if args.csv:
                 outputs.insert(0, (args.csv, csv))
             _write_outputs(outputs)
         elif args.command == "verify":
+            if args.csv and not args.survey:
+                raise InputError("--csv writes survey rows: it needs --survey")
             payload, passed = cmd_verify(args)
             outputs = []
             for check in payload["checks"]:

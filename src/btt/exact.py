@@ -22,10 +22,11 @@ which is maximal and so covers every triangle, and a greedy cover by
 uncovered triangles per unit weight.
 
 On exact weights, ints and Fractions, both searches add and compare
-integer numerators over the weights' common denominator, which decides
-as Fractions would; float weights are searched as they are.  Every number
-an oracle reports is computed from the weights themselves, so it keeps
-their kind: an int-weight optimum is an int, not a Fraction.
+the graph's cached ``weight_numerators()``, integers over the weights'
+common denominator, which decides as Fractions would; float weights are
+searched as they are.  Every number an oracle reports is computed from
+the weights themselves, so it keeps their kind: an int-weight optimum is
+an int, not a Fraction.
 
 The clustering search enumerates set partitions as restricted growth
 strings: nodes are placed in id order, each in a used cluster or a fresh
@@ -64,14 +65,17 @@ import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import add, itemgetter
+from functools import reduce
+from operator import add, itemgetter, or_
+
+import numpy as np
 
 from .errors import (BudgetExceededError, CapacityError, InputError,
                      VerificationError)
 from .graphs import (Clustering, EdgeCover, SignedGraph, cc_cost,
                      disagreement_cost, format_edge_list, is_feasible_cover,
                      total)
-from .lp import floor_scaled, scaled_integers
+from .lp import floor_scaled
 from .rng import spawn_seeds
 
 DEFAULT_BTT_TRIANGLE_BUDGET = 5000
@@ -111,65 +115,50 @@ class ExactResult:
     optima_truncated: bool = False
 
 
-def _greedy_cover(rows: list, weights: list) -> list[int]:
-    """A cover drawn from the edges in ``rows`` (each triangle's allowed
-    edge ids), in sorted id order.
+def _redundant(edges: list, edge_tri_mask: list) -> list[int]:
+    """The edges of ``edges`` each of whose triangles holds a second edge
+    of ``edges``, in the order given: a cover made of ``edges`` can drop
+    any one of them.  ``edge_tri_mask[e]`` is edge e's triangle bitmask."""
+    seen = twice = 0
+    for e in edges:
+        twice |= seen & edge_tri_mask[e]
+        seen |= edge_tri_mask[e]
+    return [e for e in edges if not edge_tri_mask[e] & ~twice]
+
+
+def _greedy_cover(edge_tri_mask: list, weights: list) -> list[int]:
+    """A cover of every triangle in ``edge_tri_mask`` (edge e's triangle
+    bitmask), in sorted id order.
 
     It takes the edge with the most uncovered triangles per unit weight
     (zero weight first, ties: lowest id) until every triangle is covered,
-    then drops each edge whose triangles all hold another chosen edge,
-    heaviest first (ties: lowest id).  Hit counts only fall, so a heap
-    entry whose count is stale is pushed back with its current count, and
-    one kept count per triangle tells which edges are redundant.
+    then drops each ``_redundant`` edge, heaviest first (ties: lowest id);
+    a drop makes no other edge redundant, so only those redundant at first
+    are tried.  Hit counts only fall, so a popped heap entry's count is
+    checked against a popcount of the edge's uncovered triangles, and a
+    stale entry is pushed back with its current count.
     """
-    m = len(weights)
-    edge_rows = [[] for _ in range(m)]
-    for ti, ids in enumerate(rows):
-        for e in ids:
-            edge_rows[e].append(ti)
-    hits = [len(ts) for ts in edge_rows]
-
-    def entry(e: int) -> tuple:
+    def entry(e: int, hits: int) -> tuple:
         w = weights[e]
-        return (-hits[e] / w if w else -math.inf), e, hits[e]
+        return (-hits / w if w else -math.inf), e, hits
 
-    heap = [entry(e) for e in range(m) if hits[e]]
+    heap = [entry(e, mask.bit_count()) for e, mask in enumerate(edge_tri_mask) if mask]
     heapq.heapify(heap)
-    covered = bytearray(len(rows))
+    uncovered = reduce(or_, edge_tri_mask, 0)
     chosen = []
-    while heap:
+    while uncovered:
         _, e, count = heapq.heappop(heap)
-        if count != hits[e]:
-            if hits[e]:
-                heapq.heappush(heap, entry(e))
-            continue
-        chosen.append(e)
-        for ti in edge_rows[e]:
-            if not covered[ti]:
-                covered[ti] = 1
-                for f in rows[ti]:
-                    hits[f] -= 1
-    load = [0] * len(rows)
-    for e in chosen:
-        for ti in edge_rows[e]:
-            load[ti] += 1
-    cover = set(chosen)
-    for e in sorted(sorted(chosen), key=weights.__getitem__, reverse=True):
-        if all(load[ti] > 1 for ti in edge_rows[e]):
-            cover.discard(e)
-            for ti in edge_rows[e]:
-                load[ti] -= 1
-    return sorted(cover)
-
-
-def _integer_weights(weights: list) -> tuple[list, int]:
-    """``(nums, den)``: exact ``weights`` as integer numerators over their
-    least common denominator, so that an exact search adds and compares
-    ints; ``weights`` itself, over 1, when every weight is an int."""
-    if all(type(w) is int for w in weights):
-        return weights, 1
-    nums, den = scaled_integers(weights)
-    return nums.tolist(), den
+        hits = (edge_tri_mask[e] & uncovered).bit_count()
+        if hits == count:
+            chosen.append(e)
+            uncovered &= ~edge_tri_mask[e]
+        elif hits:
+            heapq.heappush(heap, entry(e, hits))
+    chosen.sort()
+    for e in sorted(_redundant(chosen, edge_tri_mask), key=lambda e: -weights[e]):
+        if e in _redundant(chosen, edge_tri_mask):
+            chosen.remove(e)
+    return chosen
 
 
 def _btt_search(g: SignedGraph, allowed: list[int], *,
@@ -225,13 +214,13 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     depth guard mean what they meant under any other open edge.
 
     On exact weights (every weight an int or a Fraction), and always in
-    enumeration mode, the search adds and compares ``_integer_weights``,
-    numerators over the weights' common denominator, and so decides as it
-    would on Fractions.  Float weights are searched as they are, since an
-    exact comparison would change their prunes.  Every reported number is
-    computed from the weights themselves, so it keeps their kind: the
-    value and the trail are the ``total`` of the witness's weights in
-    sorted-id order, and an int-weight cover costs an int.
+    enumeration mode, the search adds and compares the graph's
+    ``weight_numerators()``, and so decides as it would on Fractions.
+    Float weights are searched as they are, since an exact comparison
+    would change their prunes.  Every reported number is computed from
+    the weights themselves, so it keeps their kind: the value and the
+    trail are the ``total`` of the witness's weights in sorted-id order,
+    and an int-weight cover costs an int.
 
     ``root_lower_bound``, and the lower bound that BudgetExceededError
     carries, is the bound of the greedy packing in index order.  That
@@ -241,13 +230,13 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     (enumerate_cap None) seeds the incumbent with it, and then with
     ``_greedy_cover`` when that is strictly cheaper; the trail records both
     at node 0.  Enumeration mode collects in ``optima`` every irredundant
-    feasible cover of cost exactly ``enumerate_cap``, the exact sum of an
-    optimal witness's weights, and reports its root bound as a Fraction.
-    Each such cover is one leaf, since an irredundant cover holds no
-    smaller one; a leaf is listed only when each of its edges is the one
-    cover edge of some triangle, which leaves out covers that keep a
-    zero-weight edge made redundant by later edges.  The witness returned
-    is a frozenset of edge ids.
+    feasible cover of cost exactly ``enumerate_cap``, an optimal witness's
+    cost as a numerator over the weights' denominator, and reports its
+    root bound as a Fraction.  Each such cover is one leaf, since an
+    irredundant cover holds no smaller one; a leaf is listed only when
+    none of its edges is ``_redundant``, which leaves out covers that keep
+    a zero-weight edge made redundant by later edges.  The witness
+    returned is a frozenset of edge ids.
     """
     index = g.bad_triangle_index()
     if triangle_budget is None:
@@ -260,8 +249,9 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     enumerating = enumerate_cap is not None
     allowed_set = frozenset(allowed)
     weights = g.edge_columns().weight.tolist()
-    search, den = (_integer_weights(weights) if enumerating or g.is_exact()
-                   else (weights, 1))
+    exact = enumerating or g.is_exact()
+    num, den = g.weight_numerators() if exact else (None, 1)
+    search = num.tolist() if exact else weights
     rows = index.tolist()
     if len(allowed_set) < g.m:
         rows = [[e for e in t if e in allowed_set] for t in rows]
@@ -275,10 +265,8 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
             root_bound += min(priced[e] for e in ids)
     if enumerating:
         root_bound = Fraction(root_bound, den)
-    crowding = [0] * g.m
-    for ids in rows:
-        for e in ids:
-            crowding[e] += 1
+    # each edge's triangle count, read only for allowed edges
+    crowding = np.bincount(index.ravel(), minlength=g.m).tolist()
     order = sorted(range(len(rows)), key=lambda t: sum(crowding[e] for e in rows[t]))
     rows = [rows[t] for t in order]
     tri_mask = [masks[t] for t in order]
@@ -299,7 +287,7 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     best = best_cover = None
     if enumerating:
         # integer costs: pruning ``cost > enumerate_cap`` is ``>= limit``
-        limit = floor_scaled(enumerate_cap, den) + 1
+        limit = enumerate_cap + 1
     else:
         # Costs are totalled in sorted-id order, so float weights give the
         # witness's cost to the last bit.
@@ -307,7 +295,7 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
         limit = total(search[e] for e in best_cover)
         best = total(weights[e] for e in best_cover)
         trail.append((0, best))
-        greedy = _greedy_cover(rows, weights)
+        greedy = _greedy_cover(edge_tri_mask, weights)
         value = total(search[e] for e in greedy)
         if value < limit:
             limit, best_cover = value, greedy
@@ -327,11 +315,7 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
             if cost >= limit:
                 return
             if enumerating:
-                seen = twice = 0
-                for e in included:
-                    twice |= seen & edge_tri_mask[e]
-                    seen |= edge_tri_mask[e]
-                if all(edge_tri_mask[e] & ~twice for e in included):
+                if not _redundant(included, edge_tri_mask):
                     if len(optima) < max_optima:
                         optima.append(frozenset(included))
                     else:
@@ -438,10 +422,8 @@ def exact_btt_positive_only(g: SignedGraph, *,
     res = _min_cover(g, allowed, "positive-only search")
     if enumerate_optima is None:
         return res
-    found = _btt_search(
-        g, allowed, enumerate_cap=total(map(Fraction, g.edge_columns().weight[
-            sorted(res.witness.edge_ids)].tolist())),
-        max_optima=enumerate_optima)
+    cap = sum(g.weight_numerators()[0][sorted(res.witness.edge_ids)].tolist())
+    found = _btt_search(g, allowed, enumerate_cap=cap, max_optima=enumerate_optima)
     return replace(res, optima=tuple(sorted(found.optima, key=sorted)),
                    optima_truncated=found.optima_truncated)
 
@@ -506,13 +488,12 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
     given.  (With float weights this holds up to rounding, as it does for
     the incumbent prune.)
 
-    On exact weights the search adds and compares ``_integer_weights``,
-    numerators over the weights' common denominator, against ``limit``,
-    the incumbent's cost scaled the same way; float weights are searched
-    as they are.  A leaf is priced by ``disagreement_cost`` on the weight
-    column, and the seeds, the trail and the packing part of the root
-    bound are computed from the weights themselves, so each keeps their
-    kind.
+    On exact weights the search adds and compares the graph's
+    ``weight_numerators()`` against ``limit``, the incumbent's cost
+    scaled the same way; float weights are searched as they are.  A leaf
+    is priced by ``disagreement_cost`` on the weight column, and the
+    seeds, the trail and the packing part of the root bound are computed
+    from the weights themselves, so each keeps their kind.
 
     ``lower_bound`` L, for instance the minimum cover cost, which no
     clustering undercuts, must not exceed the optimum.  The search trusts
@@ -560,7 +541,8 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
     cols = g.edge_columns()
     weights = cols.weight.tolist()
     exact = g.is_exact()
-    search, den = _integer_weights(weights) if exact else (weights, 1)
+    num, den = g.weight_numerators() if exact else (None, 1)
+    search = num.tolist() if exact else weights
     # gain[j] and shift[j] list, for each node u > j in turn, what placing
     # j in a cluster adds to u's positive weight towards placed nodes and
     # to u's pull (negative minus positive weight) towards that cluster
@@ -574,9 +556,10 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
         else:
             shift[u][v - u - 1] = w
     tail = _tail_packing(g, search)
-    # the reported bound is a sum of the weights themselves, in their kind
-    # (``search`` is ``weights`` on float and on int weights)
-    low = tail[0] if search is weights else _tail_packing(g, weights)[0]
+    # the reported bound is a sum of the weights themselves, in their kind,
+    # which is the search's own on float and on int weights
+    ints = not exact or set(map(type, weights)) <= {int}
+    low = tail[0] if ints else _tail_packing(g, weights)[0]
     root_bound = low if lower_bound is None else max(lower_bound, low)
     singletons = Clustering.from_labels(list(range(n)))
     one_cluster = Clustering.from_labels([0] * n)
@@ -724,9 +707,7 @@ def ratio_survey(make_instance, count: int, seed: int) -> dict:
         if not (1 <= ratio <= Fraction(3, 2)):
             violations.append(row["instance"])
         if ratio > 1:
-            candidate = dict(row)
-            candidate["edge_list"] = format_edge_list(g)
-            candidates.append(candidate)
+            candidates.append(dict(row, edge_list=format_edge_list(g)))
     return {
         "count": count,
         "seed": seed,

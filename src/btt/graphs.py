@@ -47,7 +47,10 @@ Every total that can hold a float is added by ``total``, the package's one
 summation rule: left to right from int 0, in the values' own arithmetic.
 That is ``sum()`` up to CPython 3.11; 3.12's ``sum()`` compensates float
 rounding, so it would give other bits on other Pythons.  Totals that are
-exact (ints and Fractions) may use ``sum()``.
+exact (ints and Fractions) may use ``sum()``.  ``json_value`` is the one
+Fraction-to-JSON rule, and ``SignedGraph.weight_numerators()`` the one
+integer-weight rule: the weights over their common denominator, cached,
+which every search, certificate and rounding that decides exactly reads.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ class SignedGraph:
     """
 
     __slots__ = ("n", "complete", "_columns", "_edges", "_pair_to_id",
-                 "_triangle_index")
+                 "_triangle_index", "_numerators")
 
     def __init__(self, n: int, edges: Iterable[tuple] | EdgeColumns,
                  complete: bool = False):
@@ -180,6 +183,7 @@ class SignedGraph:
         self._edges: tuple[Edge, ...] | None = None
         self._pair_to_id: dict[tuple[int, int], int] | None = None
         self._triangle_index: np.ndarray | None = None
+        self._numerators: tuple[np.ndarray, int] | None = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -224,6 +228,15 @@ class SignedGraph:
     def edge_columns(self) -> EdgeColumns:
         """The edges as numpy columns: the graph's storage."""
         return self._columns
+
+    def weight_numerators(self) -> tuple[np.ndarray, int]:
+        """The weight column as ``scaled_integers`` with headroom m, built
+        on first use and cached: ``num[i] / den == w_i`` exactly, ``num``
+        int64 while a sum of all m weights fits; den 1 on int weights."""
+        if self._numerators is None:
+            self._numerators = scaled_integers(self._columns.weight.tolist(),
+                                               headroom=max(self.m, 1))
+        return self._numerators
 
     def __repr__(self) -> str:
         kind = "complete " if self.complete else ""
@@ -504,6 +517,30 @@ def total(values) -> Weight:
                 return float(np.add.accumulate(values)[-1]) + 0.0
         values = values.tolist()
     return reduce(operator.add, values, 0)
+
+
+def scaled_integers(values: Sequence, headroom: int = 1) -> tuple[np.ndarray, int]:
+    """Exact values as integer numerators over their least common
+    denominator: ``(num, den)`` with ``num[i] / den == values[i]`` exactly.
+
+    The values are ints (their own numerators, over 1), Fractions or
+    floats; a float stands for the dyadic rational it stores.  ``num`` is
+    int64 when ``headroom`` times the largest of ``den`` and every
+    ``|num[i]|`` stays below 2**63, so that a sum of up to ``headroom``
+    numerators, or of ``den``, cannot overflow; otherwise it is an object
+    array of Python ints.
+    """
+    if set(map(type, values)) <= {int}:
+        nums, den = values, 1
+    else:
+        try:  # one method call per value on the common kinds
+            ratios = [v.as_integer_ratio() for v in values]
+        except AttributeError:  # numpy integers have no as_integer_ratio
+            ratios = [Fraction(v).as_integer_ratio() for v in values]
+        den = math.lcm(*{d for _, d in ratios})
+        nums = [n * (den // d) for n, d in ratios]
+    big = max(den, max(map(abs, nums), default=0)) * headroom >= 2**63
+    return np.array(nums, dtype=object if big else np.int64), den
 
 
 def cc_cost(g: SignedGraph, clustering: Clustering) -> Weight:

@@ -32,17 +32,19 @@ Two solvers are provided:
   the scheme's proven bound, O(log T / eps^2) for T bad triangles.
 
 Exact checks run on integers, never on Fractions per triangle.
-:func:`scaled_integers` writes exact values (ints and Fractions; a float
-counts as the dyadic rational it stores) over their least common
+``graphs.scaled_integers`` writes exact values (ints and Fractions; a
+float counts as the dyadic rational it stores) over their least common
 denominator D as one integer numpy column.  The column is int64 when a
 stated headroom rules out overflow, that is when headroom x max(D, |num|)
 stays below 2**63: 3 for the values of one triangle, n for the loads of
 an edge, which lies in at most n - 2 bad triangles, m for a sum of
-weights.  Otherwise it is an object array of Python ints.  Bounds such as
-1 - tol or w_e + tol are computed in Python arithmetic first and then
-scaled by D, rounded up for >= and down for <= (:func:`ceil_scaled`,
-:func:`floor_scaled`), so an integer comparison gives exactly the
-comparison of the value with that bound.
+weights.  Otherwise it is an object array of Python ints.  LP values x
+and y are scaled per check, and the weights come scaled from the graph's
+cached ``weight_numerators()``.  Bounds such as 1 - tol or w_e + tol are
+computed in Python arithmetic first and then scaled by D, rounded up for
+>= and down for <= (:func:`ceil_scaled`, :func:`floor_scaled`), so an
+integer comparison gives exactly the comparison of the value with that
+bound.
 
 Every function here reads the bad triangles as the rows of
 ``g.bad_triangle_index()``, the package's one triangle form: the
@@ -62,7 +64,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError, InputError, VerificationError
-from .graphs import SignedGraph, json_value, total
+from .graphs import SignedGraph, json_value, scaled_integers, total
 
 #: Threshold separating "zero" from "positive" LP values in floating mode.
 #: In rational mode the trichotomy is exact and the threshold is 0.
@@ -83,9 +85,6 @@ _UPDATE_BLOCK_CELLS = 2**17
 
 #: Largest denominator tried when rebuilding float LP values as Fractions.
 _CERTIFIED_DENOMINATOR_BOUND = 10**6
-
-#: Integer columns at or past this magnitude are kept as Python ints.
-_INT64_LIMIT = 2**63
 
 #: solve_mwu refuses graphs on which a load ratio deg_e / w_e, over its
 #: scaled weights, reaches this bound: their weights spread too widely for
@@ -181,26 +180,6 @@ class LpSolution:
     @property
     def value(self):
         return self.primal.objective
-
-
-def scaled_integers(values: Sequence, headroom: int = 1) -> tuple[np.ndarray, int]:
-    """Exact values as integer numerators over their least common
-    denominator: ``(num, den)`` with ``num[i] / den == values[i]`` exactly.
-
-    The values are ints, Fractions or floats; a float stands for the
-    dyadic rational it stores.  ``num`` is int64 when ``headroom`` times
-    the largest of ``den`` and every ``|num[i]|`` stays below 2**63, so
-    that a sum of up to ``headroom`` numerators, or of ``den``, cannot
-    overflow; otherwise it is an object array of Python ints.
-    """
-    try:  # one method call per value on the common kinds
-        ratios = [v.as_integer_ratio() for v in values]
-    except AttributeError:
-        ratios = [_ratio(v) for v in values]
-    den = math.lcm(*{d for _, d in ratios})
-    nums = [n * (den // d) for n, d in ratios]
-    big = max(den, max(map(abs, nums), default=0)) * headroom >= _INT64_LIMIT
-    return np.array(nums, dtype=object if big else np.int64), den
 
 
 def _ratio(q) -> tuple[int, int]:
@@ -427,14 +406,14 @@ def _certified_pair(g: SignedGraph, weights: list, x, y, value=None):
 
     x is clamped into [0, 1] as :meth:`FractionalCover.clamped` does; the
     checks and both objectives run on integer numerators over the common
-    denominators of the weights, of x and of y.
+    denominators of x, of y and of the weights (``g.weight_numerators()``).
     """
     x_num, x_den = scaled_integers(x, headroom=3)
     if ((x_num < 0) | (x_num > x_den)).any():
         x = FractionalCover.from_values(g, x).clamped(g).values
         x_num, x_den = scaled_integers(x, headroom=3)
     y_num, y_den = scaled_integers(y, headroom=max(g.n, 1))
-    w_num, w_den = scaled_integers(weights)
+    w_num, w_den = g.weight_numerators()
     primal_value = Fraction(sum(map(operator.mul, w_num.tolist(), x_num.tolist())),
                             w_den * x_den)
     dual_value = Fraction(sum(y_num.tolist()), y_den)

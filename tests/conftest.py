@@ -3,7 +3,9 @@
 Every oracle here deliberately avoids the code path it checks: triangle
 enumeration by scanning all node triples, minimum covers by subset
 enumeration and by the branch-and-bound that ``exact_btt`` ran before it
-reordered its packing bound and seeded a greedy incumbent, minimum
+reordered its packing bound and seeded a greedy incumbent, that greedy
+cover by the per-edge triangle lists it kept before it read the search's
+bitmasks, minimum
 clusterings by unpruned partition recursion and by the restricted-growth
 search that ``exact_cc`` ran before it bounded the unpriced pairs, LP values through scipy, vertex covers by subset search,
 graph construction and edge-list parsing by the per-edge and per-line
@@ -13,6 +15,7 @@ columns.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -190,6 +193,58 @@ def brute_force_min_cover(g: SignedGraph):
         if best is not None and unit:
             return best
     return best
+
+
+def reference_greedy_cover(rows: list, weights: list) -> list[int]:
+    """The greedy cover that seeds the cover search, as it ran on per-edge
+    triangle lists: a cover drawn from the edges in ``rows`` (each
+    triangle's allowed edge ids), in sorted id order.
+
+    It takes the edge with the most uncovered triangles per unit weight
+    (zero weight first, ties: lowest id) until every triangle is covered,
+    then drops each edge whose triangles all hold another chosen edge,
+    heaviest first (ties: lowest id).  Hit counts only fall, so a heap
+    entry whose count is stale is pushed back with its current count, and
+    one kept count per triangle tells which edges are redundant.
+    """
+    m = len(weights)
+    edge_rows = [[] for _ in range(m)]
+    for ti, ids in enumerate(rows):
+        for e in ids:
+            edge_rows[e].append(ti)
+    hits = [len(ts) for ts in edge_rows]
+
+    def entry(e: int) -> tuple:
+        w = weights[e]
+        return (-hits[e] / w if w else -math.inf), e, hits[e]
+
+    heap = [entry(e) for e in range(m) if hits[e]]
+    heapq.heapify(heap)
+    covered = bytearray(len(rows))
+    chosen = []
+    while heap:
+        _, e, count = heapq.heappop(heap)
+        if count != hits[e]:
+            if hits[e]:
+                heapq.heappush(heap, entry(e))
+            continue
+        chosen.append(e)
+        for ti in edge_rows[e]:
+            if not covered[ti]:
+                covered[ti] = 1
+                for f in rows[ti]:
+                    hits[f] -= 1
+    load = [0] * len(rows)
+    for e in chosen:
+        for ti in edge_rows[e]:
+            load[ti] += 1
+    cover = set(chosen)
+    for e in sorted(sorted(chosen), key=weights.__getitem__, reverse=True):
+        if all(load[ti] > 1 for ti in edge_rows[e]):
+            cover.discard(e)
+            for ti in edge_rows[e]:
+                load[ti] -= 1
+    return sorted(cover)
 
 
 def reference_btt_search(g: SignedGraph, allowed: list[int], *,

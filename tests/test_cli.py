@@ -8,7 +8,8 @@ import pytest
 
 from btt import (EdgeCover, exact, gen_figure2, gen_hardness_reduction,
                  gen_random, gen_vc_reduction, lp, solve_exact)
-from btt.cli import RunConfig, _json_default, _load_graph, build_instance, main
+from btt.cli import (CLUSTER_ALGS, SOLVE_ALGS, RunConfig, _json_default, _load_graph,
+                     build_instance, main)
 from btt.errors import InputError
 from btt.generators import parse_2cnf
 from btt.graphs import format_edge_list, parse_edge_list
@@ -70,6 +71,18 @@ class TestCluster:
         argv = ["cluster", "--gen", "fig2", "--alg", "pivot", "--trials", trials]
         assert main(argv) == 2
         assert "trials must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--alg", "pivot", "--gen", "fig2", "--trials", "1"],
+        ["verify", "--tables"],
+        ["verify", "--hexagram", "--tables"],
+    ], ids=["one-trial", "tables", "tables-hexagram"])
+    def test_csv_without_csv_output_is_input_error(self, argv, tmp_path, capsys):
+        # a command that makes no CSV refuses --csv rather than ignore it
+        csv, out = tmp_path / "rows.csv", tmp_path / "out.json"
+        assert main(argv + ["--csv", str(csv), "--out", str(out)]) == 2
+        assert "--csv" in capsys.readouterr().err
+        assert not csv.exists() and not out.exists()
 
     def test_cover_pivot_without_cover_is_input_error(self, capsys):
         assert main(["cluster", "--gen", "fig2", "--alg", "cover-pivot"]) == 2
@@ -495,9 +508,9 @@ GOLDEN_GENERATE = ("fig2", "hexagram --json-graph", "gap:n=5",
 
 def golden_commands() -> list[str]:
     """The golden matrix: every command runs in an empty directory below
-    the one holding its inputs, ``cover-<spec>.json`` (a det2 solve
-    result) and ``formula.cnf``, and writes its outputs there."""
-    from btt.cli import CLUSTER_ALGS, SOLVE_ALGS
+    the one holding its inputs, ``cover-<i>.json`` (a det2 solve result
+    on the i-th graph the cluster commands run on) and ``formula.cnf``,
+    and writes its outputs there."""
     commands = [f"solve --alg {alg} --gen {spec}"
                 for spec in GOLDEN_GRAPHS for alg in SOLVE_ALGS]
     commands += [f"solve --alg {alg} --mode float --gen {GOLDEN_FLOAT_GRAPH}"

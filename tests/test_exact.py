@@ -20,7 +20,8 @@ from btt.lp import greedy_maximal_packing
 from btt.rng import spawn_seeds
 from conftest import (brute_force_min_cc, brute_force_min_cover,
                       brute_force_vertex_cover, instance_suite,
-                      reference_btt_search, reference_exact_cc)
+                      reference_btt_search, reference_exact_cc,
+                      reference_greedy_cover)
 
 
 class TestExactBtt:
@@ -643,6 +644,48 @@ FROZEN_DIGESTS = {
     "clustering": "ad626071dbff3ac2c3df4b53e8a87fc707ab650317d0dfd52ebac09bb64fb5b4",
     "primed clustering": "1348e2a433034321b0267d08fffee298dc5b49af8d78d449bfa6fb3968534494",
 }
+
+
+def greedy_inputs(g: SignedGraph, allowed=None) -> tuple[list, list]:
+    """The bad triangles' allowed edge ids, in index order, and each edge's
+    bitmask of those triangles, as the cover search sets them up."""
+    rows = g.bad_triangle_index().tolist()
+    if allowed is not None:
+        rows = [[e for e in t if e in allowed] for t in rows]
+    masks = [0] * g.m
+    for p, ids in enumerate(rows):
+        for e in ids:
+            masks[e] |= 1 << p
+    return rows, masks
+
+
+class TestGreedyCover:
+    def assert_matches_list_greedy(self, g: SignedGraph) -> None:
+        weights = g.edge_columns().weight.tolist()
+        for allowed in (None, frozenset(g.positive_edge_ids())):
+            rows, masks = greedy_inputs(g, allowed)
+            cover = exact._greedy_cover(masks, weights)
+            assert cover == reference_greedy_cover(rows, weights)
+            assert all(any(e in cover for e in ids) for ids in rows)
+
+    def test_every_k5_sign_pattern(self):
+        # unit weights, and weights 0, 1, 2 in turn, so zero-weight edges
+        # and ties of the per-weight hit rate both occur
+        pairs = list(itertools.combinations(range(5), 2))
+        for pattern in range(1 << len(pairs)):
+            signs = [1 if pattern >> k & 1 else -1 for k in range(len(pairs))]
+            for weigh in (lambda k: 1, lambda k: k % 3):
+                self.assert_matches_list_greedy(SignedGraph(
+                    5, [(u, v, s, weigh(k)) for k, ((u, v), s) in enumerate(zip(pairs, signs))]))
+
+    @pytest.mark.parametrize("weights", ["unit", RATIONAL, ("uniform", 0.5, 2.0)],
+                             ids=["unit", "rational", "float"])
+    def test_seeded_random_graphs(self, weights):
+        for n in range(6, 13):
+            for complete in (True, False):
+                for seed in range(4):
+                    self.assert_matches_list_greedy(gen_random(
+                        n, complete=complete, density=0.5, weights=weights, seed=seed))
 
 
 class TestFrozenOutputs:

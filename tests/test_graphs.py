@@ -301,6 +301,54 @@ class TestColumnarConstruction:
                               g.edges[0].sign, g.edge_columns().weight[0])
 
 
+def path_graph(weights: list) -> SignedGraph:
+    """A path whose edge i joins nodes i and i + 1 and weighs ``weights[i]``."""
+    return SignedGraph(len(weights) + 1, [(i, i + 1, 1 if i % 2 else -1, w)
+                                          for i, w in enumerate(weights)])
+
+
+class TestWeightNumerators:
+    @pytest.mark.parametrize("weights", [
+        [3, 1, 0, 7],
+        [Fraction(1, 3), Fraction(5, 2), Fraction(4), Fraction(0)],
+        [0.5, 1.25, 3.0, 0.1, 5e-324],
+        [2, Fraction(2, 3), 0.75, True],
+        [],
+    ], ids=["int", "fraction", "float", "mixed", "empty"])
+    def test_numerators_over_den_are_the_weights(self, weights):
+        g = path_graph(weights)
+        num, den = g.weight_numerators()
+        assert len(num) == g.m
+        assert [Fraction(k, den) for k in num.tolist()] == list(map(Fraction, weights))
+        assert math.gcd(den, *num.tolist()) == 1
+
+    def test_an_int_graph_is_its_own_numerators(self):
+        g = gen_figure2()
+        num, den = g.weight_numerators()
+        assert den == 1 and num.dtype == np.int64
+        assert num.tolist() == g.edge_columns().weight.tolist()
+        assert path_graph([]).weight_numerators()[1] == 1
+
+    def test_column_leaves_int64_when_a_sum_of_m_weights_could_overflow(self):
+        # headroom m: den * m reaches 2**63 at the second weight
+        tiny = Fraction(1, 2**62)
+        num, den = path_graph([tiny]).weight_numerators()
+        assert (num.dtype, den) == (np.int64, 2**62)
+        num, den = path_graph([tiny, tiny]).weight_numerators()
+        assert num.dtype == object and num.tolist() == [1, 1] and den == 2**62
+        # and so does m * |num| for int weights
+        assert path_graph([2**62]).weight_numerators()[0].dtype == np.int64
+        assert path_graph([2**62, 1]).weight_numerators()[0].dtype == object
+        assert path_graph([2**62 - 1, 1]).weight_numerators()[0].dtype == np.int64
+
+    def test_built_once_on_first_use(self):
+        g = parse_edge_list("n 3\n0 1 +1 1/2\n1 2 +1\n0 2 -1 0.25\n")
+        assert g._numerators is None  # parsing builds no scale
+        first = g.weight_numerators()
+        assert g.weight_numerators() is first
+        assert first[1] == 4 and first[0].tolist() == [2, 4, 1]
+
+
 class TestBadTriangles:
     def test_figure2_list_matches_brute_force(self):
         g = gen_figure2()
