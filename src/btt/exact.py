@@ -556,8 +556,7 @@ def exact_cc(g: SignedGraph, *, lower_bound=None) -> ExactResult:
         else:
             shift[u][v - u - 1] = w
     tail = _tail_packing(g, search)
-    # the reported bound is a sum of the weights themselves, in their kind,
-    # which is the search's own on float and on int weights
+    # the reported bound keeps the weights' kind, the search's on floats and ints
     ints = not exact or set(map(type, weights)) <= {int}
     low = tail[0] if ints else _tail_packing(g, weights)[0]
     root_bound = low if lower_bound is None else max(lower_bound, low)

@@ -237,18 +237,21 @@ def check_fractional_feasibility(g: SignedGraph, x: FractionalCover, tol=0) -> b
     return not (col < -tol).any() and bool(((ab + ac) + bc >= 1 - tol).all())
 
 
-def packs_scaled(g: SignedGraph, num: np.ndarray, den: int, caps: Sequence,
-                 tol=0) -> bool:
+def packs_scaled(g: SignedGraph, num: np.ndarray, den: int, tol=0) -> bool:
     """The exact packing check on triangle values ``num / den``: every value
-    >= -tol, and every edge load at most ``caps[e]`` (w_e + tol as the value
-    check computes it).  Loads are integer sums, so ``num`` needs a headroom
-    of ``g.n``: an edge lies in at most n - 2 bad triangles."""
+    >= -tol, and every edge load at most w_e + tol as the value check
+    computes it, or on an exact zero tol at ``g.weight_numerators()``.
+    Loads are integer sums, so ``num`` needs a headroom of ``g.n``: an
+    edge lies in at most n - 2 bad triangles."""
     if (num < ceil_scaled(-tol, den)).any():
         return False
     load = np.zeros(g.m, dtype=num.dtype)
     np.add.at(load, g.bad_triangle_index().ravel(), num.repeat(3))
-    limits = np.array([floor_scaled(c, den) for c in caps], dtype=object)
-    return bool((load <= limits).all())
+    if tol == 0 and not isinstance(tol, float):
+        w_num, w_den = g.weight_numerators()
+        return bool((load.astype(object) * w_den <= w_num.astype(object) * den).all())
+    limits = [floor_scaled(w + tol, den) for w in g.edge_columns().weight.tolist()]
+    return bool((load <= np.array(limits, dtype=object)).all())
 
 
 def check_packing_feasibility(g: SignedGraph, y: FractionalPacking, tol=0) -> bool:
@@ -266,17 +269,15 @@ def check_packing_feasibility(g: SignedGraph, y: FractionalPacking, tol=0) -> bo
     index = g.bad_triangle_index()
     if len(vals) != len(index):
         raise InputError(f"expected {len(index)} triangle values, got {len(vals)}")
-    weights = g.edge_columns().weight.tolist()
-    caps = (weights if tol == 0 and not isinstance(tol, float)
-            else [w + tol for w in weights])
     floats = _float_count(vals)
     if not floats:
-        return packs_scaled(g, *scaled_integers(vals, headroom=max(g.n, 1)), caps, tol)
+        return packs_scaled(g, *scaled_integers(vals, headroom=max(g.n, 1)), tol)
     if any(v < -tol for v in vals):
         return False
     kind = np.float64 if floats == len(vals) else object
     load = np.zeros(g.m, dtype=kind)
     np.add.at(load, index.ravel(), np.array(vals, dtype=kind).repeat(3))
+    caps = [w + tol for w in g.edge_columns().weight.tolist()]
     cap_kind = np.float64 if _float_count(caps) == len(caps) else object
     return bool((load <= np.array(caps, dtype=cap_kind)).all())
 
@@ -398,7 +399,7 @@ def _packing_simplex(triangles: np.ndarray, weights: list):
         f"--mode float for the roundings)")
 
 
-def _certified_pair(g: SignedGraph, weights: list, x, y, value=None):
+def _certified_pair(g: SignedGraph, x, y, value=None):
     """(primal, dual) built from exact values x and y, or None unless they
     certify each other: x covers every bad triangle, y packs within every
     weight, and both objectives agree (and equal ``value`` when given), all
@@ -420,7 +421,7 @@ def _certified_pair(g: SignedGraph, weights: list, x, y, value=None):
     if (primal_value == dual_value
             and (value is None or value == dual_value)
             and covers_scaled(g, x_num, x_den)
-            and packs_scaled(g, y_num, y_den, weights)):
+            and packs_scaled(g, y_num, y_den)):
         return (FractionalCover(tuple(x), primal_value),
                 FractionalPacking(tuple(y), dual_value))
     return None
@@ -504,11 +505,11 @@ def solve_exact(g: SignedGraph) -> LpSolution:
             # each distinct float is rebuilt once: a vertex repeats few values
             rebuilt = {v: _limit_denominator(v) for v in {*found[0], *found[1]}}
             x, y = ([rebuilt[v] for v in vals] for vals in found[:2])
-            certified = _certified_pair(g, weights, x, y)
+            certified = _certified_pair(g, x, y)
     if certified is None:
         found, count = _packing_simplex(index, weights)
         pivots.append(count)
-        certified = None if found is None else _certified_pair(g, weights, *found)
+        certified = None if found is None else _certified_pair(g, *found)
         if certified is None:
             raise VerificationError(
                 "exact simplex failed its certificate (optimum, feasibility "
