@@ -530,7 +530,7 @@ def scaled_integers(values: Sequence, headroom: int = 1) -> tuple[np.ndarray, in
     numerators, or of ``den``, cannot overflow; otherwise it is an object
     array of Python ints.
     """
-    if set(map(type, values)) <= {int}:
+    if all(type(v) is int for v in values):  # stops at the first non-int
         nums, den = values, 1
     else:
         try:  # one method call per value on the common kinds
