@@ -238,7 +238,8 @@ def build_instance(spec: str):
     if name == "gap":
         return gen_integrality_gap(_number_opt(kwargs, "n", int)), None
     if name == "hexagram":
-        return gen_hexagram()
+        g, gmap = gen_hexagram()
+        return g, gmap
     if name == "random":
         weights = kwargs.get("weights", "unit")
         if weights != "unit":
@@ -277,7 +278,8 @@ def build_instance(spec: str):
     if "file" not in kwargs:
         raise InputError("hardness spec needs file=<2cnf path>")
     formula = parse_2cnf(_read_text(kwargs["file"]))
-    return gen_hardness_reduction(formula, mode=kwargs.get("mode", "theorem"))
+    g, gmap = gen_hardness_reduction(formula, mode=kwargs.get("mode", "theorem"))
+    return g, gmap
 
 
 def _load_graph(cfg: RunConfig) -> SignedGraph:
@@ -582,13 +584,11 @@ def main(argv: list[str] | None = None) -> int:
             payload = cmd_solve(_run_config(args), args.timing)
             _write_outputs([(args.out, _render(payload))])
         elif args.command == "cluster":
-            if args.csv and args.trials == 1:
-                raise InputError("--csv writes per-trial rows: it needs --trials 2 or more")
             payload, csv = cmd_cluster(_run_config(args), args.timing)
-            outputs = [(args.out, _render(payload))]
-            if args.csv:
-                outputs.insert(0, (args.csv, csv))
-            _write_outputs(outputs)
+            if args.csv and csv is None:
+                raise InputError("--csv writes per-trial rows: it needs --trials 2 or more")
+            outputs = [(args.csv, csv)] if args.csv else []
+            _write_outputs(outputs + [(args.out, _render(payload))])
         elif args.command == "verify":
             if args.csv and not args.survey:
                 raise InputError("--csv writes survey rows: it needs --survey")

@@ -249,9 +249,8 @@ def _btt_search(g: SignedGraph, allowed: list[int], *,
     enumerating = enumerate_cap is not None
     allowed_set = frozenset(allowed)
     weights = g.edge_columns().weight.tolist()
-    exact = enumerating or g.is_exact()
-    num, den = g.weight_numerators() if exact else (None, 1)
-    search = num.tolist() if exact else weights
+    num, den = g.weight_numerators() if enumerating or g.is_exact() else (None, 1)
+    search = weights if num is None else num.tolist()
     rows = index.tolist()
     if len(allowed_set) < g.m:
         rows = [[e for e in t if e in allowed_set] for t in rows]
@@ -706,7 +705,9 @@ def ratio_survey(make_instance, count: int, seed: int) -> dict:
         if not (1 <= ratio <= Fraction(3, 2)):
             violations.append(row["instance"])
         if ratio > 1:
-            candidates.append(dict(row, edge_list=format_edge_list(g)))
+            candidate = dict(row)
+            candidate["edge_list"] = format_edge_list(g)
+            candidates.append(candidate)
     return {
         "count": count,
         "seed": seed,

@@ -231,11 +231,13 @@ class SignedGraph:
 
     def weight_numerators(self) -> tuple[np.ndarray, int]:
         """The weight column as ``scaled_integers`` with headroom m, built
-        on first use and cached: ``num[i] / den == w_i`` exactly, ``num``
-        int64 while a sum of all m weights fits; den 1 on int weights."""
+        on first use and cached read-only: ``num[i] / den == w_i`` exactly,
+        ``num`` int64 while a sum of all m weights fits; den 1 on int weights."""
         if self._numerators is None:
-            self._numerators = scaled_integers(self._columns.weight.tolist(),
-                                               headroom=max(self.m, 1))
+            num, den = scaled_integers(self._columns.weight.tolist(),
+                                       headroom=max(self.m, 1))
+            num.flags.writeable = False
+            self._numerators = num, den
         return self._numerators
 
     def __repr__(self) -> str:

@@ -240,16 +240,12 @@ def check_fractional_feasibility(g: SignedGraph, x: FractionalCover, tol=0) -> b
 def packs_scaled(g: SignedGraph, num: np.ndarray, den: int, tol=0) -> bool:
     """The exact packing check on triangle values ``num / den``: every value
     >= -tol, and every edge load at most w_e + tol as the value check
-    computes it, or on an exact zero tol at ``g.weight_numerators()``.
-    Loads are integer sums, so ``num`` needs a headroom of ``g.n``: an
-    edge lies in at most n - 2 bad triangles."""
+    computes it.  Loads are integer sums, so ``num`` needs a headroom of
+    ``g.n``: an edge lies in at most n - 2 bad triangles."""
     if (num < ceil_scaled(-tol, den)).any():
         return False
     load = np.zeros(g.m, dtype=num.dtype)
     np.add.at(load, g.bad_triangle_index().ravel(), num.repeat(3))
-    if tol == 0 and not isinstance(tol, float):
-        w_num, w_den = g.weight_numerators()
-        return bool((load.astype(object) * w_den <= w_num.astype(object) * den).all())
     limits = [floor_scaled(w + tol, den) for w in g.edge_columns().weight.tolist()]
     return bool((load <= np.array(limits, dtype=object)).all())
 

@@ -347,6 +347,7 @@ class TestWeightNumerators:
         first = g.weight_numerators()
         assert g.weight_numerators() is first
         assert first[1] == 4 and first[0].tolist() == [2, 4, 1]
+        assert not first[0].flags.writeable  # shared by every caller
 
 
 class TestBadTriangles:
