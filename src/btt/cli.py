@@ -399,6 +399,8 @@ def _load_cover(g: SignedGraph, path: str) -> EdgeCover:
 def cmd_cluster(cfg: RunConfig, timing: bool) -> tuple[dict, str | None]:
     """The result payload and, for a trial batch, the per-trial CSV."""
     started = time.perf_counter() if timing else None
+    if cfg.alg == ALG_STANDARD_PIVOT and cfg.cover is not None:
+        raise InputError(f"{cfg.alg} uses no cover: drop --cover")
     g = _load_graph(cfg)
     cover = csv = None
     if cfg.alg in (ALG_COVER_PIVOT, ALG_FLIP_PIVOT):
@@ -548,7 +550,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     cluster = subs.add_parser("cluster", help="run a pivot transformation")
     _add_common(cluster, CLUSTER_ALGS)
-    cluster.add_argument("--cover", help="cover file or solve result ('-' for stdin)")
+    cluster.add_argument("--cover", help="cover file or solve result ('-' for stdin); "
+                         "cover-pivot and flip-pivot only")
     cluster.add_argument("--trials", type=int, default=1)
     cluster.add_argument("--csv", help="write per-trial CSV here (needs --trials > 1)")
 

@@ -31,11 +31,18 @@ once; each is exact in binary, so a uniform draw compares with the float
 as it would with the Fraction.  The probabilities are computed, and the
 cover checked, once per batch: ``pivot_trials`` samples all its trials
 from the same per-node neighbour lists, and ``run_pivot`` is a batch of
-one.  The sampler builds those lists from the graph's numpy edge columns,
-and a run keeps its unclustered nodes as a sorted list from which each
-clustered node is deleted by bisection, so a round costs its joins rather
-than a pass over every node.  Disagreements are always counted on the
-input graph, by ``cc_cost``.
+one.
+
+A run takes the permutation form of the pivot (KwikCluster, as Ailon,
+Charikar and Newman state it): it draws one uniform permutation of the
+nodes and one coin per fractional edge up front, then walks the
+permutation, and each node still unclustered when reached pivots.  This
+is the same random process: the first unclustered node of a uniform
+permutation is uniform among the unclustered nodes, and each edge's coin
+is read at most once, when one endpoint pivots with the other still
+unclustered, so drawing every coin before the walk leaves the joint law
+of the coins read unchanged.  Disagreements are always counted on the
+input graph, by the rule of ``cc_cost``.
 
 The guarantee rests on a finite case analysis over the 4 triangle sign
 classes times the 8 cover-membership patterns; ``verify_charging_tables``
@@ -45,7 +52,6 @@ and checks them cell by cell against frozen reference values.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,7 +61,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError, VerificationError
 from .graphs import (Clustering, EdgeCover, POSITIVE, SignedGraph, cc_cost,
-                     is_feasible_cover, total)
+                     disagreement_cost, is_feasible_cover, total)
 from .graphs import flip_edges  # noqa: F401  perfbench/tracing.py wraps this name
 from .rng import make_rng, spawn_seeds
 
@@ -282,15 +288,20 @@ def join_probabilities(g: SignedGraph, algorithm: str,
 class _PivotSampler:
     """Pivot state built once per batch and sampled once per seed.
 
-    Each node keeps its neighbours of nonzero join probability, as floats,
-    sorted by neighbour id.  The floats are the four cells of the
-    algorithm's (positive, in-cover) table in the module docstring, the
-    table ``join_probabilities`` reads, converted once per batch and taken
-    per edge from the graph's edge columns at ``2 * positive + in_cover``;
-    one ``np.lexsort`` groups the half-edges by node and sorts each group
-    by neighbour.  The cover's endpoints are kept as numpy columns, from
-    which each run counts the cover edges removed per round with one
-    ``np.bincount``.
+    The join probabilities are the four cells of the algorithm's
+    (positive, in-cover) table in the module docstring, the table
+    ``join_probabilities`` reads, converted to floats once per batch and
+    taken per edge from the graph's edge columns at ``2 * positive +
+    in_cover``.  The edges of nonzero probability are kept; those below 1
+    are the fractional edges, whose probabilities ``coin_p`` lists in
+    edge-id order.  One stable argsort groups the kept half-edges by node
+    into a flat neighbour list with per-node bounds, each half-edge
+    carrying its edge's coin slot, -1 where the probability is 1.  The
+    cover's endpoints are kept as numpy columns, from which each run
+    counts the cover edges removed per round with one ``np.bincount``.
+
+    A run is ``draw`` from its seed, then ``walk``; ``trace`` turns the
+    walk into a ``PivotTrace``.
     """
 
     def __init__(self, g: SignedGraph, algorithm: str, cover: EdgeCover | None):
@@ -302,43 +313,59 @@ class _PivotSampler:
         in_cover[np.fromiter(ids, dtype=np.intp, count=len(ids))] = 1
         join = cells[2 * cols.positive + in_cover]
         kept = join.nonzero()[0]
-        node = np.concatenate((cols.u[kept], cols.v[kept]))
-        neighbour = np.concatenate((cols.v[kept], cols.u[kept]))
-        order = np.lexsort((neighbour, node))
         p = join[kept]
-        pairs = list(zip(neighbour[order].tolist(), np.concatenate((p, p))[order].tolist()))
-        bounds = node[order].searchsorted(np.arange(g.n + 1)).tolist()
+        fractional = p < 1.0
+        slot = np.where(fractional, fractional.cumsum() - 1, -1)
+        u, v = cols.u[kept], cols.v[kept]
+        node = np.concatenate((u, v))
+        by_node = np.argsort(node, kind="stable")
         # removed edges are counted for any given cover, also by ``pivot``,
         # whose joins ignore it
         counted = () if cover is None else cover.edge_ids
         cover_ids = np.fromiter(counted, dtype=np.intp, count=len(counted))
         self.g = g
         self.algorithm = algorithm
-        self.joins = [pairs[start:stop] for start, stop in zip(bounds, bounds[1:])]
+        self.coin_p = p[fractional]
+        self.neighbours = np.concatenate((v, u))[by_node].tolist()
+        self.slots = np.concatenate((slot, slot))[by_node].tolist()
+        self.bounds = node[by_node].searchsorted(np.arange(g.n + 1)).tolist()
         self.cover_u = cols.u[cover_ids]
         self.cover_v = cols.v[cover_ids]
 
-    def run(self, seed: int) -> PivotTrace:
-        """Pick a uniformly random unclustered pivot, then walk its
-        neighbours in id order; a coin is drawn only for an unclustered
-        neighbour with a fractional probability.  The unclustered nodes are
-        kept as a sorted list, so the draw picks the k-th of them in id
-        order, and each newly clustered node is deleted by bisection."""
-        g = self.g
+    def draw(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """The run's randomness: a uniform permutation of the nodes, then
+        one accepted-or-not coin per fractional edge, in that order from
+        the seed's stream."""
         rng = make_rng(seed)
-        rounds = [-1] * g.n  # round in which each node was clustered
-        unclustered = list(range(g.n))
+        order = rng.permutation(self.g.n)
+        return order, rng.random(len(self.coin_p)) < self.coin_p
+
+    def walk(self, order: np.ndarray,
+             coins: np.ndarray) -> tuple[list[int], list[int]]:
+        """The deterministic pivot run given ``draw``'s outcome: the pivots
+        in order and the round that clustered each node.  A node of
+        ``order`` still unclustered pivots, and each unclustered neighbour
+        over an accepted edge joins it."""
+        neighbours, slots, bounds = self.neighbours, self.slots, self.bounds
+        accept = coins.tolist()
+        accept.append(True)  # slot -1: probability-1 edges always join
+        rounds = [-1] * self.g.n
         pivots: list[int] = []
-        while unclustered:
-            pivot = unclustered[int(rng.integers(len(unclustered)))]
+        for pivot in order.tolist():
+            if rounds[pivot] >= 0:
+                continue
             k = len(pivots)
             pivots.append(pivot)
             rounds[pivot] = k
-            del unclustered[bisect_left(unclustered, pivot)]
-            for v, p in self.joins[pivot]:
-                if rounds[v] < 0 and (p == 1.0 or rng.random() < p):
+            lo, hi = bounds[pivot], bounds[pivot + 1]
+            for v, s in zip(neighbours[lo:hi], slots[lo:hi]):
+                if rounds[v] < 0 and accept[s]:
                     rounds[v] = k
-                    del unclustered[bisect_left(unclustered, v)]
+        return pivots, rounds
+
+    def trace(self, seed: int | None, pivots: list[int],
+              rounds: list[int]) -> PivotTrace:
+        """The trace of a walk's outcome, ``seed`` recorded as given."""
         # a cover edge is removed in the first round that clusters one of
         # its endpoints
         node_round = np.array(rounds, dtype=np.intp)
@@ -347,15 +374,18 @@ class _PivotSampler:
             minlength=len(pivots))
         clustering = Clustering.from_labels(rounds)
         return PivotTrace(self.algorithm, seed, tuple(pivots), clustering,
-                          cc_cost(g, clustering), tuple(removed.tolist()))
+                          cc_cost(self.g, clustering), tuple(removed.tolist()))
 
 
 def run_pivot(g: SignedGraph, algorithm: str, seed: int,
               cover: EdgeCover | None = None) -> PivotTrace:
     """One seeded pivot run of ``algorithm`` (pivot, cover-pivot or
-    flip-pivot); disagreements are always counted on ``g``, and
-    ``removed_per_round`` counts the edges of ``cover`` when one is given."""
-    return _PivotSampler(g, algorithm, cover).run(seed)
+    flip-pivot): a permutation and the fractional edges' coins drawn from
+    ``seed``, then the walk of the permutation.  Disagreements are always
+    counted on ``g``, and ``removed_per_round`` counts the edges of
+    ``cover`` when one is given."""
+    sampler = _PivotSampler(g, algorithm, cover)
+    return sampler.trace(seed, *sampler.walk(*sampler.draw(seed)))
 
 
 def cover_pivot(g: SignedGraph, cover: EdgeCover, seed: int) -> PivotTrace:
@@ -385,13 +415,18 @@ def pivot_trials(g: SignedGraph, algorithm: str, trials: int, seed: int,
     """Seeded batch of pivot runs with summary statistics.
 
     Trial seeds derive from the root seed by a splittable scheme, so the
-    batch is reproducible and trial k equals ``run_pivot`` with the k-th
-    spawned seed.  The cover is validated once per batch.
+    batch is reproducible.  The sampler, and with it the cover check, is
+    built once per batch; each trial draws its permutation and coins from
+    its seed and walks them, keeping only the disagreement cost of the
+    round labels, so trial k equals ``run_pivot(...).disagreements`` with
+    the k-th spawned seed.
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
     sampler = _PivotSampler(g, algorithm, cover)
-    costs = [float(sampler.run(s).disagreements) for s in spawn_seeds(seed, trials)]
+    cols = g.edge_columns()
+    costs = [float(disagreement_cost(cols, sampler.walk(*sampler.draw(s))[1]))
+             for s in spawn_seeds(seed, trials)]
     mean = total(costs) / trials
     variance = total((c - mean) ** 2 for c in costs) / max(trials - 1, 1)
     stderr = (variance / trials) ** 0.5

@@ -84,6 +84,17 @@ class TestCluster:
         assert "--csv" in capsys.readouterr().err
         assert not csv.exists() and not out.exists()
 
+    @pytest.mark.parametrize("exists", [True, False], ids=["valid", "missing"])
+    def test_pivot_with_cover_is_input_error(self, exists, fig2_cover_file,
+                                             tmp_path, capsys):
+        # plain pivot reads no cover, so it refuses one rather than ignore it
+        cover_path = fig2_cover_file[0] if exists else tmp_path / "none.json"
+        out = tmp_path / "out.json"
+        assert main(["cluster", "--gen", "fig2", "--alg", "pivot", "--cover",
+                     str(cover_path), "--out", str(out)]) == 2
+        assert "--cover" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cover_pivot_without_cover_is_input_error(self, capsys):
         assert main(["cluster", "--gen", "fig2", "--alg", "cover-pivot"]) == 2
         assert "needs --cover" in capsys.readouterr().err
@@ -590,13 +601,13 @@ GOLDEN_DIGESTS = {
     "cluster --alg pivot --gen fig2 --trials 2 --seed 4 --csv trials.csv":
         "fe2ced18a9336430f9a891235065435e7dcdd7e465eaa5b87a7a80fe8e2c392c",
     "cluster --alg cover-pivot --gen fig2 --trials 2 --seed 4 --csv trials.csv --cover ../cover-0.json":
-        "c23e2e405df572715a680ca9792fd920bdeacd07f4db931a93f0ca4c976af59e",
+        "7d57a4edf88e9949766b0e0aa6d9cdf218f411e8f007a305b8a0f83cfacad799",
     "cluster --alg flip-pivot --gen fig2 --trials 2 --seed 4 --csv trials.csv --cover ../cover-0.json":
         "d6e82a60ba5e2e2eb6a95f95cdf7b46f1df58149b8e0abc1d99523a4b57054ba",
     "cluster --alg pivot --gen random:n=10,weights=rational:4:3,seed=1 --trials 2 --seed 4 --csv trials.csv":
-        "33b2cf9a71b92e94a60662940d77482e29d372458cb5484672ce400eed8c4e3d",
+        "efcd0e3f99de24608312fbccf8e0be6248415cb74c51bfc3c81173885b76ddef",
     "cluster --alg cover-pivot --gen random:n=10,weights=rational:4:3,seed=1 --trials 2 --seed 4 --csv trials.csv --cover ../cover-1.json":
-        "cacbc390db9a170898bcac66972a276d8ca624362eaf1ea2be3dcc179a73754a",
+        "a7147a7321949f8bb8cd1ab5e4b3707bfeb48d6294b5fd04fa5a2bfbf19a73bc",
     "cluster --alg flip-pivot --gen random:n=10,weights=rational:4:3,seed=1 --trials 2 --seed 4 --csv trials.csv --cover ../cover-1.json":
         "134c247413b32962e761d111ce8a1100132d9b03d12de0dd02a907ba0cd42088",
     "verify --tables --hexagram":

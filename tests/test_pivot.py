@@ -1,10 +1,15 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations, product
+from math import factorial
 
+import numpy as np
 import pytest
 
 from btt import (CapacityError, EdgeCover, InputError, SignedGraph,
-                 VerificationError, cover_pivot, exhaustive_expected_disagreements,
+                 VerificationError, cover_pivot, exact_btt,
+                 exhaustive_expected_disagreements,
                  gen_figure2, gen_random, inclusion_probability,
                  match_flip_pivot, solve_exact, standard_pivot, triplet_sums,
                  verify_charging_tables)
@@ -260,103 +265,108 @@ PIVOT_ALGS = (ALG_STANDARD_PIVOT, ALG_COVER_PIVOT, ALG_FLIP_PIVOT)
 # (pivot_order, removed_per_round) for seeds 0..4, frozen so that any
 # change in the order of pivot choices or coin draws shows up.
 FIG2_FROZEN = {
-    ALG_COVER_PIVOT: [((0, 2), (4, 0)), ((2, 1), (4, 0)), ((4, 3), (4, 0)),
-                      ((3, 2), (4, 0)), ((5, 1), (4, 0))],
-    ALG_FLIP_PIVOT: [((0, 2), (4, 0)), ((2, 0), (4, 0)), ((4, 3), (4, 0)),
-                     ((3, 2), (4, 0)), ((5, 1), (4, 0))],
+    ALG_COVER_PIVOT: [((4, 0), (4, 0)), ((0, 4), (4, 0)), ((2, 3), (4, 0)),
+                      ((1, 2), (4, 0)), ((1, 2), (4, 0))],
+    ALG_FLIP_PIVOT: [((4, 0), (4, 0)), ((0, 4), (4, 0)), ((2, 3), (4, 0)),
+                     ((1, 2), (4, 0)), ((1, 2), (4, 0))],
 }
 # The same on a complete n=12 graph with its 3-approximate cover, where
 # removals spread over several rounds.
 RANDOM12_FROZEN = {
-    ALG_COVER_PIVOT: [((1, 0, 5, 11), (25, 9, 1, 1)),
-                      ((5, 2, 6, 9, 8), (30, 0, 5, 1, 0)),
-                      ((9, 7, 6, 10, 0), (4, 19, 12, 1, 0)),
-                      ((7, 2, 8, 11, 9, 6), (22, 1, 5, 5, 3, 0)),
-                      ((11, 5, 2, 4, 0, 8), (11, 10, 7, 8, 0, 0))],
-    ALG_FLIP_PIVOT: [((1, 0, 11, 5, 8, 9), (15, 9, 8, 4, 0, 0)),
-                     ((5, 0, 1, 8, 9, 11), (26, 7, 2, 0, 1, 0)),
-                     ((9, 7, 10, 11, 6), (13, 15, 4, 3, 1)),
-                     ((7, 0, 4, 8, 11), (19, 8, 9, 0, 0)),
-                     ((11, 5, 9, 6, 8, 2), (11, 16, 2, 5, 1, 1))],
+    ALG_COVER_PIVOT: [((3, 7, 9), (32, 4, 0)),
+                      ((11, 2, 6, 9, 5), (11, 18, 7, 0, 0)),
+                      ((11, 5, 2, 6, 8, 9), (11, 20, 3, 2, 0, 0)),
+                      ((5, 0, 7, 9, 2, 11), (25, 7, 3, 1, 0, 0)),
+                      ((4, 8, 2, 11, 9, 0, 5), (27, 2, 4, 1, 1, 1, 0))],
+    ALG_FLIP_PIVOT: [((3, 7, 0, 10, 9), (27, 8, 1, 0, 0)),
+                     ((11, 2, 6, 8, 9, 5), (11, 14, 10, 1, 0, 0)),
+                     ((11, 5, 0, 2, 8, 9), (11, 16, 7, 2, 0, 0)),
+                     ((5, 0, 8, 1, 9, 11), (26, 7, 1, 1, 1, 0)),
+                     ((4, 8, 1, 11, 0), (28, 2, 6, 0, 0))],
 }
 
 
 # trials_to_json of an 8-trial batch (seed 5) per algorithm on a sparse
 # float graph, and removed_per_round of its first trial run with the
-# cover given, frozen before the pivot kernel read edge columns.
+# cover given, frozen when runs took the permutation form.
 FLOAT150_FROZEN = {
     ALG_STANDARD_PIVOT: (
-        [1087.3504186382957, 1074.2997064389776, 1081.4608144573492,
-         1062.7265752924318, 1082.1795993135336, 1082.8886823172506,
-         1108.8333515093893, 1078.4573459156368],
-        1082.2745617353582, 4.614563924082379,
-        (160, 224, 135, 121, 151, 42, 56, 9, 55, 48, 54, 39, 23, 17, 15, 5,
-         9, 17, 7, 7, 0, 0, 1, 4, 1, 0, 0, 0, 0, 0, 0, 0)),
+        [1081.9901319811177, 1098.3065958561704, 1072.2698578542038,
+         1060.6133795371, 1092.0209517598419, 1077.7669983223682,
+         1075.620233722462, 1083.2963912077817],
+        1080.2355675301305, 4.126963637741578,
+        (177, 152, 120, 163, 70, 109, 144, 18, 49, 48, 31, 35, 21, 9, 9, 16, 4,
+         5, 1, 8, 0, 3, 3, 0, 0, 5, 0, 0, 0, 0)),
     ALG_COVER_PIVOT: (
-        [1175.3513272047487, 1165.9983943034467, 1183.9050860971174,
-         1206.473953197801, 1178.8419478127703, 1195.3698117522597,
-         1197.025107317387, 1193.5738921808138],
-        1187.067439983293, 4.7167300626861905,
-        (190, 82, 134, 163, 62, 89, 48, 48, 69, 64, 53, 16, 11, 20, 17, 14,
-         11, 12, 18, 23, 4, 6, 12, 2, 1, 4, 6, 12, 4, 3, 0, 1, 0, 0, 0, 0,
-         0, 0, 1)),
+        [1160.2479619073174, 1210.405387316857, 1187.1744414975294,
+         1205.7140677472075, 1182.1244604621684, 1172.0381209844952,
+         1206.4242259399534, 1197.2952904694682],
+        1190.1779945406245, 6.358143728044339,
+        (130, 90, 173, 110, 79, 108, 86, 47, 53, 53, 56, 9, 29, 13, 19, 18, 32,
+         18, 10, 2, 4, 4, 11, 2, 1, 7, 8, 9, 4, 8, 0, 2, 2, 0, 0, 0, 3, 0, 0,
+         0, 0, 0, 0)),
     ALG_FLIP_PIVOT: (
-        [1269.2702004194723, 1252.4274737326173, 1267.0288585039496,
-         1270.844789862161, 1262.1877195960085, 1265.208116960702,
-         1251.3044640942367, 1273.6199912829793],
-        1263.9864518065158, 2.916047996521441,
-        (193, 203, 81, 67, 50, 20, 23, 35, 52, 74, 58, 26, 57, 34, 20, 35, 13,
-         4, 22, 6, 11, 4, 35, 12, 3, 30, 8, 5, 1, 3, 0, 0, 0, 7, 3, 1, 0, 0,
-         1, 2, 0, 1, 0, 0, 0, 0)),
+        [1262.7781601770967, 1264.7895937337887, 1246.3444480494575,
+         1264.5009689255808, 1273.8604441572754, 1250.1670502116976,
+         1277.0091507007094, 1269.0826822528215],
+        1263.5665622760534, 3.7707364971604735,
+        (105, 49, 154, 86, 69, 95, 44, 52, 105, 51, 25, 54, 21, 6, 35, 7, 19,
+         10, 21, 19, 14, 17, 13, 4, 20, 11, 9, 11, 13, 3, 15, 18, 2, 2, 2, 5,
+         0, 2, 2, 5, 0, 1, 1, 1, 1, 1, 0, 0, 0)),
 }
 
 
 # pivot_trials disagreements (4 trials, seed 9), then pivot_order,
 # removed_per_round, cluster count and a SHA-256 prefix of the labels'
 # repr for run_pivot with seed 3 and the cover given, per algorithm on two
-# larger float graphs, frozen before the sampler read edge columns.
+# larger float graphs, frozen when runs took the permutation form.
 WIDE_FROZEN = {
     "sparse150": {
         ALG_STANDARD_PIVOT: (
-            [1952.8226077789639, 1974.1393383236762, 1971.6873727938334,
-             1990.561697017447],
-            (98, 6, 39, 19, 83, 26, 68, 141, 134, 148, 20, 97, 77, 126, 8, 28,
-             96, 79),
-            (858, 507, 238, 188, 127, 104, 59, 64, 20, 11, 24, 13, 5, 10, 5, 2,
-             0, 0),
-            "99db01404b7172ed"),
+            [1941.9502363154488, 1969.2617811614818, 1986.52986293512,
+             1994.042725968416],
+            (73, 32, 65, 70, 57, 60, 117, 44, 139, 11, 112, 76, 127, 101, 114,
+             100, 10, 5, 131),
+            (785, 412, 214, 313, 159, 132, 66, 48, 48, 26, 15, 6, 2, 8, 0, 0,
+             1, 0, 0),
+            "950f9df32d85e8cb"),
         ALG_COVER_PIVOT: (
-            [2120.1100743819197, 2125.8243111233246, 2113.5818800578395,
-             2084.3430274277353],
-            (98, 8, 124, 85, 117, 15, 129, 61, 64, 139, 27, 23, 136, 49, 65,
-             106, 77, 134, 127, 43, 143, 99, 22, 142, 145, 66, 16),
-            (485, 495, 206, 258, 57, 82, 113, 130, 125, 26, 69, 73, 29, 27, 1,
-             6, 12, 2, 7, 21, 5, 2, 1, 2, 1, 0, 0),
-            "46ec5a7a84cf4d74"),
+            [2122.320224211051, 2139.491333417878, 2102.8790310646514,
+             2166.790771195762],
+            (73, 32, 65, 36, 7, 68, 60, 117, 144, 25, 139, 53, 105, 86, 46, 96,
+             84, 72, 127, 141, 47, 108, 115, 134),
+            (527, 430, 182, 155, 329, 91, 129, 99, 72, 57, 35, 27, 16, 29, 12,
+             12, 15, 2, 4, 10, 2, 0, 0, 0),
+            "378e3822797be498"),
         ALG_FLIP_PIVOT: (
-            [2211.512945828326, 2216.8505904818644, 2219.06531617042,
-             2220.277168687568],
-            (98, 6, 43, 25, 91, 34, 78, 146, 136, 143, 54, 115, 92, 129, 32,
-             79, 84, 134, 131, 117, 80, 38, 107, 112, 82, 56, 109, 35),
-            (447, 618, 255, 194, 157, 84, 69, 61, 35, 38, 63, 20, 32, 36, 38,
-             27, 14, 13, 16, 8, 1, 2, 3, 3, 1, 0, 0, 0),
-            "121b675ac8cb4bbd"),
+            [2247.377084130818, 2261.6700885902583, 2228.131405969871,
+             2230.3226372906984],
+            (73, 32, 65, 36, 7, 68, 60, 117, 144, 25, 139, 102, 105, 86, 46,
+             85, 84, 136, 72, 33, 127, 114, 141, 47, 108, 1, 74, 115, 106, 75,
+             79, 147),
+            (483, 377, 167, 234, 350, 152, 104, 71, 55, 60, 26, 7, 31, 25, 12,
+             19, 22, 2, 8, 2, 13, 3, 1, 4, 1, 2, 1, 0, 2, 0, 1, 0),
+            "4b5246936975939d"),
     },
     "complete40": {
         ALG_STANDARD_PIVOT: (
-            [393.06283156905425, 439.67791024063933, 428.8912777438368,
-             444.29676664598924],
-            (26, 2, 14, 11), (462, 47, 24, 16), "0bd9b3d890e40a39"),
+            [415.6297442925594, 425.8555169199359, 439.0150522535222,
+             435.2806551230295],
+            (28, 16, 21, 34, 38),
+            (477, 66, 5, 1, 0),
+            "e651018486e9a9c3"),
         ALG_COVER_PIVOT: (
-            [479.1740103125301, 466.1512152281519, 461.7488059662003,
-             482.84603494515244],
-            (26, 3, 2, 25, 27, 24, 23, 38, 4), (234, 215, 70, 13, 4, 4, 1, 5, 3),
-            "abaedbec443a2e6a"),
+            [463.50426813699966, 457.1617511986622, 469.86202673400845,
+             464.166284194966],
+            (28, 16, 37, 20, 33, 7, 0, 25),
+            (322, 140, 31, 24, 21, 10, 1, 0),
+            "dd0af809d2bc9ed2"),
         ALG_FLIP_PIVOT: (
-            [500.15486454154524, 492.63639946421506, 489.2783945701944,
-             497.1252843820741],
-            (26, 1, 13, 4, 35, 27, 30, 39, 36, 17),
-            (176, 276, 61, 20, 8, 3, 2, 0, 3, 0), "079793029e80eb81"),
+            [480.8289248720337, 520.2483989006549, 506.41812432559794,
+             507.29909447479844],
+            (28, 16, 37, 20, 33, 9, 38, 25, 29, 39),
+            (196, 237, 16, 60, 15, 22, 2, 1, 0, 0),
+            "9e1e1346bdb8751d"),
     },
 }
 WIDE_GRAPHS = {
@@ -460,7 +470,14 @@ class TestPivotKernel:
             if p:
                 expected[e.u].append((e.v, float(p)))
                 expected[e.v].append((e.u, float(p)))
-        assert _PivotSampler(g, algorithm, f).joins == [sorted(x) for x in expected]
+        sampler = _PivotSampler(g, algorithm, f)
+        assert sampler.coin_p.tolist() == [float(p) for p in probs if 0 < p < 1]
+        coin_p = sampler.coin_p.tolist() + [1.0]  # slot -1: probability 1
+        bounds = sampler.bounds
+        joins = [sorted(zip(sampler.neighbours[lo:hi],
+                            [coin_p[s] for s in sampler.slots[lo:hi]]))
+                 for lo, hi in zip(bounds, bounds[1:])]
+        assert joins == [sorted(x) for x in expected]
 
     def test_standard_pivot_removes_no_cover_edges(self):
         trace = standard_pivot(gen_figure2(), seed=2)
@@ -479,6 +496,86 @@ class TestPivotKernel:
             calls.clear()
             pivot_trials(g, algorithm, 20, seed=1, cover=f)
             assert len(calls) == 1
+
+
+def enumerated_expectation(g, algorithm, cover):
+    """E[disagreements] of a pivot run in exact rationals, by walking every
+    permutation under every coin vector, each weighted by its probability;
+    asserts that every run's ``removed_per_round`` sums to the cover size."""
+    sampler = _PivotSampler(g, algorithm, cover)
+    probs = [p for p in join_probabilities(g, algorithm, cover) if 0 < p < 1]
+    assert sampler.coin_p.tolist() == [float(p) for p in probs]
+    orders = [np.array(order) for order in permutations(range(g.n))]
+    expected = Fraction(0)
+    for coins in product((False, True), repeat=len(probs)):
+        weight = Fraction(1)
+        for p, coin in zip(probs, coins):
+            weight *= p if coin else 1 - p
+        drawn = np.array(coins, dtype=bool)
+        runs = Counter()
+        for order in orders:
+            pivots, rounds = sampler.walk(order, drawn)
+            runs[tuple(pivots), tuple(rounds)] += 1
+        for (pivots, rounds), count in runs.items():
+            trace = sampler.trace(None, pivots, rounds)
+            assert sum(trace.removed_per_round) == cover.size
+            expected += weight * count * trace.disagreements
+    return expected / factorial(g.n)
+
+
+def k4_sign_patterns():
+    """Every sign pattern of K4 that has a bad triangle."""
+    pairs = list(combinations(range(4), 2))
+    for bits in range(1 << len(pairs)):
+        signs = {pair: 1 if bits >> k & 1 else -1 for k, pair in enumerate(pairs)}
+        g = complete_graph(4, lambda u, v: signs[u, v])
+        if len(g.bad_triangle_index()):
+            yield g
+
+
+class TestPermutationForm:
+    """A run is a draw (permutation, coins) followed by a deterministic
+    walk; over the exact law of the draw, the walk's expected
+    disagreements equal the exhaustive oracle's."""
+
+    @pytest.mark.parametrize("algorithm", PIVOT_ALGS)
+    def test_fig2(self, algorithm):
+        g, f = fig2_with_cover()
+        assert enumerated_expectation(g, algorithm, f) == \
+            exhaustive_expected_disagreements(g, f, algorithm)
+
+    def test_every_k4_with_a_bad_triangle(self):
+        checked = 0
+        for g in k4_sign_patterns():
+            for f in (exact_btt(g).witness, standard_three_approx(g).cover):
+                for algorithm in PIVOT_ALGS:
+                    assert enumerated_expectation(g, algorithm, f) == \
+                        exhaustive_expected_disagreements(g, f, algorithm)
+                    checked += 1
+        assert checked == 49 * 2 * 3  # 64 sign patterns, 15 of them clusterable
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_random(6, complete=True, seed=3),
+        lambda: gen_random(6, complete=False, density=0.7,
+                           weights=("rational", 4, 3), seed=1),
+    ], ids=["complete-unit", "density0.7-rational"])
+    @pytest.mark.parametrize("algorithm", PIVOT_ALGS)
+    def test_six_nodes(self, make, algorithm):
+        g = make()
+        f = exact_btt(g).witness
+        assert enumerated_expectation(g, algorithm, f) == \
+            exhaustive_expected_disagreements(g, f, algorithm)
+
+    def test_draw_then_walk_is_the_run(self):
+        g, f = sparse_float_with_cover()
+        for algorithm in PIVOT_ALGS:
+            sampler = _PivotSampler(g, algorithm, f)
+            for seed in range(4):
+                order, coins = sampler.draw(seed)
+                assert sorted(order.tolist()) == list(range(g.n))
+                assert len(coins) == len(sampler.coin_p)
+                trace = sampler.trace(seed, *sampler.walk(order, coins))
+                assert trace == run_pivot(g, algorithm, seed, cover=f)
 
 
 class TestExhaustiveOracle:
